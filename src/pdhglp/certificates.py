@@ -11,18 +11,28 @@ are (scaled) Farkas certificates whenever they are nonzero:
 A candidate passes when its certificate residual, scaled by the certificate
 objective, drops below eps.  All tests are positively homogeneous: rescaling
 a candidate leaves its scaled error unchanged.
+
+The tests need A x and A'y of the candidate.  ``extract`` attaches them when
+it is given the state's ``StateProducts``: the normalized iterate reuses
+A x^k and A'y^k, which the solve loop computes anyway for its KKT residual
+(A'y^k also feeds the next step), and the other two kinds take one direct
+product per side, never a difference of cached products, which would cancel
+at large k.  Without them, ``extract`` and the tests take the products from
+the problem's matrix.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .linalg import max0
 from .model import (
     GeneralFormLp,
+    KindMasks,
     StandardFormLp,
     clip_to_dual_signs,
     clip_to_ray_signs,
@@ -35,6 +45,7 @@ __all__ = [
     "CandidateKind",
     "CertificateCandidate",
     "CertCheckReport",
+    "StateProducts",
     "extract",
     "check_primal_infeasibility",
     "check_dual_infeasibility",
@@ -53,13 +64,28 @@ class CandidateKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CertificateCandidate:
-    """One sequence value at iteration k; r_part only for general-form runs."""
+    """One sequence value at iteration k; r_part only for general-form runs.
+
+    ax and aty, when present, are A x_part and A'y_part.
+    """
 
     kind: CandidateKind
     k: int
     x_part: np.ndarray
     y_part: np.ndarray
     r_part: np.ndarray | None = None
+    ax: np.ndarray | None = None
+    aty: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class StateProducts:
+    """A x^k and A'y^k of one state, plus the routines for other products."""
+
+    ax: np.ndarray
+    aty: np.ndarray
+    matvec: Callable[[np.ndarray], np.ndarray]
+    rmatvec: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -88,12 +114,16 @@ def extract(
     state: "PdhgState",
     kind: CandidateKind,
     problem: GeneralFormLp | StandardFormLp | None = None,
+    products: StateProducts | None = None,
+    masks: KindMasks | None = None,
 ) -> CertificateCandidate:
     """Build the candidate of the given kind from the current state.
 
     For general-form problems the dual candidate gets reduced costs
     r = clip(-A'y) attached, projected onto the signs that keep the ray
     objective finite (the candidate is homogeneous, so no cost term).
+    With products, the candidate carries its own A x and A'y; masks, if
+    given, are problem.kind_masks().
     """
     k = state.k
     if k < 1:
@@ -110,45 +140,72 @@ def extract(
         y = state.sum_y * scale
     else:
         raise ValueError(f"unknown candidate kind {kind!r}")
+    ax = aty = None
+    if products is not None:
+        if kind is CandidateKind.NORMALIZED_ITERATE:
+            ax = products.ax / k
+            aty = products.aty / k
+        else:
+            ax = products.matvec(x)
+            aty = products.rmatvec(y)
     r = None
     if isinstance(problem, GeneralFormLp):
-        r = clip_to_dual_signs(-problem.a.rmatvec(y), problem.kind_masks())
-    return CertificateCandidate(kind=kind, k=k, x_part=x, y_part=y, r_part=r)
+        if aty is None:
+            aty = problem.a.rmatvec(y)
+        if masks is None:
+            masks = problem.kind_masks()
+        r = clip_to_dual_signs(-aty, masks)
+    return CertificateCandidate(
+        kind=kind, k=k, x_part=x, y_part=y, r_part=r, ax=ax, aty=aty
+    )
 
 
 def check_primal_infeasibility(
-    cand: CertificateCandidate, p: GeneralFormLp, eps: float
+    cand: CertificateCandidate,
+    p: GeneralFormLp,
+    eps: float,
+    masks: KindMasks | None = None,
 ) -> CertCheckReport:
     """Test (y, r) as an approximate certificate that Ax >= b, l <= x <= u
     has no solution: y >= 0, r + A'y ~ 0, and positive ray objective
-    b'y + l'r_+ - u'r_-."""
-    y = cand.y_part.copy()
+    b'y + l'r_+ - u'r_-.  Negative dust in y is zeroed first; r stays as
+    extracted."""
+    y = cand.y_part
     reasons: list[str] = []
-    ynorm = float(np.max(np.abs(y))) if y.size else 0.0
+    ynorm = max0(np.abs(y))
     if ynorm == 0.0:
         return CertCheckReport(
             "primal", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
         )
-    dust = (y < 0.0) & (y >= -_Y_CLIP_REL * ynorm)
-    y[dust] = 0.0
-    if np.any(y < 0.0):
-        reasons.append("dual vector has negative components")
+    aty = cand.aty
+    neg = y < 0.0
+    if neg.any():
+        dust = neg & (y >= -_Y_CLIP_REL * ynorm)
+        if dust.any():
+            y = y.copy()
+            y[dust] = 0.0
+            neg &= ~dust
+            aty = None  # the carried product belongs to the unclipped y
+        if neg.any():
+            reasons.append("dual vector has negative components")
 
-    masks = p.kind_masks()
-    aty = p.a.rmatvec(y)
+    if masks is None:
+        masks = p.kind_masks()
+    if aty is None:
+        aty = p.a.rmatvec(y)
     r = cand.r_part if cand.r_part is not None else clip_to_dual_signs(-aty, masks)
     r_pos = np.maximum(r, 0.0)
     r_neg = np.maximum(-r, 0.0)
     fin_l = np.isfinite(p.l)
     fin_u = np.isfinite(p.u)
-    if np.any(r_pos[~fin_l] > 0.0):
+    if (r_pos[~fin_l] > 0.0).any():
         reasons.append("positive reduced cost on a variable with no lower bound")
-    if np.any(r_neg[~fin_u] > 0.0):
+    if (r_neg[~fin_u] > 0.0).any():
         reasons.append("negative reduced cost on a variable with no upper bound")
     obj = float(p.b @ y)
     obj += float(p.l[fin_l] @ r_pos[fin_l])
     obj -= float(p.u[fin_u] @ r_neg[fin_u])
-    residual = float(np.max(np.abs(r + aty)))
+    residual = max0(np.abs(r + aty))
     scaled = residual / obj if obj > 0.0 else None
     if obj <= 0.0:
         reasons.append("ray objective is not positive")
@@ -159,20 +216,24 @@ def check_primal_infeasibility(
 
 
 def check_dual_infeasibility(
-    cand: CertificateCandidate, p: GeneralFormLp, eps: float
+    cand: CertificateCandidate,
+    p: GeneralFormLp,
+    eps: float,
+    masks: KindMasks | None = None,
 ) -> CertCheckReport:
     """Test d as an approximate unbounded direction: c'd < 0, d in the
     recession cone of the box, and Ad >= 0 up to scaled residual eps."""
     d = cand.x_part
-    dnorm = float(np.max(np.abs(d))) if d.size else 0.0
+    dnorm = max0(np.abs(d))
     if dnorm == 0.0:
         return CertCheckReport(
             "dual", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
         )
-    masks = p.kind_masks()
-    box_res = float(np.max(np.abs(d - clip_to_ray_signs(d, masks))))
-    ad = p.a.matvec(d)
-    row_res = float(np.max(np.maximum(-ad, 0.0)))
+    if masks is None:
+        masks = p.kind_masks()
+    box_res = max0(np.abs(d - clip_to_ray_signs(d, masks)))
+    ad = p.a.matvec(d) if cand.ax is None else cand.ax
+    row_res = max0(-ad)
     obj = -float(p.c @ d)
     residual = max(box_res, row_res)
     scaled = residual / obj if obj > 0.0 else None
@@ -196,7 +257,7 @@ def check_standard_farkas(
     The standard-form dual vector is free, so no clipping on y.
     """
     y = cand.y_part
-    ynorm = float(np.max(np.abs(y))) if y.size else 0.0
+    ynorm = max0(np.abs(y))
     if ynorm == 0.0:
         primal = CertCheckReport(
             "primal", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
@@ -204,7 +265,8 @@ def check_standard_farkas(
     else:
         bty = float(p.b @ y)
         obj = -bty
-        residual = float(np.max(np.maximum(-p.a.rmatvec(y), 0.0)))
+        aty = p.a.rmatvec(y) if cand.aty is None else cand.aty
+        residual = max0(-aty)
         scaled = residual / ynorm
         passed = obj > 0.0 and scaled <= eps
         reasons = () if obj > 0.0 else ("b'y is not negative",)
@@ -213,7 +275,7 @@ def check_standard_farkas(
         )
 
     x = cand.x_part
-    xnorm = float(np.max(np.abs(x))) if x.size else 0.0
+    xnorm = max0(np.abs(x))
     if xnorm == 0.0:
         dual = CertCheckReport(
             "dual", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
@@ -221,10 +283,8 @@ def check_standard_farkas(
     else:
         ctx = float(p.c @ x)
         obj = -ctx
-        residual = max(
-            float(np.max(np.abs(p.a.matvec(x)))),
-            float(np.max(np.maximum(-x, 0.0))),
-        )
+        ax = p.a.matvec(x) if cand.ax is None else cand.ax
+        residual = max(max0(np.abs(ax)), max0(-x))
         scaled = residual / xnorm
         passed = obj > 0.0 and scaled <= eps
         reasons = () if obj > 0.0 else ("c'x is not negative",)

@@ -1,8 +1,8 @@
 """Command-line surface: solve, analyze, oracle, and demo subcommands.
 
 Exit codes: 0 for any classified outcome (optimal or a certified
-infeasibility), 2 for unreadable input, 3 for a numerical abort, 4 for an
-iteration-limit stop.
+infeasibility), 2 for unreadable or invalid input, 3 for a numerical abort
+or another solver-side failure, 4 for an iteration-limit stop.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .identify import (
     verify_rate_regimes,
 )
 from .instance_io import load_problem, result_to_json, write_trace_csv
-from .linalg import StepSizes
+from .linalg import SolverError, StepSizes
 from .model import GeneralFormLp, to_standard_form
 from .mps import MpsParseError
 from .pdhg import PdhgConfig, SolveStatus, StandardFormOperator, run
@@ -62,7 +62,6 @@ def _add_solver_args(sub):
     sub.add_argument("--kkt-tol", type=float, default=1e-8)
     sub.add_argument("--step-factor", type=float, default=0.9)
     sub.add_argument("--check-interval", type=int, default=40)
-    sub.add_argument("--seed", type=int, default=None, help="reserved")
     sub.add_argument("--json-out", help="write the result report as JSON")
 
 
@@ -292,6 +291,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except SolverError as e:
+        print(f"solver error: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (MpsParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

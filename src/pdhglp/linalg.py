@@ -24,8 +24,8 @@ __all__ = [
     "StepSizes",
     "OperatorNormEstimate",
     "MNorm",
-    "spmv",
-    "spmv_t",
+    "SolverError",
+    "max0",
     "opnorm_estimate",
     "m_norm",
 ]
@@ -36,10 +36,12 @@ class SparseMatrix:
 
     Duplicate (row, col) pairs in the input are summed during construction;
     afterwards the stored layout is unique and sorted, so repeated products
-    accumulate in a fixed order and runs are reproducible.
+    accumulate in a fixed order and runs are reproducible.  The stored
+    entries are treated as immutable: the transpose is built once, on first
+    use, and kept.
     """
 
-    __slots__ = ("csr",)
+    __slots__ = ("csr", "_csr_t")
 
     def __init__(self, csr: sp.csr_matrix):
         if not sp.isspmatrix_csr(csr):
@@ -48,6 +50,7 @@ class SparseMatrix:
         csr.sum_duplicates()
         csr.sort_indices()
         self.csr = csr
+        self._csr_t: sp.csr_matrix | None = None
 
     @classmethod
     def from_triplets(
@@ -104,9 +107,16 @@ class SparseMatrix:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ValueError(f"expected vector of length {self.n_rows}, got {y.shape}")
-        # csr.T @ y materializes a CSC view; route through the transpose CSR
-        # once would cost a conversion per call, so use the builtin instead.
-        return self.csr.T @ y
+        # csr.T @ y would build a CSC view on every call; the cached CSR of
+        # A' sums each output entry in the same order, so the result is the
+        # same to the bit.
+        return self.transposed_csr() @ y
+
+    def transposed_csr(self) -> sp.csr_matrix:
+        """A' in CSR layout, built on the first call and kept."""
+        if self._csr_t is None:
+            self._csr_t = self.csr.T.tocsr()
+        return self._csr_t
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.csr.T.tocsr())
@@ -136,14 +146,19 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix times dense vector."""
-    return a.matvec(x)
+def max0(v: np.ndarray) -> float:
+    """max(0, max(v)), and 0.0 for an empty v; NaN propagates.
+
+    The value of np.max(np.maximum(v, 0.0), initial=0.0) from one ufunc
+    reduction, without np.max's Python-level dispatch, which costs more than
+    the reduction itself on the short vectors of small problems.
+    """
+    return float(np.maximum.reduce(v, initial=0.0))
 
 
-def spmv_t(a: SparseMatrix, y: np.ndarray) -> np.ndarray:
-    """Sparse matrix transpose times dense vector."""
-    return a.rmatvec(y)
+class SolverError(ValueError):
+    """The solver cannot proceed on input that passed validation, such as
+    an all-zero matrix that admits no step sizes."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +239,7 @@ class StepSizes:
             raise ValueError(f"step factor must be in (0, 1), got {factor}")
         est = opnorm_estimate(a, tol=tol)
         if est.value == 0.0:
-            raise ValueError("cannot derive step sizes for an all-zero matrix")
+            raise SolverError("cannot derive step sizes for an all-zero matrix")
         step = factor / est.value
         return cls(eta=step, tau=step)
 

@@ -164,7 +164,7 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
     _check_finite(report, "A", vals)
 
     dense_row_nnz = np.diff(p.a.csr.indptr)
-    col_nnz = np.diff(p.a.csr.tocsc().indptr)
+    col_nnz = np.diff(p.a.transposed_csr().indptr)
     for r in np.flatnonzero(dense_row_nnz == 0):
         report.warnings.append(f"row {r} of A has no nonzero entries")
 

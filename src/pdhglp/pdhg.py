@@ -23,8 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certificates as certs
-from .linalg import MNorm, SparseMatrix, StepSizes
-from .model import GeneralFormLp, StandardFormLp, clip_to_dual_signs, validate
+from .linalg import MNorm, SparseMatrix, StepSizes, max0
+from .model import (
+    GeneralFormLp,
+    KindMasks,
+    StandardFormLp,
+    clip_to_dual_signs,
+    validate,
+)
 
 __all__ = [
     "PdhgConfig",
@@ -33,10 +39,9 @@ __all__ = [
     "GeneralFormOperator",
     "make_operator",
     "step",
-    "step_standard",
-    "step_general",
     "recover_r",
     "KktResiduals",
+    "residual_scales",
     "kkt_residual",
     "dual_objective",
     "active_pattern",
@@ -104,7 +109,12 @@ class PdhgState:
 
 
 class _OperatorBase:
-    """Shared plumbing: cached products and the M-norm of the iteration."""
+    """Shared plumbing: cached products and the M-norm of the iteration.
+
+    apply(x, y, aty=None) takes A'y precomputed when the caller has it (the
+    solve loop's check computes it for its own use); the product is the
+    same either way, so the step is too.
+    """
 
     coupling_sign = 1
 
@@ -121,9 +131,9 @@ class _OperatorBase:
             self._rmat = lambda v: dense_t @ v
         else:
             csr = a.csr
-            csc = a.csr.T.tocsr()
+            csr_t = a.transposed_csr()
             self._mat = lambda v: csr @ v
-            self._rmat = lambda v: csc @ v
+            self._rmat = lambda v: csr_t @ v
         self._m_norm: MNorm | None = None
 
     def m_norm(self) -> MNorm:
@@ -146,8 +156,10 @@ class StandardFormOperator(_OperatorBase):
         self._eta_c = steps.eta * p.c
         self._tau_b = steps.tau * p.b
 
-    def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = x - self.steps.eta * self._rmat(y)
+    def apply(
+        self, x: np.ndarray, y: np.ndarray, aty: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        w = x - self.steps.eta * (self._rmat(y) if aty is None else aty)
         w -= self._eta_c
         np.maximum(w, 0.0, out=w)
         y1 = y + self.steps.tau * self._mat(2.0 * w - x)
@@ -164,10 +176,15 @@ class GeneralFormOperator(_OperatorBase):
         self._eta_c = steps.eta * p.c
         self._tau_b = steps.tau * p.b
 
-    def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = x + self.steps.eta * self._rmat(y)
+    def apply(
+        self, x: np.ndarray, y: np.ndarray, aty: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        w = x + self.steps.eta * (self._rmat(y) if aty is None else aty)
         w -= self._eta_c
-        np.clip(w, self.p.l, self.p.u, out=w)
+        # Same values as np.clip (validate rejects l > u) without its
+        # Python-level dispatch.
+        np.maximum(w, self.p.l, out=w)
+        np.minimum(w, self.p.u, out=w)
         y1 = y - self.steps.tau * self._mat(2.0 * w - x)
         y1 += self._tau_b
         np.maximum(y1, 0.0, out=y1)
@@ -196,17 +213,21 @@ def step(op: _OperatorBase, state: PdhgState) -> PdhgState:
     )
 
 
-def step_standard(state: PdhgState, p: StandardFormLp, steps: StepSizes) -> PdhgState:
-    return step(StandardFormOperator(p, steps), state)
+def recover_r(
+    p: GeneralFormLp,
+    y: np.ndarray,
+    aty: np.ndarray | None = None,
+    masks: KindMasks | None = None,
+) -> np.ndarray:
+    """Reduced costs: c - A'y projected onto the dual-finiteness signs.
 
-
-def step_general(state: PdhgState, p: GeneralFormLp, steps: StepSizes) -> PdhgState:
-    return step(GeneralFormOperator(p, steps), state)
-
-
-def recover_r(p: GeneralFormLp, y: np.ndarray) -> np.ndarray:
-    """Reduced costs: c - A'y projected onto the dual-finiteness signs."""
-    return clip_to_dual_signs(p.c - p.a.rmatvec(y), p.kind_masks())
+    aty (A'y) and masks (p.kind_masks()) are computed when not given.
+    """
+    if aty is None:
+        aty = p.a.rmatvec(y)
+    if masks is None:
+        masks = p.kind_masks()
+    return clip_to_dual_signs(p.c - aty, masks)
 
 
 @dataclass(frozen=True)
@@ -230,41 +251,47 @@ def dual_objective(p: GeneralFormLp, y: np.ndarray, r: np.ndarray) -> float:
     return val + p.objective_offset
 
 
+def residual_scales(p: StandardFormLp | GeneralFormLp) -> tuple[float, float]:
+    """(1 + ||b||_inf, 1 + ||c||_inf), the divisors of kkt_residual."""
+    return (
+        1.0 + max0(np.abs(p.b)),
+        1.0 + max0(np.abs(p.c)),
+    )
+
+
 def kkt_residual(
     p: StandardFormLp | GeneralFormLp,
     x: np.ndarray,
     y: np.ndarray,
     r: np.ndarray | None = None,
+    ax: np.ndarray | None = None,
+    aty: np.ndarray | None = None,
+    scales: tuple[float, float] | None = None,
 ) -> KktResiduals:
     """Relative optimality residuals: primal and dual feasibility plus gap,
-    each scaled by 1 + the magnitude of the data it is measured against."""
-    ax = p.a.matvec(x)
-    aty = p.a.rmatvec(y)
-    b_scale = 1.0 + float(np.max(np.abs(p.b), initial=0.0))
-    c_scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
+    each scaled by 1 + the magnitude of the data it is measured against.
+
+    ax (A x), aty (A'y) and scales (residual_scales(p)) are computed when
+    not given.
+    """
+    if ax is None:
+        ax = p.a.matvec(x)
+    if aty is None:
+        aty = p.a.rmatvec(y)
+    b_scale, c_scale = residual_scales(p) if scales is None else scales
     if isinstance(p, StandardFormLp):
         # The iteration's dual variable multiplies (Ax - b) in the ascent
         # form, so dual feasibility reads A'y + c >= 0 and the dual
         # objective is -b'y.
-        primal = max(
-            float(np.max(np.abs(ax - p.b), initial=0.0)),
-            float(np.max(np.maximum(-x, 0.0), initial=0.0)),
-        )
-        dual = float(np.max(np.maximum(-aty - p.c, 0.0), initial=0.0))
+        primal = max(max0(np.abs(ax - p.b)), max0(-x))
+        dual = max0(-aty - p.c)
         pobj = float(p.c @ x)
         dobj = -float(p.b @ y)
     else:
         if r is None:
-            r = recover_r(p, y)
-        primal = max(
-            float(np.max(np.maximum(p.b - ax, 0.0), initial=0.0)),
-            float(np.max(np.maximum(p.l - x, 0.0), initial=0.0)),
-            float(np.max(np.maximum(x - p.u, 0.0), initial=0.0)),
-        )
-        dual = max(
-            float(np.max(np.abs(p.c - aty - r), initial=0.0)),
-            float(np.max(np.maximum(-y, 0.0), initial=0.0)),
-        )
+            r = recover_r(p, y, aty)
+        primal = max(max0(p.b - ax), max0(p.l - x), max0(x - p.u))
+        dual = max(max0(np.abs(p.c - aty - r)), max0(-y))
         pobj = float(p.c @ x)
         dobj = dual_objective(p, y, r) - p.objective_offset
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -383,6 +410,11 @@ def run(
     single passing side waits out a grace window for the other side before
     the run returns, so that problems infeasible on both sides are reported
     as such rather than by whichever certificate converged first.
+
+    A check makes six products: A x^k and A'y^k serve the KKT residuals,
+    the reduced costs and the normalized iterate, and the next step reuses
+    A'y^k; the difference and the average take one product per side.  Net
+    of the reused one, a check costs five products.
     """
     config = config or PdhgConfig()
     report = validate(p)
@@ -411,11 +443,16 @@ def run(
     kkt: KktResiduals | None = None
     r: np.ndarray | None = None
     apply = op.apply
+    mat, rmat = op._mat, op._rmat
+    masks = p.kind_masks() if general else None
+    scales = residual_scales(p)
+    aty: np.ndarray | None = None  # A'y from the last check, for the next step
 
     while k < config.max_iters:
         batch = min(config.check_interval, config.max_iters - k)
         for _ in range(batch):
-            x1, y1 = apply(x, y)
+            x1, y1 = apply(x, y, aty=aty)
+            aty = None
             sum_x += x1
             sum_y += y1
             x_prev = x
@@ -424,29 +461,29 @@ def run(
             y = y1
         k += batch
 
-        zmax = max(
-            float(np.max(np.abs(x), initial=0.0)),
-            float(np.max(np.abs(y), initial=0.0)),
-        )
+        zmax = max(max0(np.abs(x)), max0(np.abs(y)))
         if not np.isfinite(zmax) or zmax > config.divergence_limit:
             status = SolveStatus.NUMERICAL_ERROR
             break
 
-        r = recover_r(p, y) if general else None
-        kkt = kkt_residual(p, x, y, r)
+        ax = mat(x)
+        aty = rmat(y)
+        r = recover_r(p, y, aty, masks) if general else None
+        kkt = kkt_residual(p, x, y, r, ax=ax, aty=aty, scales=scales)
         pattern = active_pattern(p, x, y)
         changed = not np.array_equal(pattern, prev_pattern)
         prev_pattern = pattern
         state = PdhgState(
             k=k, x=x, y=y, x_prev=x_prev, y_prev=y_prev, sum_x=sum_x, sum_y=sum_y
         )
+        products = certs.StateProducts(ax, aty, mat, rmat)
         ms = (time.perf_counter() - t_start) * 1000.0
 
         for kind in certs.CandidateKind:
-            cand = certs.extract(state, kind, p if general else None)
+            cand = certs.extract(state, kind, p if general else None, products, masks)
             if general:
-                prep = certs.check_primal_infeasibility(cand, p, config.eps)
-                drep = certs.check_dual_infeasibility(cand, p, config.eps)
+                prep = certs.check_primal_infeasibility(cand, p, config.eps, masks)
+                drep = certs.check_dual_infeasibility(cand, p, config.eps, masks)
             else:
                 prep, drep = certs.check_standard_farkas(cand, p, config.eps)
             trace.append(

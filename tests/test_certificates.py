@@ -7,6 +7,7 @@ from pdhglp import demos
 from pdhglp.certificates import (
     CandidateKind,
     CertificateCandidate,
+    StateProducts,
     check_dual_infeasibility,
     check_primal_infeasibility,
     check_standard_farkas,
@@ -98,6 +99,32 @@ class TestPrimalInfeasibilityCheck:
         rep = check_primal_infeasibility(_cand(y), p, 1e-6)
         assert not any("negative" in s for s in rep.reasons)
         assert rep.vector[0] == 0.0
+
+    def test_dust_ignores_carried_product(self):
+        # The carried A'y belongs to the unclipped y; once the clip zeroes
+        # dust the test must use the product of the clipped vector.
+        p = demos.example1(0.0, 2.0)
+        y = np.array([-1e-14, 1.0, 5.0])
+        state = PdhgState(
+            k=1,
+            x=np.zeros(3),
+            y=y,
+            x_prev=np.zeros(3),
+            y_prev=np.zeros(3),
+            sum_x=np.zeros(3),
+            sum_y=y.copy(),
+        )
+        mat, rmat = p.a.matvec, p.a.rmatvec
+        products = StateProducts(mat(state.x), rmat(state.y), mat, rmat)
+        cached = extract(state, CandidateKind.NORMALIZED_ITERATE, p, products)
+        bare = _cand(cached.y_part, cached.kind, cached.x_part, cached.r_part)
+        assert not np.array_equal(cached.aty, rmat(np.array([0.0, 1.0, 5.0])))
+        got = check_primal_infeasibility(cached, p, 1e-8)
+        want = check_primal_infeasibility(bare, p, 1e-8)
+        assert got.vector[0] == 0.0
+        assert got.scaled_error == want.scaled_error
+        assert got.objective_term == want.objective_term
+        assert got.reasons == want.reasons
 
     def test_zero_candidate(self):
         p = demos.example1(0.0, 2.0)

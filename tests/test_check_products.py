@@ -1,0 +1,147 @@
+"""The periodic check of run() works from products the loop shares with its
+steps; these tests hold it to the products a fresh check would compute."""
+
+import numpy as np
+import pytest
+
+from pdhglp import certificates as certs
+from pdhglp import demos, pdhg
+from pdhglp.linalg import SparseMatrix, StepSizes
+from pdhglp.model import GeneralFormLp, standard_to_general, to_standard_form
+from pdhglp.pdhg import PdhgConfig, run
+
+
+def _desk_demos():
+    """ex1 in its four cells and the std-* demos, each in both forms."""
+    out = []
+    for alpha, beta in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (1.0, 1.0)):
+        p = demos.example1(alpha, beta)
+        out += [(f"ex1({alpha:g},{beta:g})", p)]
+        out += [(f"ex1({alpha:g},{beta:g})_std", to_standard_form(p)[0])]
+    for name in sorted(demos.DEMO_BUILDERS):
+        if name.startswith("std-"):
+            p = demos.DEMO_BUILDERS[name]()
+            out += [(name, p), (f"{name}_gen", standard_to_general(p))]
+    return out
+
+
+DESK = _desk_demos()
+
+
+def _same_report(got, want):
+    assert got.passed == want.passed
+    assert got.reasons == want.reasons
+    if want.scaled_error is None:
+        assert got.scaled_error is None
+    else:
+        # The cached products are the same sums in another order (dense
+        # BLAS against sparse, (A'y)/k against A'(y/k)), so they agree to
+        # rounding.
+        assert got.scaled_error == pytest.approx(want.scaled_error, rel=1e-9)
+
+
+@pytest.mark.parametrize("name,p", DESK, ids=[n for n, _ in DESK])
+def test_cached_check_matches_fresh_check(name, p, monkeypatch):
+    extract = certs.extract
+    checks = {
+        attr: getattr(certs, attr)
+        for attr in (
+            "check_primal_infeasibility",
+            "check_dual_infeasibility",
+            "check_standard_farkas",
+        )
+    }
+    fresh = {}
+    counts = {"candidates": 0, "reports": 0}
+
+    def extract_both(state, kind, problem=None, products=None, masks=None):
+        cand = extract(state, kind, problem, products, masks)
+        assert cand.ax is not None and cand.aty is not None
+        fresh[id(cand)] = extract(state, kind, problem)
+        counts["candidates"] += 1
+        return cand
+
+    def compared(check):
+        def wrapper(cand, p, eps, *args):
+            got = check(cand, p, eps, *args)
+            want = check(fresh[id(cand)], p, eps)
+            pairs = zip(got, want) if isinstance(got, tuple) else [(got, want)]
+            for g, w in pairs:
+                _same_report(g, w)
+                counts["reports"] += 1
+            return got
+
+        return wrapper
+
+    monkeypatch.setattr(certs, "extract", extract_both)
+    for attr, check in checks.items():
+        monkeypatch.setattr(certs, attr, compared(check))
+    out = run(p)
+    assert counts["candidates"] == len(out.trace) > 0
+    assert counts["reports"] == 2 * counts["candidates"]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [demos.example1(1.0, 2.0), demos.example1(0.0, 1.0), demos.std_both_infeasible()],
+    ids=["ex1(1,2)", "ex1(0,1)", "std-both-infeasible"],
+)
+def test_check_costs_five_products(p, monkeypatch):
+    steps = StepSizes.for_matrix(p.a)
+    counts = {"products": 0}
+    make_operator = pdhg.make_operator
+
+    def counted(f):
+        def wrapper(v):
+            counts["products"] += 1
+            return f(v)
+
+        return wrapper
+
+    def make_counted_operator(p, steps):
+        op = make_operator(p, steps)
+        op._mat, op._rmat = counted(op._mat), counted(op._rmat)
+        return op
+
+    monkeypatch.setattr(pdhg, "make_operator", make_counted_operator)
+    for attr in ("matvec", "rmatvec"):
+        monkeypatch.setattr(SparseMatrix, attr, counted(getattr(SparseMatrix, attr)))
+    cfg = PdhgConfig(max_iters=400, eps=1e-300, kkt_tol=1e-300, check_interval=40)
+    out = run(p, cfg, steps=steps)
+    checks = len({t.k for t in out.trace})
+    assert checks > 1
+    # Each step makes two products.  Each check makes six, and the step
+    # after it reuses one (A'y^k), so a check costs five; the last check
+    # has no step after it.
+    assert counts["products"] == 2 * out.iterations + 5 * checks + 1
+
+
+def test_general_apply_bitwise_equals_clip():
+    # validate rejects l > u, so max-then-min is np.clip to the bit.
+    problems = [p for _, p in DESK if isinstance(p, GeneralFormLp)]
+    boxed = demos.example1(0.0, 1.0)
+    boxed.l = np.array([-1.0, -np.inf, 0.0])
+    boxed.u = np.array([1.0, 2.0, 0.0])
+    rng = np.random.default_rng(7)
+    for p in problems + [boxed]:
+        op = pdhg.make_operator(p, StepSizes.for_matrix(p.a))
+        eta, tau = op.steps.eta, op.steps.tau
+        for _ in range(5):
+            x = 3.0 * rng.standard_normal(p.n)
+            y = 3.0 * rng.standard_normal(p.m)
+            x1, y1 = op.apply(x, y)
+            w = np.clip(x + eta * op._rmat(y) - eta * p.c, p.l, p.u)
+            y_ref = np.maximum(y - tau * op._mat(2.0 * w - x) + tau * p.b, 0.0)
+            assert np.array_equal(x1, w)
+            assert np.array_equal(y1, y_ref)
+
+
+@pytest.mark.parametrize("name,p", DESK[:4], ids=[n for n, _ in DESK[:4]])
+def test_apply_with_given_aty_is_the_same_step(name, p):
+    op = pdhg.make_operator(p, StepSizes.for_matrix(p.a))
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(p.n), rng.standard_normal(p.m)
+    plain = op.apply(x, y)
+    given = op.apply(x, y, aty=op._rmat(y))
+    assert np.array_equal(plain[0], given[0])
+    assert np.array_equal(plain[1], given[1])

@@ -208,6 +208,22 @@ class TestCliSolve:
         code = cli.main(["solve", str(tmp_path / "absent.mps")])
         assert code == cli.EXIT_PARSE
 
+    def test_all_zero_matrix_is_a_solver_error(self, tmp_path, capsys):
+        # The file parses and validates; the solver cannot size its steps.
+        path = tmp_path / "zero.json"
+        doc = {
+            "form": "general",
+            "c": [1.0, -1.0],
+            "a": {"shape": [1, 2], "rows": [], "cols": [], "values": []},
+            "b": [0.0],
+            "l": [0.0, 0.0],
+            "u": [None, None],
+        }
+        path.write_text(json.dumps(doc))
+        code = cli.main(["solve", str(path)])
+        assert code == cli.EXIT_NUMERICAL
+        assert "all-zero" in capsys.readouterr().err
+
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -35,6 +36,20 @@ class TestSparseMatrix:
             a.matvec(np.ones(3))
         with pytest.raises(ValueError):
             a.rmatvec(np.ones(2))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 90), (300, 120)])
+    def test_rmatvec_bitwise_equals_transpose_view(self, rng, shape):
+        csr = sp.random(*shape, density=0.1, format="csr", random_state=rng)
+        a = SparseMatrix(csr)
+        for _ in range(3):
+            y = rng.standard_normal(shape[0])
+            assert np.array_equal(a.rmatvec(y), a.csr.T @ y)
+
+    def test_transpose_built_once(self):
+        a = SparseMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        t = a.transposed_csr()
+        assert a.transposed_csr() is t
+        np.testing.assert_array_equal(t.toarray(), a.to_dense().T)
 
     @given(dense_matrices())
     def test_adjoint_identity(self, arr):
