@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +44,26 @@ class VariableKind(enum.Enum):
 
 @dataclass(frozen=True)
 class KindMasks:
-    """Boolean masks over variables, one per bound pattern."""
+    """Boolean masks over variables, one per bound pattern.
+
+    floor (0 on lower-only variables, -inf elsewhere) and ceil (0 on
+    upper-only variables, +inf elsewhere) are built on first use and kept,
+    so the sign clips below take two dense ufuncs and one masked store
+    instead of masked gathers.
+    """
 
     boxed: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     free: np.ndarray
+
+    @cached_property
+    def floor(self) -> np.ndarray:
+        return np.where(self.lower, 0.0, -np.inf)
+
+    @cached_property
+    def ceil(self) -> np.ndarray:
+        return np.where(self.upper, 0.0, np.inf)
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
@@ -201,10 +216,9 @@ def clip_to_dual_signs(w: np.ndarray, masks: KindMasks) -> np.ndarray:
     Boxed variables keep any sign, lower-bounded ones are clipped to >= 0,
     upper-bounded ones to <= 0, free ones to 0.
     """
-    r = w.copy()
+    r = np.maximum(w, masks.floor)
+    np.minimum(r, masks.ceil, out=r)
     r[masks.free] = 0.0
-    r[masks.lower] = np.maximum(r[masks.lower], 0.0)
-    r[masks.upper] = np.minimum(r[masks.upper], 0.0)
     return r
 
 
@@ -214,10 +228,9 @@ def clip_to_ray_signs(d: np.ndarray, masks: KindMasks) -> np.ndarray:
     Boxed variables cannot move, lower-bounded ones only upward,
     upper-bounded ones only downward, free ones anywhere.
     """
-    out = d.copy()
+    out = np.maximum(d, masks.floor)
+    np.minimum(out, masks.ceil, out=out)
     out[masks.boxed] = 0.0
-    out[masks.lower] = np.maximum(out[masks.lower], 0.0)
-    out[masks.upper] = np.minimum(out[masks.upper], 0.0)
     return out
 
 

@@ -7,6 +7,7 @@ from pdhglp import exact
 from pdhglp.linalg import SparseMatrix
 from pdhglp.model import (
     GeneralFormLp,
+    KindMasks,
     StandardFormLp,
     VariableKind,
     clip_to_dual_signs,
@@ -116,6 +117,42 @@ class TestSignClips:
         d = np.array([1.0, -1.0, 2.0, -4.0])
         out = clip_to_ray_signs(d, masks)
         assert out.tolist() == [0.0, 0.0, 0.0, -4.0]
+
+    @staticmethod
+    def _masked_dual(w, masks):
+        r = w.copy()
+        r[masks.free] = 0.0
+        r[masks.lower] = np.maximum(r[masks.lower], 0.0)
+        r[masks.upper] = np.minimum(r[masks.upper], 0.0)
+        return r
+
+    @staticmethod
+    def _masked_ray(d, masks):
+        out = d.copy()
+        out[masks.boxed] = 0.0
+        out[masks.lower] = np.maximum(out[masks.lower], 0.0)
+        out[masks.upper] = np.minimum(out[masks.upper], 0.0)
+        return out
+
+    def test_clips_match_masked_assignment_to_the_bit(self, rng):
+        # The clips run as floor/ceil ufuncs; per entry they apply the same
+        # operations as masked assignment, so NaN, infinities and the sign
+        # of zero come out the same.
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        for _ in range(300):
+            n = int(rng.integers(0, 20))
+            kinds = rng.integers(0, 4, n)
+            masks = KindMasks(kinds == 0, kinds == 1, kinds == 2, kinds == 3)
+            w = rng.standard_normal(n)
+            hit = rng.integers(0, n, n) if n else np.zeros(0, dtype=int)
+            w[hit] = rng.choice(special, hit.size)
+            for clip, ref in (
+                (clip_to_dual_signs, self._masked_dual),
+                (clip_to_ray_signs, self._masked_ray),
+            ):
+                got, want = clip(w, masks), ref(w, masks)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestStandardization:
