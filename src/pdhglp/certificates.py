@@ -196,15 +196,15 @@ def check_primal_infeasibility(
     r = cand.r_part if cand.r_part is not None else clip_to_dual_signs(-aty, masks)
     r_pos = np.maximum(r, 0.0)
     r_neg = np.maximum(-r, 0.0)
-    fin_l = np.isfinite(p.l)
-    fin_u = np.isfinite(p.u)
-    if (r_pos[~fin_l] > 0.0).any():
+    if (r_pos[masks.no_l] > 0.0).any():
         reasons.append("positive reduced cost on a variable with no lower bound")
-    if (r_neg[~fin_u] > 0.0).any():
+    if (r_neg[masks.no_u] > 0.0).any():
         reasons.append("negative reduced cost on a variable with no upper bound")
+    l_idx, l_fin = masks.finite_l
+    u_idx, u_fin = masks.finite_u
     obj = float(p.b @ y)
-    obj += float(p.l[fin_l] @ r_pos[fin_l])
-    obj -= float(p.u[fin_u] @ r_neg[fin_u])
+    obj += float(l_fin @ r_pos[l_idx])
+    obj -= float(u_fin @ r_neg[u_idx])
     residual = max0(np.abs(r + aty))
     scaled = residual / obj if obj > 0.0 else None
     if obj <= 0.0:

@@ -23,6 +23,7 @@ __all__ = [
     "std_both_infeasible",
     "bilinear_game",
     "bilinear_game_lp",
+    "block_copies",
     "random_cell_instance",
     "DEMO_BUILDERS",
     "CELLS",
@@ -135,6 +136,42 @@ def bilinear_game_lp() -> tuple[StandardFormLp, np.ndarray]:
         c=c, a=SparseMatrix.from_dense(k), b=b, name="bilinear_game"
     )
     return p, np.concatenate([x_star, y_star])
+
+
+def block_copies(
+    p: StandardFormLp | GeneralFormLp, copies: int, seed: int = 0
+) -> StandardFormLp | GeneralFormLp:
+    """p repeated block-diagonally, each copy with its own rows and columns
+    multiplied by integers from 1 to 9.
+
+    Copy i has matrix diag(r_i) A diag(s_i), costs s_i c, right-hand side
+    r_i b and bounds l / s_i, u / s_i: it is p with x = s_i x', so every
+    copy, and the whole problem, lies in p's feasibility cell.  The
+    multipliers give copies of one small instance unequal rows and columns,
+    which is what a diagonal scaling has to undo.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = p.m, p.n
+    r = rng.integers(1, 10, size=(copies, m)).astype(np.float64)
+    s = rng.integers(1, 10, size=(copies, n)).astype(np.float64)
+    rows, cols, vals = p.a.triplets()
+    block = np.arange(copies)[:, None]
+    a = SparseMatrix.from_triplets(
+        copies * m,
+        copies * n,
+        (block * m + rows).ravel(),
+        (block * n + cols).ravel(),
+        (r[:, rows] * vals * s[:, cols]).ravel(),
+    )
+    c = (s * p.c).ravel()
+    b = (r * p.b).ravel()
+    name = f"{p.name}*{copies}"
+    offset = copies * p.objective_offset
+    if isinstance(p, StandardFormLp):
+        return StandardFormLp(c, a, b, name, offset)
+    l = (p.l / s).ravel()
+    u = (p.u / s).ravel()
+    return GeneralFormLp(c, a, b, l, u, name, offset)
 
 
 DEMO_BUILDERS = {

@@ -141,6 +141,7 @@ def result_to_json(outcome: SolveOutcome, p: StandardFormLp | GeneralFormLp) -> 
         "steps": None
         if outcome.steps is None
         else {"eta": outcome.steps.eta, "tau": outcome.steps.tau},
+        "scaled": outcome.scaled,
         "x": _vector_or_none(outcome.x),
         "y": _vector_or_none(outcome.y),
         "r": _vector_or_none(outcome.r),

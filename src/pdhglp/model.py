@@ -49,13 +49,39 @@ class KindMasks:
     floor (0 on lower-only variables, -inf elsewhere) and ceil (0 on
     upper-only variables, +inf elsewhere) are built on first use and kept,
     so the sign clips below take two dense ufuncs and one masked store
-    instead of masked gathers.
+    instead of masked gathers.  So are the index gathers of the bounds
+    (finite_l, finite_u, no_l, no_u); finite_l and finite_u need the bounds
+    l and u, which kind_masks() records.
     """
 
     boxed: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     free: np.ndarray
+    l: np.ndarray | None = None
+    u: np.ndarray | None = None
+
+    @cached_property
+    def finite_l(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices with a finite lower bound, l at them), in index order."""
+        idx = np.flatnonzero(self.boxed | self.lower)
+        return idx, self.l[idx]
+
+    @cached_property
+    def finite_u(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices with a finite upper bound, u at them), in index order."""
+        idx = np.flatnonzero(self.boxed | self.upper)
+        return idx, self.u[idx]
+
+    @cached_property
+    def no_l(self) -> np.ndarray:
+        """Indices with no lower bound."""
+        return np.flatnonzero(self.upper | self.free)
+
+    @cached_property
+    def no_u(self) -> np.ndarray:
+        """Indices with no upper bound."""
+        return np.flatnonzero(self.lower | self.free)
 
     @cached_property
     def floor(self) -> np.ndarray:
@@ -149,6 +175,8 @@ class GeneralFormLp:
             lower=fin_l & ~fin_u,
             upper=~fin_l & fin_u,
             free=~fin_l & ~fin_u,
+            l=self.l,
+            u=self.u,
         )
 
     def objective(self, x: np.ndarray) -> float:

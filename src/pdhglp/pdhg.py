@@ -31,6 +31,7 @@ from .model import (
     clip_to_dual_signs,
     validate,
 )
+from .scaling import DiagonalScaling, ruiz_pock_chambolle
 
 __all__ = [
     "PdhgConfig",
@@ -53,7 +54,8 @@ __all__ = [
 ]
 
 # Below this many entries the operator keeps A dense; one BLAS call per
-# product beats sparse bookkeeping at desk scale.
+# product beats sparse bookkeeping at desk scale.  run() scales only the
+# problems above it (see run).
 _DENSE_LIMIT = 10_000
 
 
@@ -241,13 +243,18 @@ class KktResiduals:
         return max(self.primal, self.dual, self.gap)
 
 
-def dual_objective(p: GeneralFormLp, y: np.ndarray, r: np.ndarray) -> float:
-    """b'y + l'r_+ - u'r_- over the finite-bound terms."""
-    fin_l = np.isfinite(p.l)
-    fin_u = np.isfinite(p.u)
+def dual_objective(
+    p: GeneralFormLp, y: np.ndarray, r: np.ndarray, masks: KindMasks | None = None
+) -> float:
+    """b'y + l'r_+ - u'r_- over the finite-bound terms; masks, if given,
+    are p.kind_masks()."""
+    if masks is None:
+        masks = p.kind_masks()
+    l_idx, l_fin = masks.finite_l
+    u_idx, u_fin = masks.finite_u
     val = float(p.b @ y)
-    val += float(p.l[fin_l] @ np.maximum(r[fin_l], 0.0))
-    val -= float(p.u[fin_u] @ np.maximum(-r[fin_u], 0.0))
+    val += float(l_fin @ np.maximum(r[l_idx], 0.0))
+    val -= float(u_fin @ np.maximum(-r[u_idx], 0.0))
     return val + p.objective_offset
 
 
@@ -267,12 +274,13 @@ def kkt_residual(
     ax: np.ndarray | None = None,
     aty: np.ndarray | None = None,
     scales: tuple[float, float] | None = None,
+    masks: KindMasks | None = None,
 ) -> KktResiduals:
     """Relative optimality residuals: primal and dual feasibility plus gap,
     each scaled by 1 + the magnitude of the data it is measured against.
 
-    ax (A x), aty (A'y) and scales (residual_scales(p)) are computed when
-    not given.
+    ax (A x), aty (A'y), scales (residual_scales(p)) and, in general form,
+    masks (p.kind_masks()) are computed when not given.
     """
     if ax is None:
         ax = p.a.matvec(x)
@@ -288,12 +296,14 @@ def kkt_residual(
         pobj = float(p.c @ x)
         dobj = -float(p.b @ y)
     else:
+        if masks is None:
+            masks = p.kind_masks()
         if r is None:
-            r = recover_r(p, y, aty)
+            r = recover_r(p, y, aty, masks)
         primal = max(max0(p.b - ax), max0(p.l - x), max0(x - p.u))
         dual = max(max0(np.abs(p.c - aty - r)), max0(-y))
         pobj = float(p.c @ x)
-        dobj = dual_objective(p, y, r) - p.objective_offset
+        dobj = dual_objective(p, y, r, masks) - p.objective_offset
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return KktResiduals(primal / b_scale, dual / c_scale, gap)
 
@@ -381,6 +391,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class SolveOutcome:
+    """Result of run(), in the coordinates of the problem given to it.
+
+    steps are those of the operator the run iterated: the scaled one when
+    scaled is true (see run), so they need not suit the problem's own A.
+    """
+
     status: SolveStatus
     x: np.ndarray
     y: np.ndarray
@@ -394,12 +410,12 @@ class SolveOutcome:
     trace: list[TraceRecord] = field(default_factory=list)
     state: PdhgState | None = None
     steps: StepSizes | None = None
+    scaled: bool = False
 
 
 def run(
     p: StandardFormLp | GeneralFormLp,
     config: PdhgConfig | None = None,
-    steps: StepSizes | None = None,
     x0: np.ndarray | None = None,
     y0: np.ndarray | None = None,
 ) -> SolveOutcome:
@@ -415,27 +431,41 @@ def run(
     the reduced costs and the normalized iterate, and the next step reuses
     A'y^k; the difference and the average take one product per side.  Net
     of the reused one, a check costs five products.
+
+    Problems on the sparse operator path (m * n above _DENSE_LIMIT) are
+    iterated on D_r A D_c with Ruiz and Pock-Chambolle factors (see
+    scaling), with step sizes from that matrix.  Each check pulls the state
+    and its products back, so the KKT residuals and the certificate tests
+    run on p itself (eps and kkt_tol keep their meaning), and every vector
+    returned is in p's coordinates.  Warm starts x0, y0 are given in p's
+    coordinates too.  Dense-path problems are iterated as given.
     """
     config = config or PdhgConfig()
     report = validate(p)
     if not report.ok:
         raise ValueError("invalid problem: " + "; ".join(report.errors))
-    if steps is None:
-        steps = StepSizes.for_matrix(p.a, config.step_factor)
-    op = make_operator(p, steps)
     general = isinstance(p, GeneralFormLp)
+    n, m = p.n, p.m
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
+    scaling = None
+    ps = p  # the problem the operator iterates
+    if m * n > _DENSE_LIMIT:
+        scaling = DiagonalScaling(*ruiz_pock_chambolle(p.a))
+        ps = scaling.problem(p)
+        x, y = scaling.to_scaled(x, y)
+    steps = StepSizes.for_matrix(ps.a, config.step_factor)
+    op = make_operator(ps, steps)
 
-    x = np.zeros(op.n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    y = np.zeros(op.m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
     x_prev = x.copy()
     y_prev = y.copy()
-    sum_x = np.zeros(op.n)
-    sum_y = np.zeros(op.m)
+    sum_x = np.zeros(n)
+    sum_y = np.zeros(m)
     k = 0
 
     trace: list[TraceRecord] = []
     t_start = time.perf_counter()
-    prev_pattern = active_pattern(p, x, y)
+    prev_pattern = active_pattern(ps, x, y)
     best_primal: certs.CertCheckReport | None = None
     best_dual: certs.CertCheckReport | None = None
     grace_deadline: int | None = None
@@ -446,7 +476,7 @@ def run(
     mat, rmat = op._mat, op._rmat
     masks = p.kind_masks() if general else None
     scales = residual_scales(p)
-    aty: np.ndarray | None = None  # A'y from the last check, for the next step
+    aty: np.ndarray | None = None  # A~'y from the last check, for the next step
 
     while k < config.max_iters:
         batch = min(config.check_interval, config.max_iters - k)
@@ -468,15 +498,28 @@ def run(
 
         ax = mat(x)
         aty = rmat(y)
-        r = recover_r(p, y, aty, masks) if general else None
-        kkt = kkt_residual(p, x, y, r, ax=ax, aty=aty, scales=scales)
-        pattern = active_pattern(p, x, y)
-        changed = not np.array_equal(pattern, prev_pattern)
-        prev_pattern = pattern
         state = PdhgState(
             k=k, x=x, y=y, x_prev=x_prev, y_prev=y_prev, sum_x=sum_x, sum_y=sum_y
         )
-        products = certs.StateProducts(ax, aty, mat, rmat)
+        if scaling is None:
+            products = certs.StateProducts(ax, aty, mat, rmat)
+        else:
+            state = scaling.unscale_state(state)
+            products = scaling.unscale_products(ax, aty, mat, rmat)
+        r = recover_r(p, state.y, products.aty, masks) if general else None
+        kkt = kkt_residual(
+            p,
+            state.x,
+            state.y,
+            r,
+            ax=products.ax,
+            aty=products.aty,
+            scales=scales,
+            masks=masks,
+        )
+        pattern = active_pattern(ps, x, y)
+        changed = not np.array_equal(pattern, prev_pattern)
+        prev_pattern = pattern
         ms = (time.perf_counter() - t_start) * 1000.0
 
         for kind in certs.CandidateKind:
@@ -540,13 +583,19 @@ def run(
         elif status is None:
             status = SolveStatus.ITERATION_LIMIT
 
+    state = PdhgState(
+        k=k, x=x, y=y, x_prev=x_prev, y_prev=y_prev, sum_x=sum_x, sum_y=sum_y
+    )
+    if scaling is not None:
+        state = scaling.unscale_state(state)
+    x, y = state.x, state.y
     if kkt is None:
         r = recover_r(p, y) if general else None
         kkt = kkt_residual(p, x, y, r)
     pobj = p.objective(x)
     dobj = None
     if general and r is not None:
-        dobj = dual_objective(p, y, r)
+        dobj = dual_objective(p, y, r, masks)
     elif not general:
         dobj = -float(p.b @ y) + p.objective_offset
 
@@ -554,10 +603,10 @@ def run(
         k=k,
         x=x.copy(),
         y=y.copy(),
-        x_prev=x_prev.copy(),
-        y_prev=y_prev.copy(),
-        sum_x=sum_x.copy(),
-        sum_y=sum_y.copy(),
+        x_prev=state.x_prev.copy(),
+        y_prev=state.y_prev.copy(),
+        sum_x=state.sum_x.copy(),
+        sum_y=state.sum_y.copy(),
     )
     return SolveOutcome(
         status=status,
@@ -573,4 +622,5 @@ def run(
         trace=trace,
         state=final_state,
         steps=steps,
+        scaled=scaling is not None,
     )

@@ -13,7 +13,9 @@ from pdhglp.certificates import (
     check_standard_farkas,
     extract,
 )
-from pdhglp.pdhg import PdhgState
+from pdhglp.linalg import SparseMatrix
+from pdhglp.model import GeneralFormLp
+from pdhglp.pdhg import PdhgState, dual_objective
 
 
 def _state():
@@ -213,3 +215,45 @@ class TestStandardFarkas:
         c, d = check_standard_farkas(_cand(t * y, x=t * x), p, 1e-8)
         assert a.scaled_error == pytest.approx(c.scaled_error, rel=1e-9)
         assert b.scaled_error == pytest.approx(d.scaled_error, rel=1e-9)
+
+
+class TestFiniteBoundGathers:
+    """KindMasks caches the finite-bound index gathers; the sums over them
+    must equal the boolean-mask expressions they replace, to the bit."""
+
+    @staticmethod
+    def _problem(rng, n=9, m=4):
+        lo = rng.standard_normal(n)
+        kind = rng.integers(0, 4, size=n)  # boxed, lower, upper, free
+        l = np.where((kind == 0) | (kind == 1), lo, -np.inf)
+        u = np.where((kind == 0) | (kind == 2), lo + rng.random(n), np.inf)
+        a = SparseMatrix.from_dense(rng.standard_normal((m, n)))
+        return GeneralFormLp(rng.standard_normal(n), a, rng.standard_normal(m), l, u)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_primal_test_and_dual_objective_match_mask_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        p = self._problem(rng)
+        masks = p.kind_masks()
+        y = np.abs(rng.standard_normal(p.m))
+        # Unclipped reduced costs, so the sign reasons can fire too.
+        r = rng.standard_normal(p.n) * (rng.random(p.n) < 0.7)
+        rep = check_primal_infeasibility(_cand(y, r=r), p, 1e-8, masks)
+
+        fin_l, fin_u = np.isfinite(p.l), np.isfinite(p.u)
+        r_pos, r_neg = np.maximum(r, 0.0), np.maximum(-r, 0.0)
+        obj = float(p.b @ y)
+        obj += float(p.l[fin_l] @ r_pos[fin_l])
+        obj -= float(p.u[fin_u] @ r_neg[fin_u])
+        assert rep.objective_term == obj
+        no_l = "positive reduced cost on a variable with no lower bound"
+        no_u = "negative reduced cost on a variable with no upper bound"
+        assert (no_l in rep.reasons) == bool((r_pos[~fin_l] > 0.0).any())
+        assert (no_u in rep.reasons) == bool((r_neg[~fin_u] > 0.0).any())
+
+        want = float(p.b @ y)
+        want += float(p.l[fin_l] @ np.maximum(r[fin_l], 0.0))
+        want -= float(p.u[fin_u] @ np.maximum(-r[fin_u], 0.0))
+        want += p.objective_offset
+        assert dual_objective(p, y, r, masks) == want
+        assert dual_objective(p, y, r) == want

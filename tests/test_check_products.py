@@ -26,6 +26,14 @@ def _desk_demos():
 
 
 DESK = _desk_demos()
+# The general-form desk demos copied past _DENSE_LIMIT, where run iterates
+# the scaled operator and its checks pull the products back.
+BLOCKS = [
+    (f"{name}*{copies}", demos.block_copies(p, copies))
+    for name, p in DESK
+    if isinstance(p, GeneralFormLp)
+    for copies in [int(np.sqrt(pdhg._DENSE_LIMIT / (p.m * p.n))) + 1]
+]
 
 
 def _same_report(got, want):
@@ -40,7 +48,7 @@ def _same_report(got, want):
         assert got.scaled_error == pytest.approx(want.scaled_error, rel=1e-9)
 
 
-@pytest.mark.parametrize("name,p", DESK, ids=[n for n, _ in DESK])
+@pytest.mark.parametrize("name,p", DESK + BLOCKS, ids=[n for n, _ in DESK + BLOCKS])
 def test_cached_check_matches_fresh_check(name, p, monkeypatch):
     extract = certs.extract
     checks = {
@@ -83,22 +91,31 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
 
 @pytest.mark.parametrize(
     "p",
-    [demos.example1(1.0, 2.0), demos.example1(0.0, 1.0), demos.std_both_infeasible()],
-    ids=["ex1(1,2)", "ex1(0,1)", "std-both-infeasible"],
+    [
+        demos.example1(1.0, 2.0),
+        demos.example1(0.0, 1.0),
+        demos.std_both_infeasible(),
+        # 102 x 102, past _DENSE_LIMIT: run iterates the scaled operator and
+        # pulls its products back for the checks.
+        demos.block_copies(demos.example1(1.0, 2.0), 34),
+    ],
+    ids=["ex1(1,2)", "ex1(0,1)", "std-both-infeasible", "ex1(1,2)*34"],
 )
 def test_check_costs_five_products(p, monkeypatch):
-    steps = StepSizes.for_matrix(p.a)
     counts = {"products": 0}
     make_operator = pdhg.make_operator
 
     def counted(f):
-        def wrapper(v):
+        def wrapper(*args):
             counts["products"] += 1
-            return f(v)
+            return f(*args)
 
         return wrapper
 
     def make_counted_operator(p, steps):
+        # The operator is the last piece of set-up: products before it are
+        # the step sizes' power iteration, which a solve pays once.
+        counts["products"] = 0
         op = make_operator(p, steps)
         op._mat, op._rmat = counted(op._mat), counted(op._rmat)
         return op
@@ -107,7 +124,8 @@ def test_check_costs_five_products(p, monkeypatch):
     for attr in ("matvec", "rmatvec"):
         monkeypatch.setattr(SparseMatrix, attr, counted(getattr(SparseMatrix, attr)))
     cfg = PdhgConfig(max_iters=400, eps=1e-300, kkt_tol=1e-300, check_interval=40)
-    out = run(p, cfg, steps=steps)
+    out = run(p, cfg)
+    assert out.scaled == (p.m * p.n > pdhg._DENSE_LIMIT)
     checks = len({t.k for t in out.trace})
     assert checks > 1
     # Each step makes two products.  Each check makes six, and the step

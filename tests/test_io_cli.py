@@ -145,6 +145,15 @@ class TestResultJson:
         assert set(doc["kkt"]) == {"primal", "dual", "gap", "max"}
         assert doc["primal_certificate"] is None
         assert len(doc["x"]) == p.n and len(doc["y"]) == p.m
+        assert doc["scaled"] is False
+
+    def test_scaled_flag_on_the_sparse_path(self):
+        p = demos.block_copies(demos.std_feasible(), 71)
+        out = run(p, PdhgConfig(max_iters=100_000))
+        doc = result_to_json(out, p)
+        assert doc["scaled"] is True
+        assert len(doc["x"]) == p.n and len(doc["y"]) == p.m
+        json.dumps(doc)
 
     def test_infeasible_outcome_carries_certificate(self):
         p = demos.std_primal_infeasible()

@@ -1,0 +1,217 @@
+"""run() iterates sparse-path problems on D_r A D_c (Ruiz, then
+Pock-Chambolle) and tests certificates on the problem as given; these tests
+hold the scaled path to the verdicts and certificates of the original data,
+and the maps between the two coordinates to the identities they rely on."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pdhglp import demos, exact, pdhg
+from pdhglp import certificates as certs
+from pdhglp.linalg import SparseMatrix, StepSizes
+from pdhglp.model import GeneralFormLp, StandardFormLp
+from pdhglp.pdhg import PdhgConfig, PdhgState, SolveStatus, kkt_residual, run
+from pdhglp.scaling import DiagonalScaling, ruiz_pock_chambolle
+
+FAST = PdhgConfig(max_iters=200_000, eps=1e-8, kkt_tol=1e-8)
+
+CELL_OF = {
+    SolveStatus.OPTIMAL: "both_feasible",
+    SolveStatus.PRIMAL_INFEASIBLE: "primal_infeasible",
+    SolveStatus.DUAL_INFEASIBLE: "dual_infeasible",
+    SolveStatus.BOTH_INFEASIBLE: "both_infeasible",
+}
+
+
+def _copies(p):
+    """Fewest block copies of p that take run past _DENSE_LIMIT."""
+    k = 1
+    while (k * p.m) * (k * p.n) <= pdhg._DENSE_LIMIT:
+        k += 1
+    return k
+
+
+def _small_demos():
+    out = [
+        (f"ex1({a:g},{b:g})", demos.example1(a, b))
+        for a, b in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (1.0, 1.0))
+    ]
+    out += [(n, demos.DEMO_BUILDERS[n]()) for n in sorted(demos.DEMO_BUILDERS)]
+    return [(n, p) for n, p in out if n != "ex1"]
+
+
+SMALL = _small_demos()
+
+
+def _fresh_check(p, rep, eps):
+    """The test of rep's side on rep.vector alone: no carried products or
+    reduced costs, so everything is computed from p."""
+    zx, zy = np.zeros(p.n), np.zeros(p.m)
+    primal = rep.side == "primal"
+    x, y = (zx, rep.vector) if primal else (rep.vector, zy)
+    cand = certs.CertificateCandidate(rep.kind, rep.k, x, y)
+    if isinstance(p, StandardFormLp):
+        return certs.check_standard_farkas(cand, p, eps)[0 if primal else 1]
+    if primal:
+        return certs.check_primal_infeasibility(cand, p, eps)
+    return certs.check_dual_infeasibility(cand, p, eps)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name,p", SMALL, ids=[n for n, _ in SMALL])
+def test_block_copies_keep_the_cell_and_certificates_hold(name, p, seed):
+    big = demos.block_copies(p, _copies(p), seed=seed)
+    out = run(big, FAST)
+    assert out.scaled
+    assert CELL_OF[out.status] == exact.classify_lp(p).cell
+    sides = {
+        SolveStatus.OPTIMAL: set(),
+        SolveStatus.PRIMAL_INFEASIBLE: {"primal"},
+        SolveStatus.DUAL_INFEASIBLE: {"dual"},
+        SolveStatus.BOTH_INFEASIBLE: {"primal", "dual"},
+    }[out.status]
+    reports = [r for r in (out.primal_certificate, out.dual_certificate) if r]
+    assert {r.side for r in reports} == sides
+    for rep in reports:
+        assert rep.vector.shape == ((big.m,) if rep.side == "primal" else (big.n,))
+        fresh = _fresh_check(big, rep, FAST.eps)
+        assert fresh.passed, (rep.side, fresh.reasons, fresh.scaled_error)
+    # The outcome's iterates and residuals are those of big itself.
+    r = pdhg.recover_r(big, out.y) if isinstance(big, GeneralFormLp) else None
+    fresh_kkt = kkt_residual(big, out.x, out.y, r)
+    assert fresh_kkt.max == pytest.approx(out.kkt.max, rel=1e-6, abs=1e-15)
+    if out.status is SolveStatus.OPTIMAL:
+        assert fresh_kkt.max <= FAST.kkt_tol
+
+
+@pytest.mark.parametrize(
+    "p", [demos.std_feasible(), demos.example1(0.0, 1.0)], ids=["std", "ex1"]
+)
+def test_warm_start_accepted_on_the_scaled_path(p):
+    big = demos.block_copies(p, _copies(p))
+    ref = run(big, FAST)
+    assert ref.scaled and ref.status is SolveStatus.OPTIMAL
+    out = run(big, FAST, x0=ref.x, y0=ref.y)
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.iterations <= ref.iterations
+
+
+def test_dense_path_is_not_scaled():
+    p = demos.example1(1.0, 2.0)
+    out = run(p)
+    assert not out.scaled
+    assert out.steps == StepSizes.for_matrix(p.a, PdhgConfig().step_factor)
+
+
+def test_zero_rows_and_columns_keep_factor_one():
+    a = SparseMatrix.from_dense(
+        [[4.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 9.0, 0.0]]
+    )
+    row, col = ruiz_pock_chambolle(a)
+    assert row[1] == 1.0 and col[1] == 1.0
+    assert np.all(row > 0.0) and np.all(np.isfinite(row))
+    assert np.all(col > 0.0) and np.all(np.isfinite(col))
+
+
+def test_factors_are_exact_not_powers_of_two():
+    # Every inf-norm is 1, so the Ruiz passes keep factor 1 and the
+    # Pock-Chambolle pass divides by the square roots of the 1-norms.
+    a = SparseMatrix.from_dense([[1.0, -1.0, 1.0], [1.0, 0.0, 0.0]])
+    row, col = ruiz_pock_chambolle(a)
+    assert np.array_equal(row, 1.0 / np.sqrt([3.0, 1.0]))
+    assert np.array_equal(col, 1.0 / np.sqrt([2.0, 1.0, 1.0]))
+
+
+def test_ruiz_equilibrates_the_inf_norms():
+    rng = np.random.default_rng(5)
+    dense = rng.integers(-9, 10, size=(12, 20)) * np.exp(rng.uniform(-6, 6, 20))
+    dense *= np.exp(rng.uniform(-6, 6, 12))[:, None]
+    a = SparseMatrix.from_dense(dense)
+    ps = DiagonalScaling(*ruiz_pock_chambolle(a)).problem(
+        StandardFormLp(np.zeros(20), a, np.zeros(12))
+    )
+    scaled = np.abs(ps.a.to_dense())
+    # Row and column inf-norms start spread over about ten decades.
+    for norms in (scaled.max(axis=1), scaled.max(axis=0)):
+        assert norms.max() / norms.min() < 10.0
+
+
+def _random_problem(seed, m, n, general):
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    a = SparseMatrix.from_dense(dense)
+    c = rng.standard_normal(n)
+    b = rng.standard_normal(m)
+    if not general:
+        return StandardFormLp(c, a, b)
+    lo = rng.standard_normal(n)
+    l = np.where(rng.random(n) < 0.3, -np.inf, lo)
+    u = np.where(rng.random(n) < 0.3, np.inf, lo + rng.random(n))
+    return GeneralFormLp(c, a, b, l, u)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    general=st.booleans(),
+    data=st.data(),
+)
+def test_pull_back_round_trip(seed, m, n, general, data):
+    p = _random_problem(seed, m, n, general)
+    factor = st.floats(1e-3, 1e3)
+    scaling = DiagonalScaling(
+        np.array(data.draw(st.lists(factor, min_size=m, max_size=m))),
+        np.array(data.draw(st.lists(factor, min_size=n, max_size=n))),
+    )
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(1e-6, 1e6),
+        st.floats(-1e6, -1e-6),
+    )
+    x = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(entry, min_size=m, max_size=m)))
+    ps = scaling.problem(p)
+    xs, ys = scaling.to_scaled(x, y)
+    back = scaling.unscale_state(PdhgState.initial(n, m, xs, ys))
+
+    # Signs, zeros included, survive the round trip to the bit.
+    for orig, got in ((x, back.x), (y, back.y)):
+        assert np.array_equal(np.signbit(got), np.signbit(orig))
+        assert np.array_equal(got == 0.0, orig == 0.0)
+
+    # b'y = b~'y~ and c'x = c~'x~ up to rounding.
+    assert float(ps.b @ ys) == pytest.approx(
+        float(p.b @ y), rel=0, abs=1e-12 * float(np.abs(p.b) @ np.abs(y)) + 1e-300
+    )
+    assert float(ps.c @ xs) == pytest.approx(
+        float(p.c @ x), rel=0, abs=1e-12 * float(np.abs(p.c) @ np.abs(x)) + 1e-300
+    )
+
+    # Pulled-back products match the direct products of A.
+    prods = scaling.unscale_products(
+        ps.a.matvec(xs), ps.a.rmatvec(ys), ps.a.matvec, ps.a.rmatvec
+    )
+    mag = SparseMatrix(abs(p.a.csr))
+    for got, want, size in (
+        (prods.ax, p.a.matvec(x), mag.matvec(np.abs(x))),
+        (prods.aty, p.a.rmatvec(y), mag.rmatvec(np.abs(y))),
+        (prods.matvec(x), p.a.matvec(x), mag.matvec(np.abs(x))),
+        (prods.rmatvec(y), p.a.rmatvec(y), mag.rmatvec(np.abs(y))),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+    if general:
+        # Infinite bounds stay infinite, and projecting onto the scaled box
+        # then pulling back is projecting onto the original box.
+        for orig, got in ((p.l, ps.l), (p.u, ps.u)):
+            inf = np.isinf(orig)
+            assert np.array_equal(np.isinf(got), inf)
+            assert np.array_equal(got[inf], orig[inf])
+        proj = scaling.unscale_state(
+            PdhgState.initial(n, m, np.clip(xs, ps.l, ps.u), ys)
+        ).x
+        want = np.clip(x, p.l, p.u)
+        assert np.allclose(proj, want, rtol=1e-15, atol=0.0)
