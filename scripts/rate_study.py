@@ -93,7 +93,10 @@ def main() -> int:
 
     mn = op.m_norm()
     gap_it, gap_avg = displacement_bound_gap(
-        traj, sol.v, sol.z_star, norm=lambda z: mn(z[: p.n], z[p.n :])
+        traj,
+        sol.v,
+        sol.z_star,
+        norm=lambda z: mn.rows(z[:, : p.n], z[:, p.n :]),
     )
     print(f"  (2/k) bound worst slack: iterate {gap_it:+.3e}  average {gap_avg:+.3e}")
 

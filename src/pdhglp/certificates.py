@@ -62,7 +62,7 @@ class CandidateKind(enum.Enum):
     NORMALIZED_AVERAGE = "normalized_average"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CertificateCandidate:
     """One sequence value at iteration k; r_part only for general-form runs.
 
@@ -78,7 +78,7 @@ class CertificateCandidate:
     aty: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateProducts:
     """A x^k and A'y^k of one state, plus the routines for other products."""
 
@@ -88,7 +88,7 @@ class StateProducts:
     rmatvec: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CertCheckReport:
     """Outcome of one certificate test on one candidate.
 

@@ -158,15 +158,13 @@ def _analysis_report(p, args) -> dict:
     op = StandardFormOperator(p_std, steps)
     mn = op.m_norm()
     k_total = args.analysis_iters
-    z = np.zeros(p_std.n + p_std.m)
-    points = np.empty((k_total + 1, z.size))
-    points[0] = z
+    n = p_std.n
+    points = np.empty((k_total + 1, n + p_std.m))
+    points[0] = 0.0
     for k in range(1, k_total + 1):
-        z = op.apply_z(z)
-        points[k] = z
+        points[k, :n], points[k, n:] = op.apply(points[k - 1, :n], points[k - 1, n:])
 
     ray = refine_ray(p_std, steps, points)
-    n = p_std.n
     vx, vy = ray.v[:n], ray.v[n:]
     part = ray.partition
     fk1 = abs(float(p_std.c @ vx) + float(vx @ vx) / steps.eta)

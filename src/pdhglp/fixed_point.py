@@ -43,6 +43,10 @@ def _euclidean(z: np.ndarray) -> float:
     return float(np.linalg.norm(z))
 
 
+def _euclidean_rows(z: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(z, axis=1)
+
+
 @dataclass(frozen=True)
 class FixedPointOperator:
     """A map z -> T(z) on R^dim plus the norm in which it claims to be
@@ -95,7 +99,8 @@ def iterate(t: FixedPointOperator, z0: Sequence[float], k: int) -> Trajectory:
     out[0] = z
     for j in range(k):
         z = t.apply(z)
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > _OVERFLOW_LIMIT:
+        # One reduction catches NaN and inf too: both fail the comparison.
+        if not (float(np.maximum.reduce(np.abs(z))) <= _OVERFLOW_LIMIT):
             raise OverflowError(f"iterate magnitude exploded at step {j + 1}")
         out[j + 1] = z
     return Trajectory(out)
@@ -163,31 +168,30 @@ class RateFit:
 
 
 def fit_rate(
-    samples: Sequence[tuple[float, float]],
+    samples: Sequence[tuple[float, float]] | np.ndarray,
     model: str = "power",
     k_min: int = _WARMUP_DEFAULT,
 ) -> RateFit:
     """Fit errors vs iteration on transformed coordinates.
 
+    samples is a sequence of (k, e) pairs or an (N, 2) array of them.
     Samples with k < k_min are warm-up and excluded; nonpositive errors
-    cannot enter a log fit and are dropped with a count.  Requires at
-    least 20 usable samples.
+    cannot enter a log fit and are dropped with a count.  A NaN k or e
+    fails both comparisons, so its sample is kept.  Requires at least 20
+    usable samples.
     """
     if model not in ("power", "geometric"):
         raise ValueError(f"unknown model {model!r}")
-    ks, es = [], []
-    dropped = 0
-    for k, e in samples:
-        if k < k_min:
-            continue
-        if e <= 0.0:
-            dropped += 1
-            continue
-        ks.append(float(k))
-        es.append(float(e))
-    if len(ks) < 20:
-        raise ValueError(f"need at least 20 post-warm-up samples, have {len(ks)}")
-    xs = np.log(ks) if model == "power" else np.asarray(ks)
+    pairs = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    ks, es = pairs[:, 0], pairs[:, 1]
+    post = ~(ks < k_min)
+    nonpos = es <= 0.0
+    dropped = int(np.count_nonzero(post & nonpos))
+    use = post & ~nonpos
+    ks, es = ks[use], es[use]
+    if ks.size < 20:
+        raise ValueError(f"need at least 20 post-warm-up samples, have {ks.size}")
+    xs = np.log(ks) if model == "power" else ks
     ys = np.log(es)
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
@@ -200,7 +204,7 @@ def fit_rate(
         rate=float(np.exp(slope)) if model == "geometric" else None,
         intercept=float(intercept),
         r_squared=r2,
-        n_used=len(ks),
+        n_used=int(ks.size),
         n_dropped=dropped,
         k_min=k_min,
     )
@@ -210,7 +214,7 @@ def displacement_bound_gap(
     traj: Trajectory,
     v: np.ndarray,
     z_star: np.ndarray,
-    norm: Callable[[np.ndarray], float] = _euclidean,
+    norm: Callable[[np.ndarray], np.ndarray] = _euclidean_rows,
     k_min: int = 1,
 ) -> tuple[float, float]:
     """Worst slack of the closed-range sublinear bounds along a trajectory.
@@ -218,20 +222,20 @@ def displacement_bound_gap(
     Returns (iterate_gap, average_gap): the largest amount by which
     ||v - (z^k - z^0)/k|| exceeds (2/k)||z^0 - z_star|| and by which
     ||v - 2(zbar^k - z^0)/(k+1)|| exceeds (4/(k+1))||z^0 - z_star||, both
-    in the supplied norm.  Nonpositive gaps mean the bounds hold.
+    in the supplied norm.  norm maps a (rows, dim) block to the norm of
+    each row.  Nonpositive gaps mean the bounds hold; NaN gaps are
+    skipped.
     """
     z0 = traj.points[0]
-    anchor = norm(z0 - z_star)
-    sums = np.cumsum(traj.points[1:], axis=0)
-    gap_it = -math.inf
-    gap_avg = -math.inf
-    for k in range(k_min, traj.k + 1):
-        lhs_it = norm(v - (traj.points[k] - z0) / k)
-        gap_it = max(gap_it, lhs_it - 2.0 * anchor / k)
-        zbar = sums[k - 1] / k
-        lhs_avg = norm(v - 2.0 * (zbar - z0) / (k + 1))
-        gap_avg = max(gap_avg, lhs_avg - 4.0 * anchor / (k + 1))
-    return gap_it, gap_avg
+    anchor = float(norm((z0 - z_star)[None, :])[0])
+    ks = np.arange(k_min, traj.k + 1, dtype=np.float64)
+    col = ks[:, None]
+    lhs_it = norm(v - (traj.points[k_min:] - z0) / col)
+    zbar = np.cumsum(traj.points[1:], axis=0)[k_min - 1 :] / col
+    lhs_avg = norm(v - 2.0 * (zbar - z0) / (col + 1.0))
+    gap_it = np.fmax.reduce(lhs_it - 2.0 * anchor / ks, initial=-math.inf)
+    gap_avg = np.fmax.reduce(lhs_avg - 4.0 * anchor / (ks + 1.0), initial=-math.inf)
+    return float(gap_it), float(gap_avg)
 
 
 # ---------------------------------------------------------------------------

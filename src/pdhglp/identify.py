@@ -49,6 +49,8 @@ DENSE_ANALYSIS_LIMIT = 2000
 _REFINE_ROUNDS = 5
 _REFINE_TARGET = 1e-10
 _FIXED_POINT_BUDGET = 200_000
+# Rows of twin-gap vectors that shift_identity_residual norms in one batch.
+_SHIFT_BLOCK = 200
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,15 @@ class ShiftedOperator(_OperatorBase):
         self.mask_b, self.mask_n1, self.mask_n2 = partition.masks(p.n)
         self._eta_c = steps.eta * p.c
         self._tau_b = steps.tau * p.b
+        # The projection's floor: -inf leaves b coordinates free, so one
+        # np.maximum projects every coordinate and passes b through as is.
+        self._lo = np.where(self.mask_b, -np.inf, 0.0)
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = x - self.steps.eta * self._rmat(y)
         w -= self._eta_c
-        x1 = np.maximum(w, 0.0)
-        x1[self.mask_b] = w[self.mask_b]
-        x1[self.mask_n2] = 0.0
+        x1 = np.maximum(w, self._lo, out=w)
+        np.copyto(x1, 0.0, where=self.mask_n2)
         x1 -= self.v_x
         y1 = y + self.steps.tau * self._mat(2.0 * x1 - x)
         y1 -= self._tau_b
@@ -348,8 +352,22 @@ def active_set(x: np.ndarray, tol: float = ACTIVE_TOL_REL) -> frozenset[int]:
 def active_history(
     points: np.ndarray, n: int, tol: float = ACTIVE_TOL_REL
 ) -> list[tuple[int, frozenset[int]]]:
-    """(k, active set of x^k) for every row of a stacked trajectory."""
-    return [(k, active_set(points[k][:n], tol)) for k in range(points.shape[0])]
+    """(k, active set of x^k) for every row of a stacked trajectory.
+
+    Each row is cut as in active_set; a row whose pattern equals the
+    previous row's shares that row's frozenset.
+    """
+    x = np.asarray(points, dtype=np.float64)[:, :n]
+    cut = tol * (1.0 + np.max(np.abs(x), axis=1, initial=0.0))
+    at_bound = x <= cut[:, None]
+    changed = np.ones(x.shape[0], dtype=bool)
+    changed[1:] = np.any(at_bound[1:] != at_bound[:-1], axis=1)
+    history = []
+    for k, new in enumerate(changed.tolist()):
+        if new:
+            current = frozenset(np.flatnonzero(at_bound[k]).tolist())
+        history.append((k, current))
+    return history
 
 
 @dataclass(frozen=True)
@@ -401,13 +419,22 @@ def shift_identity_residual(
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
     mn = op.m_norm()
     n = p.n
+    vx, vy = v[:n], v[n:]
     x, y = z_from[:n].copy(), z_from[n:].copy()
     xs, ys = x.copy(), y.copy()
+    gaps = np.empty((min(_SHIFT_BLOCK, k_max), z_from.size))
     worst = 0.0
-    for k in range(1, k_max + 1):
-        x, y = op.apply(x, y)
-        xs, ys = shifted.apply(xs, ys)
-        worst = max(worst, mn(xs - (x - k * v[:n]), ys - (y - k * v[n:])))
+    for start in range(1, k_max + 1, _SHIFT_BLOCK):
+        rows = min(_SHIFT_BLOCK, k_max + 1 - start)
+        for j in range(rows):
+            k = start + j
+            x, y = op.apply(x, y)
+            xs, ys = shifted.apply(xs, ys)
+            gaps[j, :n] = xs - (x - k * vx)
+            gaps[j, n:] = ys - (y - k * vy)
+        block = mn.rows(gaps[:rows, :n], gaps[:rows, n:])
+        # fmax skips NaN norms, as the running Python max did.
+        worst = max(worst, float(np.fmax.reduce(block)))
     return worst
 
 
@@ -560,19 +587,20 @@ def verify_rate_regimes(
     # scaled floor, not an absolute one.
     mags = np.linalg.norm(seg, axis=1)
     floors = 1e-13 * (1.0 + np.maximum(mags[:-1], mags[1:]))
-    clean = [(k, e) for k, (e, f) in enumerate(zip(errs, floors)) if e > f]
+    above = errs > floors
+    clean = np.column_stack([np.flatnonzero(above), errs[above]])
     diff_fit = None
     bracket = None
     in_bracket = None
     if phase.mu is not None and phase.lower_rate is not None:
         bracket = (phase.lower_rate - rate_slack, phase.mu + rate_slack)
-    if len(clean) >= 20:
+    if clean.shape[0] >= 20:
         diff_fit = fit_rate(clean, model="geometric", k_min=0)
         if bracket is not None:
             in_bracket = bracket[0] <= diff_fit.rate <= bracket[1]
     else:
         notes.append(
-            f"difference errors hit the noise floor after {len(clean)} samples; "
+            f"difference errors hit the noise floor after {clean.shape[0]} samples; "
             "geometric fit skipped"
         )
 
@@ -591,9 +619,11 @@ def verify_rate_regimes(
         sums = np.cumsum(seg[1:], axis=0)
         avg = sums * (2.0 / (ks * (ks + 1.0)))[:, None]
         avg_err = np.linalg.norm(avg - v, axis=1)
-        it_samples = [(k, e) for k, e in zip(ks, it_err) if e > pw_floor]
-        avg_samples = [(k, e) for k, e in zip(ks, avg_err) if e > pw_floor]
-        if len(it_samples) >= fit_k_min + 20 and len(avg_samples) >= fit_k_min + 20:
+        it_keep = it_err > pw_floor
+        avg_keep = avg_err > pw_floor
+        it_samples = np.column_stack([ks[it_keep], it_err[it_keep]])
+        avg_samples = np.column_stack([ks[avg_keep], avg_err[avg_keep]])
+        if min(it_samples.shape[0], avg_samples.shape[0]) >= fit_k_min + 20:
             iterate_fit = fit_rate(it_samples, model="power", k_min=fit_k_min)
             average_fit = fit_rate(avg_samples, model="power", k_min=fit_k_min)
             it_ok = abs(iterate_fit.slope + 1.0) <= slope_slack

@@ -232,7 +232,7 @@ def recover_r(
     return clip_to_dual_signs(p.c - aty, masks)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KktResiduals:
     primal: float
     dual: float
@@ -360,7 +360,7 @@ def inclusion_residual(op: _OperatorBase, x: np.ndarray, y: np.ndarray) -> float
     return max(viol_x, viol_y)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One row per sequence kind per check; field names match the CSV header.
 

@@ -275,7 +275,10 @@ def test_acceptance_4_sublinear_rate_and_bound(desk_rays):
 
         mn = op.m_norm()
         gap_it, _ = displacement_bound_gap(
-            traj, sol.v, sol.z_star, norm=lambda z: mn(z[: ps.n], z[ps.n :])
+            traj,
+            sol.v,
+            sol.z_star,
+            norm=lambda z: mn.rows(z[:, : ps.n], z[:, ps.n :]),
         )
         assert gap_it <= 1e-9, f"{name}: bound violated by {gap_it:.3e}"
     _stamp(4, "sublinear rate and explicit bound")

@@ -1,0 +1,402 @@
+"""Differential tests of the batched analysis stages.
+
+Each test compares a batched routine against a copy of the per-row code it
+replaced, kept here as the reference: equal results where the arithmetic is
+the same, and 1e-12 relative where only the order of a sum changed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pdhglp import demos
+from pdhglp.fixed_point import (
+    FixedPointOperator,
+    RateFit,
+    displacement_bound_gap,
+    fit_rate,
+    from_lp_operator,
+    iterate,
+    translation_operator,
+)
+from pdhglp.identify import (
+    ACTIVE_TOL_REL,
+    IndexPartition,
+    ShiftedOperator,
+    active_history,
+    active_set,
+    freeze_detector,
+    refine_ray,
+    shift_identity_residual,
+)
+from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
+from pdhglp.model import StandardFormLp, to_standard_form
+from pdhglp.pdhg import StandardFormOperator
+
+# ---------------------------------------------------------------------------
+# Reference copies of the per-row code
+
+
+def _active_history_rows(points, n, tol=ACTIVE_TOL_REL):
+    return [(k, active_set(points[k][:n], tol)) for k in range(points.shape[0])]
+
+
+def _shifted_apply_masked(op, x, y):
+    w = x - op.steps.eta * op._rmat(y)
+    w -= op._eta_c
+    x1 = np.maximum(w, 0.0)
+    x1[op.mask_b] = w[op.mask_b]
+    x1[op.mask_n2] = 0.0
+    x1 -= op.v_x
+    y1 = y + op.steps.tau * op._mat(2.0 * x1 - x)
+    y1 -= op._tau_b
+    y1 -= op.v_y
+    return x1, y1
+
+
+def _shift_identity_per_k(p, steps, v, partition, z_from, k_max):
+    op = StandardFormOperator(p, steps)
+    shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
+    mn = op.m_norm()
+    n = p.n
+    x, y = z_from[:n].copy(), z_from[n:].copy()
+    xs, ys = x.copy(), y.copy()
+    worst = 0.0
+    for k in range(1, k_max + 1):
+        x, y = op.apply(x, y)
+        xs, ys = shifted.apply(xs, ys)
+        worst = max(worst, mn(xs - (x - k * v[:n]), ys - (y - k * v[n:])))
+    return worst
+
+
+def _fit_rate_loop(samples, model="power", k_min=100):
+    ks, es = [], []
+    dropped = 0
+    for k, e in samples:
+        if k < k_min:
+            continue
+        if e <= 0.0:
+            dropped += 1
+            continue
+        ks.append(float(k))
+        es.append(float(e))
+    if len(ks) < 20:
+        raise ValueError(f"need at least 20 post-warm-up samples, have {len(ks)}")
+    xs = np.log(ks) if model == "power" else np.asarray(ks)
+    ys = np.log(es)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return RateFit(
+        model=model,
+        slope=float(slope),
+        rate=float(np.exp(slope)) if model == "geometric" else None,
+        intercept=float(intercept),
+        r_squared=r2,
+        n_used=len(ks),
+        n_dropped=dropped,
+        k_min=k_min,
+    )
+
+
+def _bound_gap_per_k(traj, v, z_star, norm, k_min=1):
+    z0 = traj.points[0]
+    anchor = norm(z0 - z_star)
+    sums = np.cumsum(traj.points[1:], axis=0)
+    gap_it = -math.inf
+    gap_avg = -math.inf
+    for k in range(k_min, traj.k + 1):
+        lhs_it = norm(v - (traj.points[k] - z0) / k)
+        gap_it = max(gap_it, lhs_it - 2.0 * anchor / k)
+        zbar = sums[k - 1] / k
+        lhs_avg = norm(v - 2.0 * (zbar - z0) / (k + 1))
+        gap_avg = max(gap_avg, lhs_avg - 4.0 * anchor / (k + 1))
+    return gap_it, gap_avg
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+
+
+def _random_standard_lp(rng, m, n, zero_c=False):
+    a = SparseMatrix.from_dense(
+        rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+    )
+    c = np.zeros(n) if zero_c else rng.standard_normal(n)
+    return StandardFormLp(c=c, a=a, b=rng.standard_normal(m), name="rand")
+
+
+def _split(n, rng, how):
+    idx = np.arange(n)
+    if how == "random":
+        roles = rng.integers(0, 3, n)
+    else:
+        roles = {"no_b_no_n2": 1, "all_b": 0, "all_n2": 2}[how] * np.ones(n, int)
+    return IndexPartition(
+        b=tuple(idx[roles == 0].tolist()),
+        n1=tuple(idx[roles == 1].tolist()),
+        n2=tuple(idx[roles == 2].tolist()),
+        tol=0.0,
+    )
+
+
+def _same_fit(a: RateFit, b: RateFit) -> bool:
+    for name in RateFit.__dataclass_fields__:
+        u, w = getattr(a, name), getattr(b, name)
+        both_nan = isinstance(u, float) and isinstance(w, float) and (
+            math.isnan(u) and math.isnan(w)
+        )
+        if not (u == w or both_nan):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def ray_cases():
+    """Refined rays of two infeasible desk instances, with their trajectories."""
+    out = {}
+    for name, p in (
+        ("std-both", demos.std_both_infeasible()),
+        ("ex1(1,2)", to_standard_form(demos.example1(1, 2))[0]),
+    ):
+        steps = StepSizes.for_matrix(p.a)
+        op = StandardFormOperator(p, steps)
+        pts = iterate(from_lp_operator(op), np.zeros(p.n + p.m), 2000).points
+        out[name] = (p, steps, op, pts, refine_ray(p, steps, pts))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# active_history
+
+
+def _trajectory_at_cut(seed, rows=400, n=7, m=3):
+    """Rows in runs of repeats, with entries at zero, exactly at the cut,
+    one ulp above it, and a NaN row."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((rows, n + m))
+    pts = pts[np.sort(rng.integers(0, rows, rows))]
+    x = pts[:, :n]
+    x[rng.random((rows, n)) < 0.3] = 0.0
+    for k in range(rows):
+        cut = ACTIVE_TOL_REL * (1.0 + np.max(np.abs(x[k]), initial=0.0))
+        x[k, rng.random(n) < 0.15] = cut
+        x[k, rng.random(n) < 0.1] = np.nextafter(cut, np.inf)
+    x[rows // 2] = np.nan
+    x[rows // 3] = 0.0
+    return pts, n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_active_history_matches_row_loop(seed):
+    pts, n = _trajectory_at_cut(seed)
+    got = active_history(pts, n)
+    want = _active_history_rows(pts, n)
+    assert got == want
+    assert freeze_detector(got) == freeze_detector(want)
+
+
+def test_active_history_matches_row_loop_on_trajectories(ray_cases):
+    for p, _, _, pts, _ in ray_cases.values():
+        for tol in (ACTIVE_TOL_REL, 1e-4):
+            got = active_history(pts, p.n, tol)
+            want = _active_history_rows(pts, p.n, tol)
+            assert got == want
+            assert freeze_detector(got) == freeze_detector(want)
+
+
+def test_active_history_edge_shapes():
+    assert active_history(np.empty((0, 4)), 3) == []
+    pts = np.zeros((3, 2))
+    assert active_history(pts, 0) == _active_history_rows(pts, 0)
+
+
+# ---------------------------------------------------------------------------
+# ShiftedOperator.apply
+
+
+@pytest.mark.parametrize("how", ["random", "no_b_no_n2", "all_b", "all_n2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_shifted_apply_bitwise_equal(how, seed):
+    rng = np.random.default_rng([seed, len(how)])
+    m, n = 4, 9
+    p = _random_standard_lp(rng, m, n, zero_c=seed % 2 == 0)
+    steps = StepSizes.for_matrix(p.a)
+    part = _split(n, rng, how)
+    v_x = rng.standard_normal(n) * (rng.random(n) < 0.5)
+    v_y = rng.standard_normal(m)
+    op = ShiftedOperator(p, steps, v_x, v_y, part)
+    for trial in range(25):
+        x = rng.standard_normal(n)
+        # Signed zeros reach the projection unchanged when y and c vanish.
+        x[rng.random(n) < 0.3] = -0.0
+        x[rng.random(n) < 0.2] = 0.0
+        y = np.zeros(m) if trial % 3 == 0 else rng.standard_normal(m)
+        if trial == 24:
+            x[0], x[-1] = np.nan, -np.inf
+        with np.errstate(invalid="ignore"):
+            got = op.apply(x.copy(), y.copy())
+            want = _shifted_apply_masked(op, x.copy(), y.copy())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+# ---------------------------------------------------------------------------
+# shift_identity_residual
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 7, 200, 437])
+def test_shift_identity_residual_matches_per_k_loop(ray_cases, k_max):
+    for p, steps, _, pts, sol in ray_cases.values():
+        start = np.random.default_rng(k_max).standard_normal(p.n + p.m)
+        for z_from in (pts[50], pts[-1], start):
+            got = shift_identity_residual(
+                p, steps, sol.v, sol.partition, z_from, k_max=k_max
+            )
+            want = _shift_identity_per_k(
+                p, steps, sol.v, sol.partition, z_from, k_max
+            )
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# fit_rate
+
+
+@pytest.mark.parametrize("model", ["power", "geometric"])
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_rate_list_and_array_agree(model, seed):
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, 400)
+    es = 3.0 * (0.99**ks if model == "geometric" else ks**-1.0)
+    es = es * np.exp(0.05 * rng.standard_normal(ks.size))
+    es[rng.random(ks.size) < 0.1] = 0.0
+    es[rng.random(ks.size) < 0.05] *= -1.0
+    if seed % 2:
+        es[rng.integers(0, ks.size, 2)] = np.nan
+    samples = [(int(k), float(e)) for k, e in zip(ks, es)]
+    arr = np.column_stack([ks, es])
+    for k_min in (0, 50, 120):
+        from_list = fit_rate(samples, model=model, k_min=k_min)
+        from_array = fit_rate(arr, model=model, k_min=k_min)
+        reference = _fit_rate_loop(samples, model=model, k_min=k_min)
+        assert _same_fit(from_list, from_array)
+        assert _same_fit(from_list, reference)
+        assert from_list.n_dropped == reference.n_dropped > 0
+
+
+def test_fit_rate_nan_k_is_not_warm_up():
+    # A NaN k fails the k < k_min test, so the loop went on to the error
+    # test and counted a nonpositive error as dropped.
+    samples = [(k, 1.0 / k) for k in range(1, 30)] + [(math.nan, 0.0)]
+    for given_as in (samples, np.array(samples)):
+        fit = fit_rate(given_as, k_min=5)
+        assert _same_fit(fit, _fit_rate_loop(samples, k_min=5))
+        assert fit.n_dropped == 1
+
+
+def test_fit_rate_too_few_samples_rejected_for_both_inputs():
+    samples = [(k, 1.0 if k % 2 else 0.0) for k in range(1, 39)]
+    with pytest.raises(ValueError, match="have 19"):
+        fit_rate(samples, k_min=0)
+    with pytest.raises(ValueError, match="have 19"):
+        fit_rate(np.array(samples), k_min=0)
+    with pytest.raises(ValueError, match="have 0"):
+        fit_rate(np.empty((0, 2)), k_min=0)
+
+
+# ---------------------------------------------------------------------------
+# MNorm.rows and the batched bound gap
+
+finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.integers(1, 5).flatmap(
+            lambda n: arrays(np.float64, (m, n), elements=finite)
+        )
+    ),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1, -1]),
+)
+def test_mnorm_rows_matches_call(arr, seed, sign):
+    a = SparseMatrix.from_dense(arr)
+    if opnorm_estimate(a).value == 0.0:
+        steps = StepSizes(1.0, 1.0)
+    else:
+        steps = StepSizes.for_matrix(a, factor=0.9)
+    mn = MNorm(a, steps, coupling_sign=sign)
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((6, a.n_cols))
+    ys = rng.standard_normal((6, a.n_rows))
+    xs[0], ys[0] = 0.0, 0.0
+    got = mn.rows(xs, ys)
+    want = np.array([mn(x, y) for x, y in zip(xs, ys)])
+    assert got.shape == (6,)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_bound_gap_matches_per_k_loop(ray_cases):
+    t = iterate(translation_operator([1.0, -2.0]), [5.0, 5.0], 300)
+    got = displacement_bound_gap(t, np.array([1.0, -2.0]), t.points[0])
+    want = _bound_gap_per_k(
+        t, np.array([1.0, -2.0]), t.points[0], lambda z: float(np.linalg.norm(z))
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    for p, _, op, _, sol in ray_cases.values():
+        start = np.random.default_rng(7).standard_normal(p.n + p.m)
+        traj = iterate(from_lp_operator(op), start, 3000)
+        mn = op.m_norm()
+        n = p.n
+        for k_min in (1, 1000):
+            got = displacement_bound_gap(
+                traj,
+                sol.v,
+                sol.z_star,
+                norm=lambda z: mn.rows(z[:, :n], z[:, n:]),
+                k_min=k_min,
+            )
+            want = _bound_gap_per_k(
+                traj, sol.v, sol.z_star, lambda z: mn(z[:n], z[n:]), k_min
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_bound_gap_empty_window():
+    t = iterate(translation_operator([1.0]), [0.0], 5)
+    assert displacement_bound_gap(t, np.ones(1), t.points[0], k_min=6) == (
+        -math.inf,
+        -math.inf,
+    )
+
+
+# ---------------------------------------------------------------------------
+# iterate's overflow guard
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5e100])
+def test_iterate_guard_raises_at_the_same_step(bad):
+    def apply(z):
+        out = z + 1.0
+        if out[0] >= 3.0:
+            out[1] = bad
+        return out
+
+    t = FixedPointOperator(dim=2, apply=apply)
+    with pytest.raises(OverflowError, match="at step 3"):
+        iterate(t, [0.0, 0.0], 10)
+
+
+def test_iterate_guard_admits_the_limit():
+    t = FixedPointOperator(dim=2, apply=lambda z: np.array([1e100, -1e100]))
+    assert iterate(t, [0.0, 0.0], 3).points[-1].tolist() == [1e100, -1e100]
