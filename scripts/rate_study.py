@@ -16,12 +16,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pdhglp import demos
-from pdhglp.fixed_point import (
-    displacement_bound_gap,
-    fit_rate,
-    from_lp_operator,
-    iterate,
-)
+from pdhglp.fixed_point import Trajectory, displacement_bound_gap, fit_rate
 from pdhglp.identify import (
     active_history,
     active_set,
@@ -66,7 +61,7 @@ def main() -> int:
     print(f"instance {p.name}: n={p.n} m={p.m} eta=tau={steps.eta:.6g}")
 
     start = np.random.default_rng(args.seed).standard_normal(p.n + p.m)
-    traj = iterate(from_lp_operator(op), start, args.iters)
+    traj = Trajectory(op.trajectory(start, args.iters))
     sol = refine_ray(p, steps, traj.points[: args.warm + 1])
     vx, vy = sol.v[: p.n], sol.v[p.n :]
     print(f"ray refinement: converged={sol.converged} rounds={sol.rounds} "

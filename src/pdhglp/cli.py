@@ -159,10 +159,7 @@ def _analysis_report(p, args) -> dict:
     mn = op.m_norm()
     k_total = args.analysis_iters
     n = p_std.n
-    points = np.empty((k_total + 1, n + p_std.m))
-    points[0] = 0.0
-    for k in range(1, k_total + 1):
-        points[k, :n], points[k, n:] = op.apply(points[k - 1, :n], points[k - 1, n:])
+    points = op.trajectory(np.zeros(n + p_std.m), k_total)
 
     ray = refine_ray(p_std, steps, points)
     vx, vy = ray.v[:n], ray.v[n:]

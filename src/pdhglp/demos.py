@@ -3,9 +3,9 @@
 A small corpus used by the tests, the acceptance suite, and the CLI demo
 subcommand: a three-variable inequality family whose (alpha, beta) knobs
 move it through all four feasibility cells, a few handcrafted standard-form
-instances with known certificates, a bilinear game for the linear-rate
-experiments, and a randomized generator that manufactures tiny standard-form
-instances in a requested cell by exact integer construction.
+instances with known certificates, and a randomized generator that
+manufactures tiny standard-form instances in a requested cell by exact
+integer construction.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "std_primal_infeasible",
     "std_dual_infeasible",
     "std_both_infeasible",
-    "bilinear_game",
-    "bilinear_game_lp",
     "block_copies",
     "random_cell_instance",
     "DEMO_BUILDERS",
@@ -102,40 +100,6 @@ def std_both_infeasible() -> StandardFormLp:
         b=np.array([0.0, -1.0]),
         name="std_both_infeasible",
     )
-
-
-def bilinear_game() -> np.ndarray:
-    """Coupling matrix of a 4x4 bilinear game min_x max_y x'Ky.
-
-    Invertible by construction, so the induced affine iteration contracts to
-    the saddle at a linear rate with no invariant subspace left over.
-    """
-    return np.array(
-        [
-            [3.0, 1.0, 0.0, -1.0],
-            [1.0, 2.0, 1.0, 0.0],
-            [0.0, 1.0, 3.0, 1.0],
-            [-1.0, 0.0, 1.0, 2.0],
-        ]
-    )
-
-
-def bilinear_game_lp() -> tuple[StandardFormLp, np.ndarray]:
-    """The game wrapped as a standard-form instance plus its interior saddle.
-
-    b and c are chosen so the saddle sits at x = (1, 1, 1, 1): started close
-    enough, the projection never fires and the run is affine from step 0.
-    Returns (problem, z_star).
-    """
-    k = bilinear_game()
-    x_star = np.ones(4)
-    y_star = np.array([1.0, -1.0, 0.0, 1.0])
-    b = k @ x_star
-    c = -(k.T @ y_star)
-    p = StandardFormLp(
-        c=c, a=SparseMatrix.from_dense(k), b=b, name="bilinear_game"
-    )
-    return p, np.concatenate([x_star, y_star])
 
 
 def block_copies(

@@ -29,7 +29,6 @@ __all__ = [
     "translation_operator",
     "rotation_operator",
     "creeper_operator",
-    "affine_operator",
     "from_lp_operator",
     "creeper_epsilon_point",
 ]
@@ -177,8 +176,9 @@ def fit_rate(
     samples is a sequence of (k, e) pairs or an (N, 2) array of them.
     Samples with k < k_min are warm-up and excluded; nonpositive errors
     cannot enter a log fit and are dropped with a count.  A NaN k or e
-    fails both comparisons, so its sample is kept.  Requires at least 20
-    usable samples.
+    fails both comparisons, so its sample is kept: a kept NaN k raises
+    ValueError, a NaN e makes the fit NaN.  Requires at least 20 usable
+    samples.
     """
     if model not in ("power", "geometric"):
         raise ValueError(f"unknown model {model!r}")
@@ -188,6 +188,10 @@ def fit_rate(
     nonpos = es <= 0.0
     dropped = int(np.count_nonzero(post & nonpos))
     use = post & ~nonpos
+    nan_k = np.flatnonzero(use & np.isnan(ks))
+    if nan_k.size:
+        i = int(nan_k[0])
+        raise ValueError(f"sample {i} ({ks[i]}, {es[i]}) has a NaN k")
     ks, es = ks[use], es[use]
     if ks.size < 20:
         raise ValueError(f"need at least 20 post-warm-up samples, have {ks.size}")
@@ -287,18 +291,6 @@ def creeper_epsilon_point(eps: float) -> float:
         raise ValueError("eps must lie in (0, 1)")
     # exp(-z^2) = eps has the closed form below; bisection would match it.
     return math.sqrt(math.log(1.0 / eps))
-
-
-def affine_operator(
-    q: np.ndarray, shift: np.ndarray, name: str = "affine"
-) -> FixedPointOperator:
-    """The map z -> Q z - shift (the form the iteration takes once the
-    support of the primal iterate has frozen)."""
-    q = np.asarray(q, dtype=np.float64)
-    shift = np.asarray(shift, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] != shift.size:
-        raise ValueError("Q must be square and match the shift length")
-    return FixedPointOperator(dim=shift.size, apply=lambda z: q @ z - shift, name=name)
 
 
 def from_lp_operator(op) -> FixedPointOperator:

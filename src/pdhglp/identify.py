@@ -14,6 +14,7 @@ go through their standardization first.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .fixed_point import RateFit, fit_rate
 from .linalg import MNorm, SparseMatrix, StepSizes
-from .model import GeneralFormLp, StandardFormLp
+from .model import GeneralFormLp, StandardFormLp, standard_to_general
 from .pdhg import StandardFormOperator, _OperatorBase
 
 __all__ = [
@@ -51,6 +52,11 @@ _REFINE_TARGET = 1e-10
 _FIXED_POINT_BUDGET = 200_000
 # Rows of twin-gap vectors that shift_identity_residual norms in one batch.
 _SHIFT_BLOCK = 200
+# verify_rate_regimes: slack around the spectral rate bracket, allowed
+# distance of a power slope from -1, and the warm-up k of the power fits.
+_RATE_SLACK = 0.02
+_SLOPE_SLACK = 0.15
+_FIT_K_MIN = 100
 
 
 @dataclass(frozen=True)
@@ -89,16 +95,13 @@ def partition_indices(
             float(np.max(np.abs(v_y), initial=0.0)),
         )
         tol = PARTITION_TOL_REL * (1.0 + scale)
-    atv = a.rmatvec(v_y)
-    b, n1, n2 = [], [], []
-    for i in range(v_x.size):
-        if v_x[i] > tol:
-            b.append(i)
-        elif atv[i] > tol:
-            n2.append(i)
-        else:
-            n1.append(i)
-    return IndexPartition(tuple(b), tuple(n1), tuple(n2), tol)
+    in_b = v_x > tol
+    in_n2 = ~in_b & (a.rmatvec(v_y) > tol)
+    in_n1 = ~(in_b | in_n2)
+    return IndexPartition(
+        *(tuple(np.flatnonzero(mask).tolist()) for mask in (in_b, in_n1, in_n2)),
+        tol,
+    )
 
 
 class ShiftedOperator(_OperatorBase):
@@ -208,14 +211,7 @@ def _rederive_v(
     return op.apply_z(z) - z
 
 
-def refine_ray(
-    p: StandardFormLp,
-    steps: StepSizes,
-    warm: np.ndarray,
-    rounds: int = _REFINE_ROUNDS,
-    target: float = _REFINE_TARGET,
-    fixed_point_budget: int = _FIXED_POINT_BUDGET,
-) -> RaySolution:
+def refine_ray(p: StandardFormLp, steps: StepSizes, warm: np.ndarray) -> RaySolution:
     """Alternate displacement estimation and anchored fixed-point solves.
 
     warm is a trajectory array (rows z^0..z^K of the original iteration,
@@ -224,7 +220,8 @@ def refine_ray(
     for a single point.  Each round partitions by the current displacement,
     drives the shifted twin to its fixed point, re-derives the displacement
     from one application of the original operator along the ray, and stops
-    when the displacement stops moving (step-size norm <= target).
+    when the displacement stops moving (step-size norm <= _REFINE_TARGET),
+    after at most _REFINE_ROUNDS rounds.
     """
     warm = np.asarray(warm, dtype=np.float64)
     if warm.ndim == 1:
@@ -242,17 +239,17 @@ def refine_ray(
 
     best: tuple[float, np.ndarray, np.ndarray, float, IndexPartition] | None = None
     used = 0
-    for rnd in range(rounds):
+    for rnd in range(_REFINE_ROUNDS):
         used = rnd + 1
         part = partition_indices(p.a, v[:n], v[n:])
         shifted = ShiftedOperator(p, steps, v[:n], v[n:], part)
-        z_star, fp_res = _fixed_point(shifted, z, mn, fixed_point_budget)
+        z_star, fp_res = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
         v_new = _rederive_v(op, z_star, v, shifted.mask_b)
         residual = mn(v_new[:n] - v[:n], v_new[n:] - v[n:])
         if best is None or residual < best[0]:
             best = (residual, z_star, v_new, fp_res, part)
         z, v = z_star, v_new
-        if residual <= target:
+        if residual <= _REFINE_TARGET:
             break
 
     residual, z_star, v, fp_res, part = best
@@ -262,7 +259,7 @@ def refine_ray(
         residual=residual,
         fixed_point_residual=fp_res,
         rounds=used,
-        converged=residual <= target,
+        converged=residual <= _REFINE_TARGET,
         partition=part,
     )
 
@@ -282,28 +279,19 @@ class AuxiliaryLp:
     partition: IndexPartition
 
     def as_general_form(self) -> GeneralFormLp:
-        """Doubled-row encoding (Ax >= b and -Ax >= -b) with the variable
-        roles expressed through bounds, solvable by the general-form
-        iteration."""
-        a = self.base.a
-        rows_i, cols_j, vals = a.triplets()
-        m, n = a.shape
-        i2 = np.concatenate([rows_i, rows_i + m])
-        j2 = np.concatenate([cols_j, cols_j])
-        v2 = np.concatenate([vals, -vals])
-        stacked = SparseMatrix.from_triplets(2 * m, n, i2, j2, v2)
-        l = np.zeros(n)
-        u = np.full(n, np.inf)
-        mb, _, m2 = self.partition.masks(n)
-        l[mb] = -np.inf
-        u[m2] = 0.0
-        return GeneralFormLp(
+        """Doubled-row encoding (Ax >= b and -Ax >= -b, as
+        standard_to_general) with the variable roles expressed through
+        bounds, solvable by the general-form iteration."""
+        g = standard_to_general(self.base)
+        mb, _, m2 = self.partition.masks(g.n)
+        g.l[mb] = -np.inf
+        g.u[m2] = 0.0
+        return dataclasses.replace(
+            g,
             c=self.c_aux.copy(),
-            a=stacked,
             b=np.concatenate([self.b_aux, -self.b_aux]),
-            l=l,
-            u=u,
             name=f"aux({self.base.name})",
+            objective_offset=0.0,
         )
 
     def constraint_residual(self, x: np.ndarray) -> float:
@@ -312,12 +300,12 @@ class AuxiliaryLp:
         )
 
     def bound_violation(self, x: np.ndarray) -> float:
-        viol = 0.0
-        for i in self.partition.n1:
-            viol = max(viol, -float(x[i]))
-        for i in self.partition.n2:
-            viol = max(viol, abs(float(x[i])))
-        return viol
+        """Worst sign violation on n1 and magnitude on n2; NaN is skipped."""
+        x = np.asarray(x, dtype=np.float64)
+        _, m1, m2 = self.partition.masks(self.base.n)
+        # 0.0 - x rather than -x: a zero entry must not yield -0.0.
+        viol = np.concatenate([0.0 - x[m1], np.abs(x[m2])])
+        return float(np.fmax.reduce(viol, initial=0.0))
 
 
 def build_auxiliary(
@@ -343,10 +331,10 @@ def build_auxiliary(
 
 
 def active_set(x: np.ndarray, tol: float = ACTIVE_TOL_REL) -> frozenset[int]:
-    """Coordinates sitting at (or numerically below) the zero bound."""
+    """Coordinates sitting at (or numerically below) the zero bound: the
+    one-row case of active_history."""
     x = np.asarray(x, dtype=np.float64)
-    cut = tol * (1.0 + float(np.max(np.abs(x), initial=0.0)))
-    return frozenset(int(i) for i in np.flatnonzero(x <= cut))
+    return active_history(x[None, :], x.size, tol)[0][1]
 
 
 def active_history(
@@ -354,8 +342,8 @@ def active_history(
 ) -> list[tuple[int, frozenset[int]]]:
     """(k, active set of x^k) for every row of a stacked trajectory.
 
-    Each row is cut as in active_set; a row whose pattern equals the
-    previous row's shares that row's frozenset.
+    A coordinate is active when it is at most tol * (1 + max |x^k|); a row
+    whose pattern equals the previous row's shares that row's frozenset.
     """
     x = np.asarray(points, dtype=np.float64)[:, :n]
     cut = tol * (1.0 + np.max(np.abs(x), axis=1, initial=0.0))
@@ -419,20 +407,16 @@ def shift_identity_residual(
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
     mn = op.m_norm()
     n = p.n
-    vx, vy = v[:n], v[n:]
-    x, y = z_from[:n].copy(), z_from[n:].copy()
-    xs, ys = x.copy(), y.copy()
-    gaps = np.empty((min(_SHIFT_BLOCK, k_max), z_from.size))
+    z, zs = z_from, z_from
     worst = 0.0
     for start in range(1, k_max + 1, _SHIFT_BLOCK):
         rows = min(_SHIFT_BLOCK, k_max + 1 - start)
-        for j in range(rows):
-            k = start + j
-            x, y = op.apply(x, y)
-            xs, ys = shifted.apply(xs, ys)
-            gaps[j, :n] = xs - (x - k * vx)
-            gaps[j, n:] = ys - (y - k * vy)
-        block = mn.rows(gaps[:rows, :n], gaps[:rows, n:])
+        orig = op.trajectory(z, rows)
+        twin = shifted.trajectory(zs, rows)
+        z, zs = orig[-1], twin[-1]
+        ks = np.arange(start, start + rows, dtype=np.float64)[:, None]
+        gaps = twin[1:] - (orig[1:] - ks * v)
+        block = mn.rows(gaps[:, :n], gaps[:, n:])
         # fmax skips NaN norms, as the running Python max did.
         worst = max(worst, float(np.fmax.reduce(block)))
     return worst
@@ -555,9 +539,6 @@ def verify_rate_regimes(
     v: np.ndarray,
     phase: AffinePhase,
     k_freeze: int,
-    rate_slack: float = 0.02,
-    slope_slack: float = 0.15,
-    fit_k_min: int = 100,
 ) -> RateRegimeReport:
     """Fit the three sequences of a trajectory restarted at the freeze point.
 
@@ -593,7 +574,7 @@ def verify_rate_regimes(
     bracket = None
     in_bracket = None
     if phase.mu is not None and phase.lower_rate is not None:
-        bracket = (phase.lower_rate - rate_slack, phase.mu + rate_slack)
+        bracket = (phase.lower_rate - _RATE_SLACK, phase.mu + _RATE_SLACK)
     if clean.shape[0] >= 20:
         diff_fit = fit_rate(clean, model="geometric", k_min=0)
         if bracket is not None:
@@ -613,7 +594,7 @@ def verify_rate_regimes(
     # the 1/k signal is gone and a power fit would only see roundoff (e.g. a
     # trajectory that starts exactly on the ray).
     pw_floor = 1e-12 * (1.0 + float(np.linalg.norm(v)))
-    if n_pts >= fit_k_min + 20:
+    if n_pts >= _FIT_K_MIN + 20:
         ks = np.arange(1, n_pts + 1, dtype=np.float64)
         it_err = np.linalg.norm(seg[1:] / ks[:, None] - v, axis=1)
         sums = np.cumsum(seg[1:], axis=0)
@@ -623,11 +604,11 @@ def verify_rate_regimes(
         avg_keep = avg_err > pw_floor
         it_samples = np.column_stack([ks[it_keep], it_err[it_keep]])
         avg_samples = np.column_stack([ks[avg_keep], avg_err[avg_keep]])
-        if min(it_samples.shape[0], avg_samples.shape[0]) >= fit_k_min + 20:
-            iterate_fit = fit_rate(it_samples, model="power", k_min=fit_k_min)
-            average_fit = fit_rate(avg_samples, model="power", k_min=fit_k_min)
-            it_ok = abs(iterate_fit.slope + 1.0) <= slope_slack
-            avg_ok = abs(average_fit.slope + 1.0) <= slope_slack
+        if min(it_samples.shape[0], avg_samples.shape[0]) >= _FIT_K_MIN + 20:
+            iterate_fit = fit_rate(it_samples, model="power", k_min=_FIT_K_MIN)
+            average_fit = fit_rate(avg_samples, model="power", k_min=_FIT_K_MIN)
+            it_ok = abs(iterate_fit.slope + 1.0) <= _SLOPE_SLACK
+            avg_ok = abs(average_fit.slope + 1.0) <= _SLOPE_SLACK
         else:
             notes.append(
                 "normalized errors sit at the noise floor; power fits skipped"

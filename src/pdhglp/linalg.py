@@ -27,7 +27,6 @@ __all__ = [
     "SolverError",
     "max0",
     "opnorm_estimate",
-    "m_norm",
 ]
 
 
@@ -257,11 +256,10 @@ class MNorm:
         a: SparseMatrix,
         steps: StepSizes,
         coupling_sign: int = 1,
-        _sigma: float | None = None,
     ):
         if coupling_sign not in (1, -1):
             raise ValueError("coupling_sign must be +1 or -1")
-        sigma = opnorm_estimate(a).value if _sigma is None else _sigma
+        sigma = opnorm_estimate(a).value
         # The power-iteration value slightly underestimates the true norm, so
         # give the check a little slack on the open side only.
         if steps.eta * steps.tau * sigma * sigma >= 1.0:
@@ -300,16 +298,3 @@ class MNorm:
         )
         return np.sqrt(np.maximum(q, 0.0))
 
-
-def m_norm(
-    x: np.ndarray,
-    y: np.ndarray,
-    a: SparseMatrix,
-    steps: StepSizes,
-    coupling_sign: int = 1,
-) -> float:
-    """One-shot ||(x, y)||_M; builds the checked form each call.
-
-    Hot loops should hold an MNorm instance instead.
-    """
-    return MNorm(a, steps, coupling_sign)(x, y)

@@ -310,11 +310,6 @@ class StandardizationMap:
         """
         return -y_std[: self.m_gen]
 
-    def pull_back_dual_ray(self, y_std: np.ndarray) -> np.ndarray:
-        """Map a standard-form infeasibility certificate (A'y >= 0, b'y < 0)
-        to the general-form convention (y >= 0, positive ray objective)."""
-        return -y_std[: self.m_gen]
-
 
 def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationMap]:
     m, n = p.m, p.n

@@ -39,7 +39,6 @@ __all__ = [
     "StandardFormOperator",
     "GeneralFormOperator",
     "make_operator",
-    "step",
     "recover_r",
     "KktResiduals",
     "residual_scales",
@@ -57,6 +56,13 @@ __all__ = [
 # product beats sparse bookkeeping at desk scale.  run() scales only the
 # problems above it (see run).
 _DENSE_LIMIT = 10_000
+# run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
+_DIVERGENCE_LIMIT = 1e50
+# After one side certifies at k, run() keeps iterating for the other side
+# until max(_GRACE_FACTOR * k, k + _GRACE_MIN_EXTRA) before declaring a
+# single-sided verdict.
+_GRACE_FACTOR = 2.0
+_GRACE_MIN_EXTRA = 500
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,6 @@ class PdhgConfig:
     kkt_tol: float = 1e-8
     step_factor: float = 0.9
     check_interval: int = 40
-    divergence_limit: float = 1e50
-    # After one side certifies, keep iterating this much longer for the
-    # other side before declaring a single-sided verdict.
-    grace_factor: float = 2.0
-    grace_min_extra: int = 500
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -108,6 +109,31 @@ class PdhgState:
             sum_x=np.zeros(n),
             sum_y=np.zeros(m),
         )
+
+    def advance(
+        self, op: _OperatorBase, count: int, aty: np.ndarray | None = None
+    ) -> None:
+        """Take count steps of op in place, advancing the sums and k.
+
+        aty, if given, is A'y of the current y and feeds the first step
+        only (see _OperatorBase).  Each step's x and y are new arrays; the
+        sums are updated in place.
+        """
+        apply = op.apply
+        x, y = self.x, self.y
+        x_prev, y_prev = self.x_prev, self.y_prev
+        sum_x, sum_y = self.sum_x, self.sum_y
+        for _ in range(count):
+            x1, y1 = apply(x, y, aty=aty)
+            aty = None
+            sum_x += x1
+            sum_y += y1
+            x_prev = x
+            y_prev = y
+            x = x1
+            y = y1
+        self.x, self.y, self.x_prev, self.y_prev = x, y, x_prev, y_prev
+        self.k += count
 
 
 class _OperatorBase:
@@ -147,6 +173,19 @@ class _OperatorBase:
         """Stacked (x, y) convenience view of apply."""
         x, y = self.apply(z[: self.n], z[self.n :])
         return np.concatenate([x, y])
+
+    def trajectory(self, z0: np.ndarray, k: int) -> np.ndarray:
+        """Rows z^0..z^k of the iteration from the stacked z0 = (x^0, y^0).
+
+        Each step's x and y are written straight into their row.
+        """
+        n = self.n
+        points = np.empty((k + 1, n + self.m))
+        points[0] = z0
+        apply = self.apply
+        for j in range(1, k + 1):
+            points[j, :n], points[j, n:] = apply(points[j - 1, :n], points[j - 1, n:])
+        return points
 
 
 class StandardFormOperator(_OperatorBase):
@@ -199,20 +238,6 @@ def make_operator(
     if isinstance(p, StandardFormLp):
         return StandardFormOperator(p, steps)
     return GeneralFormOperator(p, steps)
-
-
-def step(op: _OperatorBase, state: PdhgState) -> PdhgState:
-    """One iteration, returning a fresh state with the averages advanced."""
-    x1, y1 = op.apply(state.x, state.y)
-    return PdhgState(
-        k=state.k + 1,
-        x=x1,
-        y=y1,
-        x_prev=state.x,
-        y_prev=state.y,
-        sum_x=state.sum_x + x1,
-        sum_y=state.sum_y + y1,
-    )
 
 
 def recover_r(
@@ -445,85 +470,65 @@ def run(
     if not report.ok:
         raise ValueError("invalid problem: " + "; ".join(report.errors))
     general = isinstance(p, GeneralFormLp)
-    n, m = p.n, p.m
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
+    state = PdhgState.initial(p.n, p.m, x0, y0)
     scaling = None
     ps = p  # the problem the operator iterates
-    if m * n > _DENSE_LIMIT:
+    if p.m * p.n > _DENSE_LIMIT:
         scaling = DiagonalScaling(*ruiz_pock_chambolle(p.a))
         ps = scaling.problem(p)
-        x, y = scaling.to_scaled(x, y)
+        state = PdhgState.initial(p.n, p.m, *scaling.to_scaled(state.x, state.y))
     steps = StepSizes.for_matrix(ps.a, config.step_factor)
     op = make_operator(ps, steps)
 
-    x_prev = x.copy()
-    y_prev = y.copy()
-    sum_x = np.zeros(n)
-    sum_y = np.zeros(m)
-    k = 0
-
     trace: list[TraceRecord] = []
     t_start = time.perf_counter()
-    prev_pattern = active_pattern(ps, x, y)
+    prev_pattern = active_pattern(ps, state.x, state.y)
     best_primal: certs.CertCheckReport | None = None
     best_dual: certs.CertCheckReport | None = None
     grace_deadline: int | None = None
     status: SolveStatus | None = None
     kkt: KktResiduals | None = None
     r: np.ndarray | None = None
-    apply = op.apply
     mat, rmat = op._mat, op._rmat
     masks = p.kind_masks() if general else None
     scales = residual_scales(p)
     aty: np.ndarray | None = None  # A~'y from the last check, for the next step
 
-    while k < config.max_iters:
-        batch = min(config.check_interval, config.max_iters - k)
-        for _ in range(batch):
-            x1, y1 = apply(x, y, aty=aty)
-            aty = None
-            sum_x += x1
-            sum_y += y1
-            x_prev = x
-            y_prev = y
-            x = x1
-            y = y1
-        k += batch
+    while state.k < config.max_iters:
+        state.advance(op, min(config.check_interval, config.max_iters - state.k), aty)
+        k = state.k
 
-        zmax = max(max0(np.abs(x)), max0(np.abs(y)))
-        if not np.isfinite(zmax) or zmax > config.divergence_limit:
+        zmax = max(max0(np.abs(state.x)), max0(np.abs(state.y)))
+        if not np.isfinite(zmax) or zmax > _DIVERGENCE_LIMIT:
             status = SolveStatus.NUMERICAL_ERROR
             break
 
-        ax = mat(x)
-        aty = rmat(y)
-        state = PdhgState(
-            k=k, x=x, y=y, x_prev=x_prev, y_prev=y_prev, sum_x=sum_x, sum_y=sum_y
-        )
+        ax = mat(state.x)
+        aty = rmat(state.y)
         if scaling is None:
+            view = state
             products = certs.StateProducts(ax, aty, mat, rmat)
         else:
-            state = scaling.unscale_state(state)
+            view = scaling.unscale_state(state)
             products = scaling.unscale_products(ax, aty, mat, rmat)
-        r = recover_r(p, state.y, products.aty, masks) if general else None
+        r = recover_r(p, view.y, products.aty, masks) if general else None
         kkt = kkt_residual(
             p,
-            state.x,
-            state.y,
+            view.x,
+            view.y,
             r,
             ax=products.ax,
             aty=products.aty,
             scales=scales,
             masks=masks,
         )
-        pattern = active_pattern(ps, x, y)
+        pattern = active_pattern(ps, state.x, state.y)
         changed = not np.array_equal(pattern, prev_pattern)
         prev_pattern = pattern
         ms = (time.perf_counter() - t_start) * 1000.0
 
         for kind in certs.CandidateKind:
-            cand = certs.extract(state, kind, p if general else None, products, masks)
+            cand = certs.extract(view, kind, p if general else None, products, masks)
             if general:
                 prep = certs.check_primal_infeasibility(cand, p, config.eps, masks)
                 drep = certs.check_dual_infeasibility(cand, p, config.eps, masks)
@@ -559,10 +564,7 @@ def run(
             if grace_deadline is None:
                 grace_deadline = min(
                     config.max_iters,
-                    max(
-                        int(k * config.grace_factor),
-                        k + config.grace_min_extra,
-                    ),
+                    max(int(k * _GRACE_FACTOR), k + _GRACE_MIN_EXTRA),
                 )
             elif k >= grace_deadline:
                 status = (
@@ -583,12 +585,10 @@ def run(
         elif status is None:
             status = SolveStatus.ITERATION_LIMIT
 
-    state = PdhgState(
-        k=k, x=x, y=y, x_prev=x_prev, y_prev=y_prev, sum_x=sum_x, sum_y=sum_y
-    )
     if scaling is not None:
         state = scaling.unscale_state(state)
-    x, y = state.x, state.y
+    # The outcome's x and y are copies, so no array of its state is one of them.
+    x, y = state.x.copy(), state.y.copy()
     if kkt is None:
         r = recover_r(p, y) if general else None
         kkt = kkt_residual(p, x, y, r)
@@ -599,28 +599,19 @@ def run(
     elif not general:
         dobj = -float(p.b @ y) + p.objective_offset
 
-    final_state = PdhgState(
-        k=k,
-        x=x.copy(),
-        y=y.copy(),
-        x_prev=state.x_prev.copy(),
-        y_prev=state.y_prev.copy(),
-        sum_x=state.sum_x.copy(),
-        sum_y=state.sum_y.copy(),
-    )
     return SolveOutcome(
         status=status,
         x=x,
         y=y,
         r=r,
-        iterations=k,
+        iterations=state.k,
         kkt=kkt,
         primal_objective=pobj,
         dual_objective=dobj,
         primal_certificate=best_primal,
         dual_certificate=best_dual,
         trace=trace,
-        state=final_state,
+        state=state,
         steps=steps,
         scaled=scaling is not None,
     )

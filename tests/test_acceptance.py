@@ -20,7 +20,6 @@ from pdhglp.fixed_point import (
     creeper_operator,
     displacement_bound_gap,
     fit_rate,
-    from_lp_operator,
     iterate,
     rotation_operator,
 )
@@ -87,7 +86,7 @@ def desk_rays():
         steps = StepSizes.for_matrix(ps.a)
         op = StandardFormOperator(ps, steps)
         start = np.random.default_rng(7).standard_normal(ps.n + ps.m)
-        traj = iterate(from_lp_operator(op), start, 100_000)
+        traj = Trajectory(op.trajectory(start, 100_000))
         sol = refine_ray(ps, steps, traj.points[: 20_001])
         assert sol.converged, f"{name}: ray refinement did not converge"
         out[name] = (ps, steps, op, traj, sol)
@@ -117,8 +116,8 @@ def test_acceptance_1_example_one_cells():
     for (alpha, beta), x_converges in (((0, 2), True), ((1, 1), False)):
         p = demos.example1(alpha, beta)
         op = make_operator(p, StepSizes.for_matrix(p.a))
-        traj = iterate(from_lp_operator(op), np.zeros(p.n + p.m), 4000)
-        xs, ys = traj.points[:, : p.n], traj.points[:, p.n :]
+        points = op.trajectory(np.zeros(p.n + p.m), 4000)
+        xs, ys = points[:, : p.n], points[:, p.n :]
         settling, growing = (xs, ys) if x_converges else (ys, xs)
         gaps = np.linalg.norm(settling - settling[-1], axis=1)
         scale = 1.0 + float(np.linalg.norm(settling[-1]))
@@ -356,13 +355,13 @@ def test_acceptance_6_post_freeze_linear_phase(desk_rays):
     game, z0 = _bilinear_game()
     gsteps = StepSizes.for_matrix(game.a)
     gop = StandardFormOperator(game, gsteps)
-    gtraj = iterate(from_lp_operator(gop), z0, 6000)
+    gpoints = gop.trajectory(z0, 6000)
     # projection-free throughout: the affine phase spans the whole run
-    assert gtraj.points[:, : game.n].min() > 0.0
-    gfr = freeze_detector(active_history(gtraj.points, game.n))
+    assert gpoints[:, : game.n].min() > 0.0
+    gfr = freeze_detector(active_history(gpoints, game.n))
     assert gfr.changes == 0
     _regime_checks(
-        "bilinear-game", gtraj.points, np.zeros(game.n + game.m), game, gsteps, 0
+        "bilinear-game", gpoints, np.zeros(game.n + game.m), game, gsteps, 0
     )
     _stamp(6, "post-freeze linear phase")
 

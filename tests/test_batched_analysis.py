@@ -17,6 +17,7 @@ from pdhglp import demos
 from pdhglp.fixed_point import (
     FixedPointOperator,
     RateFit,
+    Trajectory,
     displacement_bound_gap,
     fit_rate,
     from_lp_operator,
@@ -25,24 +26,88 @@ from pdhglp.fixed_point import (
 )
 from pdhglp.identify import (
     ACTIVE_TOL_REL,
+    PARTITION_TOL_REL,
+    AuxiliaryLp,
     IndexPartition,
     ShiftedOperator,
     active_history,
     active_set,
     freeze_detector,
+    partition_indices,
     refine_ray,
     shift_identity_residual,
 )
 from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
-from pdhglp.model import StandardFormLp, to_standard_form
-from pdhglp.pdhg import StandardFormOperator
+from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
+from pdhglp.pdhg import StandardFormOperator, make_operator
 
 # ---------------------------------------------------------------------------
 # Reference copies of the per-row code
 
 
+def _active_set_loop(x, tol=ACTIVE_TOL_REL):
+    x = np.asarray(x, dtype=np.float64)
+    cut = tol * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    return frozenset(int(i) for i in np.flatnonzero(x <= cut))
+
+
 def _active_history_rows(points, n, tol=ACTIVE_TOL_REL):
-    return [(k, active_set(points[k][:n], tol)) for k in range(points.shape[0])]
+    return [
+        (k, _active_set_loop(points[k][:n], tol)) for k in range(points.shape[0])
+    ]
+
+
+def _partition_loop(a, v_x, v_y, tol=None):
+    v_x = np.asarray(v_x, dtype=np.float64)
+    v_y = np.asarray(v_y, dtype=np.float64)
+    if tol is None:
+        scale = max(
+            float(np.max(np.abs(v_x), initial=0.0)),
+            float(np.max(np.abs(v_y), initial=0.0)),
+        )
+        tol = PARTITION_TOL_REL * (1.0 + scale)
+    atv = a.rmatvec(v_y)
+    b, n1, n2 = [], [], []
+    for i in range(v_x.size):
+        if v_x[i] > tol:
+            b.append(i)
+        elif atv[i] > tol:
+            n2.append(i)
+        else:
+            n1.append(i)
+    return IndexPartition(tuple(b), tuple(n1), tuple(n2), tol)
+
+
+def _bound_violation_loop(aux, x):
+    viol = 0.0
+    for i in aux.partition.n1:
+        viol = max(viol, -float(x[i]))
+    for i in aux.partition.n2:
+        viol = max(viol, abs(float(x[i])))
+    return viol
+
+
+def _as_general_form_triplets(aux):
+    a = aux.base.a
+    rows_i, cols_j, vals = a.triplets()
+    m, n = a.shape
+    i2 = np.concatenate([rows_i, rows_i + m])
+    j2 = np.concatenate([cols_j, cols_j])
+    v2 = np.concatenate([vals, -vals])
+    stacked = SparseMatrix.from_triplets(2 * m, n, i2, j2, v2)
+    l = np.zeros(n)
+    u = np.full(n, np.inf)
+    mb, _, m2 = aux.partition.masks(n)
+    l[mb] = -np.inf
+    u[m2] = 0.0
+    return GeneralFormLp(
+        c=aux.c_aux.copy(),
+        a=stacked,
+        b=np.concatenate([aux.b_aux, -aux.b_aux]),
+        l=l,
+        u=u,
+        name=f"aux({aux.base.name})",
+    )
 
 
 def _shifted_apply_masked(op, x, y):
@@ -167,7 +232,7 @@ def ray_cases():
     ):
         steps = StepSizes.for_matrix(p.a)
         op = StandardFormOperator(p, steps)
-        pts = iterate(from_lp_operator(op), np.zeros(p.n + p.m), 2000).points
+        pts = op.trajectory(np.zeros(p.n + p.m), 2000)
         out[name] = (p, steps, op, pts, refine_ray(p, steps, pts))
     return out
 
@@ -211,10 +276,134 @@ def test_active_history_matches_row_loop_on_trajectories(ray_cases):
             assert freeze_detector(got) == freeze_detector(want)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_active_set_matches_loop(seed):
+    pts, n = _trajectory_at_cut(seed, rows=60)
+    for row in pts:
+        for tol in (ACTIVE_TOL_REL, 1e-3):
+            assert active_set(row[:n], tol) == _active_set_loop(row[:n], tol)
+    assert active_set(np.empty(0)) == _active_set_loop(np.empty(0)) == frozenset()
+
+
 def test_active_history_edge_shapes():
     assert active_history(np.empty((0, 4)), 3) == []
     pts = np.zeros((3, 2))
     assert active_history(pts, 0) == _active_history_rows(pts, 0)
+
+
+# ---------------------------------------------------------------------------
+# partition_indices and AuxiliaryLp
+
+
+def _same_float(u, w):
+    return np.float64(u).tobytes() == np.float64(w).tobytes()
+
+
+def _displacement_with_edges(rng, size, tol):
+    """Entries at zero, exactly at tol, one ulp either side, and NaN."""
+    v = rng.standard_normal(size) * (rng.random(size) < 0.7)
+    v[rng.random(size) < 0.15] = tol
+    v[rng.random(size) < 0.1] = np.nextafter(tol, np.inf)
+    v[rng.random(size) < 0.1] = np.nextafter(tol, -np.inf)
+    v[rng.random(size) < 0.05] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_partition_indices_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    m, n = 5, 11
+    p = _random_standard_lp(rng, m, n)
+    for tol in (None, 1e-3, 0.0):
+        edge = 1e-3 if tol is None else tol
+        v_x = _displacement_with_edges(rng, n, edge)
+        v_y = _displacement_with_edges(rng, m, edge)
+        if tol is None and seed % 2:
+            v_x = np.nan_to_num(v_x)  # a finite scale, not a NaN tol
+            v_y = np.nan_to_num(v_y)
+        got = partition_indices(p.a, v_x, v_y, tol)
+        want = _partition_loop(p.a, v_x, v_y, tol)
+        assert (got.b, got.n1, got.n2) == (want.b, want.n1, want.n2)
+        assert _same_float(got.tol, want.tol)
+        assert all(type(i) is int for i in got.b + got.n1 + got.n2)
+
+
+@pytest.mark.parametrize("how", ["random", "no_b_no_n2", "all_b", "all_n2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_bound_violation_matches_loop(how, seed):
+    rng = np.random.default_rng([seed, len(how), 1])
+    m, n = 3, 10
+    p = _random_standard_lp(rng, m, n)
+    aux = AuxiliaryLp(p, p.c.copy(), p.b.copy(), _split(n, rng, how))
+    for trial in range(30):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
+        x[rng.random(n) < 0.3] = 0.0
+        x[rng.random(n) < 0.2] = -0.0
+        if trial % 5 == 0:
+            x[rng.random(n) < 0.2] = np.nan
+        if trial % 7 == 0:
+            x[rng.integers(0, n)] = -np.inf
+        if trial == 29:
+            x[:] = np.nan
+        assert _same_float(aux.bound_violation(x), _bound_violation_loop(aux, x))
+
+
+@pytest.mark.parametrize("how", ["random", "no_b_no_n2", "all_b", "all_n2"])
+def test_as_general_form_matches_triplet_build(how):
+    rng = np.random.default_rng(len(how))
+    m, n = 4, 9
+    p = _random_standard_lp(rng, m, n)
+    p.objective_offset = 1.5
+    aux = AuxiliaryLp(
+        p, rng.standard_normal(n), rng.standard_normal(m), _split(n, rng, how)
+    )
+    got = aux.as_general_form()
+    want = _as_general_form_triplets(aux)
+    assert got.a.same_entries(want.a)
+    for name in ("c", "b", "l", "u"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.name == want.name
+    assert got.objective_offset == want.objective_offset == 0.0
+    got.c[0] += 1.0
+    assert got.c[0] != aux.c_aux[0]
+
+
+# ---------------------------------------------------------------------------
+# op.trajectory against the generic fixed-point driver
+
+
+def _trajectory_cases():
+    rng = np.random.default_rng(11)
+    std = demos.std_both_infeasible()
+    gen = demos.example1(1, 2)
+    sparse = demos.block_copies(demos.std_both_infeasible(), 45, seed=2)
+    ops = {
+        "standard": make_operator(std, StepSizes.for_matrix(std.a)),
+        "general": make_operator(gen, StepSizes.for_matrix(gen.a)),
+        "standard-sparse": make_operator(sparse, StepSizes.for_matrix(sparse.a)),
+    }
+    for how in ("random", "all_b", "all_n2"):
+        p = _random_standard_lp(rng, 4, 9)
+        ops[f"shifted-{how}"] = ShiftedOperator(
+            p,
+            StepSizes.for_matrix(p.a),
+            rng.standard_normal(9),
+            rng.standard_normal(4),
+            _split(9, rng, how),
+        )
+    return ops
+
+
+@pytest.mark.parametrize("name", sorted(_trajectory_cases()))
+def test_trajectory_matches_iterate_bitwise(name):
+    op = _trajectory_cases()[name]
+    rng = np.random.default_rng(len(name))
+    for z0, k in ((np.zeros(op.n + op.m), 300), (rng.standard_normal(op.n + op.m), 1)):
+        got = op.trajectory(z0, k)
+        want = iterate(from_lp_operator(op), z0, k).points
+        assert got.shape == want.shape == (k + 1, op.n + op.m)
+        assert got.tobytes() == want.tobytes()
+    assert op.trajectory(z0, 0).tobytes() == z0.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +491,16 @@ def test_fit_rate_nan_k_is_not_warm_up():
         assert fit.n_dropped == 1
 
 
+def test_fit_rate_kept_nan_k_raises_value_error(capfd):
+    # The fit used to run on log(NaN): LAPACK printed DLASCL to stderr and
+    # numpy raised LinAlgError instead of naming the sample.
+    samples = [(k, 1.0 / k) for k in range(1, 60)] + [(math.nan, 0.5)]
+    for given_as in (samples, np.array(samples)):
+        with pytest.raises(ValueError, match=r"sample 59 \(nan, 0.5\) has a NaN k"):
+            fit_rate(given_as, k_min=5)
+    assert "DLASCL" not in capfd.readouterr().err
+
+
 def test_fit_rate_too_few_samples_rejected_for_both_inputs():
     samples = [(k, 1.0 if k % 2 else 0.0) for k in range(1, 39)]
     with pytest.raises(ValueError, match="have 19"):
@@ -355,7 +554,7 @@ def test_bound_gap_matches_per_k_loop(ray_cases):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     for p, _, op, _, sol in ray_cases.values():
         start = np.random.default_rng(7).standard_normal(p.n + p.m)
-        traj = iterate(from_lp_operator(op), start, 3000)
+        traj = Trajectory(op.trajectory(start, 3000))
         mn = op.m_norm()
         n = p.n
         for k_min in (1, 1000):

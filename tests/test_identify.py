@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pdhglp import demos
 from pdhglp.exact import verify_certificate_exact
-from pdhglp.fixed_point import from_lp_operator, iterate
 from pdhglp.identify import (
     AffinePhase,
     ShiftedOperator,
@@ -34,9 +33,8 @@ def _setup(p):
 
 
 def _trajectory(p, steps, k, z0=None):
-    op = StandardFormOperator(p, steps)
     z0 = np.zeros(p.n + p.m) if z0 is None else z0
-    return iterate(from_lp_operator(op), z0, k).points
+    return StandardFormOperator(p, steps).trajectory(z0, k)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, m_norm, opnorm_estimate
+from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
 
@@ -169,9 +169,9 @@ class TestMNorm:
         cross = float(y @ a.matvec(x))
         assert plus.sq(x, y) - minus.sq(x, y) == pytest.approx(-4.0 * cross, rel=1e-12)
 
-    def test_one_shot_helper(self):
+    def test_call_is_root_of_sq(self):
         a = SparseMatrix.from_dense([[1.0]])
         steps = StepSizes(0.5, 0.5)
-        assert m_norm(np.array([2.0]), np.array([0.0]), a, steps) == pytest.approx(
+        assert MNorm(a, steps)(np.array([2.0]), np.array([0.0])) == pytest.approx(
             np.sqrt(8.0)
         )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdhglp import demos
+from pdhglp import demos, pdhg
 from pdhglp.linalg import SparseMatrix, StepSizes
 from pdhglp.model import GeneralFormLp, StandardFormLp
 from pdhglp.pdhg import (
@@ -16,7 +16,6 @@ from pdhglp.pdhg import (
     kkt_residual,
     make_operator,
     run,
-    step,
 )
 
 FAST = PdhgConfig(max_iters=200_000, eps=1e-8, kkt_tol=1e-8)
@@ -121,12 +120,76 @@ class TestOperators:
     def test_step_advances_sums(self, rng):
         p = demos.std_feasible()
         op = make_operator(p, StepSizes.for_matrix(p.a))
-        s0 = PdhgState.initial(p.n, p.m)
-        s1 = step(op, s0)
-        s2 = step(op, s1)
-        assert s2.k == 2
-        np.testing.assert_array_equal(s2.x_prev, s1.x)
-        np.testing.assert_allclose(s2.sum_x, s1.x + s2.x, atol=1e-15)
+        s = PdhgState.initial(p.n, p.m)
+        s.advance(op, 1)
+        x1 = s.x
+        s.advance(op, 1)
+        assert s.k == 2
+        np.testing.assert_array_equal(s.x_prev, x1)
+        np.testing.assert_allclose(s.sum_x, x1 + s.x, atol=1e-15)
+
+
+def _step(op, state):
+    """One iteration returning a fresh state: the single-step routine that
+    PdhgState.advance replaced, kept as its reference."""
+    x1, y1 = op.apply(state.x, state.y)
+    return PdhgState(
+        k=state.k + 1,
+        x=x1,
+        y=y1,
+        x_prev=state.x,
+        y_prev=state.y,
+        sum_x=state.sum_x + x1,
+        sum_y=state.sum_y + y1,
+    )
+
+
+def _same_state(a, b):
+    return a.k == b.k and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("x", "y", "x_prev", "y_prev", "sum_x", "sum_y")
+    )
+
+
+_ADVANCE_CASES = (
+    demos.std_both_infeasible,
+    demos.std_feasible,
+    lambda: demos.example1(1, 2),
+    lambda: demos.example1(0, 1),
+)
+
+
+@pytest.mark.parametrize("build", _ADVANCE_CASES)
+def test_advance_matches_single_steps(build, rng):
+    p = build()
+    op = make_operator(p, StepSizes.for_matrix(p.a))
+    x0, y0 = rng.standard_normal(p.n), rng.standard_normal(p.m)
+    ref = PdhgState.initial(p.n, p.m, x0, y0)
+    one = PdhgState.initial(p.n, p.m, x0, y0)
+    many = PdhgState.initial(p.n, p.m, x0, y0)
+    for _ in range(57):
+        ref = _step(op, ref)
+        one.advance(op, 1)
+        assert _same_state(one, ref)
+    many.advance(op, 57)
+    assert _same_state(many, ref)
+    many.advance(op, 0)
+    assert _same_state(many, ref)
+
+
+@pytest.mark.parametrize("build", _ADVANCE_CASES)
+def test_advance_aty_feeds_the_first_step_only(build, rng):
+    p = build()
+    op = make_operator(p, StepSizes.for_matrix(p.a))
+    x0, y0 = rng.standard_normal(p.n), rng.standard_normal(p.m)
+    plain = PdhgState.initial(p.n, p.m, x0, y0)
+    fed = PdhgState.initial(p.n, p.m, x0, y0)
+    plain.advance(op, 30)
+    fed.advance(op, 30)
+    aty = op._rmat(fed.y)
+    plain.advance(op, 25)
+    fed.advance(op, 25, aty)
+    assert _same_state(fed, plain)
 
 
 class TestKkt:
@@ -202,8 +265,9 @@ class TestRunStatuses:
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.iterations == 10
 
-    def test_divergence_guard(self):
-        cfg = PdhgConfig(max_iters=1000, check_interval=1, divergence_limit=0.5)
+    def test_divergence_guard(self, monkeypatch):
+        monkeypatch.setattr(pdhg, "_DIVERGENCE_LIMIT", 0.5)
+        cfg = PdhgConfig(max_iters=1000, check_interval=1)
         out = run(demos.std_dual_infeasible(), cfg)
         assert out.status is SolveStatus.NUMERICAL_ERROR
 
