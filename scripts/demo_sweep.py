@@ -2,10 +2,8 @@
 """Sweep randomized LPs across all four feasibility cells and compare the
 solver's verdict against the exact rational classifier.
 
-Instances are built so each cell is hit by construction: reachable right-hand
-sides and dominated costs for the feasible sides, contradictory row pairs for
-primal infeasibility, nonnegative null directions with negative cost for dual
-infeasibility.
+Instances come from demos.random_cell_instance, which lands in the cell it
+is asked for by construction; shapes are drawn per instance.
 """
 
 import argparse
@@ -18,8 +16,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pdhglp import demos, exact
-from pdhglp.linalg import SparseMatrix
-from pdhglp.model import StandardFormLp
 from pdhglp.pdhg import PdhgConfig, SolveStatus, run
 
 STATUS_FOR_CELL = {
@@ -28,75 +24,6 @@ STATUS_FOR_CELL = {
     "dual_infeasible": SolveStatus.DUAL_INFEASIBLE,
     "both_infeasible": SolveStatus.BOTH_INFEASIBLE,
 }
-
-
-def _mk(c, a, b, name):
-    return StandardFormLp(
-        c=np.asarray(c, dtype=float),
-        a=SparseMatrix.from_dense(a),
-        b=np.asarray(b, dtype=float),
-        name=name,
-    )
-
-
-def gen_both_feasible(rng):
-    m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    a = rng.integers(-2, 3, (m, n)).astype(float)
-    xhat = rng.integers(0, 4, n).astype(float)
-    yhat = rng.integers(-2, 3, m).astype(float)
-    slack = rng.integers(0, 3, n).astype(float)
-    return _mk(a.T @ yhat + slack, a, a @ xhat, "rand-both-feasible")
-
-
-def gen_primal_infeasible(rng):
-    mb, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-    a = rng.integers(-2, 3, (mb, n)).astype(float)
-    g = rng.integers(-2, 3, n).astype(float)
-    while not g.any():
-        g = rng.integers(-2, 3, n).astype(float)
-    xhat = rng.integers(0, 4, n).astype(float)
-    rows = np.vstack([a, g, -g])
-    beta = float(g @ xhat)
-    b = np.concatenate([a @ xhat, [beta, -(beta + float(rng.integers(1, 4)))]])
-    yhat = rng.integers(-2, 3, mb + 2).astype(float)
-    slack = rng.integers(0, 3, n).astype(float)
-    return _mk(rows.T @ yhat + slack, rows, b, "rand-primal-infeasible")
-
-
-def gen_dual_infeasible(rng):
-    m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    a = rng.integers(-2, 3, (m, n)).astype(float)
-    a[:, -1] = -a[:, 0]
-    xhat = rng.integers(0, 4, n).astype(float)
-    c = rng.integers(-2, 3, n).astype(float)
-    c[-1] = -1.0 - c[0]
-    return _mk(c, a, a @ xhat, "rand-dual-infeasible")
-
-
-def gen_both_infeasible(rng):
-    mb, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-    a = rng.integers(-2, 3, (mb, n)).astype(float)
-    a[:, -1] = -a[:, 0]
-    g = rng.integers(-2, 3, n).astype(float)
-    g[-1] = -g[0]
-    while not g.any():
-        g = rng.integers(-2, 3, n).astype(float)
-        g[-1] = -g[0]
-    xhat = rng.integers(0, 4, n).astype(float)
-    rows = np.vstack([a, g, -g])
-    beta = float(g @ xhat)
-    b = np.concatenate([a @ xhat, [beta, -(beta + float(rng.integers(1, 4)))]])
-    c = rng.integers(-2, 3, n).astype(float)
-    c[-1] = -1.0 - c[0]
-    return _mk(c, rows, b, "rand-both-infeasible")
-
-
-GENERATORS = (
-    gen_both_feasible,
-    gen_primal_infeasible,
-    gen_dual_infeasible,
-    gen_both_infeasible,
-)
 
 
 def main() -> int:
@@ -121,9 +48,11 @@ def main() -> int:
                   for a, b in ((0, 1), (1, 2), (0, 2), (1, 1))]
         cases += [(name, demos.DEMO_BUILDERS[name]())
                   for name in sorted(demos.DEMO_BUILDERS) if name != "ex1"]
-    for gen in GENERATORS:
+    for cell in demos.CELLS:
         for i in range(args.per_cell):
-            cases.append((f"{gen.__name__[4:]}-{i:02d}", gen(rng)))
+            m, n = (int(v) for v in rng.integers(2, 7, size=2))
+            p = demos.random_cell_instance(cell, rng, n=n, m=m)
+            cases.append((f"{cell}-{i:02d}", p))
 
     agree = 0
     t0 = time.perf_counter()

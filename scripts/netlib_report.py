@@ -68,8 +68,7 @@ def main() -> int:
         out = run(p, PdhgConfig(max_iters=args.max_iters, eps=args.eps))
         elapsed = time.perf_counter() - t0
         print(f"{name:12s} n={p.n:5d} m={p.m:5d} status={out.status.value:18s} "
-              f"iters={out.iterations:7d} scaled={int(out.scaled)} "
-              f"({elapsed:.1f}s)")
+              f"iters={out.iterations:7d} ({elapsed:.1f}s)")
         if args.no_sweep:
             continue
         sweep = run(p, PdhgConfig(max_iters=args.max_iters, eps=1e-300,

@@ -97,6 +97,8 @@ class CertCheckReport:
     None when the objective term is not positive.  vector carries the
     tested certificate (dual vector for side "primal", primal direction
     for side "dual"); r the recovered reduced costs where applicable.
+    exact is None unless pdhg.run repaired the report (see pdhg.run): then
+    it says whether vector passes exact.verify_certificate_exact.
     """
 
     side: str
@@ -108,6 +110,7 @@ class CertCheckReport:
     reasons: tuple[str, ...] = ()
     vector: np.ndarray | None = None
     r: np.ndarray | None = None
+    exact: bool | None = None
 
 
 def extract(

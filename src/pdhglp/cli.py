@@ -137,7 +137,7 @@ def cmd_solve(args) -> int:
         if rep is not None and rep.passed:
             print(
                 f"{side} infeasibility certified by {rep.kind.value} at k={rep.k} "
-                f"(scaled error {rep.scaled_error:.3e})"
+                f"(scaled error {rep.scaled_error:.3e})" + (" exact" if rep.exact else "")
             )
     if args.trace_out:
         write_trace_csv(outcome.trace, args.trace_out)

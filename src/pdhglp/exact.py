@@ -5,7 +5,9 @@ with multiplier tracking decides feasibility of a system a_i'x <= b_i and
 produces either an exact witness or exact Farkas multipliers (lambda >= 0
 with lambda'A = 0 and lambda'b < 0).  On top of that sit a four-cell
 classifier (primal/dual feasibility of an LP), an exact optimal value via
-epigraph projection, and exact verification of floating-point certificates.
+epigraph projection, exact verification of floating-point certificates,
+and an exact repair that turns an eps-accurate certificate into an integer
+one that passes that verification.
 
 Sizes are guarded: this is an oracle for tests, not a solver.
 """
@@ -13,6 +15,7 @@ Sizes are guarded: this is an oracle for tests, not a solver.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -31,6 +34,7 @@ __all__ = [
     "exact_optimum",
     "verify_certificate_exact",
     "exactify_vector",
+    "repair_certificate",
 ]
 
 MAX_VARIABLES = 12
@@ -455,3 +459,154 @@ def verify_certificate_exact(
         if not ctd < 0:
             reasons.append("c'd is not negative")
     return ExactCheck(not reasons, tuple(reasons))
+
+
+# Snap denominators repair_certificate tries, coarsest first.
+_REPAIR_DENOMINATORS = (10, 10**2, 10**3, 10**4, 10**5, 10**6, 10**9)
+# A sign constraint is tight for the repair when its exact value is within
+# this multiple of ||row||_inf * ||v||_inf of zero.
+_REPAIR_TIGHT = 1e-7
+# Largest entry of a repaired certificate: a float holds it exactly, and
+# exactify_vector's snap of it is the identity at desk sizes.
+_REPAIR_MAX_ENTRY = 10**9
+# Most constraints the repair eliminates (the oracle's own scale).
+_REPAIR_MAX_ROWS = MAX_CONSTRAINTS
+
+_SparseRow = dict[int, Fraction]
+
+
+def _sign_constraints(
+    p: StandardFormLp | GeneralFormLp, side: str
+) -> tuple[list[_SparseRow], list[_SparseRow]]:
+    """(equalities, inequalities) on a certificate of the given side, as
+    rows over its entries: the sign conditions verify_certificate_exact
+    tests, without the objective.  An inequality's direction does not
+    matter here, only its row."""
+    a = p.a.to_dense()
+
+    def line(values) -> _SparseRow:
+        return {j: Fraction(float(v)) for j, v in enumerate(values) if v != 0.0}
+
+    def unit(j: int) -> _SparseRow:
+        return {j: Fraction(1)}
+
+    cols = [line(a[:, i]) for i in range(p.n)]
+    if isinstance(p, StandardFormLp):
+        if side == "primal":  # A'y >= 0
+            return [], cols
+        # Ax = 0, x >= 0
+        return [line(a[r]) for r in range(p.m)], [unit(i) for i in range(p.n)]
+    masks = p.kind_masks()
+    if side == "primal":
+        # y >= 0; A'y = 0 on free columns, one-signed on one-sided ones.
+        eqs = [cols[i] for i in range(p.n) if masks.free[i]]
+        ineqs = [unit(r) for r in range(p.m)]
+        ineqs += [cols[i] for i in range(p.n) if masks.lower[i] or masks.upper[i]]
+        return eqs, ineqs
+    # Ad >= 0; d = 0 on boxed variables, one-signed on one-sided ones.
+    eqs = [unit(i) for i in range(p.n) if masks.boxed[i]]
+    ineqs = [line(a[r]) for r in range(p.m)]
+    ineqs += [unit(i) for i in range(p.n) if masks.lower[i] or masks.upper[i]]
+    return eqs, ineqs
+
+
+def _dot(row: _SparseRow, v: Sequence[Fraction]) -> Fraction:
+    return sum((c * v[j] for j, c in row.items()), Fraction(0))
+
+
+def _solve_consistent(g: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """A solution of the consistent square system g lam = rhs by
+    Gauss-Jordan elimination, with the free unknowns set to 0."""
+    k = len(rhs)
+    rows = [list(row) + [b] for row, b in zip(g, rhs)]
+    pivots: list[int] = []
+    for col in range(k):
+        top = len(pivots)
+        piv = next((i for i in range(top, k) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [v * inv for v in rows[top]]
+        for i in range(k):
+            f = rows[i][col]
+            if i != top and f != 0:
+                rows[i] = [u - f * w for u, w in zip(rows[i], rows[top])]
+        pivots.append(col)
+    lam = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        lam[col] = rows[i][k]
+    return lam
+
+
+def _project(v: list[Fraction], rows: list[_SparseRow]) -> list[Fraction]:
+    """v - C'lam with C C' lam = C v: v projected exactly onto the null
+    space of the rows C."""
+    if not rows:
+        return v
+    gram = [
+        [sum((c * rj[j] for j, c in ri.items() if j in rj), Fraction(0)) for rj in rows]
+        for ri in rows
+    ]
+    lam = _solve_consistent(gram, [_dot(row, v) for row in rows])
+    out = list(v)
+    for coef, row in zip(lam, rows):
+        if coef != 0:
+            for j, c in row.items():
+                out[j] -= coef * c
+    return out
+
+
+def _coprime_integers(v: list[Fraction]) -> list[int]:
+    """v scaled by a positive rational to coprime integers (v nonzero)."""
+    den = math.lcm(*(f.denominator for f in v))
+    ints = [f.numerator * (den // f.denominator) for f in v]
+    g = math.gcd(*ints)
+    return [i // g for i in ints]
+
+
+def repair_certificate(
+    vec: np.ndarray, p: StandardFormLp | GeneralFormLp, side: str
+) -> np.ndarray | None:
+    """An integer-valued certificate near vec that passes
+    verify_certificate_exact on p, or None when none is found.
+
+    side is "primal" (vec is a dual ray) or "dual" (vec is a primal ray),
+    as in verify_certificate_exact.  For each snap denominator D in turn,
+    vec is snapped with exactify_vector(vec, max_denominator=D); the sign
+    constraints of the side that are equalities, or inequalities within
+    _REPAIR_TIGHT of zero, are collected, and the snapped vector is
+    projected exactly onto their null space, which makes each of them hold
+    with equality.  The result, scaled to coprime integers, is returned as
+    floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
+    verify_certificate_exact.  The elimination runs in Fraction arithmetic,
+    cubic in the number of constraints, so a snap with more than
+    _REPAIR_MAX_ROWS of them is skipped.
+    """
+    if side not in ("primal", "dual"):
+        raise ValueError(f"unknown certificate side {side!r}")
+    if not np.any(np.asarray(vec, dtype=np.float64)):
+        return None
+    eqs, ineqs = _sign_constraints(p, side)
+    size = [max(abs(c) for c in row.values()) if row else 0 for row in ineqs]
+    for den in _REPAIR_DENOMINATORS:
+        v = exactify_vector(vec, max_denominator=den)
+        vmax = max(abs(f) for f in v)
+        tight = [
+            row
+            for row, big in zip(ineqs, size)
+            if abs(_dot(row, v)) <= _REPAIR_TIGHT * big * vmax
+        ]
+        rows = eqs + tight
+        if len(rows) > _REPAIR_MAX_ROWS:
+            continue
+        fixed = _project(v, rows)
+        if not any(fixed):
+            continue
+        ints = _coprime_integers(fixed)
+        if max(abs(i) for i in ints) > _REPAIR_MAX_ENTRY:
+            continue
+        out = np.array(ints, dtype=np.float64)
+        if verify_certificate_exact(out, p, side).valid:
+            return out
+    return None

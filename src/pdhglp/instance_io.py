@@ -122,6 +122,7 @@ def _cert_to_json(report) -> dict | None:
         "passed": report.passed,
         "objective_term": report.objective_term,
         "scaled_error": report.scaled_error,
+        "exact": report.exact,
         "vector": _vector_or_none(report.vector),
         "r": _vector_or_none(report.r),
     }
@@ -141,7 +142,6 @@ def result_to_json(outcome: SolveOutcome, p: StandardFormLp | GeneralFormLp) -> 
         "steps": None
         if outcome.steps is None
         else {"eta": outcome.steps.eta, "tau": outcome.steps.tau},
-        "scaled": outcome.scaled,
         "x": _vector_or_none(outcome.x),
         "y": _vector_or_none(outcome.y),
         "r": _vector_or_none(outcome.r),

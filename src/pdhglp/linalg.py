@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "DENSE_LIMIT",
     "SparseMatrix",
     "StepSizes",
     "OperatorNormEstimate",
@@ -28,6 +29,10 @@ __all__ = [
     "max0",
     "opnorm_estimate",
 ]
+
+# Matrices with at most this many entries (m * n) are worked on dense: one
+# BLAS call per product beats sparse bookkeeping at desk scale.
+DENSE_LIMIT = 10_000
 
 
 class SparseMatrix:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certificates as certs
-from .linalg import MNorm, SparseMatrix, StepSizes, max0
+from . import exact
+from .linalg import DENSE_LIMIT, MNorm, SparseMatrix, StepSizes, max0
 from .model import (
     GeneralFormLp,
     KindMasks,
@@ -52,10 +53,10 @@ __all__ = [
     "run",
 ]
 
-# Below this many entries the operator keeps A dense; one BLAS call per
-# product beats sparse bookkeeping at desk scale.  run() scales only the
-# problems above it (see run).
-_DENSE_LIMIT = 10_000
+# The operator keeps A dense up to this many entries and uses CSR above it.
+# It decides only the storage: run() scales every problem either way, and
+# repairs the certificates of the dense ones exactly (see run).
+_DENSE_LIMIT = DENSE_LIMIT
 # run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
 _DIVERGENCE_LIMIT = 1e50
 # After one side certifies at k, run() keeps iterating for the other side
@@ -98,8 +99,13 @@ class PdhgState:
     def initial(
         cls, n: int, m: int, x0: np.ndarray | None = None, y0: np.ndarray | None = None
     ) -> "PdhgState":
+        """The state at k = 0, from zero or from x0 of shape (n,) and y0 of
+        shape (m,); any other shape raises ValueError."""
         x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
+        for name, v, size in (("x0", x, n), ("y0", y, m)):
+            if v.shape != (size,):
+                raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
         return cls(
             k=0,
             x=x,
@@ -418,8 +424,8 @@ class SolveStatus(enum.Enum):
 class SolveOutcome:
     """Result of run(), in the coordinates of the problem given to it.
 
-    steps are those of the operator the run iterated: the scaled one when
-    scaled is true (see run), so they need not suit the problem's own A.
+    steps are those of the operator the run iterated, which is always the
+    scaled one (see run), so they need not suit the problem's own A.
     """
 
     status: SolveStatus
@@ -435,7 +441,24 @@ class SolveOutcome:
     trace: list[TraceRecord] = field(default_factory=list)
     state: PdhgState | None = None
     steps: StepSizes | None = None
-    scaled: bool = False
+
+
+def _repair(
+    rep: certs.CertCheckReport,
+    p: StandardFormLp | GeneralFormLp,
+    masks: KindMasks | None,
+) -> None:
+    """Put rep's exact repair in place of its vector when there is one, and
+    set rep.exact to whether the vector rep then carries passes
+    exact.verify_certificate_exact on p."""
+    fixed = exact.repair_certificate(rep.vector, p, rep.side)
+    if fixed is None:
+        rep.exact = exact.verify_certificate_exact(rep.vector, p, rep.side).valid
+        return
+    rep.vector = fixed
+    rep.exact = True
+    if rep.r is not None:
+        rep.r = clip_to_dual_signs(-p.a.rmatvec(fixed), masks)
 
 
 def run(
@@ -457,26 +480,30 @@ def run(
     A'y^k; the difference and the average take one product per side.  Net
     of the reused one, a check costs five products.
 
-    Problems on the sparse operator path (m * n above _DENSE_LIMIT) are
-    iterated on D_r A D_c with Ruiz and Pock-Chambolle factors (see
-    scaling), with step sizes from that matrix.  Each check pulls the state
-    and its products back, so the KKT residuals and the certificate tests
-    run on p itself (eps and kkt_tol keep their meaning), and every vector
-    returned is in p's coordinates.  Warm starts x0, y0 are given in p's
-    coordinates too.  Dense-path problems are iterated as given.
+    Every problem is iterated on D_r A D_c with Ruiz and Pock-Chambolle
+    factors (see scaling), with step sizes from that matrix.  Each check
+    pulls the state and its products back, so the KKT residuals and the
+    certificate tests run on p itself (eps and kkt_tol keep their meaning),
+    and every vector returned is in p's coordinates.  Warm starts x0, y0
+    are given in p's coordinates too, with shapes (n,) and (m,).
+
+    On dense-path problems (m * n at most _DENSE_LIMIT) each certificate
+    that passed at eps then goes through exact.repair_certificate.  A
+    repaired certificate replaces the report's vector (and, for a general
+    form primal report, its reduced costs r), and the report's exact field
+    says whether the vector it carries passes the exact re-check; its
+    scaled_error and objective_term still describe the float candidate.
+    Sparse-path reports keep exact None.
     """
     config = config or PdhgConfig()
     report = validate(p)
     if not report.ok:
         raise ValueError("invalid problem: " + "; ".join(report.errors))
     general = isinstance(p, GeneralFormLp)
-    state = PdhgState.initial(p.n, p.m, x0, y0)
-    scaling = None
-    ps = p  # the problem the operator iterates
-    if p.m * p.n > _DENSE_LIMIT:
-        scaling = DiagonalScaling(*ruiz_pock_chambolle(p.a))
-        ps = scaling.problem(p)
-        state = PdhgState.initial(p.n, p.m, *scaling.to_scaled(state.x, state.y))
+    start = PdhgState.initial(p.n, p.m, x0, y0)
+    scaling = DiagonalScaling(*ruiz_pock_chambolle(p.a))
+    ps = scaling.problem(p)  # the problem the operator iterates
+    state = PdhgState.initial(p.n, p.m, *scaling.to_scaled(start.x, start.y))
     steps = StepSizes.for_matrix(ps.a, config.step_factor)
     op = make_operator(ps, steps)
 
@@ -503,14 +530,9 @@ def run(
             status = SolveStatus.NUMERICAL_ERROR
             break
 
-        ax = mat(state.x)
         aty = rmat(state.y)
-        if scaling is None:
-            view = state
-            products = certs.StateProducts(ax, aty, mat, rmat)
-        else:
-            view = scaling.unscale_state(state)
-            products = scaling.unscale_products(ax, aty, mat, rmat)
+        view = scaling.unscale_state(state)
+        products = scaling.unscale_products(mat(state.x), aty, mat, rmat)
         r = recover_r(p, view.y, products.aty, masks) if general else None
         kkt = kkt_residual(
             p,
@@ -585,8 +607,11 @@ def run(
         elif status is None:
             status = SolveStatus.ITERATION_LIMIT
 
-    if scaling is not None:
-        state = scaling.unscale_state(state)
+    if p.m * p.n <= _DENSE_LIMIT:
+        for rep in (best_primal, best_dual):
+            if rep is not None:
+                _repair(rep, p, masks)
+    state = scaling.unscale_state(state)
     # The outcome's x and y are copies, so no array of its state is one of them.
     x, y = state.x.copy(), state.y.copy()
     if kkt is None:
@@ -613,5 +638,4 @@ def run(
         trace=trace,
         state=state,
         steps=steps,
-        scaled=scaling is not None,
     )

@@ -1,7 +1,8 @@
 """Diagonal preconditioning of the constraint matrix, and the maps between
 scaled and original coordinates.
 
-With positive row factors D_r and column factors D_c the solver iterates on
+pdhg.run scales every problem it solves.  With positive row factors D_r and
+column factors D_c it iterates on
 
     A~ = D_r A D_c,  c~ = D_c c,  b~ = D_r b,  l~ = l / D_c,  u~ = u / D_c,
 
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .certificates import StateProducts
-from .linalg import SparseMatrix
+from .linalg import DENSE_LIMIT, SparseMatrix
 from .model import GeneralFormLp, StandardFormLp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,6 +53,36 @@ def _inverse_sqrt(norms: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
 
 
+def _flat(v) -> np.ndarray:
+    """A row or column reduction of a dense or sparse matrix as a 1-D array."""
+    return np.asarray(v.toarray() if sp.issparse(v) else v).ravel()
+
+
+def _factors(mag, scaled) -> tuple[np.ndarray, np.ndarray]:
+    """The passes of ruiz_pock_chambolle on |A| (dense or CSR), where
+    scaled(mag, row, col) is diag(row) |A| diag(col) in the same storage."""
+    row = np.ones(mag.shape[0])
+    col = np.ones(mag.shape[1])
+    for _ in range(RUIZ_PASSES):
+        cur = scaled(mag, row, col)
+        row *= _inverse_sqrt(_flat(cur.max(axis=1)))
+        col *= _inverse_sqrt(_flat(cur.max(axis=0)))
+    cur = scaled(mag, row, col)
+    row *= _inverse_sqrt(_flat(cur.sum(axis=1)))
+    col *= _inverse_sqrt(_flat(cur.sum(axis=0)))
+    return row, col
+
+
+def _dense_factors(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    return _factors(
+        np.abs(a.to_dense()), lambda mag, row, col: mag * row[:, None] * col
+    )
+
+
+def _sparse_factors(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    return _factors(abs(a.csr), _scaled_csr)
+
+
 def ruiz_pock_chambolle(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column factors (D_r, D_c) for A~ = D_r A D_c.
 
@@ -59,19 +90,13 @@ def ruiz_pock_chambolle(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     the current A~ by the square root of its inf-norm; one Pock-Chambolle
     pass (alpha = 1) then divides by the square root of the 1-norms.  Each
     pass measures rows and columns on the matrix before it.  The factors
-    are exact, not rounded to powers of two.
+    are exact, not rounded to powers of two.  Matrices within DENSE_LIMIT
+    entries are measured dense, the rest in CSR; every scaled entry is the
+    same product either way, and only the 1-norm sums may round apart.
     """
-    mag = abs(a.csr)
-    row = np.ones(a.n_rows)
-    col = np.ones(a.n_cols)
-    for _ in range(RUIZ_PASSES):
-        cur = _scaled_csr(mag, row, col)
-        row *= _inverse_sqrt(cur.max(axis=1).toarray().ravel())
-        col *= _inverse_sqrt(cur.max(axis=0).toarray().ravel())
-    cur = _scaled_csr(mag, row, col)
-    row *= _inverse_sqrt(np.asarray(cur.sum(axis=1)).ravel())
-    col *= _inverse_sqrt(np.asarray(cur.sum(axis=0)).ravel())
-    return row, col
+    if a.n_rows * a.n_cols <= DENSE_LIMIT:
+        return _dense_factors(a)
+    return _sparse_factors(a)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdhglp import demos
+from pdhglp import demos, exact, pdhg
 from pdhglp.exact import (
     ExactLp,
     classify_lp,
     decide_feasibility,
     exact_optimum,
     exactify_vector,
+    repair_certificate,
     verify_certificate_exact,
 )
 from pdhglp.linalg import SparseMatrix
-from pdhglp.model import StandardFormLp
+from pdhglp.model import (
+    GeneralFormLp,
+    StandardFormLp,
+    clip_to_dual_signs,
+    standard_to_general,
+)
 
 
 class TestDecideFeasibility:
@@ -169,3 +175,110 @@ class TestExactifyVector:
     def test_normalization_keeps_ratios(self):
         out = exactify_vector(np.array([2.0, 4.0]))
         assert out[1] / out[0] == Fraction(2)
+
+
+def _reports(out):
+    return [r for r in (out.primal_certificate, out.dual_certificate) if r]
+
+
+# Exactly valid certificates: (problem, side, vector).
+VALID = [
+    (demos.std_primal_infeasible(), "primal", np.array([1.0])),
+    (demos.std_dual_infeasible(), "dual", np.array([1.0, 1.0])),
+    (demos.std_both_infeasible(), "primal", np.array([0.0, 1.0])),
+    (demos.std_both_infeasible(), "dual", np.array([1.0, 1.0, 0.0])),
+    (demos.example1(0.0, 2.0), "primal", np.array([2.0, 1.0, 5.0])),
+]
+
+
+class TestRepairCertificate:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+    @pytest.mark.parametrize("cell", demos.CELLS)
+    def test_dense_path_certificates_are_exact_integers(self, cell, general, seed):
+        p = demos.random_cell_instance(cell, np.random.default_rng([seed, 17]))
+        if general:
+            p = standard_to_general(p)
+        assert p.m * p.n <= pdhg._DENSE_LIMIT
+        out = pdhg.run(p)
+        for rep in _reports(out):
+            assert rep.exact is True
+            assert verify_certificate_exact(rep.vector, p, rep.side).valid
+            assert np.array_equal(rep.vector, np.round(rep.vector))
+            assert np.max(np.abs(rep.vector)) <= 1e9
+            if isinstance(p, GeneralFormLp) and rep.side == "primal":
+                # The reduced costs belong to the repaired vector.
+                want = clip_to_dual_signs(-p.a.rmatvec(rep.vector), p.kind_masks())
+                assert np.array_equal(rep.r, want)
+
+    def test_sign_violation_of_1e_10_is_repaired(self):
+        # A'y >= 0 forces 97 y0 = 89 y1, and b'y = -y0 < 0: the certificates
+        # are the multiples of (89, 97).  Raising y1 by 1e-10 (relative)
+        # makes the first entry of A'y negative, a violation the eps test
+        # accepts and the oracle's snap keeps.
+        p = StandardFormLp(
+            np.ones(2),
+            SparseMatrix.from_dense([[97.0, -97.0], [-89.0, 89.0]]),
+            np.array([-1.0, 0.0]),
+        )
+        assert verify_certificate_exact(np.array([89.0, 97.0]), p, "primal").valid
+        bad = np.array([89.0, 97.0 * (1.0 + 1e-10)])
+        assert not verify_certificate_exact(bad, p, "primal").valid
+        fixed = repair_certificate(bad, p, "primal")
+        assert np.array_equal(fixed, [89.0, 97.0])
+
+    def test_projection_zeroes_the_rows_exactly(self):
+        v = [Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11)]
+        rows = [{0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}, {2: Fraction(3)}]
+        out = exact._project(v, rows)
+        for row in rows:
+            assert sum(c * out[j] for j, c in row.items()) == 0
+        # Orthogonal: v - out = lam1 (1, -2, 1) + lam2 (0, 0, 3), so its
+        # first two entries stand in the ratio 1 : -2.
+        d = [a - b for a, b in zip(v, out)]
+        assert d[0] != 0 and d[1] == -2 * d[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0 / 3.0, 1e-6, 123456.789])
+    @pytest.mark.parametrize("p,side,vec", VALID)
+    def test_valid_certificates_stay_valid(self, p, side, vec, scale):
+        v = vec * scale
+        assert verify_certificate_exact(v, p, side).valid
+        fixed = repair_certificate(v, p, side)
+        assert fixed is not None
+        assert verify_certificate_exact(fixed, p, side).valid
+        # The repair keeps the direction of a certificate that holds.
+        assert np.allclose(fixed / np.max(np.abs(fixed)), vec / np.max(np.abs(vec)))
+
+    def test_zero_vector_is_not_repaired(self):
+        assert repair_certificate(np.zeros(1), demos.std_primal_infeasible(), "primal") is None
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError):
+            repair_certificate(np.ones(1), demos.std_primal_infeasible(), "sideways")
+
+    def test_too_many_constraints_are_not_eliminated(self):
+        # 61 copies of the row x0 - x1 = 0: every one is an equality of the
+        # dual side, one more than the Fraction elimination takes on.
+        rows = exact._REPAIR_MAX_ROWS + 1
+        p = StandardFormLp(
+            np.array([-1.0, 0.0]),
+            SparseMatrix.from_dense([[1.0, -1.0]] * rows),
+            np.zeros(rows),
+        )
+        ray = np.array([1.0, 1.0])
+        assert verify_certificate_exact(ray, p, "dual").valid
+        assert repair_certificate(ray, p, "dual") is None
+
+    def test_unrepaired_report_keeps_its_vector_and_says_if_it_holds(self, monkeypatch):
+        monkeypatch.setattr(exact, "repair_certificate", lambda vec, p, side: None)
+        p = demos.std_primal_infeasible()
+        out = pdhg.run(p)
+        rep = out.primal_certificate
+        assert rep.exact == verify_certificate_exact(rep.vector, p, "primal").valid
+
+    def test_sparse_path_is_not_repaired(self):
+        p = demos.block_copies(demos.std_both_infeasible(), 41)
+        assert p.m * p.n > pdhg._DENSE_LIMIT
+        out = pdhg.run(p)
+        assert len(_reports(out)) == 2
+        assert all(rep.exact is None for rep in _reports(out))

@@ -145,13 +145,11 @@ class TestResultJson:
         assert set(doc["kkt"]) == {"primal", "dual", "gap", "max"}
         assert doc["primal_certificate"] is None
         assert len(doc["x"]) == p.n and len(doc["y"]) == p.m
-        assert doc["scaled"] is False
 
-    def test_scaled_flag_on_the_sparse_path(self):
+    def test_sparse_path_result_fields(self):
         p = demos.block_copies(demos.std_feasible(), 71)
         out = run(p, PdhgConfig(max_iters=100_000))
         doc = result_to_json(out, p)
-        assert doc["scaled"] is True
         assert len(doc["x"]) == p.n and len(doc["y"]) == p.m
         json.dumps(doc)
 
@@ -171,6 +169,16 @@ class TestResultJson:
         assert isinstance(cert["vector"], list)
         json.dumps(doc)  # every field must be serializable
 
+    def test_certificates_report_exactness(self):
+        # Dense-path certificates are repaired and re-checked exactly;
+        # sparse-path ones are not, and say so with null.
+        for p, want in (
+            (demos.std_primal_infeasible(), True),
+            (demos.block_copies(demos.std_primal_infeasible(), 71), None),
+        ):
+            doc = result_to_json(run(p, PdhgConfig(max_iters=100_000)), p)
+            assert doc["primal_certificate"]["exact"] is want
+
 
 class TestCliSolve:
     def test_optimal_demo(self, capsys):
@@ -187,6 +195,12 @@ class TestCliSolve:
         assert out.splitlines()[0] == "both_infeasible"
         assert "primal infeasibility certified by" in out
         assert "dual infeasibility certified by" in out
+
+    def test_exact_certificates_say_so(self, capsys):
+        cli.main(["solve", "--demo", "std-both-infeasible"])
+        certified = [s for s in capsys.readouterr().out.splitlines() if "certified" in s]
+        assert len(certified) == 2
+        assert all(s.endswith(") exact") for s in certified)
 
     def test_ex1_knobs(self, capsys):
         code = cli.main(["solve", "--demo", "ex1", "--alpha", "1", "--beta", "2"])

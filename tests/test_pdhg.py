@@ -192,6 +192,23 @@ def test_advance_aty_feeds_the_first_step_only(build, rng):
     assert _same_state(fed, plain)
 
 
+@pytest.mark.parametrize(
+    "x0,y0,name",
+    [
+        (np.zeros(1), None, "x0"),
+        (np.zeros(5), None, "x0"),
+        (None, np.zeros(1), "y0"),
+        (None, np.zeros((3, 1)), "y0"),
+    ],
+)
+def test_warm_start_of_the_wrong_shape_is_rejected(x0, y0, name):
+    # ex1 has n = m = 3; a length-one x0 would broadcast over x.
+    p = demos.example1(0.0, 1.0)
+    assert (p.n, p.m) == (3, 3)
+    with pytest.raises(ValueError, match=name):
+        run(p, x0=x0, y0=y0)
+
+
 class TestKkt:
     def test_zero_at_hand_optimum(self):
         # (2, 0) with dual value -1 closes the gap: objectives match at 2.
@@ -287,8 +304,10 @@ class TestRunStatuses:
 
 class TestTrace:
     def test_rows_per_check(self):
-        cfg = PdhgConfig(max_iters=200, eps=1e-16, kkt_tol=1e-16, check_interval=40)
-        out = run(demos.std_feasible(), cfg)
+        # Scaled, std_feasible reaches KKT 0 exactly at k=160; ex1(0, 1) is
+        # still above 1e-300 at k=200, so the run makes all five checks.
+        cfg = PdhgConfig(max_iters=200, eps=1e-16, kkt_tol=1e-300, check_interval=40)
+        out = run(demos.example1(0.0, 1.0), cfg)
         ks = [t.k for t in out.trace]
         assert ks == sorted(ks)
         assert set(ks) == {40, 80, 120, 160, 200}

@@ -1,5 +1,5 @@
-"""run() iterates sparse-path problems on D_r A D_c (Ruiz, then
-Pock-Chambolle) and tests certificates on the problem as given; these tests
+"""run() iterates every problem on D_r A D_c (Ruiz, then Pock-Chambolle)
+and tests certificates on the problem as given; these tests
 hold the scaled path to the verdicts and certificates of the original data,
 and the maps between the two coordinates to the identities they rely on."""
 
@@ -10,10 +10,20 @@ from hypothesis import strategies as st
 
 from pdhglp import demos, exact, pdhg
 from pdhglp import certificates as certs
-from pdhglp.linalg import SparseMatrix, StepSizes
-from pdhglp.model import GeneralFormLp, StandardFormLp
+from pdhglp.linalg import SparseMatrix
+from pdhglp.model import (
+    GeneralFormLp,
+    StandardFormLp,
+    standard_to_general,
+    to_standard_form,
+)
 from pdhglp.pdhg import PdhgConfig, PdhgState, SolveStatus, kkt_residual, run
-from pdhglp.scaling import DiagonalScaling, ruiz_pock_chambolle
+from pdhglp.scaling import (
+    DiagonalScaling,
+    _dense_factors,
+    _sparse_factors,
+    ruiz_pock_chambolle,
+)
 
 FAST = PdhgConfig(max_iters=200_000, eps=1e-8, kkt_tol=1e-8)
 
@@ -64,7 +74,6 @@ def _fresh_check(p, rep, eps):
 def test_block_copies_keep_the_cell_and_certificates_hold(name, p, seed):
     big = demos.block_copies(p, _copies(p), seed=seed)
     out = run(big, FAST)
-    assert out.scaled
     assert CELL_OF[out.status] == exact.classify_lp(p).cell
     sides = {
         SolveStatus.OPTIMAL: set(),
@@ -92,24 +101,49 @@ def test_block_copies_keep_the_cell_and_certificates_hold(name, p, seed):
 def test_warm_start_accepted_on_the_scaled_path(p):
     big = demos.block_copies(p, _copies(p))
     ref = run(big, FAST)
-    assert ref.scaled and ref.status is SolveStatus.OPTIMAL
+    assert ref.status is SolveStatus.OPTIMAL
     out = run(big, FAST, x0=ref.x, y0=ref.y)
     assert out.status is SolveStatus.OPTIMAL
     assert out.iterations <= ref.iterations
 
 
-def test_dense_path_is_not_scaled():
-    p = demos.example1(1.0, 2.0)
-    out = run(p)
-    assert not out.scaled
-    assert out.steps == StepSizes.for_matrix(p.a, PdhgConfig().step_factor)
+ZERO_ROW_AND_COLUMN = SparseMatrix.from_dense(
+    [[4.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 9.0, 0.0]]
+)
+
+
+def _desk_matrices():
+    """A of every desk instance of the benchmark: the demos and five
+    random_cell_instance draws per cell, each in both forms."""
+    base = [p for _, p in SMALL]
+    for c, cell in enumerate(demos.CELLS):
+        rng = np.random.default_rng([0, c])
+        base += [demos.random_cell_instance(cell, rng) for _ in range(5)]
+    both = []
+    for p in base:
+        other = (
+            to_standard_form(p)[0]
+            if isinstance(p, GeneralFormLp)
+            else standard_to_general(p)
+        )
+        both += [p.a, other.a]
+    return both
+
+
+@pytest.mark.parametrize("a", _desk_matrices() + [ZERO_ROW_AND_COLUMN])
+def test_dense_and_sparse_factors_agree(a):
+    # Every scaled entry is the same product in both storages; only the
+    # order of the 1-norm sums may differ.
+    assert a.n_rows * a.n_cols <= pdhg._DENSE_LIMIT
+    dense = _dense_factors(a)
+    for got, want in zip(ruiz_pock_chambolle(a), dense):
+        assert np.array_equal(got, want)
+    for got, want in zip(dense, _sparse_factors(a)):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_zero_rows_and_columns_keep_factor_one():
-    a = SparseMatrix.from_dense(
-        [[4.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 9.0, 0.0]]
-    )
-    row, col = ruiz_pock_chambolle(a)
+    row, col = ruiz_pock_chambolle(ZERO_ROW_AND_COLUMN)
     assert row[1] == 1.0 and col[1] == 1.0
     assert np.all(row > 0.0) and np.all(np.isfinite(row))
     assert np.all(col > 0.0) and np.all(np.isfinite(col))
