@@ -97,8 +97,9 @@ class CertCheckReport:
     None when the objective term is not positive.  vector carries the
     tested certificate (dual vector for side "primal", primal direction
     for side "dual"); r the recovered reduced costs where applicable.
-    exact is None unless pdhg.run repaired the report (see pdhg.run): then
-    it says whether vector passes exact.verify_certificate_exact.
+    exact is None unless pdhg.run put the report through the exact repair
+    (see pdhg.run): then it says whether vector passes
+    exact.verify_certificate_exact.
     """
 
     side: str

@@ -9,7 +9,11 @@ epigraph projection, exact verification of floating-point certificates,
 and an exact repair that turns an eps-accurate certificate into an integer
 one that passes that verification.
 
-Sizes are guarded: this is an oracle for tests, not a solver.
+Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
+MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
+columns (repair_fits), since Fraction arithmetic grows fast with the size.
+pdhg.run repairs the certificates of problems that fit and leaves the rest
+alone; everything else here serves the tests.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "exact_optimum",
     "verify_certificate_exact",
     "exactify_vector",
+    "repair_fits",
     "repair_certificate",
 ]
 
@@ -469,8 +474,12 @@ _REPAIR_TIGHT = 1e-7
 # Largest entry of a repaired certificate: a float holds it exactly, and
 # exactify_vector's snap of it is the identity at desk sizes.
 _REPAIR_MAX_ENTRY = 10**9
-# Most constraints the repair eliminates (the oracle's own scale).
-_REPAIR_MAX_ROWS = MAX_CONSTRAINTS
+# Most rows and most columns of a problem the repair takes on.  A side has
+# at most m + n sign constraints, so the elimination stays within 24 rows.
+# On one Xeon core, a certificate of a dense 12 x 12 LP took about 0.02 s
+# to repair with integer data and 0.3-0.35 s with non-integer float data;
+# at 60 x 12 it took 2.5-3.5 s and 15-18 s.
+REPAIR_MAX_DIM = MAX_VARIABLES
 
 _SparseRow = dict[int, Fraction]
 
@@ -565,6 +574,12 @@ def _coprime_integers(v: list[Fraction]) -> list[int]:
     return [i // g for i in ints]
 
 
+def repair_fits(p: StandardFormLp | GeneralFormLp) -> bool:
+    """Whether repair_certificate takes p: at most REPAIR_MAX_DIM rows and
+    REPAIR_MAX_DIM columns."""
+    return p.m <= REPAIR_MAX_DIM and p.n <= REPAIR_MAX_DIM
+
+
 def repair_certificate(
     vec: np.ndarray, p: StandardFormLp | GeneralFormLp, side: str
 ) -> np.ndarray | None:
@@ -580,11 +595,13 @@ def repair_certificate(
     with equality.  The result, scaled to coprime integers, is returned as
     floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
     verify_certificate_exact.  The elimination runs in Fraction arithmetic,
-    cubic in the number of constraints, so a snap with more than
-    _REPAIR_MAX_ROWS of them is skipped.
+    cubic in the number of constraints, so a problem that repair_fits
+    refuses raises ValueError.
     """
     if side not in ("primal", "dual"):
         raise ValueError(f"unknown certificate side {side!r}")
+    if not repair_fits(p):
+        raise ValueError(f"too large for the exact repair: {p.m} x {p.n}")
     if not np.any(np.asarray(vec, dtype=np.float64)):
         return None
     eqs, ineqs = _sign_constraints(p, side)
@@ -597,10 +614,7 @@ def repair_certificate(
             for row, big in zip(ineqs, size)
             if abs(_dot(row, v)) <= _REPAIR_TIGHT * big * vmax
         ]
-        rows = eqs + tight
-        if len(rows) > _REPAIR_MAX_ROWS:
-            continue
-        fixed = _project(v, rows)
+        fixed = _project(v, eqs + tight)
         if not any(fixed):
             continue
         ints = _coprime_integers(fixed)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certificates as certs
-from . import exact
-from .linalg import DENSE_LIMIT, MNorm, SparseMatrix, StepSizes, max0
+from . import exact, linalg
+from .linalg import MNorm, SparseMatrix, StepSizes, max0
 from .model import (
     GeneralFormLp,
     KindMasks,
@@ -53,10 +53,6 @@ __all__ = [
     "run",
 ]
 
-# The operator keeps A dense up to this many entries and uses CSR above it.
-# It decides only the storage: run() scales every problem either way, and
-# repairs the certificates of the dense ones exactly (see run).
-_DENSE_LIMIT = DENSE_LIMIT
 # run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
 _DIVERGENCE_LIMIT = 1e50
 # After one side certifies at k, run() keeps iterating for the other side
@@ -158,7 +154,8 @@ class _OperatorBase:
         m, n = a.shape
         self.n = n
         self.m = m
-        if m * n <= _DENSE_LIMIT:
+        # Dense BLAS up to linalg.DENSE_LIMIT entries, CSR above it.
+        if m * n <= linalg.DENSE_LIMIT:
             dense = a.to_dense()
             dense_t = np.ascontiguousarray(dense.T)
             self._mat = lambda v: dense @ v
@@ -487,13 +484,13 @@ def run(
     and every vector returned is in p's coordinates.  Warm starts x0, y0
     are given in p's coordinates too, with shapes (n,) and (m,).
 
-    On dense-path problems (m * n at most _DENSE_LIMIT) each certificate
-    that passed at eps then goes through exact.repair_certificate.  A
-    repaired certificate replaces the report's vector (and, for a general
-    form primal report, its reduced costs r), and the report's exact field
-    says whether the vector it carries passes the exact re-check; its
-    scaled_error and objective_term still describe the float candidate.
-    Sparse-path reports keep exact None.
+    On problems that exact.repair_fits takes (at most 12 rows and 12
+    columns) each certificate that passed at eps then goes through
+    exact.repair_certificate.  A repaired certificate replaces the report's
+    vector (and, for a general form primal report, its reduced costs r),
+    and the report's exact field says whether the vector it carries passes
+    the exact re-check; its scaled_error and objective_term still describe
+    the float candidate.  Larger problems' reports keep exact None.
     """
     config = config or PdhgConfig()
     report = validate(p)
@@ -607,7 +604,7 @@ def run(
         elif status is None:
             status = SolveStatus.ITERATION_LIMIT
 
-    if p.m * p.n <= _DENSE_LIMIT:
+    if exact.repair_fits(p):
         for rep in (best_primal, best_dual):
             if rep is not None:
                 _repair(rep, p, masks)

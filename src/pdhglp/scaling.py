@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .certificates import StateProducts
-from .linalg import DENSE_LIMIT, SparseMatrix
+from . import linalg
+from .linalg import SparseMatrix
 from .model import GeneralFormLp, StandardFormLp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,7 +95,7 @@ def ruiz_pock_chambolle(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     entries are measured dense, the rest in CSR; every scaled entry is the
     same product either way, and only the 1-norm sums may round apart.
     """
-    if a.n_rows * a.n_cols <= DENSE_LIMIT:
+    if a.n_rows * a.n_cols <= linalg.DENSE_LIMIT:
         return _dense_factors(a)
     return _sparse_factors(a)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdhglp import certificates as certs
-from pdhglp import demos, pdhg
+from pdhglp import demos, linalg, pdhg
 from pdhglp.linalg import SparseMatrix, StepSizes
 from pdhglp.model import GeneralFormLp, standard_to_general, to_standard_form
 from pdhglp.pdhg import PdhgConfig, run
@@ -26,13 +26,13 @@ def _desk_demos():
 
 
 DESK = _desk_demos()
-# The general-form desk demos copied past _DENSE_LIMIT, where run iterates
+# The general-form desk demos copied past linalg.DENSE_LIMIT, where run iterates
 # the scaled operator and its checks pull the products back.
 BLOCKS = [
     (f"{name}*{copies}", demos.block_copies(p, copies))
     for name, p in DESK
     if isinstance(p, GeneralFormLp)
-    for copies in [int(np.sqrt(pdhg._DENSE_LIMIT / (p.m * p.n))) + 1]
+    for copies in [int(np.sqrt(linalg.DENSE_LIMIT / (p.m * p.n))) + 1]
 ]
 
 
@@ -95,7 +95,7 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
         demos.example1(1.0, 2.0),
         demos.example1(0.0, 1.0),
         demos.std_both_infeasible(),
-        # 102 x 102, past _DENSE_LIMIT: run iterates the scaled operator and
+        # 102 x 102, past linalg.DENSE_LIMIT: run iterates the scaled operator and
         # pulls its products back for the checks.
         demos.block_copies(demos.example1(1.0, 2.0), 34),
     ],

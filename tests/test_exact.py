@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdhglp import demos, exact, pdhg
+from pdhglp import demos, exact, linalg, pdhg
 from pdhglp.exact import (
     ExactLp,
     classify_lp,
@@ -195,11 +195,11 @@ class TestRepairCertificate:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
     @pytest.mark.parametrize("cell", demos.CELLS)
-    def test_dense_path_certificates_are_exact_integers(self, cell, general, seed):
+    def test_run_certificates_are_exact_integers(self, cell, general, seed):
         p = demos.random_cell_instance(cell, np.random.default_rng([seed, 17]))
         if general:
             p = standard_to_general(p)
-        assert p.m * p.n <= pdhg._DENSE_LIMIT
+        assert exact.repair_fits(p)
         out = pdhg.run(p)
         for rep in _reports(out):
             assert rep.exact is True
@@ -256,10 +256,10 @@ class TestRepairCertificate:
         with pytest.raises(ValueError):
             repair_certificate(np.ones(1), demos.std_primal_infeasible(), "sideways")
 
-    def test_too_many_constraints_are_not_eliminated(self):
-        # 61 copies of the row x0 - x1 = 0: every one is an equality of the
-        # dual side, one more than the Fraction elimination takes on.
-        rows = exact._REPAIR_MAX_ROWS + 1
+    def test_problems_past_the_repair_size_are_refused(self):
+        # 13 copies of the row x0 - x1 = 0: one row more than the repair
+        # takes on, although the ray holds exactly.
+        rows = exact.REPAIR_MAX_DIM + 1
         p = StandardFormLp(
             np.array([-1.0, 0.0]),
             SparseMatrix.from_dense([[1.0, -1.0]] * rows),
@@ -267,7 +267,9 @@ class TestRepairCertificate:
         )
         ray = np.array([1.0, 1.0])
         assert verify_certificate_exact(ray, p, "dual").valid
-        assert repair_certificate(ray, p, "dual") is None
+        assert not exact.repair_fits(p)
+        with pytest.raises(ValueError, match="too large"):
+            repair_certificate(ray, p, "dual")
 
     def test_unrepaired_report_keeps_its_vector_and_says_if_it_holds(self, monkeypatch):
         monkeypatch.setattr(exact, "repair_certificate", lambda vec, p, side: None)
@@ -276,9 +278,18 @@ class TestRepairCertificate:
         rep = out.primal_certificate
         assert rep.exact == verify_certificate_exact(rep.vector, p, "primal").valid
 
+    def test_dense_path_past_the_repair_size_is_not_repaired(self):
+        # 10 x 15: stored dense, but more columns than the repair takes.
+        p = demos.block_copies(demos.std_both_infeasible(), 5)
+        assert p.m * p.n <= linalg.DENSE_LIMIT
+        assert not exact.repair_fits(p)
+        out = pdhg.run(p)
+        assert len(_reports(out)) == 2
+        assert all(rep.exact is None for rep in _reports(out))
+
     def test_sparse_path_is_not_repaired(self):
         p = demos.block_copies(demos.std_both_infeasible(), 41)
-        assert p.m * p.n > pdhg._DENSE_LIMIT
+        assert p.m * p.n > linalg.DENSE_LIMIT
         out = pdhg.run(p)
         assert len(_reports(out)) == 2
         assert all(rep.exact is None for rep in _reports(out))

@@ -170,11 +170,11 @@ class TestResultJson:
         json.dumps(doc)  # every field must be serializable
 
     def test_certificates_report_exactness(self):
-        # Dense-path certificates are repaired and re-checked exactly;
-        # sparse-path ones are not, and say so with null.
+        # Certificates of problems up to 12 x 12 are repaired and re-checked
+        # exactly; larger ones are not, and say so with null.
         for p, want in (
             (demos.std_primal_infeasible(), True),
-            (demos.block_copies(demos.std_primal_infeasible(), 71), None),
+            (demos.block_copies(demos.std_primal_infeasible(), 13), None),
         ):
             doc = result_to_json(run(p, PdhgConfig(max_iters=100_000)), p)
             assert doc["primal_certificate"]["exact"] is want

@@ -304,13 +304,13 @@ class TestRunStatuses:
 
 class TestTrace:
     def test_rows_per_check(self):
-        # Scaled, std_feasible reaches KKT 0 exactly at k=160; ex1(0, 1) is
-        # still above 1e-300 at k=200, so the run makes all five checks.
-        cfg = PdhgConfig(max_iters=200, eps=1e-16, kkt_tol=1e-300, check_interval=40)
-        out = run(demos.example1(0.0, 1.0), cfg)
+        # Scaled, std_feasible reaches KKT 0 at k=160, so its five checks
+        # come every 20 steps; KKT is still about 4e-12 at k=100.
+        cfg = PdhgConfig(max_iters=100, eps=1e-16, kkt_tol=1e-16, check_interval=20)
+        out = run(demos.std_feasible(), cfg)
         ks = [t.k for t in out.trace]
         assert ks == sorted(ks)
-        assert set(ks) == {40, 80, 120, 160, 200}
+        assert set(ks) == {20, 40, 60, 80, 100}
         for k in set(ks):
             seqs = {t.seq for t in out.trace if t.k == k}
             assert seqs == {"difference", "normalized_iterate", "normalized_average"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdhglp import demos, exact, pdhg
+from pdhglp import demos, exact, linalg, pdhg
 from pdhglp import certificates as certs
 from pdhglp.linalg import SparseMatrix
 from pdhglp.model import (
@@ -36,9 +36,9 @@ CELL_OF = {
 
 
 def _copies(p):
-    """Fewest block copies of p that take run past _DENSE_LIMIT."""
+    """Fewest block copies of p that take run past linalg.DENSE_LIMIT."""
     k = 1
-    while (k * p.m) * (k * p.n) <= pdhg._DENSE_LIMIT:
+    while (k * p.m) * (k * p.n) <= linalg.DENSE_LIMIT:
         k += 1
     return k
 
@@ -134,7 +134,7 @@ def _desk_matrices():
 def test_dense_and_sparse_factors_agree(a):
     # Every scaled entry is the same product in both storages; only the
     # order of the 1-norm sums may differ.
-    assert a.n_rows * a.n_cols <= pdhg._DENSE_LIMIT
+    assert a.n_rows * a.n_cols <= linalg.DENSE_LIMIT
     dense = _dense_factors(a)
     for got, want in zip(ruiz_pock_chambolle(a), dense):
         assert np.array_equal(got, want)
