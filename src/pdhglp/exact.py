@@ -13,7 +13,7 @@ Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
 MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
 columns (repair_fits), since Fraction arithmetic grows fast with the size.
 pdhg.run repairs the certificates of problems that fit and leaves the rest
-alone; everything else here serves the tests.
+alone; the oracle serves the tests and `pdhglp oracle`.
 """
 
 from __future__ import annotations
