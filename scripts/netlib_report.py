@@ -3,8 +3,9 @@
 
 For each MPS file: solve once with certificate detection on, then (optionally)
 sweep without early stopping to record the first iteration at which each of
-the three sequences reaches the certification threshold, plus the last
-active-set change before certification.  Missing files are listed and skipped.
+the three sequences and the support candidate reaches the certification
+threshold, plus the last active-set change before certification.  Missing
+files are listed and skipped.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from pdhglp.mps import MpsParseError
 from pdhglp.pdhg import PdhgConfig, run
 
 DEFAULT_NAMES = ("box1", "woodinfe", "ex72a", "ex73a", "bgdbg1", "chemcom")
-SEQS = ("difference", "normalized_iterate", "normalized_average")
+SEQS = ("difference", "normalized_iterate", "normalized_average", "support")
 
 
 def _first_pass(trace, seq, eps):
@@ -40,7 +41,7 @@ def main() -> int:
     ap.add_argument("--eps", type=float, default=1e-8)
     ap.add_argument("--max-iters", type=int, default=300_000)
     ap.add_argument("--no-sweep", action="store_true",
-                    help="skip the non-stopping per-sequence measurement")
+                    help="skip the non-stopping per-candidate measurement")
     args = ap.parse_args()
 
     base = Path(args.dir) if args.dir else (

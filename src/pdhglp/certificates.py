@@ -8,6 +8,10 @@ are (scaled) Farkas certificates whenever they are nonzero:
   normalized iterate    z^k / k
   normalized average    (2 / (k+1)) * mean(z^1..z^k)
 
+pdhg.run adds a fourth candidate, SUPPORT, which no sequence yields: the
+displacement those sequences converge to, computed in closed form once the
+active pattern of the iterates has settled (see pdhg.run).
+
 A candidate passes when its certificate residual, scaled by the certificate
 objective, drops below eps.  All tests are positively homogeneous: rescaling
 a candidate leaves its scaled error unchanged.
@@ -46,6 +50,8 @@ __all__ = [
     "CertificateCandidate",
     "CertCheckReport",
     "StateProducts",
+    "SEQUENCE_KINDS",
+    "candidate",
     "extract",
     "check_primal_infeasibility",
     "check_dual_infeasibility",
@@ -60,6 +66,15 @@ class CandidateKind(enum.Enum):
     DIFFERENCE = "difference"
     NORMALIZED_ITERATE = "normalized_iterate"
     NORMALIZED_AVERAGE = "normalized_average"
+    SUPPORT = "support"
+
+
+# The kinds extract reads off an iterate bundle.
+SEQUENCE_KINDS = (
+    CandidateKind.DIFFERENCE,
+    CandidateKind.NORMALIZED_ITERATE,
+    CandidateKind.NORMALIZED_AVERAGE,
+)
 
 
 @dataclass(slots=True)
@@ -145,12 +160,32 @@ def extract(
     else:
         raise ValueError(f"unknown candidate kind {kind!r}")
     ax = aty = None
+    if products is not None and kind is CandidateKind.NORMALIZED_ITERATE:
+        ax = products.ax / k
+        aty = products.aty / k
+    return candidate(kind, k, x, y, problem, products, masks, ax, aty)
+
+
+def candidate(
+    kind: CandidateKind,
+    k: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    problem: GeneralFormLp | StandardFormLp | None = None,
+    products: StateProducts | None = None,
+    masks: KindMasks | None = None,
+    ax: np.ndarray | None = None,
+    aty: np.ndarray | None = None,
+) -> CertificateCandidate:
+    """The candidate with primal part x and dual part y.
+
+    With products, an ax or aty not given is taken with products' routines;
+    for general-form problems the reduced costs are attached as in extract.
+    """
     if products is not None:
-        if kind is CandidateKind.NORMALIZED_ITERATE:
-            ax = products.ax / k
-            aty = products.aty / k
-        else:
+        if ax is None:
             ax = products.matvec(x)
+        if aty is None:
             aty = products.rmatvec(y)
     r = None
     if isinstance(problem, GeneralFormLp):

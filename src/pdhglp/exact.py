@@ -39,6 +39,7 @@ __all__ = [
     "verify_certificate_exact",
     "exactify_vector",
     "repair_fits",
+    "integer_data",
     "repair_certificate",
 ]
 
@@ -476,9 +477,9 @@ _REPAIR_TIGHT = 1e-7
 _REPAIR_MAX_ENTRY = 10**9
 # Most rows and most columns of a problem the repair takes on.  A side has
 # at most m + n sign constraints, so the elimination stays within 24 rows.
-# On one Xeon core, a certificate of a dense 12 x 12 LP took about 0.02 s
-# to repair with integer data and 0.3-0.35 s with non-integer float data;
-# at 60 x 12 it took 2.5-3.5 s and 15-18 s.
+# On one Xeon core, a certificate of a dense 12 x 12 LP with integer data
+# takes about 0.01 s to repair; at 60 x 12 the Fraction arithmetic took
+# 2.5-3.5 s with integer data and 15-18 s without.
 REPAIR_MAX_DIM = MAX_VARIABLES
 
 _SparseRow = dict[int, Fraction]
@@ -523,49 +524,6 @@ def _dot(row: _SparseRow, v: Sequence[Fraction]) -> Fraction:
     return sum((c * v[j] for j, c in row.items()), Fraction(0))
 
 
-def _solve_consistent(g: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """A solution of the consistent square system g lam = rhs by
-    Gauss-Jordan elimination, with the free unknowns set to 0."""
-    k = len(rhs)
-    rows = [list(row) + [b] for row, b in zip(g, rhs)]
-    pivots: list[int] = []
-    for col in range(k):
-        top = len(pivots)
-        piv = next((i for i in range(top, k) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = 1 / rows[top][col]
-        rows[top] = [v * inv for v in rows[top]]
-        for i in range(k):
-            f = rows[i][col]
-            if i != top and f != 0:
-                rows[i] = [u - f * w for u, w in zip(rows[i], rows[top])]
-        pivots.append(col)
-    lam = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        lam[col] = rows[i][k]
-    return lam
-
-
-def _project(v: list[Fraction], rows: list[_SparseRow]) -> list[Fraction]:
-    """v - C'lam with C C' lam = C v: v projected exactly onto the null
-    space of the rows C."""
-    if not rows:
-        return v
-    gram = [
-        [sum((c * rj[j] for j, c in ri.items() if j in rj), Fraction(0)) for rj in rows]
-        for ri in rows
-    ]
-    lam = _solve_consistent(gram, [_dot(row, v) for row in rows])
-    out = list(v)
-    for coef, row in zip(lam, rows):
-        if coef != 0:
-            for j, c in row.items():
-                out[j] -= coef * c
-    return out
-
-
 def _coprime_integers(v: list[Fraction]) -> list[int]:
     """v scaled by a positive rational to coprime integers (v nonzero)."""
     den = math.lcm(*(f.denominator for f in v))
@@ -574,10 +532,54 @@ def _coprime_integers(v: list[Fraction]) -> list[int]:
     return [i // g for i in ints]
 
 
+def _null_basis(rows: list[_SparseRow], n: int) -> list[list[int]]:
+    """Integer vectors spanning {v : row'v = 0 for every row} over the
+    rationals: one per free column of the rows' reduced echelon form, found
+    by exact Gauss-Jordan elimination."""
+    mat = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
+    pivots: list[int] = []
+    for col in range(n):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        inv = 1 / mat[top][col]
+        mat[top] = [v * inv for v in mat[top]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != top and f != 0:
+                mat[i] = [u - f * w for u, w in zip(mat[i], mat[top])]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -mat[i][free]
+        basis.append(_coprime_integers(v))
+    return basis
+
+
 def repair_fits(p: StandardFormLp | GeneralFormLp) -> bool:
     """Whether repair_certificate takes p: at most REPAIR_MAX_DIM rows and
     REPAIR_MAX_DIM columns."""
     return p.m <= REPAIR_MAX_DIM and p.n <= REPAIR_MAX_DIM
+
+
+def integer_data(p: StandardFormLp | GeneralFormLp) -> bool:
+    """Whether every entry of A, b and c and every finite bound of p is an
+    integer, a cheap test that repair_certificate may succeed.
+
+    On non-integer float data the sign constraints hold Fraction(float)
+    entries with denominators near 2**52, so the integer vectors the repair
+    builds from them exceed _REPAIR_MAX_ENTRY; on dense 6 x 9 and 12 x 12
+    LPs it repaired none of 12 certificates and spent 0.06-0.35 s on each.
+    """
+    parts = [p.a.csr.data, p.b, p.c]
+    if isinstance(p, GeneralFormLp):
+        parts += [p.l[np.isfinite(p.l)], p.u[np.isfinite(p.u)]]
+    return all(bool(np.all(v == np.round(v))) for v in parts)
 
 
 def repair_certificate(
@@ -587,34 +589,41 @@ def repair_certificate(
     verify_certificate_exact on p, or None when none is found.
 
     side is "primal" (vec is a dual ray) or "dual" (vec is a primal ray),
-    as in verify_certificate_exact.  For each snap denominator D in turn,
-    vec is snapped with exactify_vector(vec, max_denominator=D); the sign
-    constraints of the side that are equalities, or inequalities within
-    _REPAIR_TIGHT of zero, are collected, and the snapped vector is
-    projected exactly onto their null space, which makes each of them hold
-    with equality.  The result, scaled to coprime integers, is returned as
-    floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
-    verify_certificate_exact.  The elimination runs in Fraction arithmetic,
-    cubic in the number of constraints, so a problem that repair_fits
-    refuses raises ValueError.
+    as in verify_certificate_exact.  The sign constraints of the side that
+    are equalities, or inequalities within _REPAIR_TIGHT of zero at vec,
+    are collected, and an integer basis of their null space is found in
+    exact arithmetic.  vec's least-squares coordinates in that basis are
+    snapped with exactify_vector(., max_denominator=D) for each snap
+    denominator D in turn, so every candidate meets the collected
+    constraints with equality.  A candidate, scaled to coprime integers, is
+    returned as floats if its largest entry is at most _REPAIR_MAX_ENTRY
+    and it passes verify_certificate_exact.  The elimination runs in
+    Fraction arithmetic, cubic in the number of constraints, so a problem
+    that repair_fits refuses raises ValueError.
     """
     if side not in ("primal", "dual"):
         raise ValueError(f"unknown certificate side {side!r}")
     if not repair_fits(p):
         raise ValueError(f"too large for the exact repair: {p.m} x {p.n}")
-    if not np.any(np.asarray(vec, dtype=np.float64)):
+    vec = np.asarray(vec, dtype=np.float64)
+    if not np.any(vec):
         return None
     eqs, ineqs = _sign_constraints(p, side)
-    size = [max(abs(c) for c in row.values()) if row else 0 for row in ineqs]
+    v = [Fraction(float(x)) for x in vec]
+    vmax = max(abs(f) for f in v)
+    tight = [
+        row
+        for row in ineqs
+        if row
+        and abs(_dot(row, v)) <= _REPAIR_TIGHT * max(map(abs, row.values())) * vmax
+    ]
+    basis = _null_basis(eqs + tight, len(v))
+    if not basis:
+        return None
+    coords = np.linalg.lstsq(np.array(basis, dtype=np.float64).T, vec, rcond=None)[0]
     for den in _REPAIR_DENOMINATORS:
-        v = exactify_vector(vec, max_denominator=den)
-        vmax = max(abs(f) for f in v)
-        tight = [
-            row
-            for row, big in zip(ineqs, size)
-            if abs(_dot(row, v)) <= _REPAIR_TIGHT * big * vmax
-        ]
-        fixed = _project(v, eqs + tight)
+        coef = exactify_vector(coords, max_denominator=den)
+        fixed = [sum(c * b[j] for c, b in zip(coef, basis)) for j in range(len(v))]
         if not any(fixed):
             continue
         ints = _coprime_integers(fixed)

@@ -26,8 +26,10 @@ __all__ = [
     "OperatorNormEstimate",
     "MNorm",
     "SolverError",
+    "SupportProjection",
     "max0",
     "opnorm_estimate",
+    "support_projection",
 ]
 
 # Matrices with at most this many entries (m * n) are worked on dense: one
@@ -303,3 +305,39 @@ class MNorm:
         )
         return np.sqrt(np.maximum(q, 0.0))
 
+
+@dataclass(slots=True)
+class SupportProjection:
+    """What one Gram decomposition of a support block K gives, for the
+    block's costs c and right-hand side b (see support_projection)."""
+
+    null_c: np.ndarray  # P_null(K) c
+    null_b: np.ndarray  # P_null(K') b
+    x: np.ndarray  # K'G+ b: the least-norm x minimizing ||K x - b||
+    w: np.ndarray  # G+ K c: the least-norm w minimizing ||K'w - c||
+
+
+def support_projection(k, c: np.ndarray, b: np.ndarray) -> SupportProjection:
+    """Project c and b onto the null spaces of K and K' for a dense or
+    scipy-sparse block K, from one eigendecomposition of G = K K'.
+
+    Eigenvalues up to lambda_max * max(K.shape) * machine epsilon count as
+    zero, so G+ is the pseudo-inverse on the numerical range of K.  Each
+    vector takes at most one product with K or K'; a sparse K stays sparse
+    and only G, of order K.shape[0], is made dense.
+    """
+    g = k @ k.T
+    if sp.issparse(g):
+        g = g.toarray()
+    lam, u = np.linalg.eigh(g)
+    cut = lam[-1] * max(k.shape) * np.finfo(np.float64).eps if lam.size else 0.0
+    keep = lam > cut
+    lam, u = lam[keep], u[:, keep]
+    w = u @ ((u.T @ (k @ c)) / lam)
+    ub = u.T @ b
+    return SupportProjection(
+        null_c=c - k.T @ w,
+        null_b=b - u @ ub,
+        x=k.T @ (u @ (ub / lam)),
+        w=w,
+    )

@@ -59,20 +59,34 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
             "check_standard_farkas",
         )
     }
+    # id(candidate) -> (candidate, its fresh twin); holding the candidate
+    # keeps its id from being reused.
     fresh = {}
     counts = {"candidates": 0, "reports": 0}
 
     def extract_both(state, kind, problem=None, products=None, masks=None):
         cand = extract(state, kind, problem, products, masks)
         assert cand.ax is not None and cand.aty is not None
-        fresh[id(cand)] = extract(state, kind, problem)
+        fresh[id(cand)] = (cand, extract(state, kind, problem))
         counts["candidates"] += 1
         return cand
+
+    def fresh_twin(cand, p):
+        if id(cand) not in fresh:
+            # The support candidate does not come from extract; its twin
+            # has the same parts and takes its products from p.
+            assert cand.kind is certs.CandidateKind.SUPPORT
+            assert cand.ax is not None and cand.aty is not None
+            problem = p if isinstance(p, GeneralFormLp) else None
+            twin = certs.candidate(cand.kind, cand.k, cand.x_part, cand.y_part, problem)
+            fresh[id(cand)] = (cand, twin)
+            counts["candidates"] += 1
+        return fresh[id(cand)][1]
 
     def compared(check):
         def wrapper(cand, p, eps, *args):
             got = check(cand, p, eps, *args)
-            want = check(fresh[id(cand)], p, eps)
+            want = check(fresh_twin(cand, p), p, eps)
             pairs = zip(got, want) if isinstance(got, tuple) else [(got, want)]
             for g, w in pairs:
                 _same_report(g, w)
@@ -126,11 +140,16 @@ def test_check_costs_five_products(p, monkeypatch):
     cfg = PdhgConfig(max_iters=400, eps=1e-300, kkt_tol=1e-300, check_interval=40)
     out = run(p, cfg)
     checks = len({t.k for t in out.trace})
-    assert checks > 1
+    projections = sum(t.seq == "support" for t in out.trace)
+    assert checks > 1 and projections >= 1
     # Each step makes two products.  Each check makes six, and the step
     # after it reuses one (A'y^k), so a check costs five; the last check
-    # has no step after it.
-    assert counts["products"] == 2 * out.iterations + 5 * checks + 1
+    # has no step after it.  A support projection works on its own copy of
+    # the support block; its candidate and its polished point then take one
+    # product per side each.
+    assert counts["products"] == (
+        2 * out.iterations + 5 * checks + 1 + 4 * projections
+    )
 
 
 def test_general_apply_bitwise_equals_clip():

@@ -227,16 +227,29 @@ class TestRepairCertificate:
         fixed = repair_certificate(bad, p, "primal")
         assert np.array_equal(fixed, [89.0, 97.0])
 
-    def test_projection_zeroes_the_rows_exactly(self):
-        v = [Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11)]
+    def test_null_basis_spans_the_null_space_exactly(self):
         rows = [{0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}, {2: Fraction(3)}]
-        out = exact._project(v, rows)
-        for row in rows:
-            assert sum(c * out[j] for j, c in row.items()) == 0
-        # Orthogonal: v - out = lam1 (1, -2, 1) + lam2 (0, 0, 3), so its
-        # first two entries stand in the ratio 1 : -2.
-        d = [a - b for a, b in zip(v, out)]
-        assert d[0] != 0 and d[1] == -2 * d[0]
+        assert exact._null_basis(rows, 3) == [[2, 1, 0]]
+        # Three unknowns, rank 1: two integer vectors that zero the row.
+        row = {0: Fraction(4), 1: Fraction(-16), 2: Fraction(10)}
+        basis = exact._null_basis([row], 3)
+        assert len(basis) == 2
+        for b in basis:
+            assert all(isinstance(i, int) for i in b)
+            assert 4 * b[0] - 16 * b[1] + 10 * b[2] == 0
+        assert exact._null_basis([], 2) == [[1, 0], [0, 1]]
+
+    def test_two_dimensional_null_space_gives_small_integers(self):
+        # Columns 0 and 2 are opposite, so A'y >= 0 holds with equality on
+        # both and leaves a plane of candidates; a snap of y followed by a
+        # projection onto that plane gives entries past 1e9.
+        rng = np.random.default_rng([5, 29])
+        p = demos.random_cell_instance("both_infeasible", rng)
+        out = pdhg.run(p)
+        rep = out.primal_certificate
+        assert rep.exact is True
+        assert np.max(np.abs(rep.vector)) <= 1e9
+        assert verify_certificate_exact(rep.vector, p, "primal").valid
 
     @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0 / 3.0, 1e-6, 123456.789])
     @pytest.mark.parametrize("p,side,vec", VALID)
@@ -275,6 +288,43 @@ class TestRepairCertificate:
         monkeypatch.setattr(exact, "repair_certificate", lambda vec, p, side: None)
         p = demos.std_primal_infeasible()
         out = pdhg.run(p)
+        rep = out.primal_certificate
+        assert rep.exact == verify_certificate_exact(rep.vector, p, "primal").valid
+
+    def test_integer_data(self):
+        assert exact.integer_data(demos.example1(1.0, 2.0))
+        assert exact.integer_data(demos.std_both_infeasible())
+        p = demos.example1(1.0, 2.0)
+        p.l = np.array([-np.inf, 0.0, -3.0])  # infinite bounds do not count
+        assert exact.integer_data(p)
+        p.u = np.array([np.inf, 0.5, np.inf])
+        assert not exact.integer_data(p)
+        q = demos.std_primal_infeasible()
+        q.c = q.c * 0.1
+        assert not exact.integer_data(q)
+
+    def test_non_integer_data_skips_the_fraction_loop(self, monkeypatch):
+        # 6 x 9, boxed in [0, 1], non-integer float data: row 0 asks for
+        # more than the box allows, so the problem is primal infeasible.
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.1, 1.3, (6, 9))
+        b = 0.5 * a.sum(axis=1)
+        b[0] = a[0].sum() + 0.5
+        p = GeneralFormLp(
+            rng.uniform(-1.0, 1.0, 9),
+            SparseMatrix.from_dense(a),
+            b,
+            np.zeros(9),
+            np.ones(9),
+        )
+        assert exact.repair_fits(p) and not exact.integer_data(p)
+
+        def refuse(vec, p, side):
+            raise AssertionError("the Fraction loop ran on non-integer data")
+
+        monkeypatch.setattr(exact, "repair_certificate", refuse)
+        out = pdhg.run(p)
+        assert out.status is pdhg.SolveStatus.PRIMAL_INFEASIBLE
         rep = out.primal_certificate
         assert rep.exact == verify_certificate_exact(rep.vector, p, "primal").valid
 

@@ -18,8 +18,8 @@ from pdhglp.identify import (
     shift_identity_residual,
     verify_rate_regimes,
 )
-from pdhglp.linalg import SparseMatrix, StepSizes
-from pdhglp.model import StandardFormLp, validate
+from pdhglp.linalg import SparseMatrix, StepSizes, support_projection
+from pdhglp.model import StandardFormLp, to_standard_form, validate
 from pdhglp.pdhg import StandardFormOperator
 
 # Displacement of the both-infeasible desk instance, frozen from an
@@ -308,6 +308,34 @@ class TestAffinePhase:
         np.testing.assert_allclose(
             step_out, phase.z_star_pred + phase.v_pred, atol=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            demos.std_primal_infeasible(),
+            demos.std_dual_infeasible(),
+            demos.std_both_infeasible(),
+        ]
+        + [
+            to_standard_form(demos.example1(alpha, beta))[0]
+            for alpha, beta in ((1.0, 2.0), (0.0, 2.0), (1.0, 1.0))
+        ],
+        ids=["std-primal", "std-dual", "std-both", "ex1(1,2)", "ex1(0,2)", "ex1(1,1)"],
+    )
+    def test_v_pred_equals_the_support_projection(self, p):
+        # The support as the analysis freezes it: the columns off the
+        # active set of the last point of a 2000-step trajectory.
+        p, steps, _ = _setup(p)
+        pts = _trajectory(p, steps, 2000)
+        support = sorted(set(range(p.n)) - active_set(pts[-1][: p.n]))
+        phase = affine_phase(p, steps, support)
+        a_s = p.a.to_dense()[:, support]
+        proj = support_projection(a_s, p.c[support], p.b)
+        v_x = np.zeros(p.n)
+        v_x[support] = -steps.eta * proj.null_c
+        want = np.concatenate([v_x, -steps.tau * proj.null_b])
+        np.testing.assert_allclose(phase.v_pred, want, rtol=0.0, atol=1e-10)
+        assert np.any(want != 0.0)
 
     def test_empty_support(self):
         p, steps, _ = _setup(demos.std_both_infeasible())

@@ -126,6 +126,15 @@ class TestTraceCsv:
         # None scaled_err serializes as an empty field
         assert lines[2].split(",")[2] == ""
 
+    def test_round_trip_of_a_run_with_a_support_row(self, tmp_path):
+        out = run(demos.std_primal_infeasible())
+        support = [r for r in out.trace if r.seq == "support"]
+        # One projection, at a check whose pattern held since the last one.
+        assert len(support) == 1 and not support[0].active_changed
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.trace, path)
+        assert read_trace_csv(path) == out.trace
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -201,6 +210,14 @@ class TestCliSolve:
         certified = [s for s in capsys.readouterr().out.splitlines() if "certified" in s]
         assert len(certified) == 2
         assert all(s.endswith(") exact") for s in certified)
+
+    def test_support_certificates_are_named(self, capsys):
+        # ex1(1,2)'s active pattern holds from k=40 to k=80, and the
+        # projection at k=80 certifies both sides.
+        cli.main(["solve", "--demo", "ex1", "--alpha", "1", "--beta", "2"])
+        certified = [s for s in capsys.readouterr().out.splitlines() if "certified" in s]
+        assert len(certified) == 2
+        assert all("certified by support at k=80 " in s for s in certified)
 
     def test_ex1_knobs(self, capsys):
         code = cli.main(["solve", "--demo", "ex1", "--alpha", "1", "--beta", "2"])

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
+from pdhglp.linalg import (
+    MNorm,
+    SparseMatrix,
+    StepSizes,
+    opnorm_estimate,
+    support_projection,
+)
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
 
@@ -175,3 +181,31 @@ class TestMNorm:
         assert MNorm(a, steps)(np.array([2.0]), np.array([0.0])) == pytest.approx(
             np.sqrt(8.0)
         )
+
+
+class TestSupportProjection:
+    @pytest.mark.parametrize("shape,rank", [((4, 7), 4), ((6, 5), 5), ((5, 8), 3)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_against_pinv(self, shape, rank, sparse):
+        rng = np.random.default_rng(sum(shape) + rank)
+        k = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        c = rng.standard_normal(shape[1])
+        b = rng.standard_normal(shape[0])
+        proj = support_projection(sp.csr_matrix(k) if sparse else k, c, b)
+        pinv = np.linalg.pinv(k)
+        np.testing.assert_allclose(proj.null_c, c - pinv @ (k @ c), atol=1e-10)
+        np.testing.assert_allclose(proj.null_b, b - k @ (pinv @ b), atol=1e-10)
+        np.testing.assert_allclose(proj.x, pinv @ b, atol=1e-10)
+        np.testing.assert_allclose(proj.w, pinv.T @ c, atol=1e-10)
+        np.testing.assert_allclose(k @ proj.null_c, 0.0, atol=1e-10)
+        np.testing.assert_allclose(k.T @ proj.null_b, 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (2, 3)])
+    def test_empty_and_zero_blocks(self, shape):
+        k = np.zeros(shape)
+        c, b = np.arange(shape[1]) + 1.0, np.arange(shape[0]) + 1.0
+        proj = support_projection(k, c, b)
+        np.testing.assert_array_equal(proj.null_c, c)
+        np.testing.assert_array_equal(proj.null_b, b)
+        np.testing.assert_array_equal(proj.x, np.zeros(shape[1]))
+        np.testing.assert_array_equal(proj.w, np.zeros(shape[0]))
