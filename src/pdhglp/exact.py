@@ -9,6 +9,14 @@ epigraph projection, exact verification of floating-point certificates,
 and an exact repair that turns an eps-accurate certificate into an integer
 one that passes that verification.
 
+The certificate conditions are stated once, as the oracle's systems: a
+primal-infeasibility certificate is a ray of the dual feasible set
+(_dual_system) and a dual-infeasibility certificate a ray of the primal
+feasible set (_primal_system).  So verification tests the cone rows of
+that system, its rows with the right-hand side dropped, plus one
+certificate objective, and the repair takes its tight rows from the same
+list, keeping opposite pairs of rows as equalities.
+
 Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
 MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
 columns (repair_fits), since Fraction arithmetic grows fast with the size.
@@ -46,10 +54,17 @@ __all__ = [
 MAX_VARIABLES = 12
 MAX_CONSTRAINTS = 60
 _MAX_INTERMEDIATE_ROWS = 50_000
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
-    # Fraction(float) is exact for the stored binary value.
+    # Fraction(float) is exact for the stored binary value.  Zero floats
+    # share one object and other integral ones go through int, Fraction's
+    # fast path.
+    if isinstance(x, float):
+        if not x:
+            return _ZERO
+        return Fraction(int(x)) if x.is_integer() else Fraction(x)
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -69,7 +84,7 @@ class ExactLp:
         self.rhs.append(_frac(b))
 
     def add_ge(self, coeffs: Sequence, b) -> None:
-        self.add_le([-_frac(v) for v in coeffs], -_frac(b))
+        self.add_le([-v for v in coeffs], -b)
 
     def add_eq(self, coeffs: Sequence, b) -> None:
         self.add_le(coeffs, b)
@@ -248,22 +263,19 @@ def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
 
 
 def _primal_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
-    a = p.a.to_dense()
+    a = p.a.to_dense().tolist()
     if isinstance(p, StandardFormLp):
         sys = ExactLp(p.n)
         for r in range(p.m):
             sys.add_eq(a[r], p.b[r])
         for i in range(p.n):
-            e = [Fraction(0)] * p.n
-            e[i] = Fraction(1)
-            sys.add_ge(e, 0)
+            sys.add_ge([float(j == i) for j in range(p.n)], 0)
         return sys
     sys = ExactLp(p.n)
     for r in range(p.m):
         sys.add_ge(a[r], p.b[r])
     for i in range(p.n):
-        e = [Fraction(0)] * p.n
-        e[i] = Fraction(1)
+        e = [float(j == i) for j in range(p.n)]
         if np.isfinite(p.l[i]):
             sys.add_ge(e, p.l[i])
         if np.isfinite(p.u[i]):
@@ -272,18 +284,18 @@ def _primal_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
 
 
 def _dual_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
-    at = p.a.to_dense().T
+    """The dual feasible set in the iteration's sign convention: A'y + c >= 0
+    in standard form (see pdhg.kkt_residual), and in general form y >= 0
+    with the sign of r = c - A'y that each bound kind allows."""
+    at = p.a.to_dense().T.tolist()
     sys = ExactLp(p.m)
     if isinstance(p, StandardFormLp):
         for i in range(p.n):
-            sys.add_le(at[i], p.c[i])
+            sys.add_ge(at[i], -p.c[i])
         return sys
-    # General form: y >= 0 and sign conditions on r = c - A'y per bound kind.
     masks = p.kind_masks()
     for r in range(p.m):
-        e = [Fraction(0)] * p.m
-        e[r] = Fraction(1)
-        sys.add_ge(e, 0)
+        sys.add_ge([float(j == r) for j in range(p.m)], 0)
     for i in range(p.n):
         if masks.free[i]:
             sys.add_eq(at[i], p.c[i])
@@ -388,140 +400,117 @@ class ExactCheck:
     reasons: tuple[str, ...] = ()
 
 
+_SparseRow = dict[int, int]
+
+
+def _cone_rows(p: StandardFormLp | GeneralFormLp, side: str) -> list[_SparseRow]:
+    """The rows g with g'v <= 0 on every certificate v of the side.
+
+    A "primal" certificate (of primal infeasibility) is a ray y of the dual
+    feasible set and a "dual" one a ray d of the primal feasible set, so
+    these are the rows of _dual_system or _primal_system with the
+    right-hand side dropped.  Each is scaled to integers by the lcm of its
+    denominators, which keeps every sign, and stored by its nonzero
+    entries.  A row whose negation is also a row makes an equality: A'y = 0
+    on free columns, Ad = 0 in standard form, d = 0 on boxed variables.
+    """
+    sys = _dual_system(p) if side == "primal" else _primal_system(p)
+    rows = []
+    for row in sys.rows:
+        nz = [(j, c.numerator, c.denominator) for j, c in enumerate(row) if c]
+        den = math.lcm(*(d for _, _, d in nz))
+        rows.append({j: num * (den // d) for j, num, d in nz})
+    return rows
+
+
+def _check_side(vec: np.ndarray, p: StandardFormLp | GeneralFormLp, side: str) -> None:
+    """Raise ValueError for an unknown side, or unless vec has the length of
+    a certificate of the side: m for "primal", n for "dual"."""
+    if side not in ("primal", "dual"):
+        raise ValueError(f"unknown certificate side {side!r}")
+    want = p.m if side == "primal" else p.n
+    if len(vec) != want:
+        raise ValueError(f"a {side} certificate has length {want}, got {len(vec)}")
+
+
+def _dot(row: _SparseRow, v: Sequence[int]) -> int:
+    return sum(c * v[j] for j, c in row.items())
+
+
+def _exact_dot(values: Sequence[float], v: Sequence[int]) -> Fraction:
+    """sum(values[j] * v[j]) exactly for float values and integer v, in
+    integers over the largest denominator, a power of two."""
+    terms = [(float(x).as_integer_ratio(), vj) for x, vj in zip(values, v) if x and vj]
+    den = max((d for (_, d), _ in terms), default=1)
+    return Fraction(sum(n * (den // d) * vj for (n, d), vj in terms), den)
+
+
+def _objective(p: StandardFormLp | GeneralFormLp, side: str, v: list[int]) -> Fraction:
+    """The certificate objective, positive on every certificate of the
+    side: -c'd for "dual"; for "primal", -b'y in standard form and
+    b'y + l'r+ - u'r- with r = -A'y over the finite bounds in general form."""
+    if side == "dual":
+        return -_exact_dot(p.c, v)
+    obj = _exact_dot(p.b, v)
+    if isinstance(p, StandardFormLp):
+        return -obj
+    for col, lo, hi in zip(p.a.to_dense().T.tolist(), p.l.tolist(), p.u.tolist()):
+        r = -_exact_dot(col, v)
+        if r > 0 and math.isfinite(lo):
+            obj += _frac(lo) * r
+        elif r < 0 and math.isfinite(hi):
+            obj += _frac(hi) * r
+    return obj
+
+
+def _check(
+    v: list[Fraction], p: StandardFormLp | GeneralFormLp, side: str, rows: list[_SparseRow]
+) -> ExactCheck:
+    """The exact test of v against the side's cone rows and objective, on
+    v scaled to coprime integers."""
+    if not any(v):
+        return ExactCheck(False, ("certificate is zero",))
+    v = _coprime_integers(v)
+    system = "dual" if side == "primal" else "primal"
+    reasons = [
+        f"g'v > 0 on row {i} of the {system} system"
+        for i, row in enumerate(rows)
+        if _dot(row, v) > 0
+    ]
+    if not _objective(p, side, v) > 0:
+        reasons.append("certificate objective is not positive")
+    return ExactCheck(not reasons, tuple(reasons))
+
+
 def verify_certificate_exact(
     cert: np.ndarray, p: StandardFormLp | GeneralFormLp, kind: str
 ) -> ExactCheck:
-    """Exact sign checks of a snapped float certificate.
+    """Exact test of a snapped float certificate (exactify_vector).
 
-    kind "primal" verifies a primal-infeasibility certificate (a dual ray),
-    kind "dual" a dual-infeasibility certificate (a primal ray).
+    kind "primal" verifies a primal-infeasibility certificate, a dual ray y
+    of length m; kind "dual" a dual-infeasibility certificate, a primal ray
+    d of length n.  It holds when g'v <= 0 on every row of _cone_rows and
+    the certificate objective (_objective) is positive.  An unknown kind or
+    a vector of another length raises ValueError.
     """
-    if kind not in ("primal", "dual"):
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    vec = exactify_vector(cert)
-    reasons: list[str] = []
-    a = p.a.to_dense()
-    if all(v == 0 for v in vec):
-        return ExactCheck(False, ("certificate is zero",))
-
-    if isinstance(p, StandardFormLp):
-        if kind == "primal":
-            aty = [sum(_frac(a[r][i]) * vec[r] for r in range(p.m)) for i in range(p.n)]
-            if any(v < 0 for v in aty):
-                reasons.append("A'y has a negative component")
-            bty = sum(_frac(p.b[r]) * vec[r] for r in range(p.m))
-            if not bty < 0:
-                reasons.append("b'y is not negative")
-        else:
-            if any(v < 0 for v in vec):
-                reasons.append("ray has a negative component")
-            ax = [sum(_frac(a[r][i]) * vec[i] for i in range(p.n)) for r in range(p.m)]
-            if any(v != 0 for v in ax):
-                reasons.append("Ax is not zero")
-            ctx = sum(_frac(p.c[i]) * vec[i] for i in range(p.n))
-            if not ctx < 0:
-                reasons.append("c'x is not negative")
-        return ExactCheck(not reasons, tuple(reasons))
-
-    masks = p.kind_masks()
-    if kind == "primal":
-        if any(v < 0 for v in vec):
-            reasons.append("y has a negative component")
-        aty = [sum(_frac(a[r][i]) * vec[r] for r in range(p.m)) for i in range(p.n)]
-        # r = -A'y must respect the signs that keep the ray objective finite.
-        obj = sum(_frac(p.b[r]) * vec[r] for r in range(p.m))
-        for i in range(p.n):
-            r_i = -aty[i]
-            if masks.free[i]:
-                if r_i != 0:
-                    reasons.append(f"free variable {i} has nonzero reduced cost")
-            elif masks.lower[i]:
-                if r_i < 0:
-                    reasons.append(f"lower-bounded variable {i} has negative reduced cost")
-                else:
-                    obj += _frac(p.l[i]) * r_i
-            elif masks.upper[i]:
-                if r_i > 0:
-                    reasons.append(f"upper-bounded variable {i} has positive reduced cost")
-                else:
-                    obj += _frac(p.u[i]) * r_i
-            else:
-                obj += _frac(p.l[i]) * max(r_i, Fraction(0))
-                obj -= _frac(p.u[i]) * max(-r_i, Fraction(0))
-        if not obj > 0:
-            reasons.append("ray objective is not positive")
-    else:
-        ax = [sum(_frac(a[r][i]) * vec[i] for i in range(p.n)) for r in range(p.m)]
-        if any(v < 0 for v in ax):
-            reasons.append("Ad has a negative component")
-        for i in range(p.n):
-            if masks.boxed[i] and vec[i] != 0:
-                reasons.append(f"boxed variable {i} moves along the ray")
-            elif masks.lower[i] and vec[i] < 0:
-                reasons.append(f"lower-bounded variable {i} decreases along the ray")
-            elif masks.upper[i] and vec[i] > 0:
-                reasons.append(f"upper-bounded variable {i} increases along the ray")
-        ctd = sum(_frac(p.c[i]) * vec[i] for i in range(p.n))
-        if not ctd < 0:
-            reasons.append("c'd is not negative")
-    return ExactCheck(not reasons, tuple(reasons))
+    _check_side(cert, p, kind)
+    return _check(exactify_vector(cert), p, kind, _cone_rows(p, kind))
 
 
 # Snap denominators repair_certificate tries, coarsest first.
 _REPAIR_DENOMINATORS = (10, 10**2, 10**3, 10**4, 10**5, 10**6, 10**9)
-# A sign constraint is tight for the repair when its exact value is within
-# this multiple of ||row||_inf * ||v||_inf of zero.
-_REPAIR_TIGHT = 1e-7
+# A cone row is tight for the repair when its exact value is within this
+# multiple of ||row||_inf * ||v||_inf of zero.
+_REPAIR_TIGHT = Fraction(1, 10**7)
 # Largest entry of a repaired certificate: a float holds it exactly, and
 # exactify_vector's snap of it is the identity at desk sizes.
 _REPAIR_MAX_ENTRY = 10**9
 # Most rows and most columns of a problem the repair takes on.  A side has
-# at most m + n sign constraints, so the elimination stays within 24 rows.
+# at most m + 2n or 2m + n cone rows, so the elimination stays within 36.
 # On one Xeon core, a certificate of a dense 12 x 12 LP with integer data
 # takes about 0.01 s to repair; at 60 x 12 the Fraction arithmetic took
 # 2.5-3.5 s with integer data and 15-18 s without.
 REPAIR_MAX_DIM = MAX_VARIABLES
-
-_SparseRow = dict[int, Fraction]
-
-
-def _sign_constraints(
-    p: StandardFormLp | GeneralFormLp, side: str
-) -> tuple[list[_SparseRow], list[_SparseRow]]:
-    """(equalities, inequalities) on a certificate of the given side, as
-    rows over its entries: the sign conditions verify_certificate_exact
-    tests, without the objective.  An inequality's direction does not
-    matter here, only its row."""
-    a = p.a.to_dense()
-
-    def line(values) -> _SparseRow:
-        return {j: Fraction(float(v)) for j, v in enumerate(values) if v != 0.0}
-
-    def unit(j: int) -> _SparseRow:
-        return {j: Fraction(1)}
-
-    cols = [line(a[:, i]) for i in range(p.n)]
-    if isinstance(p, StandardFormLp):
-        if side == "primal":  # A'y >= 0
-            return [], cols
-        # Ax = 0, x >= 0
-        return [line(a[r]) for r in range(p.m)], [unit(i) for i in range(p.n)]
-    masks = p.kind_masks()
-    if side == "primal":
-        # y >= 0; A'y = 0 on free columns, one-signed on one-sided ones.
-        eqs = [cols[i] for i in range(p.n) if masks.free[i]]
-        ineqs = [unit(r) for r in range(p.m)]
-        ineqs += [cols[i] for i in range(p.n) if masks.lower[i] or masks.upper[i]]
-        return eqs, ineqs
-    # Ad >= 0; d = 0 on boxed variables, one-signed on one-sided ones.
-    eqs = [unit(i) for i in range(p.n) if masks.boxed[i]]
-    ineqs = [line(a[r]) for r in range(p.m)]
-    ineqs += [unit(i) for i in range(p.n) if masks.lower[i] or masks.upper[i]]
-    return eqs, ineqs
-
-
-def _dot(row: _SparseRow, v: Sequence[Fraction]) -> Fraction:
-    return sum((c * v[j] for j, c in row.items()), Fraction(0))
 
 
 def _coprime_integers(v: list[Fraction]) -> list[int]:
@@ -536,7 +525,7 @@ def _null_basis(rows: list[_SparseRow], n: int) -> list[list[int]]:
     """Integer vectors spanning {v : row'v = 0 for every row} over the
     rationals: one per free column of the rows' reduced echelon form, found
     by exact Gauss-Jordan elimination."""
-    mat = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
+    mat = [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]
     pivots: list[int] = []
     for col in range(n):
         top = len(pivots)
@@ -571,10 +560,10 @@ def integer_data(p: StandardFormLp | GeneralFormLp) -> bool:
     """Whether every entry of A, b and c and every finite bound of p is an
     integer, a cheap test that repair_certificate may succeed.
 
-    On non-integer float data the sign constraints hold Fraction(float)
-    entries with denominators near 2**52, so the integer vectors the repair
-    builds from them exceed _REPAIR_MAX_ENTRY; on dense 6 x 9 and 12 x 12
-    LPs it repaired none of 12 certificates and spent 0.06-0.35 s on each.
+    On non-integer float data the cone rows hold entries with denominators
+    near 2**52, so the integer vectors the repair builds from them exceed
+    _REPAIR_MAX_ENTRY; on dense 6 x 9 and 12 x 12 LPs it repaired none of
+    12 certificates and spent 0.06-0.35 s on each.
     """
     parts = [p.a.csr.data, p.b, p.c]
     if isinstance(p, GeneralFormLp):
@@ -589,35 +578,40 @@ def repair_certificate(
     verify_certificate_exact on p, or None when none is found.
 
     side is "primal" (vec is a dual ray) or "dual" (vec is a primal ray),
-    as in verify_certificate_exact.  The sign constraints of the side that
-    are equalities, or inequalities within _REPAIR_TIGHT of zero at vec,
-    are collected, and an integer basis of their null space is found in
-    exact arithmetic.  vec's least-squares coordinates in that basis are
-    snapped with exactify_vector(., max_denominator=D) for each snap
-    denominator D in turn, so every candidate meets the collected
-    constraints with equality.  A candidate, scaled to coprime integers, is
-    returned as floats if its largest entry is at most _REPAIR_MAX_ENTRY
-    and it passes verify_certificate_exact.  The elimination runs in
-    Fraction arithmetic, cubic in the number of constraints, so a problem
-    that repair_fits refuses raises ValueError.
+    as in verify_certificate_exact.  The side's cone rows that come in
+    opposite pairs (equalities), or that are within _REPAIR_TIGHT of zero
+    at vec, are collected, and an integer basis of their null space is
+    found in exact arithmetic.  vec's least-squares coordinates in that
+    basis are snapped with exactify_vector(., max_denominator=D) for each
+    snap denominator D in turn, so every candidate meets the collected rows
+    with equality.  A candidate, scaled to coprime integers, is returned as
+    floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
+    verify_certificate_exact.  The elimination runs in Fraction arithmetic,
+    cubic in the number of rows, so a problem that repair_fits refuses
+    raises ValueError, as do an unknown side and a vector of another
+    length.
     """
-    if side not in ("primal", "dual"):
-        raise ValueError(f"unknown certificate side {side!r}")
+    _check_side(vec, p, side)
     if not repair_fits(p):
         raise ValueError(f"too large for the exact repair: {p.m} x {p.n}")
     vec = np.asarray(vec, dtype=np.float64)
     if not np.any(vec):
         return None
-    eqs, ineqs = _sign_constraints(p, side)
-    v = [Fraction(float(x)) for x in vec]
-    vmax = max(abs(f) for f in v)
-    tight = [
-        row
-        for row in ineqs
-        if row
-        and abs(_dot(row, v)) <= _REPAIR_TIGHT * max(map(abs, row.values())) * vmax
-    ]
-    basis = _null_basis(eqs + tight, len(v))
+    rows = _cone_rows(p, side)
+    v = _coprime_integers([Fraction(float(x)) for x in vec])
+    vmax = max(map(abs, v))
+    keys = {tuple(row.items()) for row in rows}
+    # One row per equation: g and -g give the same one.
+    tight: dict[tuple, _SparseRow] = {}
+    for row in rows:
+        key = tuple(row.items())
+        neg = tuple((j, -c) for j, c in key)
+        if row and (
+            neg in keys
+            or abs(_dot(row, v)) <= _REPAIR_TIGHT * max(map(abs, row.values())) * vmax
+        ):
+            tight.setdefault(max(key, neg), row)
+    basis = _null_basis(list(tight.values()), len(v))
     if not basis:
         return None
     coords = np.linalg.lstsq(np.array(basis, dtype=np.float64).T, vec, rcond=None)[0]
@@ -630,6 +624,6 @@ def repair_certificate(
         if max(abs(i) for i in ints) > _REPAIR_MAX_ENTRY:
             continue
         out = np.array(ints, dtype=np.float64)
-        if verify_certificate_exact(out, p, side).valid:
+        if _check(exactify_vector(out), p, side, rows).valid:
             return out
     return None

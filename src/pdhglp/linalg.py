@@ -124,12 +124,6 @@ class SparseMatrix:
             self._csr_t = self.csr.T.tocsr()
         return self._csr_t
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.csr.T.tocsr())
-
-    def take_columns(self, idx: np.ndarray) -> "SparseMatrix":
-        return SparseMatrix(self.csr[:, np.asarray(idx, dtype=np.int64)].tocsr())
-
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 

@@ -147,7 +147,9 @@ class _OperatorBase:
 
     apply(x, y, aty=None) takes A'y precomputed when the caller has it (the
     solve loop's check computes it for its own use); the product is the
-    same either way, so the step is too.
+    same either way, so the step is too.  matrix is A in the storage the
+    products use: a dense array up to linalg.DENSE_LIMIT entries, the CSR
+    matrix above it.
     """
 
     coupling_sign = 1
@@ -158,17 +160,14 @@ class _OperatorBase:
         m, n = a.shape
         self.n = n
         self.m = m
-        # Dense BLAS up to linalg.DENSE_LIMIT entries, CSR above it.
         if m * n <= linalg.DENSE_LIMIT:
-            dense = a.to_dense()
-            dense_t = np.ascontiguousarray(dense.T)
-            self._mat = lambda v: dense @ v
-            self._rmat = lambda v: dense_t @ v
+            mat = a.to_dense()
+            mat_t = np.ascontiguousarray(mat.T)
         else:
-            csr = a.csr
-            csr_t = a.transposed_csr()
-            self._mat = lambda v: csr @ v
-            self._rmat = lambda v: csr_t @ v
+            mat, mat_t = a.csr, a.transposed_csr()
+        self.matrix = mat
+        self._mat = lambda v: mat @ v
+        self._rmat = lambda v: mat_t @ v
         self._m_norm: MNorm | None = None
 
     def m_norm(self) -> MNorm:
@@ -471,6 +470,20 @@ def _repair(
         rep.r = clip_to_dual_signs(-p.a.rmatvec(fixed), masks)
 
 
+def _infeasibility_verdict(
+    best_primal: certs.CertCheckReport | None,
+    best_dual: certs.CertCheckReport | None,
+) -> SolveStatus | None:
+    """The infeasible status the certificates in hand support, or None."""
+    if best_primal is not None and best_dual is not None:
+        return SolveStatus.BOTH_INFEASIBLE
+    if best_primal is not None:
+        return SolveStatus.PRIMAL_INFEASIBLE
+    if best_dual is not None:
+        return SolveStatus.DUAL_INFEASIBLE
+    return None
+
+
 def _support_point(
     ps: StandardFormLp | GeneralFormLp,
     a,
@@ -586,8 +599,6 @@ def run(
     t_start = time.perf_counter()
     prev_pattern = active_pattern(ps, state.x, state.y)
     projected: set[bytes] = set()  # the patterns already projected
-    # The scaled matrix in the operator's storage, for the projections.
-    a_store = ps.a.to_dense() if ps.m * ps.n <= linalg.DENSE_LIMIT else ps.a.csr
     polished: tuple | None = None  # (x, y, r, kkt) of a polish that passed
     best_primal: certs.CertCheckReport | None = None
     best_dual: certs.CertCheckReport | None = None
@@ -640,7 +651,7 @@ def run(
         ):
             # The pattern held since the last check and is new: project once.
             projected.add(key)
-            point = _support_point(ps, a_store, state.x, pattern)
+            point = _support_point(ps, op.matrix, state.x, pattern)
             if point is not None:
                 d, w, x_opt, y_opt = point
                 cands.append(
@@ -696,33 +707,27 @@ def run(
                 polished = (x_opt, y_opt, r_opt, kkt_opt)
                 status = SolveStatus.OPTIMAL
                 break
-        if best_primal is not None and best_dual is not None:
-            status = SolveStatus.BOTH_INFEASIBLE
+        verdict = _infeasibility_verdict(best_primal, best_dual)
+        if verdict is SolveStatus.BOTH_INFEASIBLE:
+            status = verdict
             break
-        if best_primal is not None or best_dual is not None:
+        if verdict is not None:
             if grace_deadline is None:
                 grace_deadline = min(
                     config.max_iters,
                     max(int(k * _GRACE_FACTOR), k + _GRACE_MIN_EXTRA),
                 )
             elif k >= grace_deadline:
-                status = (
-                    SolveStatus.PRIMAL_INFEASIBLE
-                    if best_primal is not None
-                    else SolveStatus.DUAL_INFEASIBLE
-                )
+                status = verdict
                 break
 
     if status is None or status is SolveStatus.NUMERICAL_ERROR:
         # Budget exhausted or guard tripped: a certificate in hand still wins.
-        if best_primal is not None and best_dual is not None:
-            status = SolveStatus.BOTH_INFEASIBLE
-        elif best_primal is not None:
-            status = SolveStatus.PRIMAL_INFEASIBLE
-        elif best_dual is not None:
-            status = SolveStatus.DUAL_INFEASIBLE
-        elif status is None:
-            status = SolveStatus.ITERATION_LIMIT
+        status = (
+            _infeasibility_verdict(best_primal, best_dual)
+            or status
+            or SolveStatus.ITERATION_LIMIT
+        )
 
     if exact.repair_fits(p):
         for rep in (best_primal, best_dual):

@@ -156,6 +156,16 @@ class TestVerifyCertificateExact:
         with pytest.raises(ValueError):
             verify_certificate_exact(np.ones(1), demos.std_feasible(), "sideways")
 
+    @pytest.mark.parametrize("repair", [False, True], ids=["verify", "repair"])
+    def test_wrong_length_rejected(self, repair):
+        # m = 1 and n = 2: a dual ray has length 1, a primal ray length 2.
+        p = demos.std_primal_infeasible()
+        check = repair_certificate if repair else verify_certificate_exact
+        with pytest.raises(ValueError, match="length 1, got 2"):
+            check(np.array([1.0, 5.0]), p, "primal")
+        with pytest.raises(ValueError, match="length 2, got 1"):
+            check(np.array([1.0]), p, "dual")
+
     @given(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_positive_scaling_invariance(self, scale):
         p = demos.std_primal_infeasible()
@@ -238,6 +248,26 @@ class TestRepairCertificate:
             assert all(isinstance(i, int) for i in b)
             assert 4 * b[0] - 16 * b[1] + 10 * b[2] == 0
         assert exact._null_basis([], 2) == [[1, 0], [0, 1]]
+
+    def test_opposite_rows_are_kept_as_an_equality(self):
+        # standard_to_general writes Ax = b as the rows (A, -A), so a ray
+        # must have A d = 0.  At d = (1, 1 + 1e-9) the rows x0 - x1 >= 0 and
+        # x1 - x0 >= 0 are off by 1e-9 relative, inside the 1e-7 tight test,
+        # so either way the pair makes the equation x0 = x1.
+        p = standard_to_general(
+            StandardFormLp(
+                np.array([-1.0, 0.0]),
+                SparseMatrix.from_dense([[1.0, -1.0]]),
+                np.zeros(1),
+            )
+        )
+        d = np.array([1.0, 1.0 + 1e-9])
+        assert not verify_certificate_exact(d, p, "dual").valid
+        assert np.array_equal(repair_certificate(d, p, "dual"), [1.0, 1.0])
+        # Far from tight the pair still binds: d = (1, 2) is repaired onto
+        # the line x0 = x1 rather than left off it.
+        fixed = repair_certificate(np.array([1.0, 2.0]), p, "dual")
+        assert fixed is not None and fixed[0] == fixed[1]
 
     def test_two_dimensional_null_space_gives_small_integers(self):
         # Columns 0 and 2 are opposite, so A'y >= 0 holds with equality on

@@ -73,11 +73,6 @@ class TestSparseMatrix:
         a = SparseMatrix.from_dense(arr)
         np.testing.assert_array_equal(a.to_dense(), arr)
 
-    def test_take_columns(self):
-        a = SparseMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        sub = a.take_columns(np.array([2, 0]))
-        assert sub.to_dense().tolist() == [[3.0, 1.0], [6.0, 4.0]]
-
 
 class TestOperatorNorm:
     @given(dense_matrices(6, 6))

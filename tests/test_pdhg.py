@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdhglp import demos, pdhg
+from pdhglp import demos, linalg, pdhg
 from pdhglp.linalg import SparseMatrix, StepSizes
 from pdhglp.model import GeneralFormLp, StandardFormLp
 from pdhglp.pdhg import (
@@ -77,6 +77,17 @@ class TestOperators:
         assert isinstance(std, StandardFormOperator)
         assert isinstance(gen, GeneralFormOperator)
         assert std.coupling_sign == 1 and gen.coupling_sign == -1
+
+    def test_matrix_is_the_storage_of_the_products(self):
+        small = demos.std_both_infeasible()
+        big = demos.block_copies(small, 41)
+        assert small.m * small.n <= linalg.DENSE_LIMIT < big.m * big.n
+        for p, dense in ((small, True), (big, False)):
+            op = make_operator(p, StepSizes.for_matrix(p.a))
+            assert isinstance(op.matrix, np.ndarray) == dense
+            x = np.arange(p.n, dtype=np.float64)
+            np.testing.assert_array_equal(op.matrix @ x, op._mat(x))
+            np.testing.assert_array_equal(op.matrix @ x, p.a.matvec(x))
 
     @given(st.integers(0, 2**31 - 1))
     def test_firm_nonexpansiveness_standard(self, seed):
@@ -275,6 +286,15 @@ class TestRunStatuses:
         out = run(demos.std_both_infeasible(), FAST)
         assert out.status is SolveStatus.BOTH_INFEASIBLE
         assert out.primal_certificate.passed and out.dual_certificate.passed
+
+    @pytest.mark.parametrize("max_iters", [40, 80])
+    def test_one_sided_verdict_at_the_budget(self, max_iters):
+        # The certificate passes at the first check.  With a budget of 40 it
+        # is the last check and the verdict is given after the loop; with
+        # 80 the grace window closes at the budget inside the loop.
+        out = run(demos.std_primal_infeasible(), PdhgConfig(max_iters=max_iters))
+        assert out.status is SolveStatus.PRIMAL_INFEASIBLE
+        assert out.iterations == max_iters
 
     def test_iteration_limit_status(self):
         cfg = PdhgConfig(max_iters=10, eps=1e-14, kkt_tol=1e-14)
