@@ -121,10 +121,10 @@ def cmd_solve(args) -> int:
     p = _load_instance(args)
     outcome = run(p, _config(args))
     print(outcome.status.value)
+    line = f"iterations: {outcome.iterations}"
     if outcome.kkt is not None:
-        print(f"iterations: {outcome.iterations}  kkt: {outcome.kkt.max:.3e}")
-    else:
-        print(f"iterations: {outcome.iterations}")
+        line += f"  kkt: {outcome.kkt.max:.3e}"
+    print(f"{line}  termination: {outcome.termination.value}")
     if outcome.status == SolveStatus.OPTIMAL:
         print(
             f"objective: {outcome.primal_objective:.12g} "

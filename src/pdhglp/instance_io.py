@@ -134,6 +134,7 @@ def result_to_json(outcome: SolveOutcome, p: StandardFormLp | GeneralFormLp) -> 
         "instance": p.name,
         "status": outcome.status.value,
         "iterations": outcome.iterations,
+        "termination": outcome.termination.value,
         "primal_objective": outcome.primal_objective,
         "dual_objective": outcome.dual_objective,
         "kkt": None

@@ -302,18 +302,39 @@ class MNorm:
 
 @dataclass(slots=True)
 class SupportProjection:
-    """What one Gram decomposition of a support block K gives, for the
-    block's costs c and right-hand side b (see support_projection)."""
+    """One Gram decomposition G = K K' = U diag(lam) U' of a support block K,
+    kept on G's numerical range, with the null-space projections of the
+    block's costs c and right-hand side b (see support_projection).
 
+    onto_rows and onto_cols move any given point onto the block's affine
+    sets with products of K, K' and U only.
+    """
+
+    k: object  # the block K, dense or scipy-sparse
+    u: np.ndarray
+    lam: np.ndarray
     null_c: np.ndarray  # P_null(K) c
     null_b: np.ndarray  # P_null(K') b
-    x: np.ndarray  # K'G+ b: the least-norm x minimizing ||K x - b||
-    w: np.ndarray  # G+ K c: the least-norm w minimizing ||K'w - c||
+
+    def _g_pinv(self, v: np.ndarray) -> np.ndarray:
+        """G+ v."""
+        return self.u @ ((self.u.T @ v) / self.lam)
+
+    def onto_rows(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x + K'G+ (rhs - K x): the point nearest x with K x = rhs (with
+        K x the projection of rhs onto the range of K when rhs is not in
+        it)."""
+        return x + self.k.T @ self._g_pinv(rhs - self.k @ x)
+
+    def onto_cols(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """y + G+ K (c - K'y): the point nearest y with K'y = c (up to the
+        part of c off the range of K')."""
+        return y + self._g_pinv(self.k @ (c - self.k.T @ y))
 
 
 def support_projection(k, c: np.ndarray, b: np.ndarray) -> SupportProjection:
-    """Project c and b onto the null spaces of K and K' for a dense or
-    scipy-sparse block K, from one eigendecomposition of G = K K'.
+    """The projector of a dense or scipy-sparse block K, for the block's
+    costs c and right-hand side b, from one eigendecomposition of G = K K'.
 
     Eigenvalues up to lambda_max * max(K.shape) * machine epsilon count as
     zero, so G+ is the pseudo-inverse on the numerical range of K.  Each
@@ -328,10 +349,6 @@ def support_projection(k, c: np.ndarray, b: np.ndarray) -> SupportProjection:
     keep = lam > cut
     lam, u = lam[keep], u[:, keep]
     w = u @ ((u.T @ (k @ c)) / lam)
-    ub = u.T @ b
     return SupportProjection(
-        null_c=c - k.T @ w,
-        null_b=b - u @ ub,
-        x=k.T @ (u @ (ub / lam)),
-        w=w,
+        k=k, u=u, lam=lam, null_c=c - k.T @ w, null_b=b - u @ (u.T @ b)
     )

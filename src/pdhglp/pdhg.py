@@ -49,15 +49,17 @@ __all__ = [
     "inclusion_residual",
     "TraceRecord",
     "SolveStatus",
+    "Termination",
     "SolveOutcome",
     "run",
 ]
 
 # run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
 _DIVERGENCE_LIMIT = 1e50
-# After one side certifies at k, run() keeps iterating for the other side
-# until max(_GRACE_FACTOR * k, k + _GRACE_MIN_EXTRA) before declaring a
-# single-sided verdict.
+# After one side certifies at k, run() returns the one-sided verdict at the
+# first check that finds a feasible point of the other side.  Failing that,
+# it keeps iterating for the other side until max(_GRACE_FACTOR * k,
+# k + _GRACE_MIN_EXTRA), and only then declares the verdict.
 _GRACE_FACTOR = 2.0
 _GRACE_MIN_EXTRA = 500
 # run() projects on a support only when its Gram matrix has at most this
@@ -426,6 +428,18 @@ class SolveStatus(enum.Enum):
     NUMERICAL_ERROR = "numerical_error"
 
 
+class Termination(enum.Enum):
+    """The rule that ended a run (see run)."""
+
+    KKT = "kkt"
+    POLISH = "polish"
+    BOTH_CERTIFICATES = "both_certificates"
+    OTHER_SIDE_FEASIBLE = "other_side_feasible"
+    GRACE_DEADLINE = "grace_deadline"
+    BUDGET = "budget"
+    DIVERGENCE = "divergence"
+
+
 @dataclass
 class SolveOutcome:
     """Result of run(), in the coordinates of the problem given to it.
@@ -435,6 +449,7 @@ class SolveOutcome:
     """
 
     status: SolveStatus
+    termination: Termination
     x: np.ndarray
     y: np.ndarray
     r: np.ndarray | None
@@ -484,55 +499,148 @@ def _infeasibility_verdict(
     return None
 
 
+def _ray_step(g: np.ndarray, h: np.ndarray) -> float:
+    """The smallest t >= 0 with g + t h >= 0 on every row where g < 0 and
+    h > 0; rows the ray cannot fix are left as they are."""
+    fix = (g < 0.0) & (h > 0.0)
+    return float(np.max(-g[fix] / h[fix], initial=0.0))
+
+
+def _other_side_feasible(
+    p: StandardFormLp | GeneralFormLp,
+    rep: certs.CertCheckReport,
+    ray_product: np.ndarray,
+    point: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    scales: tuple[float, float],
+    masks: KindMasks | None,
+    kkt_tol: float,
+) -> bool:
+    """Whether point, (x, y, A x, A'y) in p's coordinates, moved along the
+    ray of rep by _ray_step, is feasible for the side rep does not
+    certify: kkt_residual's dual part at most kkt_tol for a primal
+    certificate, its primal part for a dual one.  ray_product is A'w of a
+    primal certificate w, A d of a dual one d; masks are p.kind_masks() in
+    general form and None in standard form.
+
+    A primal certificate moves y: its rows are A'y + c >= 0 in standard
+    form, and y >= 0 with the reduced-cost signs of the lower-only and
+    upper-only columns in general form.  A dual certificate moves x: its
+    rows are x >= 0, or A x >= b and the box.
+    """
+    x, y, ax, aty = point
+    ray = rep.vector
+    if rep.side == "primal":
+        if masks is None:
+            g, h = aty + p.c, ray_product
+        else:
+            s = p.c - aty
+            lo, up = masks.lower, masks.upper
+            g = np.concatenate([y, s[lo], -s[up]])
+            h = np.concatenate([ray, -ray_product[lo], ray_product[up]])
+        t = _ray_step(g, h)
+        y, aty = y + t * ray, aty + t * ray_product
+    else:
+        if masks is None:
+            g, h = x, ray
+        else:
+            g = np.concatenate([ax - p.b, x - p.l, p.u - x])
+            h = np.concatenate([ray_product, ray, -ray])
+        t = _ray_step(g, h)
+        x, ax = x + t * ray, ax + t * ray_product
+    kkt = kkt_residual(p, x, y, None, ax, aty, scales=scales, masks=masks)
+    return (kkt.dual if rep.side == "primal" else kkt.primal) <= kkt_tol
+
+
+class _Support:
+    """The support an active pattern names on the scaled problem ps, with
+    the projector of its block (see _support_point).
+
+    cols are the support's columns; in general form rows are its rows and
+    rhs its right-hand side, and x_fixed holds the bounded columns where
+    the pattern puts them.  d and w, the two null-space projections, are
+    the SUPPORT candidate's parts, 0 off the support.
+    """
+
+    def __init__(self, ps, key, proj, cols, rows=None, rhs=None, x_fixed=None):
+        self.ps, self.key, self.proj = ps, key, proj
+        self.cols, self.rows, self.rhs, self.x_fixed = cols, rows, rhs, x_fixed
+        self.d = np.zeros(ps.n)
+        self.d[cols] = -proj.null_c
+        if rows is None:
+            self.w = -proj.null_b
+        else:
+            self.w = np.zeros(ps.m)
+            self.w[rows] = proj.null_b
+
+    def project(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) moved onto the support's affine sets, off the support held
+        at the pattern's values.
+
+        Standard form: x_S onto {A_S x_S = b} with x = 0 off S, and y onto
+        {A_S'y = -c_S}.  General form: x_F onto {A_RF x_F = rhs} and y_R
+        onto {A_RF'y_R = c_F}, with y = 0 off R.
+        """
+        ps, proj, cols, rows = self.ps, self.proj, self.cols, self.rows
+        if rows is None:
+            x_p = np.zeros(ps.n)
+            x_p[cols] = proj.onto_rows(x[cols], ps.b)
+            return x_p, proj.onto_cols(y, -ps.c[cols])
+        x_p = self.x_fixed.copy()
+        x_p[cols] = proj.onto_rows(x[cols], self.rhs)
+        y_p = np.zeros(ps.m)
+        y_p[rows] = proj.onto_cols(y[rows], ps.c[cols])
+        return x_p, y_p
+
+
+def _moved_iterate(
+    support: _Support,
+    state: PdhgState,
+    scaling: DiagonalScaling,
+    products: certs.StateProducts,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled iterate state moved onto support (_Support.project), as
+    (x, y, A x, A'y) in the original coordinates; products are the
+    original problem's (see DiagonalScaling.unscale_products)."""
+    x, y = support.project(state.x, state.y)
+    x, y = x * scaling.col, y * scaling.row
+    return x, y, products.matvec(x), products.rmatvec(y)
+
+
 def _support_point(
     ps: StandardFormLp | GeneralFormLp,
     a,
     x: np.ndarray,
     pattern: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """(d, w, x_opt, y_opt) of ps from one linalg.support_projection on
-    the support that pattern, the active pattern of an iterate with primal
-    part x, names; a is ps's matrix, dense or CSR.  None, with nothing
-    computed, when the support has more than _GRAM_MAX_ORDER rows.
+) -> _Support | None:
+    """The support that pattern, the active pattern of an iterate with
+    primal part x, names on ps, projected once with
+    linalg.support_projection; a is ps's matrix, dense or CSR.  None, with
+    nothing computed, when the support has more than _GRAM_MAX_ORDER rows.
 
     Standard form: on S = {x > 0}, d_S = -P_null(A_S) c_S and
     w = -P_null(A_S') b, the displacement's direction on each side, so d is
-    the dual-infeasibility candidate and w the primal one; x_opt_S is the
-    least-norm solution of A_S x_S = b and y_opt = -G+ A_S c_S solves
-    A_S'y = -c_S.  General form: on the free columns F = {l < x < u} and
-    the rows R = {y > 0}, K = A_RF and the right-hand side is
-    b_R - A_RB x_B with the bounded columns B held where x has them;
-    d_F = -P_null(K) c_F, w_R = P_null(K') (b_R - A_RB x_B), x_opt keeps
-    x_B and y_opt_R = G+ K c_F.  Entries of d, w and y_opt off the
-    support are 0.
+    the dual-infeasibility candidate and w the primal one.  General form:
+    on the free columns F = {l < x < u} and the rows R = {y > 0}, K = A_RF
+    and the right-hand side is b_R - A_RB x_B with the bounded columns B
+    held where x has them; d_F = -P_null(K) c_F and
+    w_R = P_null(K') (b_R - A_RB x_B).
     """
-    n = ps.n
-    d = np.zeros(n)
+    key = pattern.tobytes()
     if isinstance(ps, StandardFormLp):
         if ps.m > _GRAM_MAX_ORDER:
             return None
         cols = pattern == 0
         proj = linalg.support_projection(a[:, cols], ps.c[cols], ps.b)
-        x_opt = np.zeros(n)
-        x_opt[cols] = proj.x
-        d[cols] = -proj.null_c
-        return d, -proj.null_b, x_opt, -proj.w
-    cols = pattern[:n] == 0
-    rows = pattern[n:] == 0
+        return _Support(ps, key, proj, cols)
+    cols = pattern[: ps.n] == 0
+    rows = pattern[ps.n :] == 0
     if np.count_nonzero(rows) > _GRAM_MAX_ORDER:
         return None
     a_r = a[rows]
-    x_opt = np.where(cols, 0.0, x)
-    proj = linalg.support_projection(
-        a_r[:, cols], ps.c[cols], ps.b[rows] - a_r @ x_opt
-    )
-    x_opt[cols] = proj.x
-    d[cols] = -proj.null_c
-    w = np.zeros(ps.m)
-    w[rows] = proj.null_b
-    y_opt = np.zeros(ps.m)
-    y_opt[rows] = proj.w
-    return d, w, x_opt, y_opt
+    x_fixed = np.where(cols, 0.0, x)
+    rhs = ps.b[rows] - a_r @ x_fixed
+    proj = linalg.support_projection(a_r[:, cols], ps.c[cols], rhs)
+    return _Support(ps, key, proj, cols, rows, rhs, x_fixed)
 
 
 def run(
@@ -544,10 +652,18 @@ def run(
     """Iterate until optimality, a certificate, or a budget/guard trips.
 
     Every check_interval iterations the KKT residuals are evaluated and all
-    three candidate sequences are put through the infeasibility tests.  A
-    single passing side waits out a grace window for the other side before
-    the run returns, so that problems infeasible on both sides are reported
-    as such rather than by whichever certificate converged first.
+    three candidate sequences are put through the infeasibility tests.  At a
+    check where exactly one side has a passing certificate, run looks for a
+    feasible point of the other side (_other_side_feasible): the iterate,
+    and the iterate moved onto the support when this check's pattern has
+    been projected, each moved along the certificate's ray until the sign
+    rows it can fix hold.  If kkt_residual's part for that side is at most
+    kkt_tol, the test OPTIMAL uses for that side, the one-sided verdict is
+    returned at once.  Otherwise the grace window, the fallback,
+    waits for the other side's certificate until max(2k, k + 500) after the
+    first certificate at k, so that problems infeasible on both sides are
+    reported as such rather than by whichever certificate converged first.
+    outcome.termination names the rule that ended the run.
 
     A check makes six products: A x^k and A'y^k serve the KKT residuals,
     the reduced costs and the normalized iterate, and the next step reuses
@@ -557,15 +673,19 @@ def run(
     A check whose active_pattern equals the previous check's, and which no
     earlier check of the run projected, also projects once on the support
     that pattern names (see _support_point): one eigendecomposition of the
-    support's Gram matrix gives a fourth candidate, SUPPORT, and a polished
-    point.  A support with more than _GRAM_MAX_ORDER rows is not projected.
-    The candidate is tested like the sequences and gets a trace row of its
-    own; the polished point is returned as OPTIMAL (its x, y, r and kkt in
-    the outcome, the iterate in outcome.state) only if kkt_residual on p is
-    at most kkt_tol.  The candidate and the point take four products, and
-    the projection one slice of the scaled matrix, a sparse Gram product
-    and a dense eigh; on the 300 x 1200 benchmark instances that took 7-13
-    ms, once per item.
+    support's Gram matrix gives a fourth candidate, SUPPORT, and a
+    projector that moves the iterate onto the support's affine sets (see
+    _Support.project).  The moved iterate is the polished point.  A support
+    with more than _GRAM_MAX_ORDER rows is not projected.  The candidate is
+    tested like the sequences and gets a trace row of its own; the polished
+    point is returned as OPTIMAL (its x, y, r and kkt in the outcome, the
+    iterate in outcome.state) only if kkt_residual on p is at most kkt_tol.
+    The candidate and the point take four products, and the projection one
+    slice of the scaled matrix, a sparse Gram product and a dense eigh; on
+    the 300 x 1200 benchmark instances that took 7-13 ms, once per item.
+    run keeps the projector of the last projected pattern, and later checks
+    on that pattern move their iterate with it for the feasible-point
+    search, with products only.
 
     Every problem is iterated on D_r A D_c with Ruiz and Pock-Chambolle
     factors (see scaling), with step sizes from that matrix.  Each check
@@ -599,11 +719,13 @@ def run(
     t_start = time.perf_counter()
     prev_pattern = active_pattern(ps, state.x, state.y)
     projected: set[bytes] = set()  # the patterns already projected
+    support: _Support | None = None  # the support last projected
     polished: tuple | None = None  # (x, y, r, kkt) of a polish that passed
     best_primal: certs.CertCheckReport | None = None
     best_dual: certs.CertCheckReport | None = None
     grace_deadline: int | None = None
     status: SolveStatus | None = None
+    termination: Termination | None = None
     kkt: KktResiduals | None = None
     r: np.ndarray | None = None
     mat, rmat = op._mat, op._rmat
@@ -637,35 +759,31 @@ def run(
         pattern = active_pattern(ps, state.x, state.y)
         changed = not np.array_equal(pattern, prev_pattern)
         prev_pattern = pattern
+        key = pattern.tobytes()
         ms = (time.perf_counter() - t_start) * 1000.0
 
         cands = [
             certs.extract(view, kind, p if general else None, products, masks)
             for kind in certs.SEQUENCE_KINDS
         ]
-        opt = None  # the polished point, when a projection ran
-        if (
-            not changed
-            and k > config.check_interval
-            and (key := pattern.tobytes()) not in projected
-        ):
+        fresh = False  # whether this check projected
+        if not changed and k > config.check_interval and key not in projected:
             # The pattern held since the last check and is new: project once.
             projected.add(key)
-            point = _support_point(ps, op.matrix, state.x, pattern)
-            if point is not None:
-                d, w, x_opt, y_opt = point
+            support = _support_point(ps, op.matrix, state.x, pattern)
+            fresh = support is not None
+            if fresh:
                 cands.append(
                     certs.candidate(
                         certs.CandidateKind.SUPPORT,
                         k,
-                        d * scaling.col,
-                        w * scaling.row,
+                        support.d * scaling.col,
+                        support.w * scaling.row,
                         p if general else None,
                         products,
                         masks,
                     )
                 )
-                opt = (x_opt * scaling.col, y_opt * scaling.row)
 
         for cand in cands:
             if general:
@@ -694,35 +812,62 @@ def run(
                 best_dual = drep
 
         if kkt.max <= config.kkt_tol:
-            status = SolveStatus.OPTIMAL
+            status, termination = SolveStatus.OPTIMAL, Termination.KKT
             break
-        if opt is not None:
-            x_opt, y_opt = opt
-            ax_opt, aty_opt = products.matvec(x_opt), products.rmatvec(y_opt)
+        moved = _moved_iterate(support, state, scaling, products) if fresh else None
+        if moved is not None:
+            x_opt, y_opt, ax_opt, aty_opt = moved
             r_opt = recover_r(p, y_opt, aty_opt, masks) if general else None
             kkt_opt = kkt_residual(
                 p, x_opt, y_opt, r_opt, ax_opt, aty_opt, scales=scales, masks=masks
             )
             if kkt_opt.max <= config.kkt_tol:
                 polished = (x_opt, y_opt, r_opt, kkt_opt)
-                status = SolveStatus.OPTIMAL
+                status, termination = SolveStatus.OPTIMAL, Termination.POLISH
                 break
         verdict = _infeasibility_verdict(best_primal, best_dual)
         if verdict is SolveStatus.BOTH_INFEASIBLE:
-            status = verdict
+            status, termination = verdict, Termination.BOTH_CERTIFICATES
             break
         if verdict is not None:
+            # One side certified: look for a feasible point of the other,
+            # from the iterate and from the iterate moved onto the support
+            # of this check's pattern, when one was projected.
+            rep = best_primal if best_primal is not None else best_dual
+            ray_product = (
+                products.rmatvec(rep.vector)
+                if rep.side == "primal"
+                else products.matvec(rep.vector)
+            )
+            points = [(view.x, view.y, products.ax, products.aty)]
+            if support is not None and support.key == key:
+                points.append(
+                    moved or _moved_iterate(support, state, scaling, products)
+                )
+            if any(
+                _other_side_feasible(
+                    p, rep, ray_product, point, scales, masks, config.kkt_tol
+                )
+                for point in points
+            ):
+                status, termination = verdict, Termination.OTHER_SIDE_FEASIBLE
+                break
             if grace_deadline is None:
                 grace_deadline = min(
                     config.max_iters,
                     max(int(k * _GRACE_FACTOR), k + _GRACE_MIN_EXTRA),
                 )
             elif k >= grace_deadline:
-                status = verdict
+                status, termination = verdict, Termination.GRACE_DEADLINE
                 break
 
-    if status is None or status is SolveStatus.NUMERICAL_ERROR:
+    if termination is None:
         # Budget exhausted or guard tripped: a certificate in hand still wins.
+        termination = (
+            Termination.DIVERGENCE
+            if status is SolveStatus.NUMERICAL_ERROR
+            else Termination.BUDGET
+        )
         status = (
             _infeasibility_verdict(best_primal, best_dual)
             or status
@@ -750,6 +895,7 @@ def run(
 
     return SolveOutcome(
         status=status,
+        termination=termination,
         x=x,
         y=y,
         r=r,

@@ -127,7 +127,7 @@ class TestTraceCsv:
         assert lines[2].split(",")[2] == ""
 
     def test_round_trip_of_a_run_with_a_support_row(self, tmp_path):
-        out = run(demos.std_primal_infeasible())
+        out = run(demos.std_feasible())
         support = [r for r in out.trace if r.seq == "support"]
         # One projection, at a check whose pattern held since the last one.
         assert len(support) == 1 and not support[0].active_changed
@@ -287,6 +287,25 @@ class TestCliSolve:
         assert all(r.k % 40 == 0 for r in records)
         doc = json.loads(result.read_text())
         assert doc["status"] == "primal_infeasible"
+
+    @pytest.mark.parametrize(
+        "demo,rule",
+        [
+            ("std-feasible", "kkt"),
+            ("ex1", "polish"),
+            ("std-both-infeasible", "both_certificates"),
+            ("std-primal-infeasible", "other_side_feasible"),
+        ],
+    )
+    def test_termination_on_the_iterations_line_and_in_json(
+        self, demo, rule, tmp_path, capsys
+    ):
+        result = tmp_path / "result.json"
+        cli.main(["solve", "--demo", demo, "--json-out", str(result)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("iterations: ")
+        assert lines[1].endswith(f"  termination: {rule}")
+        assert json.loads(result.read_text())["termination"] == rule
 
     def test_solve_from_mps_file(self, tmp_path, capsys):
         path = tmp_path / "inst.mps"

@@ -190,10 +190,28 @@ class TestSupportProjection:
         pinv = np.linalg.pinv(k)
         np.testing.assert_allclose(proj.null_c, c - pinv @ (k @ c), atol=1e-10)
         np.testing.assert_allclose(proj.null_b, b - k @ (pinv @ b), atol=1e-10)
-        np.testing.assert_allclose(proj.x, pinv @ b, atol=1e-10)
-        np.testing.assert_allclose(proj.w, pinv.T @ c, atol=1e-10)
+        np.testing.assert_allclose(proj.onto_rows(0.0 * c, b), pinv @ b, atol=1e-10)
+        np.testing.assert_allclose(proj.onto_cols(0.0 * b, c), pinv.T @ c, atol=1e-10)
         np.testing.assert_allclose(k @ proj.null_c, 0.0, atol=1e-10)
         np.testing.assert_allclose(k.T @ proj.null_b, 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape,rank", [((4, 7), 4), ((5, 8), 3)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_moves_any_point_onto_the_affine_sets(self, shape, rank, sparse):
+        # Consistent right-hand sides: the moved points meet them, and each
+        # move is the least-norm one.
+        rng = np.random.default_rng(sum(shape) * rank)
+        k = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        rhs = k @ rng.standard_normal(shape[1])
+        c = k.T @ rng.standard_normal(shape[0])
+        x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+        proj = support_projection(sp.csr_matrix(k) if sparse else k, c, rhs)
+        pinv = np.linalg.pinv(k)
+        x_p, y_p = proj.onto_rows(x, rhs), proj.onto_cols(y, c)
+        np.testing.assert_allclose(k @ x_p, rhs, atol=1e-10)
+        np.testing.assert_allclose(k.T @ y_p, c, atol=1e-10)
+        np.testing.assert_allclose(x_p, x + pinv @ (rhs - k @ x), atol=1e-10)
+        np.testing.assert_allclose(y_p, y + pinv.T @ (c - k.T @ y), atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (2, 3)])
     def test_empty_and_zero_blocks(self, shape):
@@ -202,5 +220,5 @@ class TestSupportProjection:
         proj = support_projection(k, c, b)
         np.testing.assert_array_equal(proj.null_c, c)
         np.testing.assert_array_equal(proj.null_b, b)
-        np.testing.assert_array_equal(proj.x, np.zeros(shape[1]))
-        np.testing.assert_array_equal(proj.w, np.zeros(shape[0]))
+        np.testing.assert_array_equal(proj.onto_rows(c, b), c)
+        np.testing.assert_array_equal(proj.onto_cols(b, c), b)

@@ -12,6 +12,7 @@ from pdhglp.pdhg import (
     PdhgState,
     SolveStatus,
     StandardFormOperator,
+    Termination,
     inclusion_residual,
     kkt_residual,
     make_operator,
@@ -288,13 +289,20 @@ class TestRunStatuses:
         assert out.primal_certificate.passed and out.dual_certificate.passed
 
     @pytest.mark.parametrize("max_iters", [40, 80])
-    def test_one_sided_verdict_at_the_budget(self, max_iters):
-        # The certificate passes at the first check.  With a budget of 40 it
-        # is the last check and the verdict is given after the loop; with
-        # 80 the grace window closes at the budget inside the loop.
+    def test_one_sided_verdict_at_the_budget(self, max_iters, monkeypatch):
+        # The certificate passes at the first check.  The dual iterate is
+        # already dual feasible there (residual exactly 0, which any
+        # kkt_tol accepts), so the feasible-point test is switched off to
+        # reach the fallbacks.  With a budget of 40 it is the last check and
+        # the verdict is given after the loop; with 80 the grace window
+        # closes at the budget inside the loop.
+        monkeypatch.setattr(pdhg, "_other_side_feasible", lambda *args: False)
         out = run(demos.std_primal_infeasible(), PdhgConfig(max_iters=max_iters))
         assert out.status is SolveStatus.PRIMAL_INFEASIBLE
         assert out.iterations == max_iters
+        assert out.termination is (
+            Termination.BUDGET if max_iters == 40 else Termination.GRACE_DEADLINE
+        )
 
     def test_iteration_limit_status(self):
         cfg = PdhgConfig(max_iters=10, eps=1e-14, kkt_tol=1e-14)
@@ -307,6 +315,48 @@ class TestRunStatuses:
         cfg = PdhgConfig(max_iters=1000, check_interval=1)
         out = run(demos.std_dual_infeasible(), cfg)
         assert out.status is SolveStatus.NUMERICAL_ERROR
+        assert out.termination is Termination.DIVERGENCE
+
+    @pytest.mark.parametrize(
+        "build,cfg,status,rule",
+        [
+            (demos.std_feasible, PdhgConfig(), "optimal", Termination.KKT),
+            (demos.example1, PdhgConfig(), "optimal", Termination.POLISH),
+            (
+                demos.std_both_infeasible,
+                PdhgConfig(),
+                "both_infeasible",
+                Termination.BOTH_CERTIFICATES,
+            ),
+            (
+                demos.std_primal_infeasible,
+                PdhgConfig(),
+                "primal_infeasible",
+                Termination.OTHER_SIDE_FEASIBLE,
+            ),
+            # A draw whose feasible side no check finds a point of at this
+            # step size: the grace window closes at max(2k, k + 500).
+            (
+                lambda: demos.random_cell_instance(
+                    "dual_infeasible", np.random.default_rng([4, 29])
+                ),
+                PdhgConfig(step_factor=0.5),
+                "dual_infeasible",
+                Termination.GRACE_DEADLINE,
+            ),
+            (
+                demos.std_feasible,
+                PdhgConfig(max_iters=10, eps=1e-14, kkt_tol=1e-14),
+                "iteration_limit",
+                Termination.BUDGET,
+            ),
+        ],
+        ids=lambda v: v.value if isinstance(v, Termination) else None,
+    )
+    def test_termination_names_the_rule(self, build, cfg, status, rule):
+        out = run(build(), cfg)
+        assert out.status.value == status
+        assert out.termination is rule
 
     def test_invalid_problem_rejected(self):
         p = demos.std_feasible()

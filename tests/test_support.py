@@ -2,6 +2,7 @@
 projection per settled active pattern, checked like every other candidate."""
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from pdhglp import demos, exact, linalg, pdhg
 from pdhglp.certificates import CandidateKind
 from pdhglp.linalg import SparseMatrix
 from pdhglp.model import GeneralFormLp, StandardFormLp, standard_to_general
-from pdhglp.pdhg import PdhgConfig, SolveStatus, kkt_residual, run
+from pdhglp.pdhg import PdhgConfig, SolveStatus, Termination, kkt_residual, run
 
 PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "planted.py"
 
@@ -22,6 +23,9 @@ VERDICT_CELL = {
     SolveStatus.DUAL_INFEASIBLE: "dual_infeasible",
     SolveStatus.BOTH_INFEASIBLE: "both_infeasible",
 }
+
+ONE_SIDED = ("primal_infeasible", "dual_infeasible")
+ONE_SIDED_RULES = (Termination.OTHER_SIDE_FEASIBLE, Termination.GRACE_DEADLINE)
 
 
 def _certificates(out):
@@ -42,10 +46,13 @@ def test_verdicts_and_certificates_over_seeds_and_intervals(cell, general):
         if general:
             p = standard_to_general(p)
         assert exact.classify_lp(p).cell == cell
-        for interval in (20, 40, 100):
-            cfg = PdhgConfig(check_interval=interval)
+        for interval, step_factor in itertools.product((20, 40, 100), (0.5, 0.9)):
+            cfg = PdhgConfig(check_interval=interval, step_factor=step_factor)
             out = run(p, cfg)
-            assert VERDICT_CELL.get(out.status) == cell, (seed, interval, out.status)
+            case = (seed, interval, step_factor, out.status)
+            assert VERDICT_CELL.get(out.status) == cell, case
+            if cell in ONE_SIDED:
+                assert out.termination in ONE_SIDED_RULES, case
             for rep in _certificates(out):
                 kinds.add(rep.kind)
                 assert rep.exact is True
@@ -72,18 +79,115 @@ def test_polish_returns_a_checked_point_off_the_iterate():
     assert kkt_residual(p, out.state.x, out.state.y).max > cfg.kkt_tol
 
 
+def test_general_form_polish_keeps_paired_rows_nonnegative():
+    # standard_to_general writes each equality as rows (a, -a).  Both rows
+    # of a pair can have y > 0, where a least-norm y_R splits into +w/2 and
+    # -w/2; the iterate moved onto {K'y_R = c_F} keeps y >= 0 there, so the
+    # general form is polished at k=80 like its standard form.
+    p = demos.random_cell_instance("both_feasible", np.random.default_rng([1, 31]))
+    for q in (p, standard_to_general(p)):
+        out = run(q)
+        assert out.termination is Termination.POLISH, q.name
+        assert out.iterations == 80
+    assert np.all(out.y >= 0.0)
+
+
 def test_failed_polish_is_not_returned(monkeypatch):
     # A polished point that misses kkt_tol is dropped: the run goes on and
     # returns its own iterate.
-    def far_off(ps, a, x, pattern):
-        d, w, x_opt, y_opt = support_point(ps, a, x, pattern)
-        return d, w, x_opt + 1.0, y_opt
+    def far_off(support, x, y):
+        x_p, y_p = project(support, x, y)
+        return x_p + 1.0, y_p
 
-    support_point = pdhg._support_point
-    monkeypatch.setattr(pdhg, "_support_point", far_off)
+    project = pdhg._Support.project
+    monkeypatch.setattr(pdhg._Support, "project", far_off)
     out = run(demos.std_feasible(), PdhgConfig(check_interval=20))
     assert out.status is SolveStatus.OPTIMAL and not _polished(out)
     assert out.iterations > 40
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+@pytest.mark.parametrize(
+    "build,status",
+    [
+        (demos.std_primal_infeasible, SolveStatus.PRIMAL_INFEASIBLE),
+        (demos.std_dual_infeasible, SolveStatus.DUAL_INFEASIBLE),
+        # Its dual iterate at k=40 violates rows that only the move along
+        # the certificate's ray clears; without the move the run stops at
+        # k=80.
+        (
+            lambda: demos.random_cell_instance(
+                "primal_infeasible", np.random.default_rng([6, 31])
+            ),
+            SolveStatus.PRIMAL_INFEASIBLE,
+        ),
+    ],
+    ids=["primal", "dual", "primal-needs-the-ray"],
+)
+def test_one_sided_verdict_ends_with_a_feasible_point_of_the_other_side(
+    build, status, general
+):
+    # The certificate passes at the first check, and a point of the other
+    # side, moved along its ray, passes kkt_residual there too.
+    p = build()
+    out = run(standard_to_general(p) if general else p)
+    assert out.status is status
+    assert out.termination is Termination.OTHER_SIDE_FEASIBLE
+    assert out.iterations == 40
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+def test_both_infeasible_never_finds_a_feasible_point(general, monkeypatch):
+    # Checked every step, one side can certify before the other; neither
+    # side has a feasible point, so every search for one must fail.
+    found = []
+    feasible = pdhg._other_side_feasible
+
+    def recorded(*args):
+        found.append(feasible(*args))
+        return found[-1]
+
+    monkeypatch.setattr(pdhg, "_other_side_feasible", recorded)
+    problems = [demos.std_both_infeasible()] + [
+        demos.random_cell_instance("both_infeasible", np.random.default_rng([s, 31]))
+        for s in range(3)
+    ]
+    for p in problems:
+        p = standard_to_general(p) if general else p
+        for interval, step_factor in itertools.product((1, 7, 20, 40), (0.5, 0.9)):
+            out = run(p, PdhgConfig(check_interval=interval, step_factor=step_factor))
+            case = (p.name, interval, step_factor)
+            assert out.status is SolveStatus.BOTH_INFEASIBLE, case
+            assert out.termination is not Termination.OTHER_SIDE_FEASIBLE, case
+    assert found and not any(found)
+
+
+def test_one_eigh_per_projected_pattern(monkeypatch):
+    # ex1(0,2) is primal infeasible.  kkt_tol=1e-300 keeps every feasible
+    # point of the dual side from passing, so the run goes on to its grace
+    # deadline, and later checks on a projected pattern move the iterate
+    # with the kept projector.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(g):
+        calls.append(g.shape)
+        return eigh(g)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    reused = []
+    project = pdhg._Support.project
+
+    def recorded(support, x, y):
+        reused.append(support.key)
+        return project(support, x, y)
+
+    monkeypatch.setattr(pdhg._Support, "project", recorded)
+    cfg = PdhgConfig(max_iters=2000, kkt_tol=1e-300, check_interval=20)
+    out = run(demos.example1(0.0, 2.0), cfg)
+    projections = sum(t.seq == "support" for t in out.trace)
+    assert projections >= 1 and len(calls) == projections
+    assert len(reused) > len(set(reused))
 
 
 def test_one_projection_per_settled_pattern(monkeypatch):
