@@ -12,9 +12,13 @@ pdhg.run adds a fourth candidate, SUPPORT, which no sequence yields: the
 displacement those sequences converge to, computed in closed form once the
 active pattern of the iterates has settled (see pdhg.run).
 
-A candidate passes when its certificate residual, scaled by the certificate
-objective, drops below eps.  All tests are positively homogeneous: rescaling
-a candidate leaves its scaled error unchanged.
+There is one test per side, check_primal_infeasibility and
+check_dual_infeasibility, for both LP forms; only the residual and the
+certificate objective are written per form.  In both, the scaled error is
+residual / certificate objective, a candidate whose objective is not
+positive fails with scaled error None, and a candidate passes when its
+scaled error is at most eps.  The tests are positively homogeneous:
+rescaling a candidate leaves its scaled error unchanged.
 
 The tests need A x and A'y of the candidate.  ``extract`` attaches them when
 it is given the state's ``StateProducts``: the normalized iterate reuses
@@ -79,7 +83,7 @@ SEQUENCE_KINDS = (
 
 @dataclass(slots=True)
 class CertificateCandidate:
-    """One sequence value at iteration k; r_part only for general-form runs.
+    """One sequence value at iteration k.
 
     ax and aty, when present, are A x_part and A'y_part.
     """
@@ -88,7 +92,6 @@ class CertificateCandidate:
     k: int
     x_part: np.ndarray
     y_part: np.ndarray
-    r_part: np.ndarray | None = None
     ax: np.ndarray | None = None
     aty: np.ndarray | None = None
 
@@ -111,7 +114,7 @@ class CertCheckReport:
     valid certificate); scaled_error is residual / objective_term and is
     None when the objective term is not positive.  vector carries the
     tested certificate (dual vector for side "primal", primal direction
-    for side "dual"); r the recovered reduced costs where applicable.
+    for side "dual"); r the reduced costs of a general-form primal report.
     exact is None unless pdhg.run put the report through the exact repair
     (see pdhg.run): then it says whether vector passes
     exact.verify_certificate_exact.
@@ -132,17 +135,11 @@ class CertCheckReport:
 def extract(
     state: "PdhgState",
     kind: CandidateKind,
-    problem: GeneralFormLp | StandardFormLp | None = None,
     products: StateProducts | None = None,
-    masks: KindMasks | None = None,
 ) -> CertificateCandidate:
     """Build the candidate of the given kind from the current state.
 
-    For general-form problems the dual candidate gets reduced costs
-    r = clip(-A'y) attached, projected onto the signs that keep the ray
-    objective finite (the candidate is homogeneous, so no cost term).
-    With products, the candidate carries its own A x and A'y; masks, if
-    given, are problem.kind_masks().
+    With products, the candidate carries its own A x and A'y.
     """
     k = state.k
     if k < 1:
@@ -163,7 +160,7 @@ def extract(
     if products is not None and kind is CandidateKind.NORMALIZED_ITERATE:
         ax = products.ax / k
         aty = products.aty / k
-    return candidate(kind, k, x, y, problem, products, masks, ax, aty)
+    return candidate(kind, k, x, y, products, ax, aty)
 
 
 def candidate(
@@ -171,52 +168,79 @@ def candidate(
     k: int,
     x: np.ndarray,
     y: np.ndarray,
-    problem: GeneralFormLp | StandardFormLp | None = None,
     products: StateProducts | None = None,
-    masks: KindMasks | None = None,
     ax: np.ndarray | None = None,
     aty: np.ndarray | None = None,
 ) -> CertificateCandidate:
     """The candidate with primal part x and dual part y.
 
-    With products, an ax or aty not given is taken with products' routines;
-    for general-form problems the reduced costs are attached as in extract.
+    With products, an ax or aty not given is taken with products' routines.
     """
     if products is not None:
         if ax is None:
             ax = products.matvec(x)
         if aty is None:
             aty = products.rmatvec(y)
-    r = None
-    if isinstance(problem, GeneralFormLp):
-        if aty is None:
-            aty = problem.a.rmatvec(y)
-        if masks is None:
-            masks = problem.kind_masks()
-        r = clip_to_dual_signs(-aty, masks)
-    return CertificateCandidate(
-        kind=kind, k=k, x_part=x, y_part=y, r_part=r, ax=ax, aty=aty
+    return CertificateCandidate(kind=kind, k=k, x_part=x, y_part=y, ax=ax, aty=aty)
+
+
+def _zero_report(side: str, cand: CertificateCandidate) -> CertCheckReport:
+    return CertCheckReport(
+        side, cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
+    )
+
+
+def _report(
+    side: str,
+    cand: CertificateCandidate,
+    eps: float,
+    obj: float,
+    residual: float,
+    vector: np.ndarray,
+    r: np.ndarray | None = None,
+    reasons: tuple[str, ...] = (),
+) -> CertCheckReport:
+    """The eps test shared by both sides and both forms: scaled_error is
+    residual / obj, None with a failing reason when obj is not positive,
+    and the candidate passes when it has no failing reason and its
+    scaled_error is at most eps."""
+    scaled = residual / obj if obj > 0.0 else None
+    if scaled is None:
+        reasons += ("certificate objective is not positive",)
+    passed = not reasons and scaled <= eps
+    return CertCheckReport(
+        side, cand.kind, cand.k, passed, obj, scaled, reasons, vector, r
     )
 
 
 def check_primal_infeasibility(
     cand: CertificateCandidate,
-    p: GeneralFormLp,
+    p: GeneralFormLp | StandardFormLp,
     eps: float,
     masks: KindMasks | None = None,
 ) -> CertCheckReport:
-    """Test (y, r) as an approximate certificate that Ax >= b, l <= x <= u
-    has no solution: y >= 0, r + A'y ~ 0, and positive ray objective
-    b'y + l'r_+ - u'r_-.  Negative dust in y is zeroed first; r stays as
-    extracted."""
+    """Test the dual part y as an approximate certificate that p has no
+    feasible point.
+
+    General form (Ax >= b, l <= x <= u): y >= 0, with negative dust zeroed
+    first; r = clip_to_dual_signs(-A'y) of the unclipped y; residual
+    ||r + A'y||_inf and objective b'y + l'r_+ - u'r_-.  masks, if given,
+    are p.kind_masks().
+    Standard form (Ax = b, x >= 0; y has the iteration's sign, see
+    pdhg.kkt_residual): residual max0(-A'y) and objective -b'y.
+    """
     y = cand.y_part
-    reasons: list[str] = []
     ynorm = max0(np.abs(y))
     if ynorm == 0.0:
-        return CertCheckReport(
-            "primal", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
-        )
-    aty = cand.aty
+        return _zero_report("primal", cand)
+    aty = p.a.rmatvec(y) if cand.aty is None else cand.aty
+    if isinstance(p, StandardFormLp):
+        return _report("primal", cand, eps, -float(p.b @ y), max0(-aty), y)
+
+    if masks is None:
+        masks = p.kind_masks()
+    r = clip_to_dual_signs(-aty, masks)
+    reasons: tuple[str, ...] = ()
     neg = y < 0.0
     if neg.any():
         dust = neg & (y >= -_Y_CLIP_REL * ynorm)
@@ -224,110 +248,49 @@ def check_primal_infeasibility(
             y = y.copy()
             y[dust] = 0.0
             neg &= ~dust
-            aty = None  # the carried product belongs to the unclipped y
+            aty = p.a.rmatvec(y)  # the candidate's product is the unclipped y's
         if neg.any():
-            reasons.append("dual vector has negative components")
-
-    if masks is None:
-        masks = p.kind_masks()
-    if aty is None:
-        aty = p.a.rmatvec(y)
-    r = cand.r_part if cand.r_part is not None else clip_to_dual_signs(-aty, masks)
-    r_pos = np.maximum(r, 0.0)
-    r_neg = np.maximum(-r, 0.0)
-    if (r_pos[masks.no_l] > 0.0).any():
-        reasons.append("positive reduced cost on a variable with no lower bound")
-    if (r_neg[masks.no_u] > 0.0).any():
-        reasons.append("negative reduced cost on a variable with no upper bound")
+            reasons = ("dual vector has negative components",)
     l_idx, l_fin = masks.finite_l
     u_idx, u_fin = masks.finite_u
     obj = float(p.b @ y)
-    obj += float(l_fin @ r_pos[l_idx])
-    obj -= float(u_fin @ r_neg[u_idx])
+    obj += float(l_fin @ np.maximum(r[l_idx], 0.0))
+    obj -= float(u_fin @ np.maximum(-r[u_idx], 0.0))
     residual = max0(np.abs(r + aty))
-    scaled = residual / obj if obj > 0.0 else None
-    if obj <= 0.0:
-        reasons.append("ray objective is not positive")
-    passed = not reasons and scaled is not None and scaled <= eps
-    return CertCheckReport(
-        "primal", cand.kind, cand.k, passed, obj, scaled, tuple(reasons), y, r
-    )
+    return _report("primal", cand, eps, obj, residual, y, r, reasons)
 
 
 def check_dual_infeasibility(
     cand: CertificateCandidate,
-    p: GeneralFormLp,
+    p: GeneralFormLp | StandardFormLp,
     eps: float,
     masks: KindMasks | None = None,
 ) -> CertCheckReport:
-    """Test d as an approximate unbounded direction: c'd < 0, d in the
-    recession cone of the box, and Ad >= 0 up to scaled residual eps."""
+    """Test the primal part d as an approximate unbounded direction of p,
+    with objective -c'd.
+
+    General form: residual the larger of d's distance to the recession
+    cone of the box and max0(-A d); masks, if given, are p.kind_masks().
+    Standard form: residual max(||A d||_inf, max0(-d)).
+    """
     d = cand.x_part
-    dnorm = max0(np.abs(d))
-    if dnorm == 0.0:
-        return CertCheckReport(
-            "dual", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
-        )
-    if masks is None:
-        masks = p.kind_masks()
-    box_res = max0(np.abs(d - clip_to_ray_signs(d, masks)))
+    if max0(np.abs(d)) == 0.0:
+        return _zero_report("dual", cand)
     ad = p.a.matvec(d) if cand.ax is None else cand.ax
-    row_res = max0(-ad)
-    obj = -float(p.c @ d)
-    residual = max(box_res, row_res)
-    scaled = residual / obj if obj > 0.0 else None
-    reasons: list[str] = []
-    if obj <= 0.0:
-        reasons.append("objective does not decrease along the ray")
-    passed = not reasons and scaled is not None and scaled <= eps
-    return CertCheckReport(
-        "dual", cand.kind, cand.k, passed, obj, scaled, tuple(reasons), d, None
-    )
+    if isinstance(p, StandardFormLp):
+        residual = max(max0(np.abs(ad)), max0(-d))
+    else:
+        if masks is None:
+            masks = p.kind_masks()
+        residual = max(max0(np.abs(d - clip_to_ray_signs(d, masks))), max0(-ad))
+    return _report("dual", cand, eps, -float(p.c @ d), residual, d)
 
 
 def check_standard_farkas(
     cand: CertificateCandidate, p: StandardFormLp, eps: float
 ) -> tuple[CertCheckReport, CertCheckReport]:
-    """Both Farkas tests for standard form, returned as (primal, dual).
-
-    Primal infeasibility: b'y < 0 and A'y >= -eps * ||y||_inf entrywise.
-    Dual infeasibility:   c'x < 0, ||Ax||_inf <= eps * ||x||_inf, and
-                          x >= -eps * ||x||_inf entrywise.
-    The standard-form dual vector is free, so no clipping on y.
-    """
-    y = cand.y_part
-    ynorm = max0(np.abs(y))
-    if ynorm == 0.0:
-        primal = CertCheckReport(
-            "primal", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
-        )
-    else:
-        bty = float(p.b @ y)
-        obj = -bty
-        aty = p.a.rmatvec(y) if cand.aty is None else cand.aty
-        residual = max0(-aty)
-        scaled = residual / ynorm
-        passed = obj > 0.0 and scaled <= eps
-        reasons = () if obj > 0.0 else ("b'y is not negative",)
-        primal = CertCheckReport(
-            "primal", cand.kind, cand.k, passed, obj, scaled, reasons, y, None
-        )
-
-    x = cand.x_part
-    xnorm = max0(np.abs(x))
-    if xnorm == 0.0:
-        dual = CertCheckReport(
-            "dual", cand.kind, cand.k, False, 0.0, None, ("zero candidate",)
-        )
-    else:
-        ctx = float(p.c @ x)
-        obj = -ctx
-        ax = p.a.matvec(x) if cand.ax is None else cand.ax
-        residual = max(max0(np.abs(ax)), max0(-x))
-        scaled = residual / xnorm
-        passed = obj > 0.0 and scaled <= eps
-        reasons = () if obj > 0.0 else ("c'x is not negative",)
-        dual = CertCheckReport(
-            "dual", cand.kind, cand.k, passed, obj, scaled, reasons, x, None
-        )
-    return primal, dual
+    """Both tests of a standard-form candidate, returned as (primal, dual)."""
+    return (
+        check_primal_infeasibility(cand, p, eps),
+        check_dual_infeasibility(cand, p, eps),
+    )

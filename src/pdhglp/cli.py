@@ -56,13 +56,18 @@ def _add_instance_args(sub):
     sub.add_argument("--beta", type=float, default=1.0, help="ex1 rhs knob")
 
 
+def _add_shared_args(sub):
+    """The options solve and analyze share."""
+    sub.add_argument("--step-factor", type=float, default=0.9)
+    sub.add_argument("--json-out", help="write the result report as JSON")
+
+
 def _add_solver_args(sub):
     sub.add_argument("--max-iters", type=int, default=1_000_000)
     sub.add_argument("--eps", type=float, default=1e-8, help="certificate tolerance")
     sub.add_argument("--kkt-tol", type=float, default=1e-8)
-    sub.add_argument("--step-factor", type=float, default=0.9)
     sub.add_argument("--check-interval", type=int, default=40)
-    sub.add_argument("--json-out", help="write the result report as JSON")
+    _add_shared_args(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="ray refinement, freeze detection, and rate fits"
     )
     _add_instance_args(analyze)
-    _add_solver_args(analyze)
+    _add_shared_args(analyze)
     analyze.add_argument(
         "--analysis-iters",
         type=int,

@@ -117,7 +117,7 @@ def _cert_to_json(report) -> dict | None:
         return None
     return {
         "side": report.side,
-        "sequence": report.kind.value if hasattr(report.kind, "value") else str(report.kind),
+        "sequence": report.kind.value,
         "k": report.k,
         "passed": report.passed,
         "objective_term": report.objective_term,

@@ -652,7 +652,10 @@ def run(
     """Iterate until optimality, a certificate, or a budget/guard trips.
 
     Every check_interval iterations the KKT residuals are evaluated and all
-    three candidate sequences are put through the infeasibility tests.  At a
+    three candidate sequences are put through certificates' two
+    infeasibility tests, one per side and the same in both forms: a
+    candidate passes when its residual divided by its certificate objective
+    is at most eps, and fails when that objective is not positive.  At a
     check where exactly one side has a passing certificate, run looks for a
     feasible point of the other side (_other_side_feasible): the iterate,
     and the iterate moved onto the support when this check's pattern has
@@ -762,10 +765,7 @@ def run(
         key = pattern.tobytes()
         ms = (time.perf_counter() - t_start) * 1000.0
 
-        cands = [
-            certs.extract(view, kind, p if general else None, products, masks)
-            for kind in certs.SEQUENCE_KINDS
-        ]
+        cands = [certs.extract(view, kind, products) for kind in certs.SEQUENCE_KINDS]
         fresh = False  # whether this check projected
         if not changed and k > config.check_interval and key not in projected:
             # The pattern held since the last check and is new: project once.
@@ -779,18 +779,13 @@ def run(
                         k,
                         support.d * scaling.col,
                         support.w * scaling.row,
-                        p if general else None,
                         products,
-                        masks,
                     )
                 )
 
         for cand in cands:
-            if general:
-                prep = certs.check_primal_infeasibility(cand, p, config.eps, masks)
-                drep = certs.check_dual_infeasibility(cand, p, config.eps, masks)
-            else:
-                prep, drep = certs.check_standard_farkas(cand, p, config.eps)
+            prep = certs.check_primal_infeasibility(cand, p, config.eps, masks)
+            drep = certs.check_dual_infeasibility(cand, p, config.eps, masks)
             trace.append(
                 TraceRecord(
                     k=k,

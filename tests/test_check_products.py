@@ -56,7 +56,6 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
         for attr in (
             "check_primal_infeasibility",
             "check_dual_infeasibility",
-            "check_standard_farkas",
         )
     }
     # id(candidate) -> (candidate, its fresh twin); holding the candidate
@@ -64,10 +63,10 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
     fresh = {}
     counts = {"candidates": 0, "reports": 0}
 
-    def extract_both(state, kind, problem=None, products=None, masks=None):
-        cand = extract(state, kind, problem, products, masks)
+    def extract_both(state, kind, products=None):
+        cand = extract(state, kind, products)
         assert cand.ax is not None and cand.aty is not None
-        fresh[id(cand)] = (cand, extract(state, kind, problem))
+        fresh[id(cand)] = (cand, extract(state, kind))
         counts["candidates"] += 1
         return cand
 
@@ -77,8 +76,7 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
             # has the same parts and takes its products from p.
             assert cand.kind is certs.CandidateKind.SUPPORT
             assert cand.ax is not None and cand.aty is not None
-            problem = p if isinstance(p, GeneralFormLp) else None
-            twin = certs.candidate(cand.kind, cand.k, cand.x_part, cand.y_part, problem)
+            twin = certs.candidate(cand.kind, cand.k, cand.x_part, cand.y_part)
             fresh[id(cand)] = (cand, twin)
             counts["candidates"] += 1
         return fresh[id(cand)][1]

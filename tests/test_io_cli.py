@@ -135,6 +135,22 @@ class TestTraceCsv:
         write_trace_csv(out.trace, path)
         assert read_trace_csv(path) == out.trace
 
+    def test_standard_form_row_with_negative_objective_has_no_scaled_error(
+        self, tmp_path
+    ):
+        out = run(demos.std_feasible())
+        (i,) = [
+            i for i, r in enumerate(out.trace) if r.k == 40 and r.seq == "difference"
+        ]
+        row = out.trace[i]
+        assert row.obj_term == pytest.approx(-8.6e-6, rel=0.01)
+        assert row.scaled_err is None
+        path = tmp_path / "trace.csv"
+        write_trace_csv(out.trace, path)
+        line = path.read_text().splitlines()[1 + i]
+        assert line.split(",")[:3] == ["40", "difference", ""]
+        assert read_trace_csv(path)[i] == row
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -336,6 +352,13 @@ class TestCliAnalyzeOracleDemo:
         assert doc["shift_identity_residual"] < 1e-8
         assert doc["spectral"]["skipped"] is False
         assert doc["rates"]["difference_in_bracket"] is True
+
+    def test_analyze_rejects_solver_only_flags(self, capsys):
+        # analyze runs no solve, so the solve's tolerances are not its options.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--demo", "ex1", "--eps", "1e-6"])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
 
     def test_analyze_standardizes_general_form(self, capsys):
         code = cli.main(

@@ -62,8 +62,6 @@ def _fresh_check(p, rep, eps):
     primal = rep.side == "primal"
     x, y = (zx, rep.vector) if primal else (rep.vector, zy)
     cand = certs.CertificateCandidate(rep.kind, rep.k, x, y)
-    if isinstance(p, StandardFormLp):
-        return certs.check_standard_farkas(cand, p, eps)[0 if primal else 1]
     if primal:
         return certs.check_primal_infeasibility(cand, p, eps)
     return certs.check_dual_infeasibility(cand, p, eps)
