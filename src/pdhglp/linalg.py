@@ -43,11 +43,11 @@ class SparseMatrix:
     Duplicate (row, col) pairs in the input are summed during construction;
     afterwards the stored layout is unique and sorted, so repeated products
     accumulate in a fixed order and runs are reproducible.  The stored
-    entries are treated as immutable: the transpose is built once, on first
-    use, and kept.
+    entries are treated as immutable: the transpose and the operator norm
+    estimate are built once, on first use, and kept.
     """
 
-    __slots__ = ("csr", "_csr_t")
+    __slots__ = ("csr", "_csr_t", "_opnorms")
 
     def __init__(self, csr: sp.csr_matrix):
         if not sp.isspmatrix_csr(csr):
@@ -57,6 +57,7 @@ class SparseMatrix:
         csr.sort_indices()
         self.csr = csr
         self._csr_t: sp.csr_matrix | None = None
+        self._opnorms: dict[tuple[float, int], OperatorNormEstimate] = {}
 
     @classmethod
     def from_triplets(
@@ -123,6 +124,17 @@ class SparseMatrix:
         if self._csr_t is None:
             self._csr_t = self.csr.T.tocsr()
         return self._csr_t
+
+    def opnorm(
+        self, tol: float = 1e-6, max_iters: int = 500
+    ) -> "OperatorNormEstimate":
+        """opnorm_estimate(self, tol, max_iters), run on the first call for
+        each (tol, max_iters) and kept, so the step sizes and every MNorm of
+        one matrix share one power iteration."""
+        key = (tol, max_iters)
+        if key not in self._opnorms:
+            self._opnorms[key] = opnorm_estimate(self, tol, max_iters)
+        return self._opnorms[key]
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -237,7 +249,7 @@ class StepSizes:
         """eta = tau = factor / ||A||_2 with factor < 1 keeping M positive definite."""
         if not 0.0 < factor < 1.0:
             raise ValueError(f"step factor must be in (0, 1), got {factor}")
-        est = opnorm_estimate(a, tol=tol)
+        est = a.opnorm(tol)
         if est.value == 0.0:
             raise SolverError("cannot derive step sizes for an all-zero matrix")
         step = factor / est.value
@@ -260,7 +272,7 @@ class MNorm:
     ):
         if coupling_sign not in (1, -1):
             raise ValueError("coupling_sign must be +1 or -1")
-        sigma = opnorm_estimate(a).value
+        sigma = a.opnorm().value
         # The power-iteration value slightly underestimates the true norm, so
         # give the check a little slack on the open side only.
         if steps.eta * steps.tau * sigma * sigma >= 1.0:

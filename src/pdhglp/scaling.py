@@ -54,34 +54,62 @@ def _inverse_sqrt(norms: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
 
 
-def _flat(v) -> np.ndarray:
-    """A row or column reduction of a dense or sparse matrix as a 1-D array."""
-    return np.asarray(v.toarray() if sp.issparse(v) else v).ravel()
-
-
-def _factors(mag, scaled) -> tuple[np.ndarray, np.ndarray]:
-    """The passes of ruiz_pock_chambolle on |A| (dense or CSR), where
-    scaled(mag, row, col) is diag(row) |A| diag(col) in the same storage."""
-    row = np.ones(mag.shape[0])
-    col = np.ones(mag.shape[1])
-    for _ in range(RUIZ_PASSES):
-        cur = scaled(mag, row, col)
-        row *= _inverse_sqrt(_flat(cur.max(axis=1)))
-        col *= _inverse_sqrt(_flat(cur.max(axis=0)))
-    cur = scaled(mag, row, col)
-    row *= _inverse_sqrt(_flat(cur.sum(axis=1)))
-    col *= _inverse_sqrt(_flat(cur.sum(axis=0)))
+def _factors(shape, norms) -> tuple[np.ndarray, np.ndarray]:
+    """The passes of ruiz_pock_chambolle, where norms(row, col, ufunc) is
+    the (row, column) reductions of diag(row) |A| diag(col) by ufunc:
+    np.maximum for the inf-norms, np.add for the 1-norms."""
+    row = np.ones(shape[0])
+    col = np.ones(shape[1])
+    for ufunc in (np.maximum,) * RUIZ_PASSES + (np.add,):
+        row_norms, col_norms = norms(row, col, ufunc)
+        row *= _inverse_sqrt(row_norms)
+        col *= _inverse_sqrt(col_norms)
     return row, col
 
 
 def _dense_factors(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return _factors(
-        np.abs(a.to_dense()), lambda mag, row, col: mag * row[:, None] * col
-    )
+    mag = np.abs(a.to_dense())
+
+    def norms(row, col, ufunc):
+        cur = mag * row[:, None] * col
+        return ufunc.reduce(cur, axis=1), ufunc.reduce(cur, axis=0)
+
+    return _factors(mag.shape, norms)
+
+
+def _segments(ufunc, values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """ufunc over each segment values[indptr[k]:indptr[k + 1]], 0 for an
+    empty one."""
+    out = np.zeros(indptr.size - 1)
+    full = np.flatnonzero(np.diff(indptr))
+    if full.size:
+        out[full] = ufunc.reduceat(values, indptr[full])
+    return out
 
 
 def _sparse_factors(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return _factors(abs(a.csr), _scaled_csr)
+    """The factors from the CSR arrays of |A|.  Row reductions run over the
+    row segments and column maxima over one column-ordered permutation of
+    the entries.  Column sums come from bincount, which adds in stored
+    order, as scipy's product ones' |A| does; the factors are therefore
+    those of scipy's row and column reductions, to the bit."""
+    csr = a.csr
+    mag = np.abs(csr.data)
+    rows = np.repeat(np.arange(a.n_rows), np.diff(csr.indptr))
+    cols = csr.indices
+    by_col = np.argsort(cols, kind="stable")
+    col_ptr = np.zeros(a.n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=a.n_cols), out=col_ptr[1:])
+
+    def norms(row, col, ufunc):
+        cur = mag * row[rows] * col[cols]
+        if ufunc is np.add:
+            col_norms = np.bincount(cols, weights=cur, minlength=a.n_cols)
+        else:
+            col_norms = _segments(ufunc, cur[by_col], col_ptr)
+        return _segments(ufunc, cur, csr.indptr), col_norms
+
+    return _factors(a.shape, norms)
 
 
 def ruiz_pock_chambolle(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:

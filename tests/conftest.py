@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,7 +14,26 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Load a module of perfbench/ by name, read-only, for this test only.
+
+    perfbench's modules import one another by bare name, so each loaded
+    module is registered in sys.modules until the test ends."""
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -1,34 +1,25 @@
-"""The benchmark's desk gate, run as a test: every desk item at seed 3 is
-solved at the default PdhgConfig and must pass perfbench/check.py's
-check_solve, whose certificate re-check is exact.verify_certificate_exact,
-and none may end by waiting out the grace window.
+"""The benchmark's own instances, run as tests.
+
+Every desk item at seed 3 is solved at the default PdhgConfig and must pass
+perfbench/check.py's check_solve, whose certificate re-check is
+exact.verify_certificate_exact, and none may end by waiting out the grace
+window.  Every general-form sparse item, written as MPS, must read back as
+exactly the planted problem it was written from.
 The perfbench modules are loaded read-only; the instance files go under
 pytest's tmp_path."""
 
-import importlib.util
-import sys
-from pathlib import Path
+import numpy as np
 
 from pdhglp import instance_io, pdhg
+from pdhglp.mps import load_mps
 from pdhglp.pdhg import PdhgConfig
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-
-def _load(name, monkeypatch):
-    # perfbench's modules import one another by bare name.
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_desk_items_pass_the_bench_gate(tmp_path, monkeypatch):
+def test_desk_items_pass_the_bench_gate(tmp_path, monkeypatch, perfbench):
     monkeypatch.chdir(tmp_path)
-    _load("planted", monkeypatch)
-    corpus = _load("corpus", monkeypatch)
-    check = _load("check", monkeypatch)
+    perfbench("planted")
+    corpus = perfbench("corpus")
+    check = perfbench("check")
     items = corpus.setup_desk(3)
     assert len(items) == 56
     config = PdhgConfig()
@@ -45,3 +36,22 @@ def test_desk_items_pass_the_bench_gate(tmp_path, monkeypatch):
     # Every one-sided desk verdict ends on a feasible point of the other
     # side, never by waiting out the grace window.
     assert not waited, waited
+
+
+def test_sparse_mps_items_load_as_planted(tmp_path, monkeypatch, perfbench):
+    monkeypatch.chdir(tmp_path)
+    perfbench("planted")
+    corpus = perfbench("corpus")
+    items = [it for it in corpus.setup_sparse(3) if it.form == "general"]
+    assert len(items) == 4
+    for item in items:
+        assert item.path.endswith(".mps")
+        got = load_mps(item.path)
+        want = corpus.planted_to_lp(item.planted)
+        assert got.a.same_entries(want.a), item.name
+        for field in ("c", "b", "l", "u"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.dtype == w.dtype == np.float64
+            assert g.tobytes() == w.tobytes(), (item.name, field)
+        assert got.name == want.name
+        assert got.objective_offset == want.objective_offset

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pdhglp import linalg
 from pdhglp.linalg import (
     MNorm,
     SparseMatrix,
@@ -97,6 +98,31 @@ class TestOperatorNorm:
     def test_zero_matrix(self):
         a = SparseMatrix.from_triplets(2, 2, [], [], [])
         assert opnorm_estimate(a).value == 0.0
+
+    def test_kept_per_matrix_and_settings(self, monkeypatch):
+        # The step sizes and every MNorm of one matrix share one power
+        # iteration; other settings or another matrix get their own.
+        calls = []
+
+        def counted(a, tol=1e-6, max_iters=500):
+            calls.append((a, tol, max_iters))
+            return opnorm_estimate(a, tol, max_iters)
+
+        monkeypatch.setattr(linalg, "opnorm_estimate", counted)
+        a = SparseMatrix.from_dense([[3.0, 1.0], [0.0, 2.0]])
+        steps = StepSizes.for_matrix(a, 0.9)
+        MNorm(a, steps)
+        MNorm(a, steps, coupling_sign=-1)
+        assert calls == [(a, 1e-6, 500)]
+        assert a.opnorm() == opnorm_estimate(a)
+        loose = a.opnorm(1e-2)
+        assert loose == opnorm_estimate(a, 1e-2)
+        assert a.opnorm(1e-6, 3) == opnorm_estimate(a, 1e-6, 3)
+        assert calls == [(a, 1e-6, 500), (a, 1e-2, 500), (a, 1e-6, 3)]
+        assert a.opnorm(1e-2) is loose
+        b = SparseMatrix(a.csr.copy())
+        StepSizes.for_matrix(b, 0.9)
+        assert len(calls) == 4 and calls[-1][0] is b
 
 
 class TestStepSizes:

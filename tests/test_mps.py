@@ -44,6 +44,57 @@ def _tiny(body):
     return "NAME T\nROWS\n N  C\n" + body + "ENDATA\n"
 
 
+NAMES = st.text(
+    alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_", min_size=1, max_size=8
+).filter(lambda s: s not in ("OBJ", "FREE", "MARKER"))
+VALUES = st.floats(
+    allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
+) | st.sampled_from([0.1, 0.2, 0.3, 1.0, 1e-16, -1e-16])
+
+
+@st.composite
+def documents(draw):
+    """Valid documents: L, G and E rows, sometimes a second (free) N row,
+    RANGES on any row but the objective, entries repeated up to three
+    times for one (column, row) pair and not next to each other, an RHS
+    entry for the objective, and up to three bounds of any code per column,
+    applied in order."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 4))
+    row_names = draw(st.lists(NAMES, min_size=n_rows, max_size=n_rows, unique=True))
+    col_names = draw(st.lists(NAMES, min_size=n_cols, max_size=n_cols, unique=True))
+    rows = [MpsRow(draw(st.sampled_from("LGE")), r) for r in row_names]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), MpsRow("N", "FREE"))
+    rows.insert(0, MpsRow("N", "OBJ"))
+    pairs = [
+        (c, r.name) for c in col_names for r in rows if draw(st.booleans())
+    ]
+    if not pairs:
+        pairs.append((col_names[0], "OBJ"))
+    columns = [(c, r, draw(VALUES)) for c, r in pairs]
+    for c, r in pairs:
+        columns += [(c, r, draw(VALUES)) for _ in range(draw(st.integers(0, 2)))]
+    others = [r.name for r in rows[1:]]
+    rhs = {r: draw(VALUES) for r in ["OBJ"] + others if draw(st.booleans())}
+    ranges = {r: draw(VALUES) for r in others if draw(st.booleans())}
+    bounds = []
+    # A bound may only reference a column the COLUMNS section declares.
+    for c in dict.fromkeys(c for c, _ in pairs):
+        for _ in range(draw(st.integers(0, 3))):
+            code = draw(st.sampled_from(["LO", "UP", "FX", "FR", "MI", "PL"]))
+            val = draw(VALUES) if code in ("LO", "UP", "FX") else None
+            bounds.append((code, c, val))
+    return MpsDocument(
+        name=draw(NAMES),
+        rows=rows,
+        columns=columns,
+        rhs=rhs,
+        ranges=ranges,
+        bounds=bounds,
+    )
+
+
 class TestParseDocument:
     def test_fixture_structure(self):
         doc = parse_mps(FIXTURE)
@@ -83,36 +134,37 @@ class TestParseDocument:
         assert doc.rhs == {"R": 3.0}
 
 
+# (text, line number, fragment of the message) of every line-numbered error.
+ERROR_CASES = [
+    ("NAME T\nROWS\n N  C\n Q  R1\nENDATA\n", 4, "row type"),
+    ("NAME T\nROWS\n N  C\n G  R1\n G  R1\nENDATA\n", 5, "duplicate row"),
+    (
+        "NAME T\nROWS\n N  C\nCOLUMNS\n    X  R9  1.0\nENDATA\n",
+        5,
+        "undeclared row",
+    ),
+    ("NAME T\nROWS\n N  C\nBLAH\nENDATA\n", 4, "unknown section"),
+    (
+        "NAME T\nROWS\n N  C\n G  R\nCOLUMNS\n    X  R  1.0\n"
+        "BOUNDS\n BV B  X\nENDATA\n",
+        8,
+        "BV",
+    ),
+    (
+        "NAME T\nROWS\n N  C\nCOLUMNS\n    M  'MARKER'  'INTORG'\nENDATA\n",
+        5,
+        "marker",
+    ),
+    (
+        "NAME T\nROWS\n N  C\nCOLUMNS\n    X  C  oops\nENDATA\n",
+        5,
+        "not a number",
+    ),
+]
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text,line_no,frag",
-        [
-            ("NAME T\nROWS\n N  C\n Q  R1\nENDATA\n", 4, "row type"),
-            ("NAME T\nROWS\n N  C\n G  R1\n G  R1\nENDATA\n", 5, "duplicate row"),
-            (
-                "NAME T\nROWS\n N  C\nCOLUMNS\n    X  R9  1.0\nENDATA\n",
-                5,
-                "undeclared row",
-            ),
-            ("NAME T\nROWS\n N  C\nBLAH\nENDATA\n", 4, "unknown section"),
-            (
-                "NAME T\nROWS\n N  C\n G  R\nCOLUMNS\n    X  R  1.0\n"
-                "BOUNDS\n BV B  X\nENDATA\n",
-                8,
-                "BV",
-            ),
-            (
-                "NAME T\nROWS\n N  C\nCOLUMNS\n    M  'MARKER'  'INTORG'\nENDATA\n",
-                5,
-                "marker",
-            ),
-            (
-                "NAME T\nROWS\n N  C\nCOLUMNS\n    X  C  oops\nENDATA\n",
-                5,
-                "not a number",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("text,line_no,frag", ERROR_CASES)
     def test_line_numbered_errors(self, text, line_no, frag):
         with pytest.raises(MpsParseError) as exc:
             parse_mps(text)
@@ -260,59 +312,7 @@ class TestWriteRoundTrip:
         doc = load_mps(path)
         assert doc.name == "TESTPROB"
 
-    names = st.text(
-        alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_", min_size=1, max_size=8
-    ).filter(lambda s: s not in ("OBJ", "MARKER"))
-    values = st.floats(
-        allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
-    )
-
-    @given(data=st.data())
+    @given(doc=documents())
     @settings(max_examples=40)
-    def test_random_documents_round_trip(self, data):
-        n_rows = data.draw(st.integers(1, 4))
-        n_cols = data.draw(st.integers(1, 4))
-        row_names = data.draw(
-            st.lists(self.names, min_size=n_rows, max_size=n_rows, unique=True)
-        )
-        col_names = data.draw(
-            st.lists(self.names, min_size=n_cols, max_size=n_cols, unique=True)
-        )
-        kinds = [data.draw(st.sampled_from("LGE")) for _ in row_names]
-        rows = [MpsRow("N", "OBJ")] + [
-            MpsRow(k, r) for k, r in zip(kinds, row_names)
-        ]
-        columns = []
-        for c in col_names:
-            for r in ["OBJ"] + row_names:
-                if data.draw(st.booleans()):
-                    columns.append((c, r, data.draw(self.values)))
-        if not columns:
-            columns.append((col_names[0], "OBJ", 1.0))
-        rhs = {
-            r: data.draw(self.values)
-            for r in row_names
-            if data.draw(st.booleans())
-        }
-        ranges = {
-            r: data.draw(self.values)
-            for r in row_names
-            if data.draw(st.booleans())
-        }
-        bounds = []
-        declared = {c for c, _, _ in columns}
-        for c in col_names:
-            # a bound may only reference a column the COLUMNS section declares
-            if c in declared and data.draw(st.booleans()):
-                code = data.draw(st.sampled_from(["LO", "UP", "FX", "FR", "MI", "PL"]))
-                val = data.draw(self.values) if code in ("LO", "UP", "FX") else None
-                bounds.append((code, c, val))
-        doc = MpsDocument(
-            name=data.draw(self.names),
-            rows=rows,
-            columns=columns,
-            rhs=rhs,
-            ranges=ranges,
-            bounds=bounds,
-        )
+    def test_random_documents_round_trip(self, doc):
         assert parse_mps(write_mps(doc)) == doc

@@ -5,6 +5,7 @@ and the maps between the two coordinates to the identities they rely on."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from pdhglp.model import (
 )
 from pdhglp.pdhg import PdhgConfig, PdhgState, SolveStatus, kkt_residual, run
 from pdhglp.scaling import (
+    RUIZ_PASSES,
     DiagonalScaling,
     _dense_factors,
     _sparse_factors,
@@ -138,6 +140,98 @@ def test_dense_and_sparse_factors_agree(a):
         assert np.array_equal(got, want)
     for got, want in zip(dense, _sparse_factors(a)):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# A frozen copy of the factors as they were first built, on scipy's row and
+# column reductions of a rebuilt scaled matrix per pass.  The reductions of
+# the CSR arrays (and the dense ufunc reductions) must give the same bits.
+
+
+def _reference_scaled_csr(csr, row, col):
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    data = csr.data * row[rows] * col[csr.indices]
+    indices, indptr = csr.indices.copy(), csr.indptr.copy()
+    return sp.csr_matrix((data, indices, indptr), shape=csr.shape)
+
+
+def _reference_factors(mag, scaled):
+    def inverse_sqrt(norms):
+        return 1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
+
+    def flat(v):
+        return np.asarray(v.toarray() if sp.issparse(v) else v).ravel()
+
+    row = np.ones(mag.shape[0])
+    col = np.ones(mag.shape[1])
+    for _ in range(RUIZ_PASSES):
+        cur = scaled(mag, row, col)
+        row *= inverse_sqrt(flat(cur.max(axis=1)))
+        col *= inverse_sqrt(flat(cur.max(axis=0)))
+    cur = scaled(mag, row, col)
+    row *= inverse_sqrt(flat(cur.sum(axis=1)))
+    col *= inverse_sqrt(flat(cur.sum(axis=0)))
+    return row, col
+
+
+def reference_sparse_factors(a):
+    return _reference_factors(abs(a.csr), _reference_scaled_csr)
+
+
+def reference_dense_factors(a):
+    return _reference_factors(
+        np.abs(a.to_dense()), lambda mag, row, col: mag * row[:, None] * col
+    )
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.float64
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("a", _desk_matrices() + [ZERO_ROW_AND_COLUMN])
+def test_dense_factors_match_the_reference(a):
+    _assert_same_bits(_dense_factors(a), reference_dense_factors(a))
+
+
+@pytest.mark.parametrize("form", ["standard", "general"])
+@pytest.mark.parametrize("cell", demos.CELLS)
+def test_sparse_factors_match_the_reference_on_planted(perfbench, cell, form):
+    planted = perfbench("planted")
+    p = planted.planted_instance(
+        cell, form, 300, 1200, 8, np.random.default_rng(0), name=cell
+    )
+    a = SparseMatrix.from_triplets(p.m, p.n, p.rows, p.cols, p.vals.astype(float))
+    assert a.n_rows * a.n_cols > linalg.DENSE_LIMIT
+    _assert_same_bits(ruiz_pock_chambolle(a), reference_sparse_factors(a))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    density=st.sampled_from([0.02, 0.2, 0.6, 1.0]),
+)
+def test_sparse_factors_match_the_reference(seed, m, n, density):
+    # Entries over forty decades, explicit zeros, and emptied rows and
+    # columns, which keep factor 1.
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < density
+    mask[rng.random(m) < 0.2, :] = False
+    mask[:, rng.random(n) < 0.2] = False
+    rows, cols = np.nonzero(mask)
+    vals = rng.standard_normal(rows.size) * np.exp(rng.uniform(-46, 46, rows.size))
+    vals[rng.random(rows.size) < 0.05] = 0.0
+    a = SparseMatrix.from_triplets(m, n, rows, cols, vals)
+    _assert_same_bits(_sparse_factors(a), reference_sparse_factors(a))
+
+
+def test_sparse_factors_of_a_matrix_with_no_entries():
+    a = SparseMatrix.from_triplets(4, 9, [], [], [])
+    _assert_same_bits(_sparse_factors(a), (np.ones(4), np.ones(9)))
+    _assert_same_bits(_sparse_factors(a), reference_sparse_factors(a))
 
 
 def test_zero_rows_and_columns_keep_factor_one():
