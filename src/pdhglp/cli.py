@@ -45,6 +45,18 @@ _STATUS_EXIT = {
 }
 
 
+def _at_least_one(text: str) -> int:
+    """An integer option value of 1 or more; argparse names the option in
+    the error it reports."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_instance_args(sub):
     sub.add_argument("path", nargs="?", help="instance file (.mps or .json)")
     sub.add_argument(
@@ -89,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_args(analyze)
     analyze.add_argument(
         "--analysis-iters",
-        type=int,
+        type=_at_least_one,
         default=4000,
         help="trajectory length recorded for the analysis",
     )
@@ -188,6 +200,7 @@ def _analysis_report(p, args) -> dict:
             "residual": ray.residual,
             "converged": ray.converged,
             "rounds": ray.rounds,
+            "steps": ray.steps,
             "farkas_identity_primal": fk2,
             "farkas_identity_dual": fk1,
         },

@@ -113,6 +113,11 @@ class ShiftedOperator(_OperatorBase):
     where the original runs off along the ray.  It is itself an LP
     iteration (for the auxiliary problem), hence firmly nonexpansive in
     the same step-size-induced norm.
+
+    In the step loop of _OperatorBase the shift and the pin are data: the
+    offsets are -eta c - v_x and -tau b - v_y, and x is clipped to
+    [-inf, inf] on b, [-v_x, inf] on n1 and [-v_x, -v_x] on n2, which is
+    the standard step's projection followed by x - v_x.
     """
 
     coupling_sign = 1
@@ -125,28 +130,18 @@ class ShiftedOperator(_OperatorBase):
         v_y: np.ndarray,
         partition: IndexPartition,
     ):
-        super().__init__(p.a, steps)
         self.p = p
         self.v_x = np.asarray(v_x, dtype=np.float64)
         self.v_y = np.asarray(v_y, dtype=np.float64)
         self.partition = partition
         self.mask_b, self.mask_n1, self.mask_n2 = partition.masks(p.n)
-        self._eta_c = steps.eta * p.c
-        self._tau_b = steps.tau * p.b
-        # The projection's floor: -inf leaves b coordinates free, so one
-        # np.maximum projects every coordinate and passes b through as is.
-        self._lo = np.where(self.mask_b, -np.inf, 0.0)
+        offsets = (-steps.eta * p.c - self.v_x, -steps.tau * p.b - self.v_y)
+        lo = np.where(self.mask_b, -np.inf, -self.v_x)
+        hi = np.where(self.mask_n2, -self.v_x, np.inf)
+        clips = ([(np.maximum, lo), (np.minimum, hi)], [])
+        super().__init__(p.a, steps, offsets, clips)
 
-    def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = x - self.steps.eta * self._rmat(y)
-        w -= self._eta_c
-        x1 = np.maximum(w, self._lo, out=w)
-        np.copyto(x1, 0.0, where=self.mask_n2)
-        x1 -= self.v_x
-        y1 = y + self.steps.tau * self._mat(2.0 * x1 - x)
-        y1 -= self._tau_b
-        y1 -= self.v_y
-        return x1, y1
+    apply = _OperatorBase.apply
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,8 @@ class RaySolution:
     step-size norm of the change in the re-derived displacement, which
     equals how far z_star was from a true fixed point of the shifted twin
     built with the previous displacement.  fixed_point_residual is the raw
-    final step length of the inner fixed-point loop.
+    final step length of the inner fixed-point loop, and steps counts the
+    shifted-twin steps of all rounds.
     """
 
     z_star: np.ndarray
@@ -167,6 +163,7 @@ class RaySolution:
     rounds: int
     converged: bool
     partition: IndexPartition
+    steps: int
 
     def split(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.z_star[:n], self.z_star[n:], self.v[:n], self.v[n:]
@@ -174,22 +171,19 @@ class RaySolution:
 
 def _fixed_point(
     op: ShiftedOperator, z0: np.ndarray, mn: MNorm, budget: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int]:
+    """Step op from z0 until its last step is at most 1e-13 (1 + |z|) in mn,
+    testing after each block of the step loop, or until budget steps.
+    Returns the last point, that step's length and the steps taken."""
     n = op.n
-    x, y = z0[:n].copy(), z0[n:].copy()
-    res = np.inf
-    done = 0
-    while done < budget:
-        batch = min(200, budget - done)
-        for _ in range(batch):
-            x, y = op.apply(x, y)
-        done += batch
-        x1, y1 = op.apply(x, y)
-        res = mn(x1 - x, y1 - y)
+    res, steps = np.inf, 0
+    for xs, ys, rows in op._steps(z0[:n], z0[n:], budget):
+        steps += rows
+        x, y = xs[rows], ys[rows, :-1]
+        res = mn(x - xs[rows - 1], y - ys[rows - 1, :-1])
         if res <= 1e-13 * (1.0 + mn(x, y)):
-            x, y = x1, y1
             break
-    return np.concatenate([x, y]), res
+    return np.concatenate([x, y]), res, steps
 
 
 def _rederive_v(
@@ -239,11 +233,13 @@ def refine_ray(p: StandardFormLp, steps: StepSizes, warm: np.ndarray) -> RaySolu
 
     best: tuple[float, np.ndarray, np.ndarray, float, IndexPartition] | None = None
     used = 0
+    taken = 0
     for rnd in range(_REFINE_ROUNDS):
         used = rnd + 1
         part = partition_indices(p.a, v[:n], v[n:])
         shifted = ShiftedOperator(p, steps, v[:n], v[n:], part)
-        z_star, fp_res = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
+        z_star, fp_res, steps_used = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
+        taken += steps_used
         v_new = _rederive_v(op, z_star, v, shifted.mask_b)
         residual = mn(v_new[:n] - v[:n], v_new[n:] - v[n:])
         if best is None or residual < best[0]:
@@ -261,6 +257,7 @@ def refine_ray(p: StandardFormLp, steps: StepSizes, warm: np.ndarray) -> RaySolu
         rounds=used,
         converged=residual <= _REFINE_TARGET,
         partition=part,
+        steps=taken,
     )
 
 

@@ -201,6 +201,10 @@ def _check_finite(report: ValidationReport, name: str, arr: np.ndarray) -> None:
 def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
     """Semantic checks beyond shape consistency; never raises."""
     report = ValidationReport()
+    if p.m == 0:
+        # PDHG has nothing to iterate on, and the scaling and the step
+        # sizes are taken from A's rows.
+        report.errors.append("the problem has no constraint rows")
     _check_finite(report, "c", p.c)
     _check_finite(report, "b", p.b)
     _, _, vals = p.a.triplets()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdhglp import demos
+from pdhglp import demos, linalg
 from pdhglp.fixed_point import (
     FixedPointOperator,
     RateFit,
@@ -39,7 +39,7 @@ from pdhglp.identify import (
 )
 from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
 from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
-from pdhglp.pdhg import StandardFormOperator, make_operator
+from pdhglp.pdhg import GeneralFormOperator, StandardFormOperator, make_operator
 
 # ---------------------------------------------------------------------------
 # Reference copies of the per-row code
@@ -110,19 +110,6 @@ def _as_general_form_triplets(aux):
     )
 
 
-def _shifted_apply_masked(op, x, y):
-    w = x - op.steps.eta * op._rmat(y)
-    w -= op._eta_c
-    x1 = np.maximum(w, 0.0)
-    x1[op.mask_b] = w[op.mask_b]
-    x1[op.mask_n2] = 0.0
-    x1 -= op.v_x
-    y1 = y + op.steps.tau * op._mat(2.0 * x1 - x)
-    y1 -= op._tau_b
-    y1 -= op.v_y
-    return x1, y1
-
-
 def _shift_identity_per_k(p, steps, v, partition, z_from, k_max):
     op = StandardFormOperator(p, steps)
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
@@ -189,11 +176,11 @@ def _bound_gap_per_k(traj, v, z_star, norm, k_min=1):
 # Helpers
 
 
-def _random_standard_lp(rng, m, n, zero_c=False):
+def _random_standard_lp(rng, m, n):
     a = SparseMatrix.from_dense(
         rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
     )
-    c = np.zeros(n) if zero_c else rng.standard_normal(n)
+    c = rng.standard_normal(n)
     return StandardFormLp(c=c, a=a, b=rng.standard_normal(m), name="rand")
 
 
@@ -406,35 +393,73 @@ def test_trajectory_matches_iterate_bitwise(name):
     assert op.trajectory(z0, 0).tobytes() == z0.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(_trajectory_cases()))
+def test_trajectory_rejects_a_negative_length(name):
+    op = _trajectory_cases()[name]
+    with pytest.raises(ValueError, match="k >= 0"):
+        op.trajectory(np.zeros(op.n + op.m), -1)
+
+
 # ---------------------------------------------------------------------------
-# ShiftedOperator.apply
+# The step loop against the textbook step
+
+# After 4000 steps every row of a trajectory agrees with the textbook
+# formulas within this much, relative to 1 + the row's largest entry: the
+# step loop sums each product with its offset in one dot, in another order.
+_KERNEL_REL_TOL = 1e-11
 
 
-@pytest.mark.parametrize("how", ["random", "no_b_no_n2", "all_b", "all_n2"])
-@pytest.mark.parametrize("seed", range(4))
-def test_shifted_apply_bitwise_equal(how, seed):
-    rng = np.random.default_rng([seed, len(how)])
-    m, n = 4, 9
-    p = _random_standard_lp(rng, m, n, zero_c=seed % 2 == 0)
-    steps = StepSizes.for_matrix(p.a)
-    part = _split(n, rng, how)
-    v_x = rng.standard_normal(n) * (rng.random(n) < 0.5)
-    v_y = rng.standard_normal(m)
-    op = ShiftedOperator(p, steps, v_x, v_y, part)
-    for trial in range(25):
-        x = rng.standard_normal(n)
-        # Signed zeros reach the projection unchanged when y and c vanish.
-        x[rng.random(n) < 0.3] = -0.0
-        x[rng.random(n) < 0.2] = 0.0
-        y = np.zeros(m) if trial % 3 == 0 else rng.standard_normal(m)
-        if trial == 24:
-            x[0], x[-1] = np.nan, -np.inf
-        with np.errstate(invalid="ignore"):
-            got = op.apply(x.copy(), y.copy())
-            want = _shifted_apply_masked(op, x.copy(), y.copy())
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
-            assert np.array_equal(np.signbit(g), np.signbit(w))
+def _textbook_step(op, x, y):
+    """One step of op from the formulas of pdhg's module docstring, on the
+    dense matrix; the shifted twin projects, pins n2 to zero, then shifts
+    both parts back by v."""
+    a, p = op.a.to_dense(), op.p
+    eta, tau = op.steps.eta, op.steps.tau
+    if isinstance(op, GeneralFormOperator):
+        x1 = np.clip(x - eta * (p.c - a.T @ y), p.l, p.u)
+        return x1, np.maximum(y + tau * (p.b - a @ (2.0 * x1 - x)), 0.0)
+    w = x - eta * (a.T @ y) - eta * p.c
+    x1 = np.maximum(w, 0.0)
+    if isinstance(op, ShiftedOperator):
+        x1 = np.where(op.mask_b, w, x1)
+        x1 = np.where(op.mask_n2, 0.0, x1) - op.v_x
+        return x1, y + tau * (a @ (2.0 * x1 - x)) - tau * p.b - op.v_y
+    return x1, y + tau * (a @ (2.0 * x1 - x)) - tau * p.b
+
+
+def _kernel_differential_cases():
+    rng = np.random.default_rng(5)
+    ops = {}
+    for storage, copies in (("dense", 1), ("csr", 41)):
+        std = demos.block_copies(demos.std_both_infeasible(), copies, seed=3)
+        gen = demos.block_copies(demos.example1(1, 2), copies, seed=3)
+        assert (std.m * std.n <= linalg.DENSE_LIMIT) == (storage == "dense")
+        assert (gen.m * gen.n <= linalg.DENSE_LIMIT) == (storage == "dense")
+        ops[f"standard-{storage}"] = make_operator(std, StepSizes.for_matrix(std.a))
+        ops[f"general-{storage}"] = make_operator(gen, StepSizes.for_matrix(gen.a))
+        ops[f"shifted-{storage}"] = ShiftedOperator(
+            std,
+            StepSizes.for_matrix(std.a),
+            rng.standard_normal(std.n) * (rng.random(std.n) < 0.5),
+            rng.standard_normal(std.m),
+            _split(std.n, rng, "random"),
+        )
+    return ops
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_differential_cases()))
+def test_step_loop_matches_textbook_step(name):
+    op = _kernel_differential_cases()[name]
+    assert isinstance(op.k1, np.ndarray) == name.endswith("dense")
+    z0 = np.random.default_rng(len(name)).standard_normal(op.n + op.m)
+    got = op.trajectory(z0, 4000)
+    want = np.empty_like(got)
+    want[0] = z0
+    for k in range(1, 4001):
+        x, y = _textbook_step(op, want[k - 1, : op.n], want[k - 1, op.n :])
+        want[k] = np.concatenate([x, y])
+    scale = 1.0 + np.max(np.abs(want), axis=1)
+    assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= _KERNEL_REL_TOL
 
 
 # ---------------------------------------------------------------------------

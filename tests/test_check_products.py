@@ -1,12 +1,13 @@
-"""The periodic check of run() works from products the loop shares with its
-steps; these tests hold it to the products a fresh check would compute."""
+"""The periodic check of run() makes its own products once and shares them
+among the KKT residuals and the certificate tests; these tests hold it to
+the products a fresh check would compute, and count them."""
 
 import numpy as np
 import pytest
 
 from pdhglp import certificates as certs
 from pdhglp import demos, linalg, pdhg
-from pdhglp.linalg import SparseMatrix, StepSizes
+from pdhglp.linalg import SparseMatrix
 from pdhglp.model import GeneralFormLp, standard_to_general, to_standard_form
 from pdhglp.pdhg import PdhgConfig, run
 
@@ -113,7 +114,7 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
     ],
     ids=["ex1(1,2)", "ex1(0,1)", "std-both-infeasible", "ex1(1,2)*34"],
 )
-def test_check_costs_five_products(p, monkeypatch):
+def test_check_costs_six_products(p, monkeypatch):
     counts = {"products": 0}
     make_operator = pdhg.make_operator
 
@@ -140,42 +141,9 @@ def test_check_costs_five_products(p, monkeypatch):
     checks = len({t.k for t in out.trace})
     projections = sum(t.seq == "support" for t in out.trace)
     assert checks > 1 and projections >= 1
-    # Each step makes two products.  Each check makes six, and the step
-    # after it reuses one (A'y^k), so a check costs five; the last check
-    # has no step after it.  A support projection works on its own copy of
-    # the support block; its candidate and its polished point then take one
-    # product per side each.
-    assert counts["products"] == (
-        2 * out.iterations + 5 * checks + 1 + 4 * projections
-    )
-
-
-def test_general_apply_bitwise_equals_clip():
-    # validate rejects l > u, so max-then-min is np.clip to the bit.
-    problems = [p for _, p in DESK if isinstance(p, GeneralFormLp)]
-    boxed = demos.example1(0.0, 1.0)
-    boxed.l = np.array([-1.0, -np.inf, 0.0])
-    boxed.u = np.array([1.0, 2.0, 0.0])
-    rng = np.random.default_rng(7)
-    for p in problems + [boxed]:
-        op = pdhg.make_operator(p, StepSizes.for_matrix(p.a))
-        eta, tau = op.steps.eta, op.steps.tau
-        for _ in range(5):
-            x = 3.0 * rng.standard_normal(p.n)
-            y = 3.0 * rng.standard_normal(p.m)
-            x1, y1 = op.apply(x, y)
-            w = np.clip(x + eta * op._rmat(y) - eta * p.c, p.l, p.u)
-            y_ref = np.maximum(y - tau * op._mat(2.0 * w - x) + tau * p.b, 0.0)
-            assert np.array_equal(x1, w)
-            assert np.array_equal(y1, y_ref)
-
-
-@pytest.mark.parametrize("name,p", DESK[:4], ids=[n for n, _ in DESK[:4]])
-def test_apply_with_given_aty_is_the_same_step(name, p):
-    op = pdhg.make_operator(p, StepSizes.for_matrix(p.a))
-    rng = np.random.default_rng(11)
-    x, y = rng.standard_normal(p.n), rng.standard_normal(p.m)
-    plain = op.apply(x, y)
-    given = op.apply(x, y, aty=op._rmat(y))
-    assert np.array_equal(plain[0], given[0])
-    assert np.array_equal(plain[1], given[1])
+    # The steps run on the operator's stacked blocks and make none of these
+    # products.  Each check makes six: A x^k and A'y^k, then one per side
+    # for the difference and one per side for the average.  A support
+    # projection works on its own copy of the support block; its candidate
+    # and its polished point then take one product per side each.
+    assert counts["products"] == 6 * checks + 4 * projections

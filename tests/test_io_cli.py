@@ -205,6 +205,32 @@ class TestResultJson:
             assert doc["primal_certificate"]["exact"] is want
 
 
+# One variable, no constraint rows: as MPS with a bound, as standard-form
+# JSON and as general-form JSON.
+_NO_ROWS = {
+    "norows.mps": "NAME T\nROWS\n N C\nCOLUMNS\n X C 1.0\n"
+    "BOUNDS\n UP B X 2.0\nENDATA\n",
+    "standard.json": json.dumps(
+        {
+            "form": "standard",
+            "c": [1.0],
+            "a": {"shape": [0, 1], "rows": [], "cols": [], "values": []},
+            "b": [],
+        }
+    ),
+    "general.json": json.dumps(
+        {
+            "form": "general",
+            "c": [1.0],
+            "a": {"shape": [0, 1], "rows": [], "cols": [], "values": []},
+            "b": [],
+            "l": [0.0],
+            "u": [2.0],
+        }
+    ),
+}
+
+
 class TestCliSolve:
     def test_optimal_demo(self, capsys):
         code = cli.main(["solve", "--demo", "std-feasible"])
@@ -280,6 +306,14 @@ class TestCliSolve:
         assert code == cli.EXIT_NUMERICAL
         assert "all-zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(_NO_ROWS))
+    def test_problem_without_rows_is_refused(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(_NO_ROWS[name])
+        code = cli.main(["solve", str(path)])
+        assert code == cli.EXIT_PARSE
+        assert "no constraint rows" in capsys.readouterr().err
+
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL
 
@@ -345,6 +379,7 @@ class TestCliAnalyzeOracleDemo:
         assert code == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["ray"]["converged"] is True
+        assert doc["ray"]["steps"] >= 200 * doc["ray"]["rounds"]
         assert doc["ray"]["farkas_identity_primal"] < 1e-10
         assert doc["ray"]["farkas_identity_dual"] < 1e-10
         assert doc["partition"]["b"] == 2 and doc["partition"]["n2"] == 1
@@ -359,6 +394,13 @@ class TestCliAnalyzeOracleDemo:
             cli.main(["analyze", "--demo", "ex1", "--eps", "1e-6"])
         assert exc.value.code == 2
         assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("iters", ["0", "-5", "x"])
+    def test_analysis_iters_below_one_is_an_argument_error(self, iters, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--demo", "ex1", "--analysis-iters", iters])
+        assert exc.value.code == 2
+        assert "--analysis-iters" in capsys.readouterr().err
 
     def test_analyze_standardizes_general_form(self, capsys):
         code = cli.main(

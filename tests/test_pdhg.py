@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdhglp import demos, linalg, pdhg
+from pdhglp.identify import ShiftedOperator, partition_indices
 from pdhglp.linalg import SparseMatrix, StepSizes
 from pdhglp.model import GeneralFormLp, StandardFormLp
 from pdhglp.pdhg import (
@@ -34,6 +35,31 @@ def _random_general(rng):
         l=l,
         u=u,
     )
+
+
+def _non_finite_cases():
+    """Operators in both storages whose every row and column of A has a
+    nonzero.  A clip to a finite bound can turn an infinite entry finite
+    (a box, or y >= 0 in general form), so each case has a part that
+    nothing clips and that every input entry reaches through A: y in
+    standard form and in the shifted twin, x in the general-form problem,
+    whose columns are all free.  NaN survives every clip."""
+    rng = np.random.default_rng(3)
+    std = demos.std_both_infeasible()
+    big = demos.block_copies(std, 41)
+    free = _random_general(rng)
+    free.l, free.u = np.full(free.n, -np.inf), np.full(free.n, np.inf)
+    v = rng.standard_normal(std.n + std.m)
+    v_x, v_y = v[: std.n], v[std.n :]
+    shifted = ShiftedOperator(
+        std, StepSizes.for_matrix(std.a), v_x, v_y, partition_indices(std.a, v_x, v_y)
+    )
+    ops = [make_operator(q, StepSizes.for_matrix(q.a)) for q in (std, big, free)]
+    names = ["standard-dense", "standard-csr", "general-free"]
+    return dict(zip(names, ops), shifted=shifted)
+
+
+_NON_FINITE_CASES = _non_finite_cases()
 
 
 class TestOperators:
@@ -89,6 +115,48 @@ class TestOperators:
             x = np.arange(p.n, dtype=np.float64)
             np.testing.assert_array_equal(op.matrix @ x, op._mat(x))
             np.testing.assert_array_equal(op.matrix @ x, p.a.matvec(x))
+
+    @pytest.mark.parametrize("form", ["standard", "general", "shifted"])
+    def test_step_blocks_hold_no_square_block(self, form, rng):
+        # 1 x 10000 is stored dense.  An n x n identity or zero block in K1
+        # or K2 would hold 10^8 entries, 800 MB.
+        m, n = 1, 10_000
+        assert m * n <= linalg.DENSE_LIMIT
+        a = SparseMatrix.from_dense(rng.standard_normal((m, n)))
+        std = StandardFormLp(c=rng.standard_normal(n), a=a, b=np.ones(m))
+        steps = StepSizes.for_matrix(a)
+        if form == "standard":
+            op = StandardFormOperator(std, steps)
+        elif form == "general":
+            gen = GeneralFormLp(
+                c=std.c, a=a, b=std.b, l=np.zeros(n), u=np.full(n, np.inf)
+            )
+            op = GeneralFormOperator(gen, steps)
+        else:
+            v_x, v_y = np.zeros(n), np.zeros(m)
+            op = ShiftedOperator(std, steps, v_x, v_y, partition_indices(a, v_x, v_y))
+        assert isinstance(op.k1, np.ndarray) and isinstance(op.k2, np.ndarray)
+        assert op.k1.size + op.k2.size == 2 * m * n + n + m
+
+    @pytest.mark.parametrize("case", sorted(_NON_FINITE_CASES))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        side=st.sampled_from(["x", "y"]),
+        index=st.integers(0, 10**6),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_non_finite_input_gives_non_finite_output(
+        self, case, side, index, value, seed
+    ):
+        op = _NON_FINITE_CASES[case]
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(op.n), rng.standard_normal(op.m)
+        v = x if side == "x" else y
+        v[index % v.size] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            x1, y1 = op.apply(x, y)
+        assert not (np.isfinite(x1).all() and np.isfinite(y1).all())
 
     @given(st.integers(0, 2**31 - 1))
     def test_firm_nonexpansiveness_standard(self, seed):
@@ -187,21 +255,6 @@ def test_advance_matches_single_steps(build, rng):
     assert _same_state(many, ref)
     many.advance(op, 0)
     assert _same_state(many, ref)
-
-
-@pytest.mark.parametrize("build", _ADVANCE_CASES)
-def test_advance_aty_feeds_the_first_step_only(build, rng):
-    p = build()
-    op = make_operator(p, StepSizes.for_matrix(p.a))
-    x0, y0 = rng.standard_normal(p.n), rng.standard_normal(p.m)
-    plain = PdhgState.initial(p.n, p.m, x0, y0)
-    fed = PdhgState.initial(p.n, p.m, x0, y0)
-    plain.advance(op, 30)
-    fed.advance(op, 30)
-    aty = op._rmat(fed.y)
-    plain.advance(op, 25)
-    fed.advance(op, 25, aty)
-    assert _same_state(fed, plain)
 
 
 @pytest.mark.parametrize(
