@@ -15,7 +15,6 @@ import numpy as np
 
 from . import demos, exact
 from .identify import (
-    DENSE_ANALYSIS_LIMIT,
     active_history,
     affine_phase,
     active_set,
@@ -28,7 +27,7 @@ from .instance_io import load_problem, result_to_json, write_trace_csv
 from .linalg import SolverError, StepSizes
 from .model import GeneralFormLp, to_standard_form
 from .mps import MpsParseError
-from .pdhg import PdhgConfig, SolveStatus, StandardFormOperator, run
+from .pdhg import PdhgConfig, SolveStatus, StandardFormOperator, require_valid, run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -218,23 +217,20 @@ def _analysis_report(p, args) -> dict:
         "shift_identity_residual": shift_res,
     }
 
-    if p_std.n + p_std.m > DENSE_ANALYSIS_LIMIT:
-        report["spectral"] = {
-            "skipped": True,
-            "reason": f"n+m > {DENSE_ANALYSIS_LIMIT}; dense analysis not attempted",
-        }
-        return report
-
     support = sorted(set(range(n)) - active_set(points[-1][:n]))
     phase = affine_phase(p_std, steps, support)
+    if phase is None:
+        report["spectral"] = {
+            "skipped": True,
+            "reason": f"{p_std.m} rows are too many to project the support",
+        }
+        return report
     regimes = verify_rate_regimes(points, ray.v, phase, freeze.k_freeze)
     report["spectral"] = {
         "skipped": False,
         "support_size": len(support),
         "mu": phase.mu,
         "lower_rate": phase.lower_rate,
-        "projector_error": phase.projector_error,
-        "contraction_radius": phase.contraction_radius,
         "v_prediction_gap": float(np.linalg.norm(phase.v_pred - ray.v)),
     }
     report["rates"] = {
@@ -256,6 +252,7 @@ def _analysis_report(p, args) -> dict:
 
 def cmd_analyze(args) -> int:
     p = _load_instance(args)
+    require_valid(p)
     report = _analysis_report(p, args)
     text = json.dumps(report, indent=1)
     print(text)

@@ -4,9 +4,10 @@ Once the iteration settles onto a ray z_star + k*v, everything here kicks
 in: estimate and refine (z_star, v) by alternating between the original
 iteration and its shifted twin, partition coordinates by which part of the
 displacement moves them, build the always-feasible auxiliary problem the
-shifted twin solves, detect when the active pattern freezes, and assemble
-the dense affine model of the post-freeze iteration whose spectrum predicts
-the linear rate of the difference sequence.
+shifted twin solves, detect when the active pattern freezes, and read the
+affine phase of the post-freeze iteration, whose spectrum predicts the
+linear rate of the difference sequence, off the same support projector
+that pdhg.run polishes with (one eigh of the support's Gram matrix).
 
 Everything operates on the standard-form iteration; general-form problems
 go through their standardization first.
@@ -23,7 +24,7 @@ import numpy as np
 from .fixed_point import RateFit, fit_rate
 from .linalg import MNorm, SparseMatrix, StepSizes
 from .model import GeneralFormLp, StandardFormLp, standard_to_general
-from .pdhg import StandardFormOperator, _OperatorBase
+from .pdhg import StandardFormOperator, _OperatorBase, _support_point
 
 __all__ = [
     "IndexPartition",
@@ -46,7 +47,6 @@ __all__ = [
 
 PARTITION_TOL_REL = 1e-7
 ACTIVE_TOL_REL = 1e-9
-DENSE_ANALYSIS_LIMIT = 2000
 _REFINE_ROUNDS = 5
 _REFINE_TARGET = 1e-10
 _FIXED_POINT_BUDGET = 200_000
@@ -421,93 +421,58 @@ def shift_identity_residual(
 
 @dataclass(frozen=True)
 class AffinePhase:
-    """Dense model of the iteration after the support has frozen.
+    """The iteration after the support S has frozen, read off the support's
+    projector (pdhg._support_point, one eigh of G = A_S A_S').
 
-    The update is z -> q z - p_vec.  q_inf is the limit of q^k (a
-    projector onto the fixed subspace), mu the predicted linear rate of
-    the difference sequence, lower_rate the matching lower-bound rate,
-    and v_pred / z_star_pred the displacement and anchor the model
-    implies.  projector_error and contraction_radius expose the two
-    assembly invariants (q_inf (q - I) = 0 and rho(q - q_inf) < 1).
+    On S the step is affine, and it acts on each singular value sigma of
+    A_S (descending) through the 2x2 block [[1, -eta s], [tau s,
+    1 - 2 tau eta s^2]].  mu is the predicted linear rate of the difference
+    sequence, lower_rate the smallest singular value over those blocks,
+    v_pred the displacement (eta d, tau w) of the support's null-space
+    parts, and z_star_pred the least-norm anchor (x_S = A_S'G+ b,
+    y = -G+ A_S c_S).  mu and lower_rate are None when A_S is zero.
     """
 
     support: tuple[int, ...]
-    q: np.ndarray
-    p_vec: np.ndarray
-    q_inf: np.ndarray
     sigma: np.ndarray
     mu: float | None
     lower_rate: float | None
     v_pred: np.ndarray
     z_star_pred: np.ndarray
-    projector_error: float
-    contraction_radius: float
 
 
 def affine_phase(
     p: StandardFormLp, steps: StepSizes, support: Sequence[int]
-) -> AffinePhase:
-    """Assemble the frozen-support affine update and its spectral data."""
+) -> AffinePhase | None:
+    """The frozen-support affine phase and its spectral data; None, as for
+    _support_point, when the Gram matrix of the support is too large."""
     n, m = p.n, p.m
-    if n + m > DENSE_ANALYSIS_LIMIT:
-        raise ValueError(
-            f"dense spectral analysis capped at n+m <= {DENSE_ANALYSIS_LIMIT}; "
-            "use the rate-fitting path for larger instances"
-        )
     eta, tau = steps.eta, steps.tau
     support = tuple(sorted(int(i) for i in support))
-    ad = p.a.to_dense()
-    mask = np.zeros(n, dtype=bool)
-    mask[list(support)] = True
-    ad[:, ~mask] = 0.0
-
-    q = np.zeros((n + m, n + m))
-    q[:n, :n] = np.eye(n)
-    q[:n, n:] = -eta * ad.T
-    q[n:, :n] = tau * ad
-    q[n:, n:] = np.eye(m) - 2.0 * tau * eta * (ad @ ad.T)
-    dc = np.where(mask, p.c, 0.0)
-    p_vec = np.concatenate([eta * dc, 2.0 * tau * eta * (ad @ dc) + tau * p.b])
-
-    u, s, vt = np.linalg.svd(ad)
-    cut = s.max() * max(m, n) * np.finfo(np.float64).eps if s.size else 0.0
-    pos = s > cut
-    sigma = s[pos]
-    v_cols = vt[: s.size].T[:, pos]
-    u_cols = u[:, : s.size][:, pos]
-    q_inf = np.zeros((n + m, n + m))
-    q_inf[:n, :n] = np.eye(n) - v_cols @ v_cols.T
-    q_inf[n:, n:] = np.eye(m) - u_cols @ u_cols.T
-
-    mu = None
-    lower_rate = None
+    pattern = np.ones(n, dtype=np.int8)
+    pattern[list(support)] = 0
+    sup = _support_point(p, p.a.csr, np.zeros(n), pattern)
+    if sup is None:
+        return None
+    sigma = np.sqrt(sup.proj.lam[::-1])
+    mu = lower_rate = None
     if sigma.size:
-        mu = float(np.sqrt(1.0 - eta * tau * float(np.min(sigma)) ** 2))
-        lows = []
-        for sg in sigma:
-            block = np.array(
-                [[1.0, -eta * sg], [tau * sg, 1.0 - 2.0 * tau * eta * sg * sg]]
-            )
-            lows.append(float(np.linalg.svd(block, compute_uv=False)[-1]))
-        lower_rate = min(lows)
-
-    v_pred = -(q_inf @ p_vec)
-    rhs = (np.eye(n + m) - q_inf) @ p_vec
-    z_star_pred = np.linalg.lstsq(q - np.eye(n + m), rhs, rcond=None)[0]
-    projector_error = float(np.max(np.abs(q_inf @ (q - np.eye(n + m)))))
-    contraction_radius = float(np.max(np.abs(np.linalg.eigvals(q - q_inf))))
+        s2 = sigma * sigma
+        mu = float(np.sqrt(1.0 - eta * tau * s2[-1]))
+        # Each block's sigma_max^2 is (F + sqrt(F^2 - 4 D^2)) / 2, with F its
+        # squared Frobenius norm and D = |det|; sigma_min is D / sigma_max.
+        frob = 1.0 + (eta * eta + tau * tau) * s2 + (1.0 - 2.0 * eta * tau * s2) ** 2
+        det = np.abs(1.0 - eta * tau * s2)
+        gap = np.sqrt(np.maximum(frob * frob - 4.0 * det * det, 0.0))
+        lower_rate = float(np.min(det / np.sqrt(0.5 * (frob + gap))))
+    x_star, y_star = sup.project(np.zeros(n), np.zeros(m))
     return AffinePhase(
         support=support,
-        q=q,
-        p_vec=p_vec,
-        q_inf=q_inf,
         sigma=sigma,
         mu=mu,
         lower_rate=lower_rate,
-        v_pred=v_pred,
-        z_star_pred=z_star_pred,
-        projector_error=projector_error,
-        contraction_radius=contraction_radius,
+        v_pred=np.concatenate([eta * sup.d, tau * sup.w]),
+        z_star_pred=np.concatenate([x_star, y_star]),
     )
 
 

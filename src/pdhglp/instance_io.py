@@ -43,7 +43,17 @@ def _matrix_to_json(a: SparseMatrix) -> dict:
     }
 
 
+def _require(doc, keys: Sequence[str], what: str) -> None:
+    """Raise ValueError unless doc is a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks the key(s) {', '.join(map(repr, missing))}")
+
+
 def _matrix_from_json(d: dict) -> SparseMatrix:
+    _require(d, ("shape", "rows", "cols", "values"), "instance matrix 'a'")
     m, n = d["shape"]
     return SparseMatrix.from_triplets(m, n, d["rows"], d["cols"], d["values"])
 
@@ -74,9 +84,14 @@ def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
 
 
 def problem_from_json(doc: dict) -> StandardFormLp | GeneralFormLp:
+    """The problem an instance document describes; ValueError names a
+    document that is not an object, a bad form or a missing key."""
+    _require(doc, (), "instance JSON")
     form = doc.get("form")
     if form not in ("general", "standard"):
         raise ValueError(f"instance JSON needs form 'general' or 'standard', got {form!r}")
+    bounds = ("l", "u") if form == "general" else ()
+    _require(doc, ("c", "a", "b", *bounds), "instance JSON")
     common = dict(
         c=np.asarray(doc["c"], dtype=np.float64),
         a=_matrix_from_json(doc["a"]),

@@ -52,6 +52,7 @@ __all__ = [
     "SolveStatus",
     "Termination",
     "SolveOutcome",
+    "require_valid",
     "run",
 ]
 
@@ -687,6 +688,13 @@ def _support_point(
     return _Support(ps, key, proj, cols, rows, rhs, x_fixed)
 
 
+def require_valid(p: StandardFormLp | GeneralFormLp) -> None:
+    """Raise ValueError naming every error model.validate finds in p."""
+    report = validate(p)
+    if not report.ok:
+        raise ValueError("invalid problem: " + "; ".join(report.errors))
+
+
 def run(
     p: StandardFormLp | GeneralFormLp,
     config: PdhgConfig | None = None,
@@ -751,9 +759,7 @@ def run(
     Larger problems' reports keep exact None.
     """
     config = config or PdhgConfig()
-    report = validate(p)
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.errors))
+    require_valid(p)
     general = isinstance(p, GeneralFormLp)
     start = PdhgState.initial(p.n, p.m, x0, y0)
     scaling = DiagonalScaling(*ruiz_pock_chambolle(p.a))

@@ -231,6 +231,43 @@ _NO_ROWS = {
 }
 
 
+_STANDARD_DOC = {
+    "form": "standard",
+    "c": [1.0, 2.0],
+    "a": {"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], "values": [1.0, 1.0]},
+    "b": [1.0],
+}
+_GENERAL_DOC = dict(_STANDARD_DOC, form="general", l=[0.0, 0.0], u=[None, None])
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _matrix_without(key):
+    return dict(_STANDARD_DOC, a=_without(_STANDARD_DOC["a"], key))
+
+
+# Malformed instance documents and a word the error must name.
+_MALFORMED = {
+    "not-an-object": ([1, 2], "must be a JSON object"),
+    "only-form": ({"form": "standard"}, "'c'"),
+    **{
+        f"no-{key}": (_without(_STANDARD_DOC, key), repr(key))
+        for key in ("c", "a", "b")
+    },
+    **{
+        f"general-no-{key}": (_without(_GENERAL_DOC, key), repr(key))
+        for key in ("l", "u")
+    },
+    **{
+        f"a-no-{key}": (_matrix_without(key), repr(key))
+        for key in ("shape", "rows", "cols", "values")
+    },
+    "a-not-an-object": (dict(_STANDARD_DOC, a=[1.0]), "must be a JSON object"),
+}
+
+
 class TestCliSolve:
     def test_optimal_demo(self, capsys):
         code = cli.main(["solve", "--demo", "std-feasible"])
@@ -314,6 +351,18 @@ class TestCliSolve:
         assert code == cli.EXIT_PARSE
         assert "no constraint rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "analyze", "oracle"])
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_instance_json_is_a_parse_error(
+        self, command, case, tmp_path, capsys
+    ):
+        doc, named = _MALFORMED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, str(path)])
+        assert code == cli.EXIT_PARSE
+        assert named in capsys.readouterr().err
+
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL
 
@@ -387,6 +436,23 @@ class TestCliAnalyzeOracleDemo:
         assert doc["shift_identity_residual"] < 1e-8
         assert doc["spectral"]["skipped"] is False
         assert doc["rates"]["difference_in_bracket"] is True
+
+    def test_analyze_refuses_nan_costs(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(_STANDARD_DOC, c=[float("nan"), 1.0])))
+        code = cli.main(["analyze", str(path)])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert out.out == ""
+        assert "invalid problem: c contains NaN or infinite entries" in out.err
+
+    @pytest.mark.parametrize("name", sorted(_NO_ROWS))
+    def test_analyze_refuses_a_problem_without_rows(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(_NO_ROWS[name])
+        code = cli.main(["analyze", str(path)])
+        assert code == cli.EXIT_PARSE
+        assert "no constraint rows" in capsys.readouterr().err
 
     def test_analyze_rejects_solver_only_flags(self, capsys):
         # analyze runs no solve, so the solve's tolerances are not its options.
