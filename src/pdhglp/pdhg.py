@@ -16,6 +16,7 @@ fixed check interval.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import time
 from dataclasses import dataclass, field
@@ -58,12 +59,6 @@ __all__ = [
 
 # run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
 _DIVERGENCE_LIMIT = 1e50
-# After one side certifies at k, run() returns the one-sided verdict at the
-# first check that finds a feasible point of the other side.  Failing that,
-# it keeps iterating for the other side until max(_GRACE_FACTOR * k,
-# k + _GRACE_MIN_EXTRA), and only then declares the verdict.
-_GRACE_FACTOR = 2.0
-_GRACE_MIN_EXTRA = 500
 # run() projects on a support only when its Gram matrix has at most this
 # order.  On one Xeon core numpy's eigh took 14 ms at order 300, 0.25 s at
 # 1000 and 1.7 s at 2000, and each dense copy of order 1000 holds 8 MB.
@@ -480,7 +475,7 @@ class Termination(enum.Enum):
     POLISH = "polish"
     BOTH_CERTIFICATES = "both_certificates"
     OTHER_SIDE_FEASIBLE = "other_side_feasible"
-    GRACE_DEADLINE = "grace_deadline"
+    WITNESS_SOLVE = "witness_solve"
     BUDGET = "budget"
     DIVERGENCE = "divergence"
 
@@ -530,20 +525,6 @@ def _repair(
         rep.r = clip_to_dual_signs(-p.a.rmatvec(fixed), masks)
 
 
-def _infeasibility_verdict(
-    best_primal: certs.CertCheckReport | None,
-    best_dual: certs.CertCheckReport | None,
-) -> SolveStatus | None:
-    """The infeasible status the certificates in hand support, or None."""
-    if best_primal is not None and best_dual is not None:
-        return SolveStatus.BOTH_INFEASIBLE
-    if best_primal is not None:
-        return SolveStatus.PRIMAL_INFEASIBLE
-    if best_dual is not None:
-        return SolveStatus.DUAL_INFEASIBLE
-    return None
-
-
 def _ray_step(g: np.ndarray, h: np.ndarray) -> float:
     """The smallest t >= 0 with g + t h >= 0 on every row where g < 0 and
     h > 0; rows the ray cannot fix are left as they are."""
@@ -556,15 +537,17 @@ def _other_side_feasible(
     rep: certs.CertCheckReport,
     ray_product: np.ndarray,
     point: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    products: certs.StateProducts,
     scales: tuple[float, float],
     masks: KindMasks | None,
     kkt_tol: float,
-) -> bool:
-    """Whether point, (x, y, A x, A'y) in p's coordinates, moved along the
-    ray of rep by _ray_step, is feasible for the side rep does not
-    certify: kkt_residual's dual part at most kkt_tol for a primal
-    certificate, its primal part for a dual one.  ray_product is A'w of a
-    primal certificate w, A d of a dual one d; masks are p.kind_masks() in
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """point, (x, y, A x, A'y) in p's coordinates, moved along the ray of
+    rep by _ray_step, as (x, y) if kkt_residual gives the side rep does not
+    certify a part of at most kkt_tol, else None.  ray_product (A'w of a
+    primal certificate w, A d of a dual one d) sets the move only: the
+    moved point's product is taken with products, since at a large t
+    A'y + t A'w is not A'(y + t w) to kkt_tol.  masks are p.kind_masks() in
     general form and None in standard form.
 
     A primal certificate moves y: its rows are A'y + c >= 0 in standard
@@ -582,18 +565,37 @@ def _other_side_feasible(
             lo, up = masks.lower, masks.upper
             g = np.concatenate([y, s[lo], -s[up]])
             h = np.concatenate([ray, -ray_product[lo], ray_product[up]])
-        t = _ray_step(g, h)
-        y, aty = y + t * ray, aty + t * ray_product
+        y = y + _ray_step(g, h) * ray
+        aty = products.rmatvec(y)
     else:
         if masks is None:
             g, h = x, ray
         else:
             g = np.concatenate([ax - p.b, x - p.l, p.u - x])
             h = np.concatenate([ray_product, ray, -ray])
-        t = _ray_step(g, h)
-        x, ax = x + t * ray, ax + t * ray_product
+        x = x + _ray_step(g, h) * ray
+        ax = products.matvec(x)
     kkt = kkt_residual(p, x, y, None, ax, aty, scales=scales, masks=masks)
-    return (kkt.dual if rep.side == "primal" else kkt.primal) <= kkt_tol
+    feasible = (kkt.dual if rep.side == "primal" else kkt.primal) <= kkt_tol
+    return (x, y) if feasible else None
+
+
+def _witness_problem(
+    p: StandardFormLp | GeneralFormLp, side: str
+) -> StandardFormLp | GeneralFormLp:
+    """p with c = 0 for a dual certificate; for a primal one, p with b = 0
+    and in general form the box widened to hold 0 (finite bounds stay
+    finite).  The uncertified side's feasible set is p's and 0 is feasible
+    on the other, so run on it ends OPTIMAL, with a feasible point of p's
+    uncertified side, or with that side's certificate, which reads none of
+    the zeroed data and so holds on p, exact flag and all.
+    """
+    if side == "dual":
+        return dataclasses.replace(p, c=np.zeros(p.n))
+    if isinstance(p, StandardFormLp):
+        return dataclasses.replace(p, b=np.zeros(p.m))
+    l, u = np.minimum(p.l, 0.0), np.maximum(p.u, 0.0)
+    return dataclasses.replace(p, b=np.zeros(p.m), l=l, u=u)
 
 
 class _Support:
@@ -606,8 +608,8 @@ class _Support:
     the SUPPORT candidate's parts, 0 off the support.
     """
 
-    def __init__(self, ps, key, proj, cols, rows=None, rhs=None, x_fixed=None):
-        self.ps, self.key, self.proj = ps, key, proj
+    def __init__(self, ps, proj, cols, rows=None, rhs=None, x_fixed=None):
+        self.ps, self.proj = ps, proj
         self.cols, self.rows, self.rhs, self.x_fixed = cols, rows, rhs, x_fixed
         self.d = np.zeros(ps.n)
         self.d[cols] = -proj.null_c
@@ -670,13 +672,12 @@ def _support_point(
     held where x has them; d_F = -P_null(K) c_F and
     w_R = P_null(K') (b_R - A_RB x_B).
     """
-    key = pattern.tobytes()
     if isinstance(ps, StandardFormLp):
         if ps.m > _GRAM_MAX_ORDER:
             return None
         cols = pattern == 0
         proj = linalg.support_projection(a[:, cols], ps.c[cols], ps.b)
-        return _Support(ps, key, proj, cols)
+        return _Support(ps, proj, cols)
     cols = pattern[: ps.n] == 0
     rows = pattern[ps.n :] == 0
     if np.count_nonzero(rows) > _GRAM_MAX_ORDER:
@@ -685,7 +686,7 @@ def _support_point(
     x_fixed = np.where(cols, 0.0, x)
     rhs = ps.b[rows] - a_r @ x_fixed
     proj = linalg.support_projection(a_r[:, cols], ps.c[cols], rhs)
-    return _Support(ps, key, proj, cols, rows, rhs, x_fixed)
+    return _Support(ps, proj, cols, rows, rhs, x_fixed)
 
 
 def require_valid(p: StandardFormLp | GeneralFormLp) -> None:
@@ -707,18 +708,26 @@ def run(
     three candidate sequences are put through certificates' two
     infeasibility tests, one per side and the same in both forms: a
     candidate passes when its residual divided by its certificate objective
-    is at most eps, and fails when that objective is not positive.  At a
-    check where exactly one side has a passing certificate, run looks for a
-    feasible point of the other side (_other_side_feasible): the iterate,
-    and the iterate moved onto the support when this check's pattern has
-    been projected, each moved along the certificate's ray until the sign
-    rows it can fix hold.  If kkt_residual's part for that side is at most
-    kkt_tol, the test OPTIMAL uses for that side, the one-sided verdict is
-    returned at once.  Otherwise the grace window, the fallback,
-    waits for the other side's certificate until max(2k, k + 500) after the
-    first certificate at k, so that problems infeasible on both sides are
-    reported as such rather than by whichever certificate converged first.
+    is at most eps, and fails when that objective is not positive.
     outcome.termination names the rule that ended the run.
+
+    A check where exactly one side has a passing certificate decides the
+    verdict and ends the run.  run first looks for a feasible point of the
+    other side (_other_side_feasible): the iterate, then the iterate moved
+    onto the support this check projected, each moved along the
+    certificate's ray until the sign rows it can fix hold.  A point passes
+    when kkt_residual's part for that side, the test OPTIMAL uses, is at
+    most kkt_tol (OTHER_SIDE_FEASIBLE).  Failing both, run solves
+    _witness_problem(p, side) with the steps left, from 0 on the certified
+    side and the iterate on the other (WITNESS_SOLVE): OPTIMAL gives the
+    feasible point, and the other side's certificate makes the verdict
+    BOTH_INFEASIBLE (its k counts this run's steps too).  The point found
+    is returned as x for a dual verdict, as y and r for a primal one, with
+    its kkt; outcome.state keeps the iterate and iterations counts the
+    sub-solve's steps.  When no steps are left, or the sub-solve ends
+    without a verdict, the one-sided verdict stands with termination
+    BUDGET (or the sub-solve's), and x and y are the last iterate.  The
+    trace holds this run's checks only.
 
     A check makes six products, none shared with the steps (which run on
     the operator's stacked blocks, see _OperatorBase): A x^k and A'y^k
@@ -738,9 +747,6 @@ def run(
     The candidate and the point take four products, and the projection one
     slice of the scaled matrix, a sparse Gram product and a dense eigh; on
     the 300 x 1200 benchmark instances that took 7-13 ms, once per item.
-    run keeps the projector of the last projected pattern, and later checks
-    on that pattern move their iterate with it for the feasible-point
-    search, with products only.
 
     Every problem is iterated on D_r A D_c with Ruiz and Pock-Chambolle
     factors (see scaling), with step sizes from that matrix.  Each check
@@ -772,11 +778,10 @@ def run(
     t_start = time.perf_counter()
     prev_pattern = active_pattern(ps, state.x, state.y)
     projected: set[bytes] = set()  # the patterns already projected
-    support: _Support | None = None  # the support last projected
-    polished: tuple | None = None  # (x, y, r, kkt) of a polish that passed
+    point: tuple | None = None  # (x, y) returned in place of the iterate
+    sub: SolveOutcome | None = None  # the witness sub-solve
     best_primal: certs.CertCheckReport | None = None
     best_dual: certs.CertCheckReport | None = None
-    grace_deadline: int | None = None
     status: SolveStatus | None = None
     termination: Termination | None = None
     kkt: KktResiduals | None = None
@@ -791,7 +796,7 @@ def run(
 
         zmax = max(max0(np.abs(state.x)), max0(np.abs(state.y)))
         if not np.isfinite(zmax) or zmax > _DIVERGENCE_LIMIT:
-            status = SolveStatus.NUMERICAL_ERROR
+            status, termination = SolveStatus.NUMERICAL_ERROR, Termination.DIVERGENCE
             break
 
         view = scaling.unscale_state(state)
@@ -814,13 +819,12 @@ def run(
         ms = (time.perf_counter() - t_start) * 1000.0
 
         cands = [certs.extract(view, kind, products) for kind in certs.SEQUENCE_KINDS]
-        fresh = False  # whether this check projected
+        moved = None  # the iterate moved onto the support this check projected
         if not changed and k > config.check_interval and key not in projected:
             # The pattern held since the last check and is new: project once.
             projected.add(key)
             support = _support_point(ps, op.matrix, state.x, pattern)
-            fresh = support is not None
-            if fresh:
+            if support is not None:
                 cands.append(
                     certs.candidate(
                         certs.CandidateKind.SUPPORT,
@@ -830,6 +834,7 @@ def run(
                         products,
                     )
                 )
+                moved = _moved_iterate(support, state, scaling, products)
 
         for cand in cands:
             prep = certs.check_primal_infeasibility(cand, p, config.eps, masks)
@@ -857,76 +862,69 @@ def run(
         if kkt.max <= config.kkt_tol:
             status, termination = SolveStatus.OPTIMAL, Termination.KKT
             break
-        moved = _moved_iterate(support, state, scaling, products) if fresh else None
         if moved is not None:
-            x_opt, y_opt, ax_opt, aty_opt = moved
-            r_opt = recover_r(p, y_opt, aty_opt, masks) if general else None
-            kkt_opt = kkt_residual(
-                p, x_opt, y_opt, r_opt, ax_opt, aty_opt, scales=scales, masks=masks
-            )
-            if kkt_opt.max <= config.kkt_tol:
-                polished = (x_opt, y_opt, r_opt, kkt_opt)
+            x_m, y_m, ax_m, aty_m = moved
+            kkt_m = kkt_residual(p, x_m, y_m, None, ax_m, aty_m, scales, masks)
+            if kkt_m.max <= config.kkt_tol:
+                point = (x_m, y_m)
                 status, termination = SolveStatus.OPTIMAL, Termination.POLISH
                 break
-        verdict = _infeasibility_verdict(best_primal, best_dual)
-        if verdict is SolveStatus.BOTH_INFEASIBLE:
-            status, termination = verdict, Termination.BOTH_CERTIFICATES
+        if best_primal is not None and best_dual is not None:
+            status = SolveStatus.BOTH_INFEASIBLE
+            termination = Termination.BOTH_CERTIFICATES
             break
-        if verdict is not None:
-            # One side certified: look for a feasible point of the other,
-            # from the iterate and from the iterate moved onto the support
-            # of this check's pattern, when one was projected.
-            rep = best_primal if best_primal is not None else best_dual
-            ray_product = (
-                products.rmatvec(rep.vector)
-                if rep.side == "primal"
-                else products.matvec(rep.vector)
+        rep = best_primal if best_primal is not None else best_dual
+        if rep is None:
+            continue
+        # One side certified: the run ends at this check, on a feasible point
+        # of the other side or on the witness sub-solve's answer.
+        primal = rep.side == "primal"
+        status = (
+            SolveStatus.PRIMAL_INFEASIBLE if primal else SolveStatus.DUAL_INFEASIBLE
+        )
+        ray_product = (products.rmatvec if primal else products.matvec)(rep.vector)
+        for origin in ((view.x, view.y, products.ax, products.aty), moved):
+            if origin is not None and point is None:
+                point = _other_side_feasible(
+                    p, rep, ray_product, origin, products, scales, masks, config.kkt_tol
+                )
+        if point is not None:
+            termination = Termination.OTHER_SIDE_FEASIBLE
+        elif k == config.max_iters:
+            termination = Termination.BUDGET
+        else:
+            # The certified side starts from 0, which is feasible there.
+            sub = run(
+                _witness_problem(p, rep.side),
+                dataclasses.replace(config, max_iters=config.max_iters - k),
+                None if primal else view.x,
+                view.y if primal else None,
             )
-            points = [(view.x, view.y, products.ax, products.aty)]
-            if support is not None and support.key == key:
-                points.append(
-                    moved or _moved_iterate(support, state, scaling, products)
-                )
-            if any(
-                _other_side_feasible(
-                    p, rep, ray_product, point, scales, masks, config.kkt_tol
-                )
-                for point in points
-            ):
-                status, termination = verdict, Termination.OTHER_SIDE_FEASIBLE
-                break
-            if grace_deadline is None:
-                grace_deadline = min(
-                    config.max_iters,
-                    max(int(k * _GRACE_FACTOR), k + _GRACE_MIN_EXTRA),
-                )
-            elif k >= grace_deadline:
-                status, termination = verdict, Termination.GRACE_DEADLINE
-                break
+            other = sub.dual_certificate if primal else sub.primal_certificate
+            if sub.status is SolveStatus.OPTIMAL:
+                termination = Termination.WITNESS_SOLVE
+                point = (view.x, sub.y) if primal else (sub.x, view.y)
+            elif other is not None:
+                other.k += k  # on this run's count of steps
+                best_primal, best_dual = (rep, other) if primal else (other, rep)
+                status = SolveStatus.BOTH_INFEASIBLE
+                termination = Termination.WITNESS_SOLVE
+            else:
+                termination, point = sub.termination, (sub.x, sub.y)
+        break
 
     if termination is None:
-        # Budget exhausted or guard tripped: a certificate in hand still wins.
-        termination = (
-            Termination.DIVERGENCE
-            if status is SolveStatus.NUMERICAL_ERROR
-            else Termination.BUDGET
-        )
-        status = (
-            _infeasibility_verdict(best_primal, best_dual)
-            or status
-            or SolveStatus.ITERATION_LIMIT
-        )
+        status, termination = SolveStatus.ITERATION_LIMIT, Termination.BUDGET
 
     if exact.repair_fits(p):
         for rep in (best_primal, best_dual):
-            if rep is not None:
+            # The witness sub-solve's certificate is already repaired.
+            if rep is not None and rep.exact is None:
                 _repair(rep, p, masks)
     state = scaling.unscale_state(state)
     # The outcome's x and y are copies, so no array of its state is one of them.
-    x, y = state.x.copy(), state.y.copy()
-    if polished is not None:
-        x, y, r, kkt = polished
-    if kkt is None:
+    x, y = (state.x.copy(), state.y.copy()) if point is None else point
+    if point is not None or kkt is None:
         r = recover_r(p, y) if general else None
         kkt = kkt_residual(p, x, y, r)
     pobj = p.objective(x)
@@ -942,7 +940,7 @@ def run(
         x=x,
         y=y,
         r=r,
-        iterations=state.k,
+        iterations=state.k + (sub.iterations if sub is not None else 0),
         kkt=kkt,
         primal_objective=pobj,
         dual_objective=dobj,

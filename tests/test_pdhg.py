@@ -335,27 +335,64 @@ class TestRunStatuses:
         assert out.dual_certificate is None
 
     def test_both_infeasible_not_one_sided(self):
-        # The grace window must hold the first certificate open long enough
-        # for the second side to land.
+        # Both sides certify: the verdict is not the side that certified
+        # first.
         out = run(demos.std_both_infeasible(), FAST)
         assert out.status is SolveStatus.BOTH_INFEASIBLE
         assert out.primal_certificate.passed and out.dual_certificate.passed
 
-    @pytest.mark.parametrize("max_iters", [40, 80])
-    def test_one_sided_verdict_at_the_budget(self, max_iters, monkeypatch):
-        # The certificate passes at the first check.  The dual iterate is
-        # already dual feasible there (residual exactly 0, which any
-        # kkt_tol accepts), so the feasible-point test is switched off to
-        # reach the fallbacks.  With a budget of 40 it is the last check and
-        # the verdict is given after the loop; with 80 the grace window
-        # closes at the budget inside the loop.
-        monkeypatch.setattr(pdhg, "_other_side_feasible", lambda *args: False)
-        out = run(demos.std_primal_infeasible(), PdhgConfig(max_iters=max_iters))
+    @staticmethod
+    def _no_feasible_point(monkeypatch):
+        """Switch the feasible-point test off, so that a one-sided check goes
+        on to the witness sub-solve, and record the outcome of every nested
+        run."""
+        # Switched off, not made strict: the dual iterate of
+        # std_primal_infeasible is already dual feasible at the first check
+        # (residual exactly 0, which any kkt_tol accepts).
+        monkeypatch.setattr(pdhg, "_other_side_feasible", lambda *args: None)
+        nested = []
+        solve = pdhg.run
+
+        def recorded(*args, **kwargs):
+            nested.append(solve(*args, **kwargs))
+            return nested[-1]
+
+        monkeypatch.setattr(pdhg, "run", recorded)
+        return nested
+
+    def test_one_sided_verdict_with_no_steps_left(self, monkeypatch):
+        # The certificate passes at the first check, which is also the last:
+        # no sub-solve, and the verdict stands on the budget.
+        nested = self._no_feasible_point(monkeypatch)
+        p = demos.std_primal_infeasible()
+        out = run(p, PdhgConfig(max_iters=40))
+        assert not nested
         assert out.status is SolveStatus.PRIMAL_INFEASIBLE
-        assert out.iterations == max_iters
-        assert out.termination is (
-            Termination.BUDGET if max_iters == 40 else Termination.GRACE_DEADLINE
-        )
+        assert out.termination is Termination.BUDGET
+        assert out.iterations == 40
+        assert out.primal_certificate.passed and out.dual_certificate is None
+        assert np.array_equal(out.x, out.state.x)
+        assert np.array_equal(out.y, out.state.y)
+
+    def test_budget_runs_out_inside_the_witness_sub_solve(self, monkeypatch):
+        # The certificate passes at k=40 and the sub-solve gets the other 40
+        # steps; kkt_tol=1e-300 keeps it from ending OPTIMAL.  The verdict
+        # stands on the budget, with the sub-solve's iterate as x and y.
+        nested = self._no_feasible_point(monkeypatch)
+        p = demos.std_dual_infeasible()
+        out = run(p, PdhgConfig(max_iters=80, kkt_tol=1e-300))
+        assert len(nested) == 1
+        sub = nested[0]
+        assert sub.status is SolveStatus.ITERATION_LIMIT
+        assert sub.termination is Termination.BUDGET and sub.iterations == 40
+        assert out.status is SolveStatus.DUAL_INFEASIBLE
+        assert out.termination is Termination.BUDGET
+        assert out.iterations == 80
+        assert out.dual_certificate.k == 40 and out.primal_certificate is None
+        assert np.array_equal(out.x, sub.state.x)
+        assert np.array_equal(out.y, sub.state.y)
+        assert out.state.k == 40
+        assert out.kkt.max == kkt_residual(p, out.x, out.y).max
 
     def test_iteration_limit_status(self):
         cfg = PdhgConfig(max_iters=10, eps=1e-14, kkt_tol=1e-14)
@@ -387,15 +424,15 @@ class TestRunStatuses:
                 "primal_infeasible",
                 Termination.OTHER_SIDE_FEASIBLE,
             ),
-            # A draw whose feasible side no check finds a point of at this
-            # step size: the grace window closes at max(2k, k + 500).
+            # A draw whose feasible side has no point the ray move finds at
+            # this step size: the sub-solve on its c = 0 problem gives one.
             (
                 lambda: demos.random_cell_instance(
                     "dual_infeasible", np.random.default_rng([4, 29])
                 ),
                 PdhgConfig(step_factor=0.5),
                 "dual_infeasible",
-                Termination.GRACE_DEADLINE,
+                Termination.WITNESS_SOLVE,
             ),
             (
                 demos.std_feasible,

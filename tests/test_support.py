@@ -25,11 +25,18 @@ VERDICT_CELL = {
 }
 
 ONE_SIDED = ("primal_infeasible", "dual_infeasible")
-ONE_SIDED_RULES = (Termination.OTHER_SIDE_FEASIBLE, Termination.GRACE_DEADLINE)
+ONE_SIDED_RULES = (Termination.OTHER_SIDE_FEASIBLE, Termination.WITNESS_SOLVE)
 
 
 def _certificates(out):
     return [r for r in (out.primal_certificate, out.dual_certificate) if r]
+
+
+def _other_side_residual(p, out) -> float:
+    """kkt_residual's part, recomputed on p from the returned x and y, for
+    the side a one-sided verdict claims feasible."""
+    again = kkt_residual(p, out.x, out.y)
+    return again.dual if out.status is SolveStatus.PRIMAL_INFEASIBLE else again.primal
 
 
 def _polished(out) -> bool:
@@ -53,6 +60,7 @@ def test_verdicts_and_certificates_over_seeds_and_intervals(cell, general):
             assert VERDICT_CELL.get(out.status) == cell, case
             if cell in ONE_SIDED:
                 assert out.termination in ONE_SIDED_RULES, case
+                assert _other_side_residual(p, out) <= cfg.kkt_tol, case
             for rep in _certificates(out):
                 kinds.add(rep.kind)
                 assert rep.exact is True
@@ -136,16 +144,34 @@ def test_one_sided_verdict_ends_with_a_feasible_point_of_the_other_side(
     assert out.iterations == 40
 
 
+def test_moved_point_is_tested_on_its_own_products():
+    # At k=40 this draw's y moves along the certificate by t of about 6e14.
+    # There A'y + t A'w is not A'(y + t w) to kkt_tol: the moved point must
+    # pass with its own product, and is the point returned.
+    p = demos.random_cell_instance("primal_infeasible", np.random.default_rng([22, 29]))
+    cfg = PdhgConfig(check_interval=20, step_factor=0.5)
+    out = run(p, cfg)
+    assert out.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert out.termination is Termination.OTHER_SIDE_FEASIBLE
+    assert out.iterations == 40
+    assert _other_side_residual(p, out) <= cfg.kkt_tol
+    assert out.kkt.dual == kkt_residual(p, out.x, out.y).dual
+
+
 @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
 def test_both_infeasible_never_finds_a_feasible_point(general, monkeypatch):
     # Checked every step, one side can certify before the other; neither
-    # side has a feasible point, so every search for one must fail.
+    # side has a feasible point, so every search for one on p must fail.
+    # Only the searches of the outer run, on p itself, are recorded: the
+    # witness sub-solve's problem has a feasible point by construction.
     found = []
     feasible = pdhg._other_side_feasible
 
-    def recorded(*args):
-        found.append(feasible(*args))
-        return found[-1]
+    def recorded(q, *args):
+        point = feasible(q, *args)
+        if q is p:
+            found.append(point is not None)
+        return point
 
     monkeypatch.setattr(pdhg, "_other_side_feasible", recorded)
     problems = [demos.std_both_infeasible()] + [
@@ -162,11 +188,72 @@ def test_both_infeasible_never_finds_a_feasible_point(general, monkeypatch):
     assert found and not any(found)
 
 
+def test_witness_problem_zeroes_the_certified_side_and_keeps_the_bound_kinds():
+    inf = np.inf
+    p = GeneralFormLp(
+        c=np.array([1.0, -2.0, 3.0]),
+        a=SparseMatrix.from_dense([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]]),
+        b=np.array([4.0, -1.0]),
+        l=np.array([1.0, -inf, -2.0]),
+        u=np.array([3.0, 2.0, inf]),
+    )
+    dual = pdhg._witness_problem(p, "dual")
+    assert not dual.c.any()
+    for name in ("b", "l", "u"):
+        assert np.array_equal(getattr(dual, name), getattr(p, name))
+    primal = pdhg._witness_problem(p, "primal")
+    assert not primal.b.any() and np.array_equal(primal.c, p.c)
+    assert np.array_equal(primal.l, [0.0, -inf, -2.0])
+    assert np.array_equal(primal.u, [3.0, 2.0, inf])
+    want = p.kind_masks()
+    for q in (dual, primal):
+        assert q.a is p.a
+        got = q.kind_masks()
+        for kind in ("boxed", "lower", "upper", "free"):
+            assert np.array_equal(getattr(got, kind), getattr(want, kind))
+    std = pdhg._witness_problem(demos.std_primal_infeasible(), "primal")
+    assert not std.b.any()
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+def test_witness_sub_solve_decides_the_seed_4_dual_infeasible_draw(general):
+    # Every feasible point of this 3 x 4 draw uses column 1, which the
+    # iterate keeps at 0 for hundreds of steps, so the ray move finds none
+    # at the first certificate; the sub-solve on p with c = 0 finds one.
+    p = demos.random_cell_instance("dual_infeasible", np.random.default_rng([4, 29]))
+    p = standard_to_general(p) if general else p
+    for interval, step_factor in itertools.product((20, 40, 100), (0.5, 0.9)):
+        cfg = PdhgConfig(check_interval=interval, step_factor=step_factor)
+        out = run(p, cfg)
+        case = (interval, step_factor)
+        assert out.status is SolveStatus.DUAL_INFEASIBLE, case
+        assert out.termination is Termination.WITNESS_SOLVE, case
+        assert out.iterations <= 500, case
+        assert kkt_residual(p, out.x, out.y).primal <= cfg.kkt_tol, case
+        rep = out.dual_certificate
+        assert rep.exact is True, case
+        assert exact.verify_certificate_exact(rep.vector, p, "dual").valid, case
+
+
+def test_witness_sub_solve_finds_the_second_certificate():
+    # The primal certificate passes at k=40 and no dual-feasible point is
+    # found; the sub-solve on p with b = 0 returns the dual certificate
+    # after 40 steps of its own.
+    p = demos.random_cell_instance("both_infeasible", np.random.default_rng([1, 29]))
+    out = run(p, PdhgConfig(check_interval=40, step_factor=0.9))
+    assert out.status is SolveStatus.BOTH_INFEASIBLE
+    assert out.termination is Termination.WITNESS_SOLVE
+    assert out.iterations == 80
+    assert out.primal_certificate.k == 40 and out.dual_certificate.k == 80
+    for rep in _certificates(out):
+        assert rep.exact is True
+        assert exact.verify_certificate_exact(rep.vector, p, rep.side).valid
+
+
 def test_one_eigh_per_projected_pattern(monkeypatch):
-    # ex1(0,2) is primal infeasible.  kkt_tol=1e-300 keeps every feasible
-    # point of the dual side from passing, so the run goes on to its grace
-    # deadline, and later checks on a projected pattern move the iterate
-    # with the kept projector.
+    # ex1(0,2) is primal infeasible.  eps = kkt_tol = 1e-300 keep every
+    # certificate and every optimal point from passing, so the run makes no
+    # sub-solve and projects on each pattern that settles up to its budget.
     calls = []
     eigh = np.linalg.eigh
 
@@ -175,19 +262,11 @@ def test_one_eigh_per_projected_pattern(monkeypatch):
         return eigh(g)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    reused = []
-    project = pdhg._Support.project
-
-    def recorded(support, x, y):
-        reused.append(support.key)
-        return project(support, x, y)
-
-    monkeypatch.setattr(pdhg._Support, "project", recorded)
-    cfg = PdhgConfig(max_iters=2000, kkt_tol=1e-300, check_interval=20)
+    cfg = PdhgConfig(max_iters=2000, eps=1e-300, kkt_tol=1e-300, check_interval=20)
     out = run(demos.example1(0.0, 2.0), cfg)
+    assert out.termination is Termination.BUDGET and out.iterations == 2000
     projections = sum(t.seq == "support" for t in out.trace)
     assert projections >= 1 and len(calls) == projections
-    assert len(reused) > len(set(reused))
 
 
 def test_one_projection_per_settled_pattern(monkeypatch):
