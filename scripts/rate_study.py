@@ -74,8 +74,7 @@ def main() -> int:
           f"{abs(float(p.b @ vy) + ny / steps.tau):.3e}")
 
     big_k = traj.k
-    ks = np.arange(1, big_k + 1, dtype=np.float64)
-    it_err = np.linalg.norm(traj.points[1:] / ks[:, None] - sol.v, axis=1)
+    it_err = np.linalg.norm(traj.normalized_iterates() - sol.v, axis=1)
     avg_err = np.linalg.norm(traj.normalized_averages() - sol.v, axis=1)
     sel = np.arange(max(1000, big_k // 100), big_k + 1, 9)
     for label, err in (("normalized iterate", it_err), ("normalized average", avg_err)):

@@ -40,7 +40,6 @@ import numpy as np
 from .linalg import max0
 from .model import (
     GeneralFormLp,
-    KindMasks,
     StandardFormLp,
     clip_to_dual_signs,
     clip_to_ray_signs,
@@ -217,15 +216,13 @@ def check_primal_infeasibility(
     cand: CertificateCandidate,
     p: GeneralFormLp | StandardFormLp,
     eps: float,
-    masks: KindMasks | None = None,
 ) -> CertCheckReport:
     """Test the dual part y as an approximate certificate that p has no
     feasible point.
 
     General form (Ax >= b, l <= x <= u): y >= 0, with negative dust zeroed
     first; r = clip_to_dual_signs(-A'y) of the unclipped y; residual
-    ||r + A'y||_inf and objective b'y + l'r_+ - u'r_-.  masks, if given,
-    are p.kind_masks().
+    ||r + A'y||_inf and objective p.dual_value(y, r) = b'y + l'r_+ - u'r_-.
     Standard form (Ax = b, x >= 0; y has the iteration's sign, see
     pdhg.kkt_residual): residual max0(-A'y) and objective -b'y.
     """
@@ -237,9 +234,7 @@ def check_primal_infeasibility(
     if isinstance(p, StandardFormLp):
         return _report("primal", cand, eps, -float(p.b @ y), max0(-aty), y)
 
-    if masks is None:
-        masks = p.kind_masks()
-    r = clip_to_dual_signs(-aty, masks)
+    r = clip_to_dual_signs(-aty, p.masks)
     reasons: tuple[str, ...] = ()
     neg = y < 0.0
     if neg.any():
@@ -251,26 +246,20 @@ def check_primal_infeasibility(
             aty = p.a.rmatvec(y)  # the candidate's product is the unclipped y's
         if neg.any():
             reasons = ("dual vector has negative components",)
-    l_idx, l_fin = masks.finite_l
-    u_idx, u_fin = masks.finite_u
-    obj = float(p.b @ y)
-    obj += float(l_fin @ np.maximum(r[l_idx], 0.0))
-    obj -= float(u_fin @ np.maximum(-r[u_idx], 0.0))
     residual = max0(np.abs(r + aty))
-    return _report("primal", cand, eps, obj, residual, y, r, reasons)
+    return _report("primal", cand, eps, p.dual_value(y, r), residual, y, r, reasons)
 
 
 def check_dual_infeasibility(
     cand: CertificateCandidate,
     p: GeneralFormLp | StandardFormLp,
     eps: float,
-    masks: KindMasks | None = None,
 ) -> CertCheckReport:
     """Test the primal part d as an approximate unbounded direction of p,
     with objective -c'd.
 
     General form: residual the larger of d's distance to the recession
-    cone of the box and max0(-A d); masks, if given, are p.kind_masks().
+    cone of the box and max0(-A d).
     Standard form: residual max(||A d||_inf, max0(-d)).
     """
     d = cand.x_part
@@ -280,9 +269,7 @@ def check_dual_infeasibility(
     if isinstance(p, StandardFormLp):
         residual = max(max0(np.abs(ad)), max0(-d))
     else:
-        if masks is None:
-            masks = p.kind_masks()
-        residual = max(max0(np.abs(d - clip_to_ray_signs(d, masks))), max0(-ad))
+        residual = max(max0(np.abs(d - clip_to_ray_signs(d, p.masks))), max0(-ad))
     return _report("dual", cand, eps, -float(p.c @ d), residual, d)
 
 

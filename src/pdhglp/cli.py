@@ -114,13 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(args):
-    if args.demo:
-        if args.demo == "ex1":
-            return demos.example1(args.alpha, args.beta)
-        return demos.DEMO_BUILDERS[args.demo]()
-    if not args.path:
-        raise SystemExit("an instance path or --demo name is required")
-    return load_problem(args.path)
+    """The instance named by exactly one of a path and --demo; anything else
+    is an input error."""
+    if (args.path is None) == (args.demo is None):
+        raise ValueError("give an instance path or a --demo name, not both or neither")
+    if args.demo is None:
+        return load_problem(args.path)
+    if args.demo == "ex1":
+        return demos.example1(args.alpha, args.beta)
+    return demos.DEMO_BUILDERS[args.demo]()
 
 
 def _config(args) -> PdhgConfig:

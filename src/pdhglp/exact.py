@@ -293,7 +293,7 @@ def _dual_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
         for i in range(p.n):
             sys.add_ge(at[i], -p.c[i])
         return sys
-    masks = p.kind_masks()
+    masks = p.masks
     for r in range(p.m):
         sys.add_ge([float(j == r) for j in range(p.m)], 0)
     for i in range(p.n):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fixed_point import RateFit, fit_rate
+from .fixed_point import RateFit, Trajectory, fit_rate
 from .linalg import MNorm, SparseMatrix, StepSizes
 from .model import GeneralFormLp, StandardFormLp, standard_to_general
 from .pdhg import StandardFormOperator, _OperatorBase, _support_point
@@ -281,12 +281,12 @@ class AuxiliaryLp:
         bounds, solvable by the general-form iteration."""
         g = standard_to_general(self.base)
         mb, _, m2 = self.partition.masks(g.n)
-        g.l[mb] = -np.inf
-        g.u[m2] = 0.0
         return dataclasses.replace(
             g,
             c=self.c_aux.copy(),
             b=np.concatenate([self.b_aux, -self.b_aux]),
+            l=np.where(mb, -np.inf, 0.0),
+            u=np.where(m2, 0.0, np.inf),
             name=f"aux({self.base.name})",
             objective_offset=0.0,
         )
@@ -505,8 +505,8 @@ def verify_rate_regimes(
     """Fit the three sequences of a trajectory restarted at the freeze point.
 
     points are rows z^0..z^N of the original iteration; the sequences are
-    rebuilt treating z^{k_freeze} as the new starting point, per the
-    post-identification statements.  Difference errors below the float
+    those of the fixed_point.Trajectory that starts at z^{k_freeze}, per
+    the post-identification statements.  Difference errors below the float
     noise floor are excluded from the geometric fit.
     """
     notes: list[str] = []
@@ -522,13 +522,12 @@ def verify_rate_regimes(
             average_slope_ok=None,
             notes=("no post-freeze window observed",),
         )
-    seg = points[k_freeze:]
-    diffs = np.diff(seg, axis=0)
-    errs = np.linalg.norm(diffs - v, axis=1)
+    traj = Trajectory(points[k_freeze:])
+    errs = np.linalg.norm(traj.differences() - v, axis=1)
     # Subtracting consecutive iterates of size ||z|| leaves roundoff of that
     # scale, so the usable window ends where the error meets a magnitude-
     # scaled floor, not an absolute one.
-    mags = np.linalg.norm(seg, axis=1)
+    mags = np.linalg.norm(traj.points, axis=1)
     floors = 1e-13 * (1.0 + np.maximum(mags[:-1], mags[1:]))
     above = errs > floors
     clean = np.column_stack([np.flatnonzero(above), errs[above]])
@@ -547,7 +546,6 @@ def verify_rate_regimes(
             "geometric fit skipped"
         )
 
-    n_pts = seg.shape[0] - 1
     iterate_fit = None
     average_fit = None
     it_ok = None
@@ -556,12 +554,10 @@ def verify_rate_regimes(
     # the 1/k signal is gone and a power fit would only see roundoff (e.g. a
     # trajectory that starts exactly on the ray).
     pw_floor = 1e-12 * (1.0 + float(np.linalg.norm(v)))
-    if n_pts >= _FIT_K_MIN + 20:
-        ks = np.arange(1, n_pts + 1, dtype=np.float64)
-        it_err = np.linalg.norm(seg[1:] / ks[:, None] - v, axis=1)
-        sums = np.cumsum(seg[1:], axis=0)
-        avg = sums * (2.0 / (ks * (ks + 1.0)))[:, None]
-        avg_err = np.linalg.norm(avg - v, axis=1)
+    if traj.k >= _FIT_K_MIN + 20:
+        ks = np.arange(1, traj.k + 1, dtype=np.float64)
+        it_err = np.linalg.norm(traj.normalized_iterates() - v, axis=1)
+        avg_err = np.linalg.norm(traj.normalized_averages() - v, axis=1)
         it_keep = it_err > pw_floor
         avg_keep = avg_err > pw_floor
         it_samples = np.column_stack([ks[it_keep], it_err[it_keep]])

@@ -47,7 +47,7 @@ class SparseMatrix:
     estimate are built once, on first use, and kept.
     """
 
-    __slots__ = ("csr", "_csr_t", "_opnorms")
+    __slots__ = ("csr", "_csr_t", "_opnorm")
 
     def __init__(self, csr: sp.csr_matrix):
         if not sp.isspmatrix_csr(csr):
@@ -57,7 +57,7 @@ class SparseMatrix:
         csr.sort_indices()
         self.csr = csr
         self._csr_t: sp.csr_matrix | None = None
-        self._opnorms: dict[tuple[float, int], OperatorNormEstimate] = {}
+        self._opnorm: OperatorNormEstimate | None = None
 
     @classmethod
     def from_triplets(
@@ -125,16 +125,13 @@ class SparseMatrix:
             self._csr_t = self.csr.T.tocsr()
         return self._csr_t
 
-    def opnorm(
-        self, tol: float = 1e-6, max_iters: int = 500
-    ) -> "OperatorNormEstimate":
-        """opnorm_estimate(self, tol, max_iters), run on the first call for
-        each (tol, max_iters) and kept, so the step sizes and every MNorm of
-        one matrix share one power iteration."""
-        key = (tol, max_iters)
-        if key not in self._opnorms:
-            self._opnorms[key] = opnorm_estimate(self, tol, max_iters)
-        return self._opnorms[key]
+    def opnorm(self) -> "OperatorNormEstimate":
+        """opnorm_estimate(self) at its default settings, run on the first
+        call and kept, so the step sizes and every MNorm of one matrix share
+        one power iteration."""
+        if self._opnorm is None:
+            self._opnorm = opnorm_estimate(self)
+        return self._opnorm
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -243,13 +240,11 @@ class StepSizes:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
     @classmethod
-    def for_matrix(
-        cls, a: SparseMatrix, factor: float = 0.9, tol: float = 1e-6
-    ) -> "StepSizes":
+    def for_matrix(cls, a: SparseMatrix, factor: float = 0.9) -> "StepSizes":
         """eta = tau = factor / ||A||_2 with factor < 1 keeping M positive definite."""
         if not 0.0 < factor < 1.0:
             raise ValueError(f"step factor must be in (0, 1), got {factor}")
-        est = a.opnorm(tol)
+        est = a.opnorm()
         if est.value == 0.0:
             raise SolverError("cannot derive step sizes for an all-zero matrix")
         step = factor / est.value

@@ -13,7 +13,6 @@ original variables.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +21,6 @@ import numpy as np
 from .linalg import SparseMatrix
 
 __all__ = [
-    "VariableKind",
     "KindMasks",
     "StandardFormLp",
     "GeneralFormLp",
@@ -35,13 +33,6 @@ __all__ = [
 ]
 
 
-class VariableKind(enum.Enum):
-    BOXED = "boxed"
-    LOWER = "lower"
-    UPPER = "upper"
-    FREE = "free"
-
-
 @dataclass(frozen=True)
 class KindMasks:
     """Boolean masks over variables, one per bound pattern.
@@ -49,9 +40,9 @@ class KindMasks:
     floor (0 on lower-only variables, -inf elsewhere) and ceil (0 on
     upper-only variables, +inf elsewhere) are built on first use and kept,
     so the sign clips below take two dense ufuncs and one masked store
-    instead of masked gathers.  So are the index gathers of the bounds
-    (finite_l, finite_u, no_l, no_u); finite_l and finite_u need the bounds
-    l and u, which kind_masks() records.
+    instead of masked gathers.  So are the index gathers of the finite
+    bounds, finite_l and finite_u, which need the bounds l and u that
+    GeneralFormLp.masks records.
     """
 
     boxed: np.ndarray
@@ -74,16 +65,6 @@ class KindMasks:
         return idx, self.u[idx]
 
     @cached_property
-    def no_l(self) -> np.ndarray:
-        """Indices with no lower bound."""
-        return np.flatnonzero(self.upper | self.free)
-
-    @cached_property
-    def no_u(self) -> np.ndarray:
-        """Indices with no upper bound."""
-        return np.flatnonzero(self.lower | self.free)
-
-    @cached_property
     def floor(self) -> np.ndarray:
         return np.where(self.lower, 0.0, -np.inf)
 
@@ -99,9 +80,19 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass
+def _store_vectors(p, **sizes: int) -> None:
+    """Check each named vector of the frozen problem p against its size and
+    store it as a float64 array."""
+    for name, size in sizes.items():
+        object.__setattr__(p, name, _as_vector(getattr(p, name), size, name))
+
+
+@dataclass(frozen=True)
 class StandardFormLp:
-    """min c'x subject to Ax = b, x >= 0."""
+    """min c'x subject to Ax = b, x >= 0.
+
+    Immutable: a changed problem is made with dataclasses.replace.
+    """
 
     c: np.ndarray
     a: SparseMatrix
@@ -111,8 +102,7 @@ class StandardFormLp:
 
     def __post_init__(self):
         m, n = self.a.shape
-        self.c = _as_vector(self.c, n, "c")
-        self.b = _as_vector(self.b, m, "b")
+        _store_vectors(self, c=n, b=m)
 
     @property
     def n(self) -> int:
@@ -126,9 +116,13 @@ class StandardFormLp:
         return float(self.c @ x) + self.objective_offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneralFormLp:
-    """min c'x subject to Ax >= b, l <= x <= u (entries of l, u may be infinite)."""
+    """min c'x subject to Ax >= b, l <= x <= u (entries of l, u may be infinite).
+
+    Immutable: a changed problem is made with dataclasses.replace, which
+    builds the masks of its own bounds.
+    """
 
     c: np.ndarray
     a: SparseMatrix
@@ -140,10 +134,7 @@ class GeneralFormLp:
 
     def __post_init__(self):
         m, n = self.a.shape
-        self.c = _as_vector(self.c, n, "c")
-        self.b = _as_vector(self.b, m, "b")
-        self.l = _as_vector(self.l, n, "l")
-        self.u = _as_vector(self.u, n, "u")
+        _store_vectors(self, c=n, b=m, l=n, u=n)
 
     @property
     def n(self) -> int:
@@ -153,21 +144,9 @@ class GeneralFormLp:
     def m(self) -> int:
         return self.a.n_rows
 
-    def kinds(self) -> list[VariableKind]:
-        masks = self.kind_masks()
-        out = []
-        for i in range(self.n):
-            if masks.boxed[i]:
-                out.append(VariableKind.BOXED)
-            elif masks.lower[i]:
-                out.append(VariableKind.LOWER)
-            elif masks.upper[i]:
-                out.append(VariableKind.UPPER)
-            else:
-                out.append(VariableKind.FREE)
-        return out
-
-    def kind_masks(self) -> KindMasks:
+    @cached_property
+    def masks(self) -> KindMasks:
+        """The bound kind of every variable, built on first use and kept."""
         fin_l = np.isfinite(self.l)
         fin_u = np.isfinite(self.u)
         return KindMasks(
@@ -181,6 +160,16 @@ class GeneralFormLp:
 
     def objective(self, x: np.ndarray) -> float:
         return float(self.c @ x) + self.objective_offset
+
+    def dual_value(self, y: np.ndarray, r: np.ndarray) -> float:
+        """b'y + l'r_+ - u'r_- over the finite bounds: the dual objective of
+        (y, r) without the objective offset, and the certificate objective
+        of a Farkas vector y with reduced costs r."""
+        l_idx, l_fin = self.masks.finite_l
+        u_idx, u_fin = self.masks.finite_u
+        val = float(self.b @ y)
+        val += float(l_fin @ np.maximum(r[l_idx], 0.0))
+        return val - float(u_fin @ np.maximum(-r[u_idx], 0.0))
 
 
 @dataclass
@@ -282,7 +271,6 @@ class StandardizationMap:
     m_gen: int
     n_std: int
     m_std: int
-    kinds: list[VariableKind]
     main_col: np.ndarray
     neg_col: np.ndarray
     sign: np.ndarray
@@ -317,8 +305,7 @@ class StandardizationMap:
 
 def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationMap]:
     m, n = p.m, p.n
-    masks = p.kind_masks()
-    kinds = p.kinds()
+    masks = p.masks
 
     main_col = np.full(n, -1, dtype=np.int64)
     neg_col = np.full(n, -1, dtype=np.int64)
@@ -403,7 +390,6 @@ def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationM
         m_gen=m,
         n_std=n_std,
         m_std=m_std,
-        kinds=kinds,
         main_col=main_col,
         neg_col=neg_col,
         sign=sign,

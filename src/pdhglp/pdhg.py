@@ -29,7 +29,6 @@ from . import exact, linalg
 from .linalg import MNorm, SparseMatrix, StepSizes, max0
 from .model import (
     GeneralFormLp,
-    KindMasks,
     StandardFormLp,
     clip_to_dual_signs,
     validate,
@@ -44,7 +43,6 @@ __all__ = [
     "make_operator",
     "recover_r",
     "KktResiduals",
-    "residual_scales",
     "kkt_residual",
     "dual_objective",
     "active_pattern",
@@ -289,20 +287,15 @@ def make_operator(
 
 
 def recover_r(
-    p: GeneralFormLp,
-    y: np.ndarray,
-    aty: np.ndarray | None = None,
-    masks: KindMasks | None = None,
+    p: GeneralFormLp, y: np.ndarray, aty: np.ndarray | None = None
 ) -> np.ndarray:
     """Reduced costs: c - A'y projected onto the dual-finiteness signs.
 
-    aty (A'y) and masks (p.kind_masks()) are computed when not given.
+    aty (A'y) is computed when not given.
     """
     if aty is None:
         aty = p.a.rmatvec(y)
-    if masks is None:
-        masks = p.kind_masks()
-    return clip_to_dual_signs(p.c - aty, masks)
+    return clip_to_dual_signs(p.c - aty, p.masks)
 
 
 @dataclass(slots=True)
@@ -316,27 +309,9 @@ class KktResiduals:
         return max(self.primal, self.dual, self.gap)
 
 
-def dual_objective(
-    p: GeneralFormLp, y: np.ndarray, r: np.ndarray, masks: KindMasks | None = None
-) -> float:
-    """b'y + l'r_+ - u'r_- over the finite-bound terms; masks, if given,
-    are p.kind_masks()."""
-    if masks is None:
-        masks = p.kind_masks()
-    l_idx, l_fin = masks.finite_l
-    u_idx, u_fin = masks.finite_u
-    val = float(p.b @ y)
-    val += float(l_fin @ np.maximum(r[l_idx], 0.0))
-    val -= float(u_fin @ np.maximum(-r[u_idx], 0.0))
-    return val + p.objective_offset
-
-
-def residual_scales(p: StandardFormLp | GeneralFormLp) -> tuple[float, float]:
-    """(1 + ||b||_inf, 1 + ||c||_inf), the divisors of kkt_residual."""
-    return (
-        1.0 + max0(np.abs(p.b)),
-        1.0 + max0(np.abs(p.c)),
-    )
+def dual_objective(p: GeneralFormLp, y: np.ndarray, r: np.ndarray) -> float:
+    """b'y + l'r_+ - u'r_- over the finite-bound terms, plus the offset."""
+    return p.dual_value(y, r) + p.objective_offset
 
 
 def kkt_residual(
@@ -346,20 +321,17 @@ def kkt_residual(
     r: np.ndarray | None = None,
     ax: np.ndarray | None = None,
     aty: np.ndarray | None = None,
-    scales: tuple[float, float] | None = None,
-    masks: KindMasks | None = None,
 ) -> KktResiduals:
     """Relative optimality residuals: primal and dual feasibility plus gap,
-    each scaled by 1 + the magnitude of the data it is measured against.
+    the first two divided by 1 + ||b||_inf and 1 + ||c||_inf.
 
-    ax (A x), aty (A'y), scales (residual_scales(p)) and, in general form,
-    masks (p.kind_masks()) are computed when not given.
+    ax (A x), aty (A'y) and, in general form, r (recover_r) are computed
+    when not given.
     """
     if ax is None:
         ax = p.a.matvec(x)
     if aty is None:
         aty = p.a.rmatvec(y)
-    b_scale, c_scale = residual_scales(p) if scales is None else scales
     if isinstance(p, StandardFormLp):
         # The iteration's dual variable multiplies (Ax - b) in the ascent
         # form, so dual feasibility reads A'y + c >= 0 and the dual
@@ -369,15 +341,14 @@ def kkt_residual(
         pobj = float(p.c @ x)
         dobj = -float(p.b @ y)
     else:
-        if masks is None:
-            masks = p.kind_masks()
         if r is None:
-            r = recover_r(p, y, aty, masks)
+            r = recover_r(p, y, aty)
         primal = max(max0(p.b - ax), max0(p.l - x), max0(x - p.u))
         dual = max(max0(np.abs(p.c - aty - r)), max0(-y))
         pobj = float(p.c @ x)
-        dobj = dual_objective(p, y, r, masks) - p.objective_offset
+        dobj = dual_objective(p, y, r) - p.objective_offset
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    b_scale, c_scale = 1.0 + max0(np.abs(p.b)), 1.0 + max0(np.abs(p.c))
     return KktResiduals(primal / b_scale, dual / c_scale, gap)
 
 
@@ -504,11 +475,7 @@ class SolveOutcome:
     steps: StepSizes | None = None
 
 
-def _repair(
-    rep: certs.CertCheckReport,
-    p: StandardFormLp | GeneralFormLp,
-    masks: KindMasks | None,
-) -> None:
+def _repair(rep: certs.CertCheckReport, p: StandardFormLp | GeneralFormLp) -> None:
     """Put rep's exact repair in place of its vector when there is one, and
     set rep.exact to whether the vector rep then carries passes
     exact.verify_certificate_exact on p.  On data that are not all
@@ -522,7 +489,7 @@ def _repair(
     rep.vector = fixed
     rep.exact = True
     if rep.r is not None:
-        rep.r = clip_to_dual_signs(-p.a.rmatvec(fixed), masks)
+        rep.r = clip_to_dual_signs(-p.a.rmatvec(fixed), p.masks)
 
 
 def _ray_step(g: np.ndarray, h: np.ndarray) -> float:
@@ -538,8 +505,6 @@ def _other_side_feasible(
     ray_product: np.ndarray,
     point: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     products: certs.StateProducts,
-    scales: tuple[float, float],
-    masks: KindMasks | None,
     kkt_tol: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """point, (x, y, A x, A'y) in p's coordinates, moved along the ray of
@@ -547,8 +512,7 @@ def _other_side_feasible(
     certify a part of at most kkt_tol, else None.  ray_product (A'w of a
     primal certificate w, A d of a dual one d) sets the move only: the
     moved point's product is taken with products, since at a large t
-    A'y + t A'w is not A'(y + t w) to kkt_tol.  masks are p.kind_masks() in
-    general form and None in standard form.
+    A'y + t A'w is not A'(y + t w) to kkt_tol.
 
     A primal certificate moves y: its rows are A'y + c >= 0 in standard
     form, and y >= 0 with the reduced-cost signs of the lower-only and
@@ -557,25 +521,26 @@ def _other_side_feasible(
     """
     x, y, ax, aty = point
     ray = rep.vector
+    standard = isinstance(p, StandardFormLp)
     if rep.side == "primal":
-        if masks is None:
+        if standard:
             g, h = aty + p.c, ray_product
         else:
             s = p.c - aty
-            lo, up = masks.lower, masks.upper
+            lo, up = p.masks.lower, p.masks.upper
             g = np.concatenate([y, s[lo], -s[up]])
             h = np.concatenate([ray, -ray_product[lo], ray_product[up]])
         y = y + _ray_step(g, h) * ray
         aty = products.rmatvec(y)
     else:
-        if masks is None:
+        if standard:
             g, h = x, ray
         else:
             g = np.concatenate([ax - p.b, x - p.l, p.u - x])
             h = np.concatenate([ray_product, ray, -ray])
         x = x + _ray_step(g, h) * ray
         ax = products.matvec(x)
-    kkt = kkt_residual(p, x, y, None, ax, aty, scales=scales, masks=masks)
+    kkt = kkt_residual(p, x, y, None, ax, aty)
     feasible = (kkt.dual if rep.side == "primal" else kkt.primal) <= kkt_tol
     return (x, y) if feasible else None
 
@@ -787,8 +752,6 @@ def run(
     kkt: KktResiduals | None = None
     r: np.ndarray | None = None
     mat, rmat = op._mat, op._rmat
-    masks = p.kind_masks() if general else None
-    scales = residual_scales(p)
 
     while state.k < config.max_iters:
         state.advance(op, min(config.check_interval, config.max_iters - state.k))
@@ -801,17 +764,8 @@ def run(
 
         view = scaling.unscale_state(state)
         products = scaling.unscale_products(mat(state.x), rmat(state.y), mat, rmat)
-        r = recover_r(p, view.y, products.aty, masks) if general else None
-        kkt = kkt_residual(
-            p,
-            view.x,
-            view.y,
-            r,
-            ax=products.ax,
-            aty=products.aty,
-            scales=scales,
-            masks=masks,
-        )
+        r = recover_r(p, view.y, products.aty) if general else None
+        kkt = kkt_residual(p, view.x, view.y, r, products.ax, products.aty)
         pattern = active_pattern(ps, state.x, state.y)
         changed = not np.array_equal(pattern, prev_pattern)
         prev_pattern = pattern
@@ -837,8 +791,8 @@ def run(
                 moved = _moved_iterate(support, state, scaling, products)
 
         for cand in cands:
-            prep = certs.check_primal_infeasibility(cand, p, config.eps, masks)
-            drep = certs.check_dual_infeasibility(cand, p, config.eps, masks)
+            prep = certs.check_primal_infeasibility(cand, p, config.eps)
+            drep = certs.check_dual_infeasibility(cand, p, config.eps)
             trace.append(
                 TraceRecord(
                     k=k,
@@ -864,7 +818,7 @@ def run(
             break
         if moved is not None:
             x_m, y_m, ax_m, aty_m = moved
-            kkt_m = kkt_residual(p, x_m, y_m, None, ax_m, aty_m, scales, masks)
+            kkt_m = kkt_residual(p, x_m, y_m, None, ax_m, aty_m)
             if kkt_m.max <= config.kkt_tol:
                 point = (x_m, y_m)
                 status, termination = SolveStatus.OPTIMAL, Termination.POLISH
@@ -886,7 +840,7 @@ def run(
         for origin in ((view.x, view.y, products.ax, products.aty), moved):
             if origin is not None and point is None:
                 point = _other_side_feasible(
-                    p, rep, ray_product, origin, products, scales, masks, config.kkt_tol
+                    p, rep, ray_product, origin, products, config.kkt_tol
                 )
         if point is not None:
             termination = Termination.OTHER_SIDE_FEASIBLE
@@ -920,7 +874,7 @@ def run(
         for rep in (best_primal, best_dual):
             # The witness sub-solve's certificate is already repaired.
             if rep is not None and rep.exact is None:
-                _repair(rep, p, masks)
+                _repair(rep, p)
     state = scaling.unscale_state(state)
     # The outcome's x and y are copies, so no array of its state is one of them.
     x, y = (state.x.copy(), state.y.copy()) if point is None else point
@@ -930,7 +884,7 @@ def run(
     pobj = p.objective(x)
     dobj = None
     if general and r is not None:
-        dobj = dual_objective(p, y, r, masks)
+        dobj = dual_objective(p, y, r)
     elif not general:
         dobj = -float(p.b @ y) + p.objective_offset
 

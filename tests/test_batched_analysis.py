@@ -5,6 +5,7 @@ replaced, kept here as the reference: equal results where the arithmetic is
 the same, and 1e-12 relative where only the order of a sum changed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -339,8 +340,7 @@ def test_bound_violation_matches_loop(how, seed):
 def test_as_general_form_matches_triplet_build(how):
     rng = np.random.default_rng(len(how))
     m, n = 4, 9
-    p = _random_standard_lp(rng, m, n)
-    p.objective_offset = 1.5
+    p = dataclasses.replace(_random_standard_lp(rng, m, n), objective_offset=1.5)
     aux = AuxiliaryLp(
         p, rng.standard_normal(n), rng.standard_normal(m), _split(n, rng, how)
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -63,13 +65,15 @@ class TestExtract:
 
 class TestPrimalInfeasibilityCheck:
     def test_reduced_costs_reported_only_for_general_form(self):
-        p = demos.example1(0.0, 2.0)
-        p.l = np.array([0.0, -np.inf, -1.0])
-        p.u = np.array([np.inf, 2.0, 1.0])
+        p = dataclasses.replace(
+            demos.example1(0.0, 2.0),
+            l=np.array([0.0, -np.inf, -1.0]),
+            u=np.array([np.inf, 2.0, 1.0]),
+        )
         y = np.array([1.0, 2.0, 3.0])
         rep = check_primal_infeasibility(_cand(y), p, 1e-8)
         # -A'y = (4, 1, 0); the upper-only column's positive entry is clipped.
-        want = clip_to_dual_signs(-p.a.rmatvec(y), p.kind_masks())
+        want = clip_to_dual_signs(-p.a.rmatvec(y), p.masks)
         np.testing.assert_array_equal(want, [4.0, 0.0, 0.0])
         np.testing.assert_array_equal(rep.r, want)
         # ex1's variables are free: the sign clip zeroes every reduced cost.
@@ -266,10 +270,10 @@ class TestFiniteBoundGathers:
     def test_primal_test_and_dual_objective_match_mask_expressions(self, seed):
         rng = np.random.default_rng(seed)
         p = self._problem(rng)
-        masks = p.kind_masks()
+        masks = p.masks
         y = np.abs(rng.standard_normal(p.m))
         r = clip_to_dual_signs(-p.a.rmatvec(y), masks)
-        rep = check_primal_infeasibility(_cand(y), p, 1e-8, masks)
+        rep = check_primal_infeasibility(_cand(y), p, 1e-8)
 
         fin_l, fin_u = np.isfinite(p.l), np.isfinite(p.u)
         r_pos, r_neg = np.maximum(r, 0.0), np.maximum(-r, 0.0)
@@ -282,5 +286,4 @@ class TestFiniteBoundGathers:
         want += float(p.l[fin_l] @ np.maximum(r[fin_l], 0.0))
         want -= float(p.u[fin_u] @ np.maximum(-r[fin_u], 0.0))
         want += p.objective_offset
-        assert dual_objective(p, y, r, masks) == want
         assert dual_objective(p, y, r) == want

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from pdhglp.model import (
     StandardFormLp,
     clip_to_dual_signs,
     standard_to_general,
+    to_standard_form,
 )
 
 
@@ -120,9 +122,39 @@ class TestExactOptimum:
         assert exact_optimum(demos.example1(1.0, 2.0)).status == "infeasible"
 
     def test_offset_added_exactly(self):
-        p = demos.std_feasible()
-        p.objective_offset = 0.5
+        p = dataclasses.replace(demos.std_feasible(), objective_offset=0.5)
         assert exact_optimum(p).value == Fraction(5, 2)
+
+
+def _optimal_cases() -> dict:
+    """Desk problems with an optimum, by label."""
+    cases = {"ex1(0,1)": demos.example1(0.0, 1.0), "std-feasible": demos.std_feasible()}
+    for seed in range(25):
+        rng = np.random.default_rng([seed, 29])
+        p = demos.random_cell_instance("both_feasible", rng)
+        cases[f"both_feasible-{seed}"] = p
+    return cases
+
+
+OPTIMAL_CASES = _optimal_cases()
+
+
+@pytest.mark.parametrize("label", OPTIMAL_CASES)
+def test_optimal_objectives_match_exact_optimum(label):
+    # The optimum is the same in both forms: standardization carries the
+    # objective into the offset, and the embedding keeps c.
+    p = OPTIMAL_CASES[label]
+    v = float(exact_optimum(p).value)
+    if isinstance(p, StandardFormLp):
+        forms = (p, standard_to_general(p))
+    else:
+        forms = (p, to_standard_form(p)[0])
+    for q in forms:
+        out = pdhg.run(q)
+        assert out.status is pdhg.SolveStatus.OPTIMAL
+        tol = 1e-7 * (1.0 + abs(v))
+        assert abs(out.primal_objective - v) <= tol
+        assert abs(out.dual_objective - v) <= tol
 
 
 class TestVerifyCertificateExact:
@@ -218,7 +250,7 @@ class TestRepairCertificate:
             assert np.max(np.abs(rep.vector)) <= 1e9
             if isinstance(p, GeneralFormLp) and rep.side == "primal":
                 # The reduced costs belong to the repaired vector.
-                want = clip_to_dual_signs(-p.a.rmatvec(rep.vector), p.kind_masks())
+                want = clip_to_dual_signs(-p.a.rmatvec(rep.vector), p.masks)
                 assert np.array_equal(rep.r, want)
 
     def test_sign_violation_of_1e_10_is_repaired(self):
@@ -325,12 +357,13 @@ class TestRepairCertificate:
         assert exact.integer_data(demos.example1(1.0, 2.0))
         assert exact.integer_data(demos.std_both_infeasible())
         p = demos.example1(1.0, 2.0)
-        p.l = np.array([-np.inf, 0.0, -3.0])  # infinite bounds do not count
+        # Infinite bounds do not count.
+        p = dataclasses.replace(p, l=np.array([-np.inf, 0.0, -3.0]))
         assert exact.integer_data(p)
-        p.u = np.array([np.inf, 0.5, np.inf])
+        p = dataclasses.replace(p, u=np.array([np.inf, 0.5, np.inf]))
         assert not exact.integer_data(p)
         q = demos.std_primal_infeasible()
-        q.c = q.c * 0.1
+        q = dataclasses.replace(q, c=q.c * 0.1)
         assert not exact.integer_data(q)
 
     def test_non_integer_data_skips_the_fraction_loop(self, monkeypatch):

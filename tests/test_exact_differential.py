@@ -46,7 +46,7 @@ def reference_verify(cert, p, kind) -> bool:
             ok &= all(v == 0 for v in ax)
             ok &= sum(_frac(p.c[i]) * vec[i] for i in range(p.n)) < 0
         return ok
-    masks = p.kind_masks()
+    masks = p.masks
     if kind == "primal":
         ok &= all(v >= 0 for v in vec)
         aty = [sum(_frac(a[r][i]) * vec[r] for r in range(p.m)) for i in range(p.n)]
@@ -91,7 +91,7 @@ def _sign_constraints(p, side):
         if side == "primal":
             return [], cols
         return [line(a[r]) for r in range(p.m)], [unit(i) for i in range(p.n)]
-    masks = p.kind_masks()
+    masks = p.masks
     if side == "primal":
         eqs = [cols[i] for i in range(p.n) if masks.free[i]]
         ineqs = [unit(r) for r in range(p.m)]

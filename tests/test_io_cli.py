@@ -415,9 +415,13 @@ class TestCliSolve:
         assert out[0] == "optimal"
         assert any("objective: 1" in s for s in out)
 
-    def test_instance_required(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["solve"])
+    @pytest.mark.parametrize("command", ["solve", "analyze", "oracle"])
+    @pytest.mark.parametrize("extra", [[], ["inst.mps", "--demo", "ex1"]])
+    def test_instance_required(self, command, extra, capsys):
+        # Neither a path nor --demo, or both, is an input error.
+        assert cli.main([command, *extra]) == cli.EXIT_PARSE
+        want = "give an instance path or a --demo name, not both or neither"
+        assert capsys.readouterr().err == f"error: {want}\n"
 
 
 class TestCliAnalyzeOracleDemo:

@@ -99,30 +99,29 @@ class TestOperatorNorm:
         a = SparseMatrix.from_triplets(2, 2, [], [], [])
         assert opnorm_estimate(a).value == 0.0
 
-    def test_kept_per_matrix_and_settings(self, monkeypatch):
+    def test_kept_per_matrix(self, monkeypatch):
         # The step sizes and every MNorm of one matrix share one power
-        # iteration; other settings or another matrix get their own.
+        # iteration, at opnorm_estimate's default settings; another matrix
+        # gets its own.
         calls = []
 
-        def counted(a, tol=1e-6, max_iters=500):
-            calls.append((a, tol, max_iters))
-            return opnorm_estimate(a, tol, max_iters)
+        def counted(a, *args):
+            calls.append((a, args))
+            return opnorm_estimate(a, *args)
 
         monkeypatch.setattr(linalg, "opnorm_estimate", counted)
         a = SparseMatrix.from_dense([[3.0, 1.0], [0.0, 2.0]])
         steps = StepSizes.for_matrix(a, 0.9)
+        first = a.opnorm()
         MNorm(a, steps)
         MNorm(a, steps, coupling_sign=-1)
-        assert calls == [(a, 1e-6, 500)]
-        assert a.opnorm() == opnorm_estimate(a)
-        loose = a.opnorm(1e-2)
-        assert loose == opnorm_estimate(a, 1e-2)
-        assert a.opnorm(1e-6, 3) == opnorm_estimate(a, 1e-6, 3)
-        assert calls == [(a, 1e-6, 500), (a, 1e-2, 500), (a, 1e-6, 3)]
-        assert a.opnorm(1e-2) is loose
+        assert calls == [(a, ())]
+        assert a.opnorm() is first
+        assert first == opnorm_estimate(a) == opnorm_estimate(a, 1e-6, 500)
         b = SparseMatrix(a.csr.copy())
         StepSizes.for_matrix(b, 0.9)
-        assert len(calls) == 4 and calls[-1][0] is b
+        MNorm(b, steps)
+        assert len(calls) == 2 and calls[-1][0] is b
 
 
 class TestStepSizes:

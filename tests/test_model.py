@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,6 @@ from pdhglp.model import (
     GeneralFormLp,
     KindMasks,
     StandardFormLp,
-    VariableKind,
     clip_to_dual_signs,
     clip_to_ray_signs,
     standard_to_general,
@@ -53,13 +54,38 @@ class TestContainers:
         assert p.objective(np.array([3.0])) == 11.0
 
     def test_kinds(self):
+        masks = general_box_lp().masks
+        assert masks.boxed.tolist() == [True, False, False, False]
+        assert masks.lower.tolist() == [False, True, False, False]
+        assert masks.upper.tolist() == [False, False, True, False]
+        assert masks.free.tolist() == [False, False, False, True]
+
+    @pytest.mark.parametrize("form", ["standard", "general"])
+    def test_fields_cannot_be_rebound(self, form):
         p = general_box_lp()
-        assert p.kinds() == [
-            VariableKind.BOXED,
-            VariableKind.LOWER,
-            VariableKind.UPPER,
-            VariableKind.FREE,
-        ]
+        if form == "standard":
+            p = to_standard_form(p)[0]
+        for f in dataclasses.fields(p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, f.name, getattr(p, f.name))
+
+    def test_masks_are_built_once(self):
+        p = general_box_lp()
+        assert p.masks is p.masks
+
+    def test_replace_carries_the_masks_of_the_new_bounds(self):
+        p = general_box_lp()
+        old = p.masks
+        q = dataclasses.replace(
+            p, l=np.array([-np.inf, 0.0, 1.0, -np.inf]), u=np.full(4, np.inf)
+        )
+        assert q.masks is not old
+        assert q.masks.free.tolist() == [True, False, False, True]
+        assert q.masks.lower.tolist() == [False, True, True, False]
+        assert not q.masks.boxed.any() and not q.masks.upper.any()
+        assert q.masks.finite_l[1].tolist() == [0.0, 1.0]
+        # p keeps its own masks.
+        assert p.masks is old and old.boxed.tolist() == [True, False, False, False]
 
 
 class TestValidate:
@@ -105,7 +131,7 @@ class TestValidate:
 class TestSignClips:
     def test_dual_signs(self):
         p = general_box_lp()
-        masks = p.kind_masks()
+        masks = p.masks
         w = np.array([-3.0, -1.0, 2.0, 5.0])
         r = clip_to_dual_signs(w, masks)
         # boxed keeps sign, lower clipped up, upper clipped down, free zeroed
@@ -113,7 +139,7 @@ class TestSignClips:
 
     def test_ray_signs(self):
         p = general_box_lp()
-        masks = p.kind_masks()
+        masks = p.masks
         d = np.array([1.0, -1.0, 2.0, -4.0])
         out = clip_to_ray_signs(d, masks)
         assert out.tolist() == [0.0, 0.0, 0.0, -4.0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,9 @@ def _non_finite_cases():
     std = demos.std_both_infeasible()
     big = demos.block_copies(std, 41)
     free = _random_general(rng)
-    free.l, free.u = np.full(free.n, -np.inf), np.full(free.n, np.inf)
+    free = dataclasses.replace(
+        free, l=np.full(free.n, -np.inf), u=np.full(free.n, np.inf)
+    )
     v = rng.standard_normal(std.n + std.m)
     v_x, v_y = v[: std.n], v[std.n :]
     shifted = ShiftedOperator(

@@ -205,10 +205,10 @@ def test_witness_problem_zeroes_the_certified_side_and_keeps_the_bound_kinds():
     assert not primal.b.any() and np.array_equal(primal.c, p.c)
     assert np.array_equal(primal.l, [0.0, -inf, -2.0])
     assert np.array_equal(primal.u, [3.0, 2.0, inf])
-    want = p.kind_masks()
+    want = p.masks
     for q in (dual, primal):
         assert q.a is p.a
-        got = q.kind_masks()
+        got = q.masks
         for kind in ("boxed", "lower", "upper", "free"):
             assert np.array_equal(getattr(got, kind), getattr(want, kind))
     std = pdhg._witness_problem(demos.std_primal_infeasible(), "primal")
