@@ -13,8 +13,8 @@ displacement those sequences converge to, computed in closed form once the
 active pattern of the iterates has settled (see pdhg.run).
 
 There is one test per side, check_primal_infeasibility and
-check_dual_infeasibility, for both LP forms; only the residual and the
-certificate objective are written per form.  In both, the scaled error is
+check_dual_infeasibility, on model.general_form(p) for either LP form.  In
+both, the scaled error is
 residual / certificate objective, a candidate whose objective is not
 positive fails with scaled error None, and a candidate passes when its
 scaled error is at most eps.  The tests are positively homogeneous:
@@ -43,6 +43,7 @@ from .model import (
     StandardFormLp,
     clip_to_dual_signs,
     clip_to_ray_signs,
+    general_form,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,7 +114,7 @@ class CertCheckReport:
     valid certificate); scaled_error is residual / objective_term and is
     None when the objective term is not positive.  vector carries the
     tested certificate (dual vector for side "primal", primal direction
-    for side "dual"); r the reduced costs of a general-form primal report.
+    for side "dual"); r the reduced costs of a primal report.
     exact is None unless pdhg.run put the report through the exact repair
     (see pdhg.run): then it says whether vector passes
     exact.verify_certificate_exact.
@@ -218,25 +219,22 @@ def check_primal_infeasibility(
     eps: float,
 ) -> CertCheckReport:
     """Test the dual part y as an approximate certificate that p has no
-    feasible point.
+    feasible point, on general_form(p) (cand.aty is of its matrix).
 
-    General form (Ax >= b, l <= x <= u): y >= 0, with negative dust zeroed
-    first; r = clip_to_dual_signs(-A'y) of the unclipped y; residual
-    ||r + A'y||_inf and objective p.dual_value(y, r) = b'y + l'r_+ - u'r_-.
-    Standard form (Ax = b, x >= 0; y has the iteration's sign, see
-    pdhg.kkt_residual): residual max0(-A'y) and objective -b'y.
+    y >= 0 on the inequality rows, with negative dust zeroed first; r =
+    clip_to_dual_signs(-A'y) of the unclipped y; residual ||r + A'y||_inf
+    and objective p.dual_value(y, r) = b'y + l'r_+ - u'r_-.  On a
+    standard-form p: residual max0(-A'y), objective -b'y, r = max(A'y, 0).
     """
+    p = general_form(p)
     y = cand.y_part
     ynorm = max0(np.abs(y))
     if ynorm == 0.0:
         return _zero_report("primal", cand)
     aty = p.a.rmatvec(y) if cand.aty is None else cand.aty
-    if isinstance(p, StandardFormLp):
-        return _report("primal", cand, eps, -float(p.b @ y), max0(-aty), y)
-
     r = clip_to_dual_signs(-aty, p.masks)
     reasons: tuple[str, ...] = ()
-    neg = y < 0.0
+    neg = y < p.row_floor
     if neg.any():
         dust = neg & (y >= -_Y_CLIP_REL * ynorm)
         if dust.any():
@@ -255,28 +253,26 @@ def check_dual_infeasibility(
     p: GeneralFormLp | StandardFormLp,
     eps: float,
 ) -> CertCheckReport:
-    """Test the primal part d as an approximate unbounded direction of p,
-    with objective -c'd.
+    """Test the primal part d as an approximate unbounded direction of
+    general_form(p) (cand.ax is of its matrix), with objective -c'd.
 
-    General form: residual the larger of d's distance to the recession
-    cone of the box and max0(-A d).
-    Standard form: residual max(||A d||_inf, max0(-d)).
+    Residual: the larger of d's distance to the recession cone of the box
+    and p.row_violation(A d); on a standard-form p, max(|A d|, max0(-d)).
     """
+    p = general_form(p)
     d = cand.x_part
     if max0(np.abs(d)) == 0.0:
         return _zero_report("dual", cand)
     ad = p.a.matvec(d) if cand.ax is None else cand.ax
-    if isinstance(p, StandardFormLp):
-        residual = max(max0(np.abs(ad)), max0(-d))
-    else:
-        residual = max(max0(np.abs(d - clip_to_ray_signs(d, p.masks))), max0(-ad))
+    residual = max(max0(np.abs(d - clip_to_ray_signs(d, p.masks))), p.row_violation(ad))
     return _report("dual", cand, eps, -float(p.c @ d), residual, d)
 
 
 def check_standard_farkas(
     cand: CertificateCandidate, p: StandardFormLp, eps: float
 ) -> tuple[CertCheckReport, CertCheckReport]:
-    """Both tests of a standard-form candidate, returned as (primal, dual)."""
+    """Both tests of a standard-form candidate, returned as (primal, dual).
+    Kept only for the benchmark's tests and tracer, which name it."""
     return (
         check_primal_infeasibility(cand, p, eps),
         check_dual_infeasibility(cand, p, eps),

@@ -168,10 +168,7 @@ def cmd_solve(args) -> int:
 
 def _analysis_report(p, args) -> dict:
     """Drive the identification pipeline on the standardized instance."""
-    if isinstance(p, GeneralFormLp):
-        p_std, _ = to_standard_form(p)
-    else:
-        p_std = p
+    p_std = to_standard_form(p)[0] if isinstance(p, GeneralFormLp) else p
     steps = StepSizes.for_matrix(p_std.a, args.step_factor)
     op = StandardFormOperator(p_std, steps)
     mn = op.m_norm()

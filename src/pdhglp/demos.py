@@ -135,7 +135,7 @@ def block_copies(
         return StandardFormLp(c, a, b, name, offset)
     l = (p.l / s).ravel()
     u = (p.u / s).ravel()
-    return GeneralFormLp(c, a, b, l, u, name, offset)
+    return GeneralFormLp(c, a, b, l, u, name, offset, np.tile(p.eq, copies))
 
 
 DEMO_BUILDERS = {

@@ -17,6 +17,8 @@ that system, its rows with the right-hand side dropped, plus one
 certificate objective, and the repair takes its tight rows from the same
 list, keeping opposite pairs of rows as equalities.
 
+Every entry point takes either LP form and works on model.general_form(p).
+
 Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
 MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
 columns (repair_fits), since Fraction arithmetic grows fast with the size.
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import GeneralFormLp, StandardFormLp
+from .model import GeneralFormLp, StandardFormLp, general_form
 
 __all__ = [
     "ExactLp",
@@ -262,18 +264,14 @@ def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
     return FeasibilityResult(True, witness=witness)
 
 
-def _primal_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
+def _primal_system(p: GeneralFormLp) -> ExactLp:
+    """The primal feasible set: A x >= b (and <= b on equality rows), l <= x <= u."""
     a = p.a.to_dense().tolist()
-    if isinstance(p, StandardFormLp):
-        sys = ExactLp(p.n)
-        for r in range(p.m):
-            sys.add_eq(a[r], p.b[r])
-        for i in range(p.n):
-            sys.add_ge([float(j == i) for j in range(p.n)], 0)
-        return sys
     sys = ExactLp(p.n)
     for r in range(p.m):
         sys.add_ge(a[r], p.b[r])
+        if p.eq[r]:
+            sys.add_le(a[r], p.b[r])
     for i in range(p.n):
         e = [float(j == i) for j in range(p.n)]
         if np.isfinite(p.l[i]):
@@ -283,18 +281,14 @@ def _primal_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
     return sys
 
 
-def _dual_system(p: StandardFormLp | GeneralFormLp) -> ExactLp:
-    """The dual feasible set in the iteration's sign convention: A'y + c >= 0
-    in standard form (see pdhg.kkt_residual), and in general form y >= 0
-    with the sign of r = c - A'y that each bound kind allows."""
+def _dual_system(p: GeneralFormLp) -> ExactLp:
+    """The dual feasible set in the iteration's sign convention: y >= 0 on
+    the inequality rows, with the sign of r = c - A'y that each bound kind
+    allows (A'y + c >= 0 on a standard-form lowering)."""
     at = p.a.to_dense().T.tolist()
     sys = ExactLp(p.m)
-    if isinstance(p, StandardFormLp):
-        for i in range(p.n):
-            sys.add_ge(at[i], -p.c[i])
-        return sys
     masks = p.masks
-    for r in range(p.m):
+    for r in np.flatnonzero(~p.eq):
         sys.add_ge([float(j == r) for j in range(p.m)], 0)
     for i in range(p.n):
         if masks.free[i]:
@@ -325,6 +319,7 @@ class LpClassification:
 
 def classify_lp(p: StandardFormLp | GeneralFormLp) -> LpClassification:
     """Exact feasibility of the problem and its dual; one of four cells."""
+    p = general_form(p)
     primal = decide_feasibility(_primal_system(p))
     dual = decide_feasibility(_dual_system(p))
     return LpClassification(primal.feasible, dual.feasible)
@@ -338,6 +333,7 @@ class ExactOptimum:
 
 def exact_optimum(p: StandardFormLp | GeneralFormLp) -> ExactOptimum:
     """Exact optimal value by projecting the epigraph onto the t axis."""
+    p = general_form(p)
     base = _primal_system(p)
     n = p.n
     sys = ExactLp(n + 1)
@@ -403,7 +399,7 @@ class ExactCheck:
 _SparseRow = dict[int, int]
 
 
-def _cone_rows(p: StandardFormLp | GeneralFormLp, side: str) -> list[_SparseRow]:
+def _cone_rows(p: GeneralFormLp, side: str) -> list[_SparseRow]:
     """The rows g with g'v <= 0 on every certificate v of the side.
 
     A "primal" certificate (of primal infeasibility) is a ray y of the dual
@@ -412,7 +408,7 @@ def _cone_rows(p: StandardFormLp | GeneralFormLp, side: str) -> list[_SparseRow]
     right-hand side dropped.  Each is scaled to integers by the lcm of its
     denominators, which keeps every sign, and stored by its nonzero
     entries.  A row whose negation is also a row makes an equality: A'y = 0
-    on free columns, Ad = 0 in standard form, d = 0 on boxed variables.
+    on free columns, Ad = 0 on equality rows, d = 0 on boxed variables.
     """
     sys = _dual_system(p) if side == "primal" else _primal_system(p)
     rows = []
@@ -445,26 +441,23 @@ def _exact_dot(values: Sequence[float], v: Sequence[int]) -> Fraction:
     return Fraction(sum(n * (den // d) * vj for (n, d), vj in terms), den)
 
 
-def _objective(p: StandardFormLp | GeneralFormLp, side: str, v: list[int]) -> Fraction:
+def _objective(p: GeneralFormLp, side: str, v: list[int]) -> Fraction:
     """The certificate objective, positive on every certificate of the
-    side: -c'd for "dual"; for "primal", -b'y in standard form and
-    b'y + l'r+ - u'r- with r = -A'y over the finite bounds in general form."""
+    side: -c'd for "dual"; for "primal", b'y + l'r+ - u'r- with r = -A'y
+    over the finite nonzero bounds (-b'y on a standard-form lowering)."""
     if side == "dual":
         return -_exact_dot(p.c, v)
     obj = _exact_dot(p.b, v)
-    if isinstance(p, StandardFormLp):
-        return -obj
-    for col, lo, hi in zip(p.a.to_dense().T.tolist(), p.l.tolist(), p.u.tolist()):
-        r = -_exact_dot(col, v)
-        if r > 0 and math.isfinite(lo):
-            obj += _frac(lo) * r
-        elif r < 0 and math.isfinite(hi):
-            obj += _frac(hi) * r
+    lo, hi = (np.where(np.isfinite(w), w, 0.0) for w in (p.l, p.u))
+    at = p.a.to_dense().T
+    for i in np.flatnonzero((lo != 0.0) | (hi != 0.0)):
+        r = -_exact_dot(at[i].tolist(), v)
+        obj += _frac(lo[i]) * r if r > 0 else _frac(hi[i]) * r if r < 0 else 0
     return obj
 
 
 def _check(
-    v: list[Fraction], p: StandardFormLp | GeneralFormLp, side: str, rows: list[_SparseRow]
+    v: list[Fraction], p: GeneralFormLp, side: str, rows: list[_SparseRow]
 ) -> ExactCheck:
     """The exact test of v against the side's cone rows and objective, on
     v scaled to coprime integers."""
@@ -494,6 +487,7 @@ def verify_certificate_exact(
     a vector of another length raises ValueError.
     """
     _check_side(cert, p, kind)
+    p = general_form(p)
     return _check(exactify_vector(cert), p, kind, _cone_rows(p, kind))
 
 
@@ -565,9 +559,8 @@ def integer_data(p: StandardFormLp | GeneralFormLp) -> bool:
     _REPAIR_MAX_ENTRY; on dense 6 x 9 and 12 x 12 LPs it repaired none of
     12 certificates and spent 0.06-0.35 s on each.
     """
-    parts = [p.a.csr.data, p.b, p.c]
-    if isinstance(p, GeneralFormLp):
-        parts += [p.l[np.isfinite(p.l)], p.u[np.isfinite(p.u)]]
+    p = general_form(p)
+    parts = [p.a.csr.data, p.b, p.c, p.l[np.isfinite(p.l)], p.u[np.isfinite(p.u)]]
     return all(bool(np.all(v == np.round(v))) for v in parts)
 
 
@@ -597,6 +590,7 @@ def repair_certificate(
     vec = np.asarray(vec, dtype=np.float64)
     if not np.any(vec):
         return None
+    p = general_form(p)
     rows = _cone_rows(p, side)
     v = _coprime_integers([Fraction(float(x)) for x in vec])
     vmax = max(map(abs, v))

@@ -422,7 +422,8 @@ def shift_identity_residual(
 @dataclass(frozen=True)
 class AffinePhase:
     """The iteration after the support S has frozen, read off the support's
-    projector (pdhg._support_point, one eigh of G = A_S A_S').
+    projector (pdhg._support_point on the lowering p.general, one eigh of
+    G = (-A_S)(-A_S)' = A_S A_S').
 
     On S the step is affine, and it acts on each singular value sigma of
     A_S (descending) through the 2x2 block [[1, -eta s], [tau s,
@@ -449,9 +450,11 @@ def affine_phase(
     n, m = p.n, p.m
     eta, tau = steps.eta, steps.tau
     support = tuple(sorted(int(i) for i in support))
-    pattern = np.ones(n, dtype=np.int8)
+    # On the lowering (-A, -b, x >= 0) every row is an equality row, coded 0.
+    pattern = np.zeros(n + m, dtype=np.int8)
+    pattern[:n] = 1
     pattern[list(support)] = 0
-    sup = _support_point(p, p.a.csr, np.zeros(n), pattern)
+    sup = _support_point(p.general, p.general.a.csr, np.zeros(n), pattern)
     if sup is None:
         return None
     sigma = np.sqrt(sup.proj.lam[::-1])

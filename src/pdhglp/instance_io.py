@@ -80,12 +80,15 @@ def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
     if isinstance(p, GeneralFormLp):
         doc["l"] = _bounds_to_json(p.l)
         doc["u"] = _bounds_to_json(p.u)
+        if p.eq.any():
+            doc["eq"] = p.eq.tolist()
     return doc
 
 
 def problem_from_json(doc: dict) -> StandardFormLp | GeneralFormLp:
     """The problem an instance document describes; ValueError names a
-    document that is not an object, a bad form or a missing key."""
+    document that is not an object, a bad form or a missing key.  A
+    general-form document's optional eq key marks its equality rows."""
     _require(doc, (), "instance JSON")
     form = doc.get("form")
     if form not in ("general", "standard"):
@@ -104,6 +107,7 @@ def problem_from_json(doc: dict) -> StandardFormLp | GeneralFormLp:
     return GeneralFormLp(
         l=_bounds_from_json(doc["l"], -1.0),
         u=_bounds_from_json(doc["u"], +1.0),
+        eq=doc.get("eq"),
         **common,
     )
 

@@ -3,7 +3,13 @@
 Two shapes are used throughout:
 
   standard form   min c'x   s.t.  Ax = b,  x >= 0
-  general form    min c'x   s.t.  Ax >= b, l <= x <= u
+  general form    min c'x   s.t.  Ax >= b on the inequality rows,
+                                  Ax = b on the equality rows (eq),
+                                  l <= x <= u
+
+The solver, its checks and the exact oracle work on the general form; a
+standard-form problem reaches them as its lowering, general_form(p) (see
+pdhg).  The analysis toolkit keeps the standard form, the paper's setting.
 
 ``to_standard_form`` rewrites a general-form problem as a standard-form one
 (shifts, sign flips, free-variable splits, slacks, box rows) and returns a
@@ -13,12 +19,13 @@ original variables.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, max0
 
 __all__ = [
     "KindMasks",
@@ -26,6 +33,7 @@ __all__ = [
     "GeneralFormLp",
     "ValidationReport",
     "StandardizationMap",
+    "general_form",
     "to_standard_form",
     "standard_to_general",
     "clip_to_dual_signs",
@@ -42,7 +50,7 @@ class KindMasks:
     so the sign clips below take two dense ufuncs and one masked store
     instead of masked gathers.  So are the index gathers of the finite
     bounds, finite_l and finite_u, which need the bounds l and u that
-    GeneralFormLp.masks records.
+    GeneralFormLp.masks records; one whose bounds are all 0 is left empty.
     """
 
     boxed: np.ndarray
@@ -55,14 +63,12 @@ class KindMasks:
     @cached_property
     def finite_l(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices with a finite lower bound, l at them), in index order."""
-        idx = np.flatnonzero(self.boxed | self.lower)
-        return idx, self.l[idx]
+        return _gather(self.boxed | self.lower, self.l)
 
     @cached_property
     def finite_u(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices with a finite upper bound, u at them), in index order."""
-        idx = np.flatnonzero(self.boxed | self.upper)
-        return idx, self.u[idx]
+        return _gather(self.boxed | self.upper, self.u)
 
     @cached_property
     def floor(self) -> np.ndarray:
@@ -73,25 +79,28 @@ class KindMasks:
         return np.where(self.upper, 0.0, np.inf)
 
 
-def _as_vector(v, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    return arr
+def _gather(mask: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.flatnonzero(mask)
+    return (idx, bounds[idx]) if bounds[idx].any() else (idx[:0], bounds[:0])
 
 
-def _store_vectors(p, **sizes: int) -> None:
+def _store_vectors(p, dtype=np.float64, **sizes: int) -> None:
     """Check each named vector of the frozen problem p against its size and
-    store it as a float64 array."""
+    store a read-only copy, so no write can leave p's cached parts stale."""
     for name, size in sizes.items():
-        object.__setattr__(p, name, _as_vector(getattr(p, name), size, name))
+        arr = np.array(getattr(p, name), dtype=dtype)
+        if arr.shape != (size,):
+            raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(p, name, arr)
 
 
 @dataclass(frozen=True)
 class StandardFormLp:
     """min c'x subject to Ax = b, x >= 0.
 
-    Immutable: a changed problem is made with dataclasses.replace.
+    Immutable, vectors included: a changed problem is made with
+    dataclasses.replace.
     """
 
     c: np.ndarray
@@ -115,13 +124,32 @@ class StandardFormLp:
     def objective(self, x: np.ndarray) -> float:
         return float(self.c @ x) + self.objective_offset
 
+    @cached_property
+    def general(self) -> GeneralFormLp:
+        """The lowering, built on first use and kept: -Ax = -b on equality
+        rows, 0 <= x, whose PDHG step is this problem's (see pdhg)."""
+        m, n = self.a.shape
+        neg = copy.copy(self.a.csr)  # shares the index arrays, never written
+        neg.data = -neg.data
+        return GeneralFormLp(
+            c=self.c,
+            a=SparseMatrix(neg),
+            b=-self.b,
+            l=np.zeros(n),
+            u=np.full(n, np.inf),
+            name=self.name,
+            objective_offset=self.objective_offset,
+            eq=np.ones(m, dtype=bool),
+        )
+
 
 @dataclass(frozen=True)
 class GeneralFormLp:
-    """min c'x subject to Ax >= b, l <= x <= u (entries of l, u may be infinite).
+    """min c'x subject to Ax >= b, with Ax = b on the rows where eq is True
+    (None: none), and l <= x <= u (entries of l, u may be infinite).
 
-    Immutable: a changed problem is made with dataclasses.replace, which
-    builds the masks of its own bounds.
+    Immutable, vectors included: a changed problem is made with
+    dataclasses.replace, which builds the masks of its own bounds.
     """
 
     c: np.ndarray
@@ -131,10 +159,14 @@ class GeneralFormLp:
     u: np.ndarray
     name: str = ""
     objective_offset: float = 0.0
+    eq: np.ndarray | None = None
 
     def __post_init__(self):
         m, n = self.a.shape
         _store_vectors(self, c=n, b=m, l=n, u=n)
+        if self.eq is None:
+            object.__setattr__(self, "eq", np.zeros(m, dtype=bool))
+        _store_vectors(self, dtype=bool, eq=m)
 
     @property
     def n(self) -> int:
@@ -158,6 +190,16 @@ class GeneralFormLp:
             u=self.u,
         )
 
+    @cached_property
+    def row_floor(self) -> np.ndarray:
+        """The lower bound of y, built on first use and kept: 0 on the
+        inequality rows, -inf on the equality rows, where y is free."""
+        return np.where(self.eq, -np.inf, 0.0)
+
+    def row_violation(self, v: np.ndarray) -> float:
+        """The largest violation of v >= 0 (v = 0 on the equality rows)."""
+        return max(max0(-v), max0(v[self.eq]))
+
     def objective(self, x: np.ndarray) -> float:
         return float(self.c @ x) + self.objective_offset
 
@@ -168,8 +210,11 @@ class GeneralFormLp:
         l_idx, l_fin = self.masks.finite_l
         u_idx, u_fin = self.masks.finite_u
         val = float(self.b @ y)
-        val += float(l_fin @ np.maximum(r[l_idx], 0.0))
-        return val - float(u_fin @ np.maximum(-r[u_idx], 0.0))
+        if l_idx.size:
+            val += float(l_fin @ np.maximum(r[l_idx], 0.0))
+        if u_idx.size:
+            val -= float(u_fin @ np.maximum(-r[u_idx], 0.0))
+        return val
 
 
 @dataclass
@@ -187,8 +232,15 @@ def _check_finite(report: ValidationReport, name: str, arr: np.ndarray) -> None:
         report.errors.append(f"{name} contains NaN or infinite entries")
 
 
+def general_form(p: StandardFormLp | GeneralFormLp) -> GeneralFormLp:
+    """p itself, or a standard-form p's lowering (StandardFormLp.general)."""
+    return p.general if isinstance(p, StandardFormLp) else p
+
+
 def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
-    """Semantic checks beyond shape consistency; never raises."""
+    """Semantic checks beyond shape consistency, on general_form(p); never
+    raises."""
+    p = general_form(p)
     report = ValidationReport()
     if p.m == 0:
         # PDHG has nothing to iterate on, and the scaling and the step
@@ -204,30 +256,22 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
     for r in np.flatnonzero(dense_row_nnz == 0):
         report.warnings.append(f"row {r} of A has no nonzero entries")
 
-    if isinstance(p, GeneralFormLp):
-        if np.any(np.isnan(p.l)) or np.any(np.isnan(p.u)):
-            report.errors.append("bounds contain NaN")
-        else:
-            if np.any(p.l == np.inf):
-                report.errors.append("lower bound +inf is not a valid bound")
-            if np.any(p.u == -np.inf):
-                report.errors.append("upper bound -inf is not a valid bound")
-            bad = np.flatnonzero(p.l > p.u)
-            for i in bad:
-                report.errors.append(f"variable {i}: lower bound exceeds upper bound")
-            for i in np.flatnonzero(col_nnz == 0):
-                ci = p.c[i]
-                if (ci < 0 and p.u[i] == np.inf) or (ci > 0 and p.l[i] == -np.inf):
-                    report.warnings.append(
-                        f"column {i} has no constraint entries and an unbounded "
-                        "improving direction"
-                    )
-    else:
-        for i in np.flatnonzero(col_nnz == 0):
-            if p.c[i] < 0:
-                report.warnings.append(
-                    f"column {i} has no constraint entries and negative cost"
-                )
+    if np.any(np.isnan(p.l)) or np.any(np.isnan(p.u)):
+        report.errors.append("bounds contain NaN")
+        return report
+    if np.any(p.l == np.inf):
+        report.errors.append("lower bound +inf is not a valid bound")
+    if np.any(p.u == -np.inf):
+        report.errors.append("upper bound -inf is not a valid bound")
+    for i in np.flatnonzero(p.l > p.u):
+        report.errors.append(f"variable {i}: lower bound exceeds upper bound")
+    for i in np.flatnonzero(col_nnz == 0):
+        ci = p.c[i]
+        if (ci < 0 and p.u[i] == np.inf) or (ci > 0 and p.l[i] == -np.inf):
+            report.warnings.append(
+                f"column {i} has no constraint entries and an unbounded "
+                "improving direction"
+            )
     return report
 
 
@@ -263,7 +307,8 @@ class StandardizationMap:
       * one column per lower-bounded or boxed variable (x = l + t),
       * one column per upper-bounded variable (x = u - t),
       * two columns per free variable (x = t_pos - t_neg),
-      * one slack column per general-form row (Ax - s = b'),
+      * one slack column per inequality row (Ax - s = b'); an equality row
+        has none, and row_slack_col holds -1 for it,
       * one slack column per boxed variable's box row (t + s_box = u - l).
     """
 
@@ -325,8 +370,10 @@ def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationM
         else:
             shift[i] = p.l[i]
 
-    row_slack_col = np.arange(next_col, next_col + m, dtype=np.int64)
-    next_col += m
+    ineq = np.flatnonzero(~p.eq)
+    row_slack_col = np.full(m, -1, dtype=np.int64)
+    row_slack_col[ineq] = np.arange(next_col, next_col + ineq.size)
+    next_col += ineq.size
 
     boxed_idx = np.flatnonzero(masks.boxed)
     box_rows = []
@@ -352,10 +399,10 @@ def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationM
         out_c.append(neg_col[cols_a[free_entries]])
         out_v.append(-vals_a[free_entries])
 
-    # Row slacks: Ax - s = b'.
-    out_r.append(np.arange(m, dtype=np.int64))
-    out_c.append(row_slack_col)
-    out_v.append(np.full(m, -1.0))
+    # Slacks of the inequality rows: Ax - s = b'.
+    out_r.append(ineq)
+    out_c.append(row_slack_col[ineq])
+    out_v.append(np.full(ineq.size, -1.0))
 
     # Box rows: t_i + s_box = u_i - l_i.
     for i, row, col in box_rows:
@@ -402,7 +449,13 @@ def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationM
 
 
 def standard_to_general(p: StandardFormLp) -> GeneralFormLp:
-    """Embed a standard-form problem: each equality becomes two inequalities."""
+    """The pair embedding: each equality becomes the inequality rows a, -a.
+
+    The solver uses the lowering (StandardFormLp.general) instead.  This is
+    kept for the benchmark's desk corpus and as the exact oracle's
+    independent reference, where a primal certificate y of p reads
+    (max(-y, 0), max(y, 0)).
+    """
     if not isinstance(p, StandardFormLp):
         # A GeneralFormLp has all the attributes read below, so without this
         # guard inequality rows would be re-encoded as equalities and the
@@ -419,7 +472,7 @@ def standard_to_general(p: StandardFormLp) -> GeneralFormLp:
     )
     b2 = np.concatenate([p.b, -p.b])
     return GeneralFormLp(
-        c=p.c.copy(),
+        c=p.c,
         a=a2,
         b=b2,
         l=np.zeros(n),

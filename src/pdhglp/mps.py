@@ -375,11 +375,13 @@ def _row_interval(kind: str, b: float, rng: float | None) -> tuple[float, float]
 
 
 def to_general_form(doc: MpsDocument) -> GeneralFormLp:
-    """Lower a document to min c'x, Ax >= b, l <= x <= u.
+    """Lower a document to min c'x, Ax >= b (Ax = b on eq rows), l <= x <= u.
 
     The first N row is the objective; later N rows are free rows and are
-    dropped.  Each constraint row's interval contributes a >= row for a
-    finite lower end and a negated >= row for a finite upper end.  The RHS
+    dropped.  A constraint row whose interval is one point (an E row
+    without RANGES, or a zero range) becomes one equality row.  Any other
+    row contributes a >= row for a finite lower end and a negated >= row
+    for a finite upper end.  The RHS
     entry of the objective row is the negated objective constant.
     Duplicate (column, row) entries are summed in file order.
     """
@@ -420,18 +422,22 @@ def to_general_form(doc: MpsDocument) -> GeneralFormLp:
     key_row, key_col = np.divmod(keys, max(n, 1))
 
     # Each constraint row becomes its >= row (finite lower end), then its
-    # negated >= row (finite upper end).
+    # negated >= row (finite upper end), or one equality row.
     bounds = [
         _row_interval(r.kind, doc.rhs.get(r.name, 0.0), doc.ranges.get(r.name))
         for r in con_rows
     ]
     lo, hi = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    has_lo = np.isfinite(lo)
+    is_eq = has_lo & (lo == hi)
+    has_hi = np.isfinite(hi) & ~is_eq
     out = np.cumsum(has_lo.astype(np.int64) + has_hi) - has_lo - has_hi
     lo_row, hi_row = out, out + has_lo
     b = np.empty(int(has_lo.sum() + has_hi.sum()))
     b[lo_row[has_lo]] = lo[has_lo]
     b[hi_row[has_hi]] = -hi[has_hi]
+    eq = np.zeros(b.size, dtype=bool)
+    eq[lo_row[is_eq]] = True
     to_lo, to_hi = has_lo[key_row], has_hi[key_row]
     a = SparseMatrix.from_triplets(
         b.size,
@@ -482,6 +488,7 @@ def to_general_form(doc: MpsDocument) -> GeneralFormLp:
         u=u,
         name=doc.name,
         objective_offset=-doc.rhs.get(obj_row, 0.0),
+        eq=eq,
     )
 
 

@@ -1,12 +1,21 @@
 """Primal-dual hybrid gradient iteration for LP, with certificate checks.
 
-Standard form   min c'x : Ax = b, x >= 0
+One iteration solves both LP forms.  On the general form, min c'x with
+Ax >= b (Ax = b on the equality rows) and l <= x <= u, it reads
+
+    x+ = proj_[l,u](x - eta (c - A'y))
+    y+ = proj_Y(y + tau (b - A(2x+ - x)))
+
+with Y = {y >= 0 on the inequality rows, y free on the equality rows}.
+A standard-form problem, min c'x : Ax = b, x >= 0, is solved as its
+lowering (model.general_form): Ax = b read as -Ax = -b on equality rows,
+l = 0, u = inf.  With that sign the step is
+
     x+ = proj_{>=0}(x - eta A'y - eta c)
     y+ = y + tau A(2x+ - x) - tau b
 
-General form    min c'x : Ax >= b, l <= x <= u
-    x+ = proj_[l,u](x - eta (c - A'y))
-    y+ = proj_{>=0}(y + tau (b - A(2x+ - x)))
+the standard-form iteration to the bit, with y of the same sign, so x, y
+and both certificates need no map back.
 
 With eta * tau * ||A||^2 < 1 the update is an averaged (firmly nonexpansive)
 map in the M-norm, so iterates either converge to a saddle point or drift
@@ -31,6 +40,7 @@ from .model import (
     GeneralFormLp,
     StandardFormLp,
     clip_to_dual_signs,
+    general_form,
     validate,
 )
 from .scaling import DiagonalScaling, ruiz_pock_chambolle
@@ -254,7 +264,8 @@ class _OperatorBase:
 
 
 class StandardFormOperator(_OperatorBase):
-    coupling_sign = 1
+    """The standard-form step on p itself, for the analysis toolkit;
+    make_operator takes it as a GeneralFormOperator on p's lowering."""
 
     def __init__(self, p: StandardFormLp, steps: StepSizes):
         offsets = (-steps.eta * p.c, -steps.tau * p.b)
@@ -271,7 +282,7 @@ class GeneralFormOperator(_OperatorBase):
 
     def __init__(self, p: GeneralFormLp, steps: StepSizes):
         offsets = (-steps.eta * p.c, steps.tau * p.b)
-        clips = ([(np.maximum, p.l), (np.minimum, p.u)], [(np.maximum, np.zeros(p.m))])
+        clips = ([(np.maximum, p.l), (np.minimum, p.u)], [(np.maximum, p.row_floor)])
         super().__init__(p.a, steps, offsets, clips)
         self.p = p
 
@@ -280,10 +291,9 @@ class GeneralFormOperator(_OperatorBase):
 
 def make_operator(
     p: StandardFormLp | GeneralFormLp, steps: StepSizes
-) -> StandardFormOperator | GeneralFormOperator:
-    if isinstance(p, StandardFormLp):
-        return StandardFormOperator(p, steps)
-    return GeneralFormOperator(p, steps)
+) -> GeneralFormOperator:
+    """The operator run iterates: the general-form step on general_form(p)."""
+    return GeneralFormOperator(general_form(p), steps)
 
 
 def recover_r(
@@ -322,92 +332,60 @@ def kkt_residual(
     ax: np.ndarray | None = None,
     aty: np.ndarray | None = None,
 ) -> KktResiduals:
-    """Relative optimality residuals: primal and dual feasibility plus gap,
-    the first two divided by 1 + ||b||_inf and 1 + ||c||_inf.
+    """Relative optimality residuals of general_form(p): primal and dual
+    feasibility plus gap, the first two divided by 1 + ||b||_inf and
+    1 + ||c||_inf.  On a standard-form p dual feasibility reads
+    A'y + c >= 0 and the dual objective is -b'y.
 
-    ax (A x), aty (A'y) and, in general form, r (recover_r) are computed
+    ax (A x), aty (A'y) and r (recover_r), of general_form(p), are computed
     when not given.
     """
+    p = general_form(p)
     if ax is None:
         ax = p.a.matvec(x)
     if aty is None:
         aty = p.a.rmatvec(y)
-    if isinstance(p, StandardFormLp):
-        # The iteration's dual variable multiplies (Ax - b) in the ascent
-        # form, so dual feasibility reads A'y + c >= 0 and the dual
-        # objective is -b'y.
-        primal = max(max0(np.abs(ax - p.b)), max0(-x))
-        dual = max0(-aty - p.c)
-        pobj = float(p.c @ x)
-        dobj = -float(p.b @ y)
-    else:
-        if r is None:
-            r = recover_r(p, y, aty)
-        primal = max(max0(p.b - ax), max0(p.l - x), max0(x - p.u))
-        dual = max(max0(np.abs(p.c - aty - r)), max0(-y))
-        pobj = float(p.c @ x)
-        dobj = dual_objective(p, y, r) - p.objective_offset
+    if r is None:
+        r = recover_r(p, y, aty)
+    primal = max(p.row_violation(ax - p.b), max0(p.l - x), max0(x - p.u))
+    dual = max(max0(np.abs(p.c - aty - r)), max0(p.row_floor - y))
+    pobj = float(p.c @ x)
+    dobj = p.dual_value(y, r)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     b_scale, c_scale = 1.0 + max0(np.abs(p.b)), 1.0 + max0(np.abs(p.c))
     return KktResiduals(primal / b_scale, dual / c_scale, gap)
 
 
-def active_pattern(
-    p: StandardFormLp | GeneralFormLp, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
+def active_pattern(p: GeneralFormLp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Integer code of which projections are active; exact comparisons are
     safe because the projections write the bound values verbatim.
 
     Besides the trace's active_changed flag, run takes its support from this
-    code: the entries coded 0 are the support of a projection (x > 0 in
-    standard form; in general form the columns strictly inside their bounds
-    and the rows with y > 0).
+    code: the entries coded 0 are the support of a projection, the columns
+    strictly inside their bounds and the rows with y > 0.  An equality row,
+    where y is free, is always coded 0.
     """
-    if isinstance(p, StandardFormLp):
-        return (x == 0.0).astype(np.int8)
     code = (x == p.l).astype(np.int8) + 2 * (x == p.u).astype(np.int8)
-    return np.concatenate([code, (y == 0.0).astype(np.int8)])
+    return np.concatenate([code, (y == p.row_floor).astype(np.int8)])
 
 
-def inclusion_residual(op: _OperatorBase, x: np.ndarray, y: np.ndarray) -> float:
+def inclusion_residual(op: GeneralFormOperator, x: np.ndarray, y: np.ndarray) -> float:
     """Take one step from (x, y) and measure how far the step conditions are
-    from the required normal-cone memberships; exact steps give ~0."""
+    from the required normal-cone memberships; exact steps give ~0.
+
+    Each side's residual must vanish off its bounds and, at a bound, have
+    the sign of that bound's normal cone."""
     eta, tau = op.steps.eta, op.steps.tau
     x1, y1 = op.apply(x, y)
-    if isinstance(op, StandardFormOperator):
-        pp = op.p
-        s = (x - x1) / eta - pp.a.rmatvec(y) - pp.c
-        # s must lie in the normal cone of the nonnegative orthant at x1:
-        # nonpositive where x1 is at the bound, zero elsewhere.
-        viol_x = float(np.max(np.maximum(s, 0.0), initial=0.0))
-        interior = x1 > 0.0
-        if np.any(interior):
-            viol_x = max(viol_x, float(np.max(np.abs(s[interior]))))
-        t = (y - y1) / tau - pp.b + pp.a.matvec(2.0 * x1 - x)
-        viol_y = float(np.max(np.abs(t), initial=0.0))
-        return max(viol_x, viol_y)
-    pp = op.p
-    s = (x - x1) / eta + pp.a.rmatvec(y) - pp.c
-    at_l = x1 == pp.l
-    at_u = x1 == pp.u
-    interior = ~(at_l | at_u)
-    viol_x = 0.0
-    if np.any(interior):
-        viol_x = float(np.max(np.abs(s[interior])))
-    only_l = at_l & ~at_u
-    only_u = at_u & ~at_l
-    if np.any(only_l):
-        viol_x = max(viol_x, float(np.max(np.maximum(s[only_l], 0.0))))
-    if np.any(only_u):
-        viol_x = max(viol_x, float(np.max(np.maximum(-s[only_u], 0.0))))
-    t = (y - y1) / tau + pp.b - pp.a.matvec(2.0 * x1 - x)
-    at_zero = y1 == 0.0
-    viol_y = 0.0
-    if np.any(~at_zero):
-        viol_y = float(np.max(np.abs(t[~at_zero])))
-    if np.any(at_zero):
-        viol_y = max(viol_y, float(np.max(np.maximum(t[at_zero], 0.0))))
-    return max(viol_x, viol_y)
+    p = op.p
+    s = (x - x1) / eta + p.a.rmatvec(y) - p.c
+    t = (y - y1) / tau + p.b - p.a.matvec(2.0 * x1 - x)
+    return max(
+        max0(np.where(x1 == p.u, 0.0, s)),
+        max0(np.where(x1 == p.l, 0.0, -s)),
+        max0(t),
+        max0(np.where(y1 == p.row_floor, 0.0, -t)),
+    )
 
 
 @dataclass(slots=True)
@@ -455,19 +433,21 @@ class Termination(enum.Enum):
 class SolveOutcome:
     """Result of run(), in the coordinates of the problem given to it.
 
-    steps are those of the operator the run iterated, which is always the
-    scaled one (see run), so they need not suit the problem's own A.
+    r is recover_r of the returned y (on a standard-form problem the
+    clipped c + A'y).  steps are those of the operator the run iterated,
+    which is always the scaled one (see run), so they need not suit the
+    problem's own A.
     """
 
     status: SolveStatus
     termination: Termination
     x: np.ndarray
     y: np.ndarray
-    r: np.ndarray | None
+    r: np.ndarray
     iterations: int
-    kkt: KktResiduals | None
+    kkt: KktResiduals
     primal_objective: float
-    dual_objective: float | None
+    dual_objective: float
     primal_certificate: certs.CertCheckReport | None
     dual_certificate: certs.CertCheckReport | None
     trace: list[TraceRecord] = field(default_factory=list)
@@ -475,7 +455,7 @@ class SolveOutcome:
     steps: StepSizes | None = None
 
 
-def _repair(rep: certs.CertCheckReport, p: StandardFormLp | GeneralFormLp) -> None:
+def _repair(rep: certs.CertCheckReport, p: GeneralFormLp) -> None:
     """Put rep's exact repair in place of its vector when there is one, and
     set rep.exact to whether the vector rep then carries passes
     exact.verify_certificate_exact on p.  On data that are not all
@@ -500,7 +480,7 @@ def _ray_step(g: np.ndarray, h: np.ndarray) -> float:
 
 
 def _other_side_feasible(
-    p: StandardFormLp | GeneralFormLp,
+    p: GeneralFormLp,
     rep: certs.CertCheckReport,
     ray_product: np.ndarray,
     point: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -514,30 +494,24 @@ def _other_side_feasible(
     moved point's product is taken with products, since at a large t
     A'y + t A'w is not A'(y + t w) to kkt_tol.
 
-    A primal certificate moves y: its rows are A'y + c >= 0 in standard
-    form, and y >= 0 with the reduced-cost signs of the lower-only and
-    upper-only columns in general form.  A dual certificate moves x: its
-    rows are x >= 0, or A x >= b and the box.
+    A primal certificate moves y: its sign rows are y >= 0 on the
+    inequality rows and the reduced-cost signs of the lower-only and
+    upper-only columns.  A dual certificate moves x: its rows are A x >= b
+    on the inequality rows and the box.  An equality row is no sign row:
+    subtracting row_floor (-inf there, 0 elsewhere) puts +inf in its place.
     """
     x, y, ax, aty = point
     ray = rep.vector
-    standard = isinstance(p, StandardFormLp)
     if rep.side == "primal":
-        if standard:
-            g, h = aty + p.c, ray_product
-        else:
-            s = p.c - aty
-            lo, up = p.masks.lower, p.masks.upper
-            g = np.concatenate([y, s[lo], -s[up]])
-            h = np.concatenate([ray, -ray_product[lo], ray_product[up]])
+        s = p.c - aty
+        lo, up = p.masks.lower, p.masks.upper
+        g = np.concatenate([y - p.row_floor, s[lo], -s[up]])
+        h = np.concatenate([ray, -ray_product[lo], ray_product[up]])
         y = y + _ray_step(g, h) * ray
         aty = products.rmatvec(y)
     else:
-        if standard:
-            g, h = x, ray
-        else:
-            g = np.concatenate([ax - p.b, x - p.l, p.u - x])
-            h = np.concatenate([ray_product, ray, -ray])
+        g = np.concatenate([ax - p.b - p.row_floor, x - p.l, p.u - x])
+        h = np.concatenate([ray_product, ray, -ray])
         x = x + _ray_step(g, h) * ray
         ax = products.matvec(x)
     kkt = kkt_residual(p, x, y, None, ax, aty)
@@ -545,20 +519,16 @@ def _other_side_feasible(
     return (x, y) if feasible else None
 
 
-def _witness_problem(
-    p: StandardFormLp | GeneralFormLp, side: str
-) -> StandardFormLp | GeneralFormLp:
+def _witness_problem(p: GeneralFormLp, side: str) -> GeneralFormLp:
     """p with c = 0 for a dual certificate; for a primal one, p with b = 0
-    and in general form the box widened to hold 0 (finite bounds stay
-    finite).  The uncertified side's feasible set is p's and 0 is feasible
-    on the other, so run on it ends OPTIMAL, with a feasible point of p's
-    uncertified side, or with that side's certificate, which reads none of
-    the zeroed data and so holds on p, exact flag and all.
+    and the box widened to hold 0 (finite bounds stay finite).  The
+    uncertified side's feasible set is p's and 0 is feasible on the other,
+    so run on it ends OPTIMAL, with a feasible point of p's uncertified
+    side, or with that side's certificate, which reads none of the zeroed
+    data and so holds on p, exact flag and all.
     """
     if side == "dual":
         return dataclasses.replace(p, c=np.zeros(p.n))
-    if isinstance(p, StandardFormLp):
-        return dataclasses.replace(p, b=np.zeros(p.m))
     l, u = np.minimum(p.l, 0.0), np.maximum(p.u, 0.0)
     return dataclasses.replace(p, b=np.zeros(p.m), l=l, u=u)
 
@@ -567,36 +537,25 @@ class _Support:
     """The support an active pattern names on the scaled problem ps, with
     the projector of its block (see _support_point).
 
-    cols are the support's columns; in general form rows are its rows and
-    rhs its right-hand side, and x_fixed holds the bounded columns where
-    the pattern puts them.  d and w, the two null-space projections, are
-    the SUPPORT candidate's parts, 0 off the support.
+    cols and rows are the support's columns and rows, rhs its right-hand
+    side, and x_fixed holds the bounded columns where the pattern puts
+    them.  d and w, the two null-space projections, are the SUPPORT
+    candidate's parts, 0 off the support.
     """
 
-    def __init__(self, ps, proj, cols, rows=None, rhs=None, x_fixed=None):
+    def __init__(self, ps, proj, cols, rows, rhs, x_fixed):
         self.ps, self.proj = ps, proj
         self.cols, self.rows, self.rhs, self.x_fixed = cols, rows, rhs, x_fixed
         self.d = np.zeros(ps.n)
         self.d[cols] = -proj.null_c
-        if rows is None:
-            self.w = -proj.null_b
-        else:
-            self.w = np.zeros(ps.m)
-            self.w[rows] = proj.null_b
+        self.w = np.zeros(ps.m)
+        self.w[rows] = proj.null_b
 
     def project(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x, y) moved onto the support's affine sets, off the support held
-        at the pattern's values.
-
-        Standard form: x_S onto {A_S x_S = b} with x = 0 off S, and y onto
-        {A_S'y = -c_S}.  General form: x_F onto {A_RF x_F = rhs} and y_R
-        onto {A_RF'y_R = c_F}, with y = 0 off R.
-        """
+        at the pattern's values: x_F onto {A_RF x_F = rhs} and y_R onto
+        {A_RF'y_R = c_F}, with y = 0 off R."""
         ps, proj, cols, rows = self.ps, self.proj, self.cols, self.rows
-        if rows is None:
-            x_p = np.zeros(ps.n)
-            x_p[cols] = proj.onto_rows(x[cols], ps.b)
-            return x_p, proj.onto_cols(y, -ps.c[cols])
         x_p = self.x_fixed.copy()
         x_p[cols] = proj.onto_rows(x[cols], self.rhs)
         y_p = np.zeros(ps.m)
@@ -619,30 +578,19 @@ def _moved_iterate(
 
 
 def _support_point(
-    ps: StandardFormLp | GeneralFormLp,
-    a,
-    x: np.ndarray,
-    pattern: np.ndarray,
+    ps: GeneralFormLp, a, x: np.ndarray, pattern: np.ndarray
 ) -> _Support | None:
     """The support that pattern, the active pattern of an iterate with
     primal part x, names on ps, projected once with
     linalg.support_projection; a is ps's matrix, dense or CSR.  None, with
     nothing computed, when the support has more than _GRAM_MAX_ORDER rows.
 
-    Standard form: on S = {x > 0}, d_S = -P_null(A_S) c_S and
-    w = -P_null(A_S') b, the displacement's direction on each side, so d is
-    the dual-infeasibility candidate and w the primal one.  General form:
-    on the free columns F = {l < x < u} and the rows R = {y > 0}, K = A_RF
-    and the right-hand side is b_R - A_RB x_B with the bounded columns B
-    held where x has them; d_F = -P_null(K) c_F and
-    w_R = P_null(K') (b_R - A_RB x_B).
+    On the free columns F = {l < x < u} and the rows R (y > 0, and every
+    equality row), K = A_RF and the right-hand side is b_R - A_RB x_B with
+    the bounded columns B held where x has them; d_F = -P_null(K) c_F and
+    w_R = P_null(K') (b_R - A_RB x_B), the displacement's direction on each
+    side, so d is the dual-infeasibility candidate and w the primal one.
     """
-    if isinstance(ps, StandardFormLp):
-        if ps.m > _GRAM_MAX_ORDER:
-            return None
-        cols = pattern == 0
-        proj = linalg.support_projection(a[:, cols], ps.c[cols], ps.b)
-        return _Support(ps, proj, cols)
     cols = pattern[: ps.n] == 0
     rows = pattern[ps.n :] == 0
     if np.count_nonzero(rows) > _GRAM_MAX_ORDER:
@@ -668,6 +616,10 @@ def run(
     y0: np.ndarray | None = None,
 ) -> SolveOutcome:
     """Iterate until optimality, a certificate, or a budget/guard trips.
+
+    p is iterated as general_form(p), lowered once here (see the module
+    docstring); a standard-form p's x, y, r and certificates need no map
+    back, with r the clipped c + A'y.
 
     Every check_interval iterations the KKT residuals are evaluated and all
     three candidate sequences are put through certificates' two
@@ -723,15 +675,15 @@ def run(
     On problems that exact.repair_fits takes (at most 12 rows and 12
     columns) each certificate that passed at eps then goes through
     exact.repair_certificate if exact.integer_data holds.  A repaired
-    certificate replaces the report's vector (and, for a general form
-    primal report, its reduced costs r), and the report's exact field says
+    certificate replaces the report's vector (and, for a primal report, its
+    reduced costs r), and the report's exact field says
     whether the vector it carries passes the exact re-check; its
     scaled_error and objective_term still describe the float candidate.
     Larger problems' reports keep exact None.
     """
     config = config or PdhgConfig()
     require_valid(p)
-    general = isinstance(p, GeneralFormLp)
+    p = general_form(p)
     start = PdhgState.initial(p.n, p.m, x0, y0)
     scaling = DiagonalScaling(*ruiz_pock_chambolle(p.a))
     ps = scaling.problem(p)  # the problem the operator iterates
@@ -764,7 +716,7 @@ def run(
 
         view = scaling.unscale_state(state)
         products = scaling.unscale_products(mat(state.x), rmat(state.y), mat, rmat)
-        r = recover_r(p, view.y, products.aty) if general else None
+        r = recover_r(p, view.y, products.aty)
         kkt = kkt_residual(p, view.x, view.y, r, products.ax, products.aty)
         pattern = active_pattern(ps, state.x, state.y)
         changed = not np.array_equal(pattern, prev_pattern)
@@ -879,14 +831,8 @@ def run(
     # The outcome's x and y are copies, so no array of its state is one of them.
     x, y = (state.x.copy(), state.y.copy()) if point is None else point
     if point is not None or kkt is None:
-        r = recover_r(p, y) if general else None
+        r = recover_r(p, y)
         kkt = kkt_residual(p, x, y, r)
-    pobj = p.objective(x)
-    dobj = None
-    if general and r is not None:
-        dobj = dual_objective(p, y, r)
-    elif not general:
-        dobj = -float(p.b @ y) + p.objective_offset
 
     return SolveOutcome(
         status=status,
@@ -896,8 +842,8 @@ def run(
         r=r,
         iterations=state.k + (sub.iterations if sub is not None else 0),
         kkt=kkt,
-        primal_objective=pobj,
-        dual_objective=dobj,
+        primal_objective=p.objective(x),
+        dual_objective=dual_objective(p, y, r),
         primal_certificate=best_primal,
         dual_certificate=best_dual,
         trace=trace,

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .certificates import StateProducts
 from . import linalg
 from .linalg import SparseMatrix
-from .model import GeneralFormLp, StandardFormLp
+from .model import GeneralFormLp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pdhg import PdhgState
@@ -135,18 +135,17 @@ class DiagonalScaling:
     row: np.ndarray
     col: np.ndarray
 
-    def problem(
-        self, p: StandardFormLp | GeneralFormLp
-    ) -> StandardFormLp | GeneralFormLp:
-        """The scaled problem, in the form of p."""
-        a = SparseMatrix(_scaled_csr(p.a.csr, self.row, self.col))
-        c = p.c * self.col
-        b = p.b * self.row
-        if isinstance(p, StandardFormLp):
-            return StandardFormLp(c, a, b, p.name, p.objective_offset)
-        # inf / D_c stays inf, so unbounded sides stay unbounded.
-        l, u = p.l / self.col, p.u / self.col
-        return GeneralFormLp(c, a, b, l, u, p.name, p.objective_offset)
+    def problem(self, p: GeneralFormLp) -> GeneralFormLp:
+        """The scaled problem; inf / D_c stays inf, so unbounded sides stay
+        unbounded, and the equality rows stay the same."""
+        return dataclasses.replace(
+            p,
+            a=SparseMatrix(_scaled_csr(p.a.csr, self.row, self.col)),
+            c=p.c * self.col,
+            b=p.b * self.row,
+            l=p.l / self.col,
+            u=p.u / self.col,
+        )
 
     def to_scaled(
         self, x: np.ndarray, y: np.ndarray

@@ -351,8 +351,9 @@ def test_as_general_form_matches_triplet_build(how):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.name == want.name
     assert got.objective_offset == want.objective_offset == 0.0
-    got.c[0] += 1.0
-    assert got.c[0] != aux.c_aux[0]
+    # The problem owns a read-only copy of its costs.
+    assert not np.shares_memory(got.c, aux.c_aux)
+    assert not got.c.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ def _textbook_step(op, x, y):
     eta, tau = op.steps.eta, op.steps.tau
     if isinstance(op, GeneralFormOperator):
         x1 = np.clip(x - eta * (p.c - a.T @ y), p.l, p.u)
-        return x1, np.maximum(y + tau * (p.b - a @ (2.0 * x1 - x)), 0.0)
+        return x1, np.maximum(y + tau * (p.b - a @ (2.0 * x1 - x)), p.row_floor)
     w = x - eta * (a.T @ y) - eta * p.c
     x1 = np.maximum(w, 0.0)
     if isinstance(op, ShiftedOperator):
@@ -436,6 +437,7 @@ def _kernel_differential_cases():
         assert (std.m * std.n <= linalg.DENSE_LIMIT) == (storage == "dense")
         assert (gen.m * gen.n <= linalg.DENSE_LIMIT) == (storage == "dense")
         ops[f"standard-{storage}"] = make_operator(std, StepSizes.for_matrix(std.a))
+        ops[f"paper-{storage}"] = StandardFormOperator(std, StepSizes.for_matrix(std.a))
         ops[f"general-{storage}"] = make_operator(gen, StepSizes.for_matrix(gen.a))
         ops[f"shifted-{storage}"] = ShiftedOperator(
             std,

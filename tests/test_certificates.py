@@ -64,7 +64,7 @@ class TestExtract:
 
 
 class TestPrimalInfeasibilityCheck:
-    def test_reduced_costs_reported_only_for_general_form(self):
+    def test_reduced_costs_follow_the_bound_kinds(self):
         p = dataclasses.replace(
             demos.example1(0.0, 2.0),
             l=np.array([0.0, -np.inf, -1.0]),
@@ -79,8 +79,11 @@ class TestPrimalInfeasibilityCheck:
         # ex1's variables are free: the sign clip zeroes every reduced cost.
         free = check_primal_infeasibility(_cand(y), demos.example1(0.0, 2.0), 1e-8)
         np.testing.assert_array_equal(free.r, np.zeros(3))
+        # A standard-form problem is tested as its lowering (-A, -b, x >= 0):
+        # y keeps the iteration's sign and r is max(A'y, 0), here A'y = (1, 1).
         std = demos.std_primal_infeasible()
-        assert check_primal_infeasibility(_cand([1.0]), std, 1e-8).r is None
+        rep = check_primal_infeasibility(_cand([1.0]), std, 1e-8)
+        np.testing.assert_array_equal(rep.r, [1.0, 1.0])
 
     def test_hand_certificate_passes(self):
         p = demos.example1(0.0, 2.0)

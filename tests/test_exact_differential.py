@@ -6,8 +6,13 @@ so that the conditions exact derives from its feasibility systems can be
 compared with the hand-written ones: the same validity on every vector,
 the same repair of the certificates pdhg.run returns, and only repairs that
 pass the exact test.
+
+The oracle reads a standard-form problem through its lowering and an
+equality row as such; both are also held here to the pair embedding
+(standard_to_general, _pair_expanded), which shares no code with them.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +24,7 @@ from pdhglp import demos, exact, pdhg
 from pdhglp.exact import exactify_vector, repair_certificate, verify_certificate_exact
 from pdhglp.linalg import SparseMatrix
 from pdhglp.model import GeneralFormLp, StandardFormLp, standard_to_general
+from test_mps_differential import _pair_expanded
 
 # ---------------------------------------------------------------------------
 # The reference: per-form sign checks and a repair on (equalities,
@@ -169,8 +175,9 @@ def _plant(general, side, a, v, kinds):
 
 
 @st.composite
-def lp_and_vector(draw):
-    general = draw(st.booleans())
+def lp_and_vector(draw, general=None):
+    if general is None:
+        general = draw(st.booleans())
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     side = draw(st.sampled_from(["primal", "dual"]))
 
@@ -212,6 +219,35 @@ def test_every_repair_passes_verify(case):
         assert reference_verify(fixed, p, side)
 
 
+def _oracle_agrees(problems):
+    """classify_lp's cell and verify_certificate_exact's validity, the same
+    on every (problem, side, vector) of problems."""
+    cells = {exact.classify_lp(q).cell for q, _, _ in problems}
+    valid = {verify_certificate_exact(v, q, side).valid for q, side, v in problems}
+    assert len(cells) == 1 and len(valid) == 1, (cells, valid)
+
+
+@given(lp_and_vector(general=False))
+def test_standard_form_lowering_and_pair_embedding_agree(case):
+    p, side, v = case
+    # A primal certificate y of p certifies the pair rows (a, b), (-a, -b)
+    # as (max(-y, 0), max(y, 0)); a dual one is the same ray.
+    w = np.concatenate([np.maximum(-v, 0.0), np.maximum(v, 0.0)]) if side == "primal" else v
+    _oracle_agrees([(p, side, v), (p.general, side, v), (standard_to_general(p), side, w)])
+
+
+@given(lp_and_vector(general=True), st.data())
+def test_equality_rows_agree_with_their_pair_expansion(case, data):
+    p, side, v = case
+    eq = np.array(data.draw(st.lists(st.booleans(), min_size=p.m, max_size=p.m)))
+    p = dataclasses.replace(p, eq=eq)
+    w = v
+    if side == "primal":
+        # y_r on an equality row certifies its pair as (max(y_r, 0), max(-y_r, 0)).
+        w = np.array([z for yr, e in zip(v, eq) for z in ((max(yr, 0.0), max(-yr, 0.0)) if e else (yr,))])
+    _oracle_agrees([(p, side, v), (_pair_expanded(p), side, w)])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
 @pytest.mark.parametrize("cell", demos.CELLS)
@@ -233,3 +269,22 @@ def test_run_certificates_repair_as_the_reference_does(cell, general, seed, monk
         assert verify_certificate_exact(rep.vector, p, rep.side).valid == reference_verify(
             rep.vector, p, rep.side
         )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_on_mixed_equality_rows_matches_the_oracle(seed):
+    # A random cell instance with a random half of its rows read as
+    # inequalities: run's verdict is the oracle's cell, and every
+    # certificate it returns passes the exact test on that problem.
+    rng = np.random.default_rng([seed, 41])
+    base = demos.random_cell_instance(demos.CELLS[seed % 4], rng)
+    p = GeneralFormLp(
+        base.c, base.a, base.b, np.zeros(base.n), np.full(base.n, np.inf),
+        eq=rng.random(base.m) < 0.5,
+    )
+    out = pdhg.run(p)
+    cell = exact.classify_lp(p).cell
+    assert out.status.value == ("optimal" if cell == "both_feasible" else cell)
+    for rep in (out.primal_certificate, out.dual_certificate):
+        if rep is not None:
+            assert verify_certificate_exact(rep.vector, p, rep.side).valid

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,25 @@ class TestProblemJson:
         np.testing.assert_array_equal(q.u, p.u)
         assert q.a.same_entries(p.a)
 
+    def test_equality_rows_round_trip(self):
+        p = GeneralFormLp(
+            c=np.array([1.0, -2.0]),
+            a=SparseMatrix.from_dense([[1.0, 0.5], [0.0, -1.0], [2.0, 1.0]]),
+            b=np.array([0.25, -1.0, 3.0]),
+            l=np.array([-np.inf, 0.0]),
+            u=np.array([3.0, np.inf]),
+            eq=np.array([True, False, True]),
+        )
+        doc = json.loads(json.dumps(problem_to_json(p)))
+        assert doc["eq"] == [True, False, True]
+        q = problem_from_json(doc)
+        np.testing.assert_array_equal(q.eq, p.eq)
+        np.testing.assert_array_equal(q.b, p.b)
+        # Without equality rows the key is left out, and absent it means none.
+        plain = problem_to_json(dataclasses.replace(p, eq=None))
+        assert "eq" not in plain
+        assert not problem_from_json(plain).eq.any()
+
     def test_standard_round_trip(self):
         p = demos.std_both_infeasible()
         q = problem_from_json(problem_to_json(p))
@@ -97,6 +117,24 @@ class TestProblemJson:
         p = load_problem(path)
         assert isinstance(p, GeneralFormLp)
         assert p.n == 1 and p.m == 1
+
+    def test_mps_e_rows_solve_as_m_equality_rows(self, tmp_path):
+        # min x1 + 2 x2 + 3 x3 with x1 + x2 + x3 = 2 and x1 - x2 = 0: the
+        # optimum is x = (1, 1, 0) at 3, read as 2 equality rows, not 4.
+        path = tmp_path / "eq.mps"
+        path.write_text(
+            "NAME EQ\nROWS\n N  COST\n E  R1\n E  R2\nCOLUMNS\n"
+            "    X1  COST  1.0  R1  1.0\n    X1  R2  1.0\n"
+            "    X2  COST  2.0  R1  1.0\n    X2  R2  -1.0\n"
+            "    X3  COST  3.0  R1  1.0\nRHS\n    RHS1  R1  2.0\nENDATA\n"
+        )
+        p = load_problem(path)
+        assert p.m == 2 and p.eq.all()
+        out = run(p)
+        assert out.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(out.x, [1.0, 1.0, 0.0], atol=1e-6)
+        assert out.primal_objective == pytest.approx(3.0, abs=1e-6)
+        assert out.kkt.max <= 1e-8
 
     def test_unknown_extension_parsed_as_mps_with_line_number(self, tmp_path):
         path = tmp_path / "garbage.txt"

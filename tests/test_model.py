@@ -13,6 +13,7 @@ from pdhglp.model import (
     StandardFormLp,
     clip_to_dual_signs,
     clip_to_ray_signs,
+    general_form,
     standard_to_general,
     to_standard_form,
     validate,
@@ -52,6 +53,44 @@ class TestContainers:
             objective_offset=5.0,
         )
         assert p.objective(np.array([3.0])) == 11.0
+
+    def test_vectors_are_read_only_copies(self):
+        # The cached masks, row floor and lowering read the vectors, so a
+        # problem owns them: the caller's arrays are copied, and writes fail.
+        l = np.array([0.0, -1.0, -np.inf, -np.inf])
+        eq = np.array([True, False])
+        p = dataclasses.replace(general_box_lp(), l=l, eq=eq)
+        l[0], eq[1] = -np.inf, True
+        assert p.l[0] == 0.0 and not p.eq[1] and p.masks.boxed[0]
+        for name in ("c", "b", "l", "u", "eq"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[0] = 1
+        q = StandardFormLp(c=np.ones(2), a=SparseMatrix.from_dense([[1.0, 1.0]]), b=np.ones(1))
+        for name in ("c", "b"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(q, name)[0] = 0.0
+
+    def test_lowering_of_a_standard_problem(self):
+        q = StandardFormLp(
+            c=np.array([1.0, 2.0]), a=SparseMatrix.from_dense([[1.0, -3.0]]), b=np.array([2.0])
+        )
+        g = q.general
+        assert g is q.general  # built once
+        np.testing.assert_array_equal(g.a.to_dense(), [[-1.0, 3.0]])
+        np.testing.assert_array_equal(g.b, [-2.0])
+        assert g.eq.all() and np.all(g.l == 0.0) and np.all(np.isinf(g.u))
+        np.testing.assert_array_equal(g.row_floor, [-np.inf])
+        assert general_form(q) is g and general_form(g) is g
+
+    def test_row_violation_reads_each_row_kind(self):
+        p = dataclasses.replace(
+            general_box_lp(), a=SparseMatrix.from_dense(np.eye(3, 4)), b=np.zeros(3),
+            eq=np.array([False, True, False]),
+        )
+        assert p.row_violation(np.array([1.0, 0.0, -0.5])) == 0.5
+        assert p.row_violation(np.array([1.0, 2.0, 0.0])) == 2.0
+        assert p.row_violation(np.array([1.0, -3.0, 0.0])) == 3.0
+        np.testing.assert_array_equal(p.row_floor, [0.0, -np.inf, 0.0])
 
     def test_kinds(self):
         masks = general_box_lp().masks
@@ -95,19 +134,21 @@ class TestValidate:
 
     def test_nan_entries_rejected(self):
         p = general_box_lp()
-        p.c[0] = np.nan
+        p = dataclasses.replace(p, c=np.array([np.nan, *p.c[1:]]))
         assert not validate(p).ok
 
     def test_crossed_bounds_rejected(self):
         p = general_box_lp()
-        p.l[0], p.u[0] = 3.0, 1.0
+        p = dataclasses.replace(
+            p, l=np.array([3.0, *p.l[1:]]), u=np.array([1.0, *p.u[1:]])
+        )
         rep = validate(p)
         assert not rep.ok
         assert any("l > u" in e or "l[" in e or "bound" in e for e in rep.errors)
 
     def test_infinite_lower_plus_rejected(self):
         p = general_box_lp()
-        p.l[0] = np.inf
+        p = dataclasses.replace(p, l=np.array([np.inf, *p.l[1:]]))
         assert not validate(p).ok
 
     def test_zero_row_warns_only(self):
@@ -124,7 +165,9 @@ class TestValidate:
 
     def test_fixed_variable_ok(self):
         p = general_box_lp()
-        p.l[0] = p.u[0] = 1.5
+        p = dataclasses.replace(
+            p, l=np.array([1.5, *p.l[1:]]), u=np.array([1.5, *p.u[1:]])
+        )
         assert validate(p).ok
 
 
@@ -217,6 +260,15 @@ class TestStandardization:
             # objective agrees through the offset
             assert q.objective(x_std) == pytest.approx(p.objective(x), abs=1e-9)
         assert found > 0
+
+    def test_equality_rows_get_no_slack(self):
+        p = dataclasses.replace(general_box_lp(), eq=np.array([True, False]))
+        q, smap = to_standard_form(p)
+        # One slack fewer than test_dimensions_and_kinds: row 0 has none.
+        assert q.n == smap.n_std == 7 and q.m == 3
+        assert smap.row_slack_col[0] == -1 and smap.row_slack_col[1] >= 0
+        assert exact.classify_lp(q).cell == exact.classify_lp(p).cell
+        assert exact.exact_optimum(q) == exact.exact_optimum(p)
 
     def test_feasibility_is_preserved_exactly(self):
         # The oracle sees the same feasibility cell before and after.

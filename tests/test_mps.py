@@ -195,13 +195,12 @@ class TestGeneralFormConversion:
         # the objective RHS entry becomes a negated constant term
         assert lp.objective_offset == 3.5
         a = lp.a.to_dense()
-        got = {tuple([*a[i], lp.b[i]]) for i in range(lp.m)}
+        got = {tuple([*a[i], lp.b[i], lp.eq[i]]) for i in range(lp.m)}
         assert got == {
-            (-1.0, -1.0, 0.0, -4.0),  # LIM1: x1 + x2 <= 4, negated
-            (1.0, 0.0, 0.0, 1.0),  # LIM2 lower edge
-            (-1.0, 0.0, 0.0, -3.5),  # LIM2 upper edge from the range
-            (0.0, -1.0, 1.0, 7.0),  # MYEQN as two opposing rows
-            (0.0, 1.0, -1.0, -7.0),
+            (-1.0, -1.0, 0.0, -4.0, False),  # LIM1: x1 + x2 <= 4, negated
+            (1.0, 0.0, 0.0, 1.0, False),  # LIM2 lower edge
+            (-1.0, 0.0, 0.0, -3.5, False),  # LIM2 upper edge from the range
+            (0.0, -1.0, 1.0, 7.0, True),  # MYEQN, one equality row
         }
         assert np.allclose(lp.l, [0.0, -1.0, -np.inf])
         assert np.allclose(lp.u, [4.0, np.inf, np.inf])

@@ -5,8 +5,13 @@ only here, so that the reader, which reads COLUMNS a block of lines at a
 time, and the array lowering can be compared with the code that read one
 line at a time and summed duplicates in a dict per row.  They must give the
 same document, the same problem to the bit, and the same error (type, line
-and message) on every bad input.
+and message) on every bad input.  The reference reads a row whose interval
+is one point as two opposing >= rows, the reader as one equality row, so
+the reader's problem is compared after expanding each equality row to that
+pair (_pair_expanded).
 """
+
+import dataclasses
 
 from unittest.mock import patch
 
@@ -416,6 +421,37 @@ def _assert_same_error(got, want):
     assert getattr(got, "line_no", None) == getattr(want, "line_no", None)
 
 
+def _pair_expanded(lp: GeneralFormLp) -> GeneralFormLp:
+    """lp with each equality row a'x = b replaced, in its place, by the pair
+    a'x >= b, -a'x >= -b."""
+    eq = lp.eq
+    first = np.arange(lp.m) + np.cumsum(eq) - eq  # each row's first new row
+    rows, cols, vals = lp.a.triplets()
+    on_eq = eq[rows]
+    size = lp.m + int(eq.sum())
+    a = SparseMatrix.from_triplets(
+        size,
+        lp.n,
+        np.concatenate([first[rows], first[rows[on_eq]] + 1]),
+        np.concatenate([cols, cols[on_eq]]),
+        np.concatenate([vals, -vals[on_eq]]),
+    )
+    b = np.empty(size)
+    b[first] = lp.b
+    b[first[eq] + 1] = -lp.b[eq]
+    return dataclasses.replace(lp, a=a, b=b, eq=None)
+
+
+def _point_rows(doc: MpsDocument) -> int:
+    """The constraint rows whose interval is one finite point."""
+    kinds = {r.name: r.kind for r in doc.rows}
+    count = 0
+    for r in doc.constraint_rows():
+        lo, hi = _ref_row_interval(kinds[r.name], doc.rhs.get(r.name, 0.0), doc.ranges.get(r.name))
+        count += bool(np.isfinite(lo) and lo == hi)
+    return count
+
+
 def _assert_same_reading(text: str):
     """The reader and the reference give the same document and problem, or
     the same error at the same line, whatever the size of the blocks of
@@ -440,6 +476,9 @@ def _assert_same_reading_once(text: str):
         _assert_same_error(err, want_err)
         return want_err
     assert err is None, err
+    assert int(lp.eq.sum()) == _point_rows(doc)
+    assert not want.eq.any()
+    lp = _pair_expanded(lp)
     assert lp.a.same_entries(want.a)
     for field in ("c", "b", "l", "u"):
         got_v, want_v = getattr(lp, field), getattr(want, field)

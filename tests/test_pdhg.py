@@ -102,12 +102,16 @@ class TestOperators:
         x1, y1 = op.apply(z[: p.n], z[p.n :])
         np.testing.assert_array_equal(op.apply_z(z), np.concatenate([x1, y1]))
 
-    def test_make_operator_dispatch(self, rng):
-        std = make_operator(demos.std_feasible(), StepSizes(0.1, 0.1))
+    def test_make_operator_iterates_the_general_form(self, rng):
+        # A standard-form problem is iterated as its lowering; the analysis
+        # operator of the paper's form stays StandardFormOperator.
+        p = demos.std_feasible()
+        std = make_operator(p, StepSizes(0.1, 0.1))
         gen = make_operator(_random_general(rng), StepSizes(0.1, 0.1))
-        assert isinstance(std, StandardFormOperator)
+        assert isinstance(std, GeneralFormOperator) and std.p is p.general
         assert isinstance(gen, GeneralFormOperator)
-        assert std.coupling_sign == 1 and gen.coupling_sign == -1
+        assert std.coupling_sign == gen.coupling_sign == -1
+        assert StandardFormOperator(p, StepSizes(0.1, 0.1)).coupling_sign == 1
 
     def test_matrix_is_the_storage_of_the_products(self):
         small = demos.std_both_infeasible()
@@ -118,7 +122,7 @@ class TestOperators:
             assert isinstance(op.matrix, np.ndarray) == dense
             x = np.arange(p.n, dtype=np.float64)
             np.testing.assert_array_equal(op.matrix @ x, op._mat(x))
-            np.testing.assert_array_equal(op.matrix @ x, p.a.matvec(x))
+            np.testing.assert_array_equal(op.matrix @ x, op.p.a.matvec(x))
 
     @pytest.mark.parametrize("form", ["standard", "general", "shifted"])
     def test_step_blocks_hold_no_square_block(self, form, rng):
@@ -454,7 +458,7 @@ class TestRunStatuses:
 
     def test_invalid_problem_rejected(self):
         p = demos.std_feasible()
-        p.c[0] = np.nan
+        p = dataclasses.replace(p, c=np.array([np.nan, *p.c[1:]]))
         with pytest.raises(ValueError):
             run(p)
 

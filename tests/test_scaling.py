@@ -3,6 +3,8 @@ and tests certificates on the problem as given; these tests
 hold the scaled path to the verdicts and certificates of the original data,
 and the maps between the two coordinates to the identities they rely on."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +17,7 @@ from pdhglp.linalg import SparseMatrix
 from pdhglp.model import (
     GeneralFormLp,
     StandardFormLp,
+    general_form,
     standard_to_general,
     to_standard_form,
 )
@@ -51,6 +54,10 @@ def _small_demos():
         for a, b in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (1.0, 1.0))
     ]
     out += [(n, demos.DEMO_BUILDERS[n]()) for n in sorted(demos.DEMO_BUILDERS)]
+    # Equality rows: a mixed general problem, and a lowering (all rows).
+    ex1 = demos.example1(0.0, 1.0)
+    out.append(("ex1(0,1) eq", dataclasses.replace(ex1, eq=np.array([True, False, False]))))
+    out.append(("std-dual-infeasible lowered", demos.std_dual_infeasible().general))
     return [(n, p) for n, p in out if n != "ex1"]
 
 
@@ -73,6 +80,8 @@ def _fresh_check(p, rep, eps):
 @pytest.mark.parametrize("name,p", SMALL, ids=[n for n, _ in SMALL])
 def test_block_copies_keep_the_cell_and_certificates_hold(name, p, seed):
     big = demos.block_copies(p, _copies(p), seed=seed)
+    if isinstance(p, GeneralFormLp):
+        assert np.array_equal(big.eq, np.tile(p.eq, _copies(p)))
     out = run(big, FAST)
     assert CELL_OF[out.status] == exact.classify_lp(p).cell
     sides = {
@@ -256,7 +265,7 @@ def test_ruiz_equilibrates_the_inf_norms():
     dense *= np.exp(rng.uniform(-6, 6, 12))[:, None]
     a = SparseMatrix.from_dense(dense)
     ps = DiagonalScaling(*ruiz_pock_chambolle(a)).problem(
-        StandardFormLp(np.zeros(20), a, np.zeros(12))
+        general_form(StandardFormLp(np.zeros(20), a, np.zeros(12)))
     )
     scaled = np.abs(ps.a.to_dense())
     # Row and column inf-norms start spread over about ten decades.
@@ -286,7 +295,8 @@ def _random_problem(seed, m, n, general):
     data=st.data(),
 )
 def test_pull_back_round_trip(seed, m, n, general, data):
-    p = _random_problem(seed, m, n, general)
+    # The solver scales the general form; a standard-form p as its lowering.
+    p = general_form(_random_problem(seed, m, n, general))
     factor = st.floats(1e-3, 1e3)
     scaling = DiagonalScaling(
         np.array(data.draw(st.lists(factor, min_size=m, max_size=m))),

@@ -12,7 +12,7 @@ import pytest
 from pdhglp import demos, exact, linalg, pdhg
 from pdhglp.certificates import CandidateKind
 from pdhglp.linalg import SparseMatrix
-from pdhglp.model import GeneralFormLp, StandardFormLp, standard_to_general
+from pdhglp.model import GeneralFormLp, StandardFormLp, general_form, standard_to_general
 from pdhglp.pdhg import PdhgConfig, SolveStatus, Termination, kkt_residual, run
 
 PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "planted.py"
@@ -169,7 +169,7 @@ def test_both_infeasible_never_finds_a_feasible_point(general, monkeypatch):
 
     def recorded(q, *args):
         point = feasible(q, *args)
-        if q is p:
+        if q is general_form(p):
             found.append(point is not None)
         return point
 
@@ -211,8 +211,12 @@ def test_witness_problem_zeroes_the_certified_side_and_keeps_the_bound_kinds():
         got = q.masks
         for kind in ("boxed", "lower", "upper", "free"):
             assert np.array_equal(getattr(got, kind), getattr(want, kind))
-    std = pdhg._witness_problem(demos.std_primal_infeasible(), "primal")
+    # A standard-form problem reaches it as its lowering: only b changes.
+    lowered = demos.std_primal_infeasible().general
+    std = pdhg._witness_problem(lowered, "primal")
     assert not std.b.any()
+    for name in ("c", "l", "u", "eq"):
+        assert np.array_equal(getattr(std, name), getattr(lowered, name))
 
 
 @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
