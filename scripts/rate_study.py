@@ -28,7 +28,7 @@ from pdhglp.identify import (
 from pdhglp.instance_io import load_problem
 from pdhglp.linalg import StepSizes
 from pdhglp.model import GeneralFormLp, to_standard_form
-from pdhglp.pdhg import StandardFormOperator
+from pdhglp.pdhg import make_operator
 
 
 def _load(args):
@@ -56,8 +56,8 @@ def main() -> int:
     if isinstance(p, GeneralFormLp):
         p, _ = to_standard_form(p)
         print(f"standardized: n={p.n} m={p.m}")
-    steps = StepSizes.for_matrix(p.a)
-    op = StandardFormOperator(p, steps)
+    steps = StepSizes.for_matrix(p.general.a)
+    op = make_operator(p, steps)
     print(f"instance {p.name}: n={p.n} m={p.m} eta=tau={steps.eta:.6g}")
 
     start = np.random.default_rng(args.seed).standard_normal(p.n + p.m)

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Time the PDHG step loop on one instance, in us per step, with nnz.
 
-The operators timed are the standard form of the instance
-(StandardFormOperator, the analysis toolkit's), the operator run builds
-for it (make_operator: a GeneralFormOperator on its lowering), the general
-form of a general-form instance, and the shifted twin of the standard form
-(displacement taken from the last step of a 1000-step trajectory,
-partition from partition_indices).  The standard and lowered trajectories
-must agree to the bit; the script exits 1 if they differ.  Each is timed as op.trajectory from zero, --steps steps, --repeat times;
+The operators timed are the one run and the analysis toolkit build for the
+standard form of the instance (make_operator: a GeneralFormOperator on its
+lowering), the general form of a general-form instance, and the shifted
+twin of the standard form (displacement taken from the last step of a
+1000-step trajectory, partition from partition_indices).  Each is timed as
+op.trajectory from zero, --steps steps, --repeat times;
 the fastest run is printed per step.  trajectory is the bare step loop
 plus one copy of each row out of the step buffers, so the numbers are the
 "bare operator step" of the analysis and of the solve alike.  For steady
@@ -31,7 +30,7 @@ from pdhglp.identify import ShiftedOperator, partition_indices
 from pdhglp.instance_io import load_problem
 from pdhglp.linalg import StepSizes
 from pdhglp.model import GeneralFormLp, to_standard_form
-from pdhglp.pdhg import GeneralFormOperator, StandardFormOperator, make_operator
+from pdhglp.pdhg import GeneralFormOperator, make_operator
 
 
 def _load(args):
@@ -43,18 +42,18 @@ def _load(args):
 
 
 def _operators(p, step_factor: float):
-    """(name, operator, nnz of A) for the standard, lowered, general (of a
+    """(name, operator, nnz of A) for the lowered, general (of a
     general-form p only) and shifted operators of p."""
     std = to_standard_form(p)[0] if isinstance(p, GeneralFormLp) else p
-    std_steps = StepSizes.for_matrix(std.a, step_factor)
-    op = StandardFormOperator(std, std_steps)
+    std_steps = StepSizes.for_matrix(std.general.a, step_factor)
+    op = make_operator(std, std_steps)
     tail = op.trajectory(np.zeros(op.n + op.m), 1000)[-2:]
     v = tail[1] - tail[0]
     v_x, v_y = v[: std.n], v[std.n :]
     shifted = ShiftedOperator(
         std, std_steps, v_x, v_y, partition_indices(std.a, v_x, v_y)
     )
-    ops = [("standard", op, std.a.nnz), ("lowered", make_operator(std, std_steps), std.a.nnz)]
+    ops = [("lowered", op, std.a.nnz)]
     if isinstance(p, GeneralFormLp):
         gen_op = GeneralFormOperator(p, StepSizes.for_matrix(p.a, step_factor))
         ops.append(("general", gen_op, p.a.nnz))
@@ -78,7 +77,6 @@ def main() -> int:
     p = _load(args)
     print(f"{'operator':10s} {'storage':7s} {'m':>6s} {'n':>6s} {'nnz':>8s} "
           f"{'us/step':>9s}")
-    points = {}
     for name, op, nnz in _operators(p, args.step_factor):
         storage = "dense" if op.m * op.n <= linalg.DENSE_LIMIT else "csr"
         z0 = np.zeros(op.n + op.m)
@@ -86,13 +84,10 @@ def main() -> int:
         with np.errstate(all="ignore"):
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
-                points[name] = op.trajectory(z0, args.steps)
+                op.trajectory(z0, args.steps)
                 best = min(best, time.perf_counter() - t0)
         print(f"{name:10s} {storage:7s} {op.m:6d} {op.n:6d} {nnz:8d} "
               f"{best / args.steps * 1e6:9.2f}")
-    if points["standard"].tobytes() != points["lowered"].tobytes():
-        print("the lowered trajectory differs from the standard one", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -27,7 +27,7 @@ from .instance_io import load_problem, result_to_json, write_trace_csv
 from .linalg import SolverError, StepSizes
 from .model import GeneralFormLp, to_standard_form
 from .mps import MpsParseError
-from .pdhg import PdhgConfig, SolveStatus, StandardFormOperator, require_valid, run
+from .pdhg import PdhgConfig, SolveStatus, make_operator, require_valid, run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -169,8 +169,10 @@ def cmd_solve(args) -> int:
 def _analysis_report(p, args) -> dict:
     """Drive the identification pipeline on the standardized instance."""
     p_std = to_standard_form(p)[0] if isinstance(p, GeneralFormLp) else p
-    steps = StepSizes.for_matrix(p_std.a, args.step_factor)
-    op = StandardFormOperator(p_std, steps)
+    # The steps come from the lowering's matrix, whose power iteration the
+    # operators' MNorm then shares.
+    steps = StepSizes.for_matrix(p_std.general.a, args.step_factor)
+    op = make_operator(p_std, steps)
     mn = op.m_norm()
     k_total = args.analysis_iters
     n = p_std.n
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
     except SolverError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (MpsParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (MpsParseError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except FloatingPointError as e:

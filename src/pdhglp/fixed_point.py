@@ -294,8 +294,9 @@ def creeper_epsilon_point(eps: float) -> float:
 
 
 def from_lp_operator(op) -> FixedPointOperator:
-    """Wrap a solver operator (standard or general form) with its own
-    step-size-induced norm as the nonexpansiveness context."""
+    """Wrap a PDHG operator (pdhg.GeneralFormOperator, the shifted twin
+    included) with its own step-size-induced norm as the nonexpansiveness
+    context."""
     mn = op.m_norm()
     return FixedPointOperator(
         dim=op.n + op.m,

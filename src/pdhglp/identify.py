@@ -9,8 +9,10 @@ affine phase of the post-freeze iteration, whose spectrum predicts the
 linear rate of the difference sequence, off the same support projector
 that pdhg.run polishes with (one eigh of the support's Gram matrix).
 
-Everything operates on the standard-form iteration; general-form problems
-go through their standardization first.
+Everything takes a standard-form problem, the paper's setting, and steps
+it as the solver does, with pdhg.GeneralFormOperator on its lowering
+(p.general); the shifted twin is that operator with a shift and the twin's
+bounds.  General-form problems go through their standardization first.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from .fixed_point import RateFit, Trajectory, fit_rate
 from .linalg import MNorm, SparseMatrix, StepSizes
-from .model import GeneralFormLp, StandardFormLp, standard_to_general
-from .pdhg import StandardFormOperator, _OperatorBase, _support_point
+from .model import GeneralFormLp, StandardFormLp
+from .pdhg import GeneralFormOperator, _support_point, make_operator
 
 __all__ = [
     "IndexPartition",
@@ -104,8 +106,8 @@ def partition_indices(
     )
 
 
-class ShiftedOperator(_OperatorBase):
-    """The displacement-compensated twin of the standard-form iteration.
+class ShiftedOperator(GeneralFormOperator):
+    """The displacement-compensated twin of the iteration on p's lowering.
 
     Coordinates in b skip the projection (their auxiliary variable is
     free), n2 coordinates are pinned to zero, and every update is shifted
@@ -114,13 +116,11 @@ class ShiftedOperator(_OperatorBase):
     iteration (for the auxiliary problem), hence firmly nonexpansive in
     the same step-size-induced norm.
 
-    In the step loop of _OperatorBase the shift and the pin are data: the
-    offsets are -eta c - v_x and -tau b - v_y, and x is clipped to
-    [-inf, inf] on b, [-v_x, inf] on n1 and [-v_x, -v_x] on n2, which is
-    the standard step's projection followed by x - v_x.
+    The shift and the pin are data: this is the general-form step with
+    shift v on the lowering with x clipped to [-inf, inf] on b,
+    [-v_x, inf] on n1 and [-v_x, -v_x] on n2, which is the standard step's
+    projection followed by x - v_x.
     """
-
-    coupling_sign = 1
 
     def __init__(
         self,
@@ -130,18 +130,13 @@ class ShiftedOperator(_OperatorBase):
         v_y: np.ndarray,
         partition: IndexPartition,
     ):
-        self.p = p
-        self.v_x = np.asarray(v_x, dtype=np.float64)
-        self.v_y = np.asarray(v_y, dtype=np.float64)
-        self.partition = partition
-        self.mask_b, self.mask_n1, self.mask_n2 = partition.masks(p.n)
-        offsets = (-steps.eta * p.c - self.v_x, -steps.tau * p.b - self.v_y)
-        lo = np.where(self.mask_b, -np.inf, -self.v_x)
-        hi = np.where(self.mask_n2, -self.v_x, np.inf)
-        clips = ([(np.maximum, lo), (np.minimum, hi)], [])
-        super().__init__(p.a, steps, offsets, clips)
+        mask_b, _, mask_n2 = partition.masks(p.n)
+        v = np.concatenate([v_x, v_y]).astype(np.float64)
+        lo = np.where(mask_b, -np.inf, -v[: p.n])
+        hi = np.where(mask_n2, -v[: p.n], np.inf)
+        super().__init__(dataclasses.replace(p.general, l=lo, u=hi), steps, v)
 
-    apply = _OperatorBase.apply
+    apply = GeneralFormOperator.apply
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,7 @@ def _fixed_point(
 
 
 def _rederive_v(
-    op: StandardFormOperator, z_star: np.ndarray, v: np.ndarray, mask_b: np.ndarray
+    op: GeneralFormOperator, z_star: np.ndarray, v: np.ndarray, mask_b: np.ndarray
 ) -> np.ndarray:
     """Apply the original iteration far enough along the ray that the b
     coordinates are strictly positive, where T - I returns the displacement
@@ -227,7 +222,7 @@ def refine_ray(p: StandardFormLp, steps: StepSizes, warm: np.ndarray) -> RaySolu
         z = warm[-1].copy()
         tail = max(1, (warm.shape[0] - 1) // 10)
         v = np.diff(warm[-(tail + 1) :], axis=0).mean(axis=0)
-    op = StandardFormOperator(p, steps)
+    op = make_operator(p, steps)
     mn = op.m_norm()
     n = p.n
 
@@ -240,7 +235,7 @@ def refine_ray(p: StandardFormLp, steps: StepSizes, warm: np.ndarray) -> RaySolu
         shifted = ShiftedOperator(p, steps, v[:n], v[n:], part)
         z_star, fp_res, steps_used = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
         taken += steps_used
-        v_new = _rederive_v(op, z_star, v, shifted.mask_b)
+        v_new = _rederive_v(op, z_star, v, part.masks(n)[0])
         residual = mn(v_new[:n] - v[:n], v_new[n:] - v[n:])
         if best is None or residual < best[0]:
             best = (residual, z_star, v_new, fp_res, part)
@@ -276,15 +271,13 @@ class AuxiliaryLp:
     partition: IndexPartition
 
     def as_general_form(self) -> GeneralFormLp:
-        """Doubled-row encoding (Ax >= b and -Ax >= -b, as
-        standard_to_general) with the variable roles expressed through
-        bounds, solvable by the general-form iteration."""
-        g = standard_to_general(self.base)
-        mb, _, m2 = self.partition.masks(g.n)
+        """The lowering of the base problem with c_aux, b_aux and the
+        variable roles as bounds, solvable by the general-form iteration."""
+        mb, _, m2 = self.partition.masks(self.base.n)
         return dataclasses.replace(
-            g,
-            c=self.c_aux.copy(),
-            b=np.concatenate([self.b_aux, -self.b_aux]),
+            self.base.general,
+            c=self.c_aux,
+            b=-self.b_aux,
             l=np.where(mb, -np.inf, 0.0),
             u=np.where(m2, 0.0, np.inf),
             name=f"aux({self.base.name})",
@@ -400,7 +393,7 @@ def shift_identity_residual(
     the same point and report the worst step-size-norm gap between the
     twin's iterate and the original's minus k times the displacement.
     Past the freeze iteration the two agree to roundoff."""
-    op = StandardFormOperator(p, steps)
+    op = make_operator(p, steps)
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
     mn = op.m_norm()
     n = p.n

@@ -3,12 +3,13 @@
 Everything downstream (the solver, the certificate checks, the operator
 experiments) measures distances in the norm induced by
 
-    M = [[ (1/eta) I,  -K^T ],
-         [ -K,         (1/tau) I ]]
+    M = [[ (1/eta) I,  A^T ],
+         [ A,          (1/tau) I ]]
 
-where K is the coupling matrix of the saddle-point form.  M is positive
-definite exactly when eta * tau * ||K||_2^2 < 1, which is why step sizes
-and the operator norm estimate live here too.
+where A is the matrix of the general-form problem the PDHG step iterates
+(a standard-form problem's lowering has -A there).  M is positive definite
+exactly when eta * tau * ||A||_2^2 < 1, which is why step sizes and the
+operator norm estimate live here too.
 """
 
 from __future__ import annotations
@@ -252,21 +253,14 @@ class StepSizes:
 
 
 class MNorm:
-    """The norm ||z||_M^2 = (1/eta)||x||^2 - 2 s y'Ax + (1/tau)||y||^2.
+    """The norm ||z||_M^2 = (1/eta)||x||^2 + 2 y'Ax + (1/tau)||y||^2 of the
+    general-form step on A (see the module docstring).
 
-    s is the coupling sign: +1 when the saddle coupling matrix is A itself,
-    -1 when it is -A.  Construction verifies eta * tau * ||A||_2^2 < 1, the
+    Construction verifies eta * tau * ||A||_2^2 < 1, the
     positive-definiteness condition, and raises otherwise.
     """
 
-    def __init__(
-        self,
-        a: SparseMatrix,
-        steps: StepSizes,
-        coupling_sign: int = 1,
-    ):
-        if coupling_sign not in (1, -1):
-            raise ValueError("coupling_sign must be +1 or -1")
+    def __init__(self, a: SparseMatrix, steps: StepSizes):
         sigma = a.opnorm().value
         # The power-iteration value slightly underestimates the true norm, so
         # give the check a little slack on the open side only.
@@ -277,12 +271,11 @@ class MNorm:
             )
         self.a = a
         self.steps = steps
-        self.coupling_sign = coupling_sign
 
     def sq(self, x: np.ndarray, y: np.ndarray) -> float:
         q = (
             float(x @ x) / self.steps.eta
-            - 2.0 * self.coupling_sign * float(y @ self.a.matvec(x))
+            + 2.0 * float(y @ self.a.matvec(x))
             + float(y @ y) / self.steps.tau
         )
         # Roundoff can leave a tiny negative residue for near-zero z.
@@ -301,7 +294,7 @@ class MNorm:
         ax = (self.a.csr @ x_rows.T).T
         q = (
             np.einsum("ij,ij->i", x_rows, x_rows) / self.steps.eta
-            - 2.0 * self.coupling_sign * np.einsum("ij,ij->i", y_rows, ax)
+            + 2.0 * np.einsum("ij,ij->i", y_rows, ax)
             + np.einsum("ij,ij->i", y_rows, y_rows) / self.steps.tau
         )
         return np.sqrt(np.maximum(q, 0.0))

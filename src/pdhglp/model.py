@@ -7,9 +7,10 @@ Two shapes are used throughout:
                                   Ax = b on the equality rows (eq),
                                   l <= x <= u
 
-The solver, its checks and the exact oracle work on the general form; a
-standard-form problem reaches them as its lowering, general_form(p) (see
-pdhg).  The analysis toolkit keeps the standard form, the paper's setting.
+The solver, its checks, the exact oracle and the analysis toolkit's
+operators work on the general form; a standard-form problem reaches them
+as its lowering, general_form(p) (see pdhg).  The analysis toolkit takes
+its problems in the standard form, the paper's setting.
 
 ``to_standard_form`` rewrites a general-form problem as a standard-form one
 (shifts, sign flips, free-variable splits, slacks, box rows) and returns a

@@ -2,9 +2,11 @@
 
 Reads both whitespace-delimited and fixed-column MPS variants into an
 intermediate document, converts the document to a general-form problem in
-which every constraint is a >= row (L rows negated, E rows and RANGES
-intervals expanded into opposing pairs), and writes documents back out in
-a whitespace-clean layout that parses to an equal document.
+which every constraint is a >= row or an equality row (L rows negated, an
+E row, or a row whose RANGES interval is one point, kept as one equality
+row, any other RANGES interval expanded into an opposing pair), and writes
+documents back out in a whitespace-clean layout that parses to an equal
+document.
 
 Supported sections: NAME, ROWS, COLUMNS, RHS, RANGES, BOUNDS, ENDATA.
 Bound codes LO, UP, FX, FR, MI, PL.  Integer machinery (BV bounds, COLUMNS

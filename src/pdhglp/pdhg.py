@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from . import certificates as certs
 from . import exact, linalg
-from .linalg import MNorm, SparseMatrix, StepSizes, max0
+from .linalg import MNorm, StepSizes, max0
 from .model import (
     GeneralFormLp,
     StandardFormLp,
@@ -71,7 +71,7 @@ _DIVERGENCE_LIMIT = 1e50
 # order.  On one Xeon core numpy's eigh took 14 ms at order 300, 0.25 s at
 # 1000 and 1.7 s at 2000, and each dense copy of order 1000 holds 8 MB.
 _GRAM_MAX_ORDER = 1000
-# Steps per block of the step loop (_OperatorBase._steps), so its buffers
+# Steps per block of the step loop (GeneralFormOperator._steps), so its buffers
 # never outgrow _BLOCK + 1 rows whatever the step count.  trajectory copies
 # rows out and PdhgState.advance adds them to the sums a block at a time,
 # and identify's fixed-point search tests its step length after each block.
@@ -128,7 +128,7 @@ class PdhgState:
             sum_y=np.zeros(m),
         )
 
-    def advance(self, op: _OperatorBase, count: int) -> None:
+    def advance(self, op: GeneralFormOperator, count: int) -> None:
         """Take count steps of op's step loop in place, advancing k and the
         sums, which add the new rows in step order: count steps here match
         count single steps to the bit.  x, y, x_prev and y_prev are new."""
@@ -142,57 +142,60 @@ class PdhgState:
         self.k += count
 
 
-class _OperatorBase:
-    """One PDHG step as data, and the one loop that takes it.
+class GeneralFormOperator:
+    """One PDHG step on the general-form problem p as data, and the one loop
+    that takes it.
 
-    An operator is two stacked blocks and their bounds, built once:
+    The step is two stacked blocks and their bounds, built once:
 
-        x_j = clip(x_{j-1} + K1 [y_{j-1}; 1], lo1, hi1)
-        y_j = clip(y_{j-1} + K2 [2 x_j - x_{j-1}; 1], lo2, hi2)
+        x_j = clip(x_{j-1} + K1 [y_{j-1}; 1], p.l, p.u)
+        y_j = max(y_{j-1} + K2 [2 x_j - x_{j-1}; 1], p.row_floor)
 
-    with K1 = [-s eta A' | x_offset], K2 = [s tau A | y_offset] and s the
-    coupling sign.  The subclasses give the offsets and, per side, the
-    clips (np.maximum, lower) and (np.minimum, upper); a clip whose bound
-    has no finite entry is dropped.  Neither block holds an identity or a
-    zero block, so together they store 2 m n + n + m entries dense (up to
-    linalg.DENSE_LIMIT entries of A) and at most 2 nnz + n + m in CSR.
+    with K1 = [eta A' | -eta c - v_x] and K2 = [-tau A | tau b - v_y], where
+    shift = (v_x, v_y) is 0 for the solver and the displacement for
+    identify's shifted twin.  A bound with no finite entry is not clipped
+    to.  Neither block holds an identity or a zero block, so together they
+    store 2 m n + n + m entries dense (up to linalg.DENSE_LIMIT entries of
+    A) and at most 2 nnz + n + m in CSR.
 
     _steps is the loop.  It writes x rows and (y; 1) rows into two buffers
-    and [2 x_j - x_{j-1}; 1] into a vector of its own, so a standard-form
-    step is seven numpy calls, with no allocation in dense storage.  A
-    stacked K2 = [-s tau A | y_offset | 2 s tau A] over [x_{j-1}; 1; x_j]
-    would save two calls, but it reads A twice, which costs more than those
-    calls in CSR storage (47.5 against 35.6 us per step at 300 x 1200 with
-    8400 nnz, one Xeon core).  apply, trajectory, PdhgState.advance and
+    and [2 x_j - x_{j-1}; 1] into a vector of its own, so a step on a
+    lowering is seven numpy calls, with no allocation in dense storage.  A
+    stacked K2 = [tau A | offset | -2 tau A] over [x_{j-1}; 1; x_j] would
+    save two calls, but it reads A twice, which costs more than those calls
+    in CSR storage (47.5 against 35.6 us per step at 300 x 1200 with 8400
+    nnz, one Xeon core).  apply, trajectory, PdhgState.advance and
     identify's fixed-point search all run the loop.  matrix is A in the
     blocks' storage, and _mat and _rmat are its products, which run's
     checks use.
     """
 
-    coupling_sign = 1
-
-    def __init__(self, a: SparseMatrix, steps: StepSizes, offsets, clips):
-        self.a = a
+    def __init__(
+        self, p: GeneralFormLp, steps: StepSizes, shift: np.ndarray | None = None
+    ):
+        self.p = p
         self.steps = steps
-        m, n = a.shape
+        m, n = p.a.shape
         self.n = n
         self.m = m
-        x_offset, y_offset = offsets
-        s_eta, s_tau = self.coupling_sign * steps.eta, self.coupling_sign * steps.tau
+        self.shift = np.zeros(n + m) if shift is None else np.asarray(shift, float)
+        x_offset = -steps.eta * p.c - self.shift[:n]
+        y_offset = steps.tau * p.b - self.shift[n:]
         if m * n <= linalg.DENSE_LIMIT:
-            mat = a.to_dense()
+            mat = p.a.to_dense()
             mat_t = np.ascontiguousarray(mat.T)
-            self.k1 = np.hstack([-s_eta * mat_t, x_offset[:, None]])
-            self.k2 = np.hstack([s_tau * mat, y_offset[:, None]])
+            self.k1 = np.hstack([steps.eta * mat_t, x_offset[:, None]])
+            self.k2 = np.hstack([-steps.tau * mat, y_offset[:, None]])
             dot1, dot2, out1, out2 = self.k1.dot, self.k2.dot, np.empty(n), np.empty(m)
             self._k1_dot = lambda v: dot1(v, out1)
             self._k2_dot = lambda v: dot2(v, out2)
         else:
-            mat, mat_t = a.csr, a.transposed_csr()
+            mat, mat_t = p.a.csr, p.a.transposed_csr()
             col1, col2 = (sp.csr_matrix(v[:, None]) for v in (x_offset, y_offset))
-            self.k1 = sp.hstack([-s_eta * mat_t, col1], format="csr")
-            self.k2 = sp.hstack([s_tau * mat, col2], format="csr")
+            self.k1 = sp.hstack([steps.eta * mat_t, col1], format="csr")
+            self.k2 = sp.hstack([-steps.tau * mat, col2], format="csr")
             self._k1_dot, self._k2_dot = self.k1.__matmul__, self.k2.__matmul__
+        clips = ([(np.maximum, p.l), (np.minimum, p.u)], [(np.maximum, p.row_floor)])
         self._clips = [
             [(clip, bound) for clip, bound in side if np.isfinite(bound).any()]
             for side in clips
@@ -204,7 +207,7 @@ class _OperatorBase:
 
     def m_norm(self) -> MNorm:
         if self._m_norm is None:
-            self._m_norm = MNorm(self.a, self.steps, self.coupling_sign)
+            self._m_norm = MNorm(self.p.a, self.steps)
         return self._m_norm
 
     def _steps(self, x: np.ndarray, y: np.ndarray, count: int):
@@ -263,30 +266,16 @@ class _OperatorBase:
         return points
 
 
-class StandardFormOperator(_OperatorBase):
-    """The standard-form step on p itself, for the analysis toolkit;
-    make_operator takes it as a GeneralFormOperator on p's lowering."""
+class StandardFormOperator(GeneralFormOperator):
+    """make_operator(p, steps) of a standard-form p.  Nothing in the package
+    builds it: it stays because perfbench's tracer names its apply."""
 
     def __init__(self, p: StandardFormLp, steps: StepSizes):
-        offsets = (-steps.eta * p.c, -steps.tau * p.b)
-        super().__init__(p.a, steps, offsets, ([(np.maximum, np.zeros(p.n))], []))
-        self.p = p
+        super().__init__(p.general, steps)
 
     # Each operator class names apply itself: perfbench's tracer wraps it
     # per class.
-    apply = _OperatorBase.apply
-
-
-class GeneralFormOperator(_OperatorBase):
-    coupling_sign = -1
-
-    def __init__(self, p: GeneralFormLp, steps: StepSizes):
-        offsets = (-steps.eta * p.c, steps.tau * p.b)
-        clips = ([(np.maximum, p.l), (np.minimum, p.u)], [(np.maximum, p.row_floor)])
-        super().__init__(p.a, steps, offsets, clips)
-        self.p = p
-
-    apply = _OperatorBase.apply
+    apply = GeneralFormOperator.apply
 
 
 def make_operator(
@@ -374,12 +363,13 @@ def inclusion_residual(op: GeneralFormOperator, x: np.ndarray, y: np.ndarray) ->
     from the required normal-cone memberships; exact steps give ~0.
 
     Each side's residual must vanish off its bounds and, at a bound, have
-    the sign of that bound's normal cone."""
+    the sign of that bound's normal cone.  The step's shift v enters as
+    -v_x / eta and -v_y / tau."""
     eta, tau = op.steps.eta, op.steps.tau
     x1, y1 = op.apply(x, y)
-    p = op.p
-    s = (x - x1) / eta + p.a.rmatvec(y) - p.c
-    t = (y - y1) / tau + p.b - p.a.matvec(2.0 * x1 - x)
+    p, n = op.p, op.n
+    s = (x - x1 - op.shift[:n]) / eta + p.a.rmatvec(y) - p.c
+    t = (y - y1 - op.shift[n:]) / tau + p.b - p.a.matvec(2.0 * x1 - x)
     return max(
         max0(np.where(x1 == p.u, 0.0, s)),
         max0(np.where(x1 == p.l, 0.0, -s)),
@@ -647,7 +637,7 @@ def run(
     trace holds this run's checks only.
 
     A check makes six products, none shared with the steps (which run on
-    the operator's stacked blocks, see _OperatorBase): A x^k and A'y^k
+    the operator's stacked blocks, see GeneralFormOperator): A x^k and A'y^k
     serve the KKT residuals, the reduced costs and the normalized iterate,
     and the difference and the average take one product per side.
 

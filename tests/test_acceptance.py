@@ -38,7 +38,6 @@ from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
 from pdhglp.pdhg import (
     PdhgConfig,
     SolveStatus,
-    StandardFormOperator,
     inclusion_residual,
     make_operator,
     run,
@@ -84,7 +83,7 @@ def desk_rays():
     for name, build in INFEASIBLE_DESK:
         ps = _standardize(build())
         steps = StepSizes.for_matrix(ps.a)
-        op = StandardFormOperator(ps, steps)
+        op = make_operator(ps, steps)
         start = np.random.default_rng(7).standard_normal(ps.n + ps.m)
         traj = Trajectory(op.trajectory(start, 100_000))
         sol = refine_ray(ps, steps, traj.points[: 20_001])
@@ -354,7 +353,7 @@ def test_acceptance_6_post_freeze_linear_phase(desk_rays):
 
     game, z0 = _bilinear_game()
     gsteps = StepSizes.for_matrix(game.a)
-    gop = StandardFormOperator(game, gsteps)
+    gop = make_operator(game, gsteps)
     gpoints = gop.trajectory(z0, 6000)
     # projection-free throughout: the affine phase spans the whole run
     assert gpoints[:, : game.n].min() > 0.0

@@ -19,7 +19,7 @@ from pdhglp import cli, demos
 from pdhglp.identify import affine_phase, refine_ray
 from pdhglp.instance_io import load_problem
 from pdhglp.linalg import StepSizes
-from pdhglp.pdhg import StandardFormOperator
+from pdhglp.pdhg import make_operator
 
 # ---------------------------------------------------------------------------
 # The reference: the dense affine model z -> q z - p_vec on the support.
@@ -166,7 +166,7 @@ def test_random_supports_of_planted_items(tmp_path, monkeypatch, perfbench):
 def refined_both():
     p = demos.std_both_infeasible()
     steps = StepSizes.for_matrix(p.a)
-    pts = StandardFormOperator(p, steps).trajectory(np.zeros(p.n + p.m), 2000)
+    pts = make_operator(p, steps).trajectory(np.zeros(p.n + p.m), 2000)
     return p, steps, refine_ray(p, steps, pts)
 
 

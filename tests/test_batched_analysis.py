@@ -40,7 +40,7 @@ from pdhglp.identify import (
 )
 from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
 from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
-from pdhglp.pdhg import GeneralFormOperator, StandardFormOperator, make_operator
+from pdhglp.pdhg import make_operator
 
 # ---------------------------------------------------------------------------
 # Reference copies of the per-row code
@@ -89,13 +89,11 @@ def _bound_violation_loop(aux, x):
 
 
 def _as_general_form_triplets(aux):
+    """-A x = -b_aux on m equality rows, the base problem's lowering."""
     a = aux.base.a
     rows_i, cols_j, vals = a.triplets()
     m, n = a.shape
-    i2 = np.concatenate([rows_i, rows_i + m])
-    j2 = np.concatenate([cols_j, cols_j])
-    v2 = np.concatenate([vals, -vals])
-    stacked = SparseMatrix.from_triplets(2 * m, n, i2, j2, v2)
+    negated = SparseMatrix.from_triplets(m, n, rows_i, cols_j, -vals)
     l = np.zeros(n)
     u = np.full(n, np.inf)
     mb, _, m2 = aux.partition.masks(n)
@@ -103,16 +101,17 @@ def _as_general_form_triplets(aux):
     u[m2] = 0.0
     return GeneralFormLp(
         c=aux.c_aux.copy(),
-        a=stacked,
-        b=np.concatenate([aux.b_aux, -aux.b_aux]),
+        a=negated,
+        b=-aux.b_aux,
         l=l,
         u=u,
         name=f"aux({aux.base.name})",
+        eq=np.ones(m, dtype=bool),
     )
 
 
 def _shift_identity_per_k(p, steps, v, partition, z_from, k_max):
-    op = StandardFormOperator(p, steps)
+    op = make_operator(p, steps)
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
     mn = op.m_norm()
     n = p.n
@@ -219,7 +218,7 @@ def ray_cases():
         ("ex1(1,2)", to_standard_form(demos.example1(1, 2))[0]),
     ):
         steps = StepSizes.for_matrix(p.a)
-        op = StandardFormOperator(p, steps)
+        op = make_operator(p, steps)
         pts = op.trajectory(np.zeros(p.n + p.m), 2000)
         out[name] = (p, steps, op, pts, refine_ray(p, steps, pts))
     return out
@@ -347,7 +346,7 @@ def test_as_general_form_matches_triplet_build(how):
     got = aux.as_general_form()
     want = _as_general_form_triplets(aux)
     assert got.a.same_entries(want.a)
-    for name in ("c", "b", "l", "u"):
+    for name in ("c", "b", "l", "u", "eq"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.name == want.name
     assert got.objective_offset == want.objective_offset == 0.0
@@ -410,55 +409,66 @@ def test_trajectory_rejects_a_negative_length(name):
 _KERNEL_REL_TOL = 1e-11
 
 
-def _textbook_step(op, x, y):
-    """One step of op from the formulas of pdhg's module docstring, on the
-    dense matrix; the shifted twin projects, pins n2 to zero, then shifts
-    both parts back by v."""
-    a, p = op.a.to_dense(), op.p
+def _textbook_step(case, x, y):
+    """One step of the case's operator from the formulas of pdhg's module
+    docstring, on the dense matrix.  A case is (op, std, v, partition):
+    without std, the general form on op.p; with it, the standard form on
+    std's own A, b and c, where the shifted twin (partition given) projects,
+    pins n2 to zero, then shifts both parts back by v."""
+    op, std, v, partition = case
     eta, tau = op.steps.eta, op.steps.tau
-    if isinstance(op, GeneralFormOperator):
+    if std is None:
+        a, p = op.p.a.to_dense(), op.p
         x1 = np.clip(x - eta * (p.c - a.T @ y), p.l, p.u)
         return x1, np.maximum(y + tau * (p.b - a @ (2.0 * x1 - x)), p.row_floor)
-    w = x - eta * (a.T @ y) - eta * p.c
+    a, n = std.a.to_dense(), std.n
+    w = x - eta * (a.T @ y) - eta * std.c
     x1 = np.maximum(w, 0.0)
-    if isinstance(op, ShiftedOperator):
-        x1 = np.where(op.mask_b, w, x1)
-        x1 = np.where(op.mask_n2, 0.0, x1) - op.v_x
-        return x1, y + tau * (a @ (2.0 * x1 - x)) - tau * p.b - op.v_y
-    return x1, y + tau * (a @ (2.0 * x1 - x)) - tau * p.b
+    if partition is not None:
+        mask_b, _, mask_n2 = partition.masks(n)
+        x1 = np.where(mask_b, w, x1)
+        x1 = np.where(mask_n2, 0.0, x1) - v[:n]
+    return x1, y + tau * (a @ (2.0 * x1 - x)) - tau * std.b - v[n:]
 
 
 def _kernel_differential_cases():
     rng = np.random.default_rng(5)
-    ops = {}
+    cases = {}
     for storage, copies in (("dense", 1), ("csr", 41)):
         std = demos.block_copies(demos.std_both_infeasible(), copies, seed=3)
         gen = demos.block_copies(demos.example1(1, 2), copies, seed=3)
         assert (std.m * std.n <= linalg.DENSE_LIMIT) == (storage == "dense")
         assert (gen.m * gen.n <= linalg.DENSE_LIMIT) == (storage == "dense")
-        ops[f"standard-{storage}"] = make_operator(std, StepSizes.for_matrix(std.a))
-        ops[f"paper-{storage}"] = StandardFormOperator(std, StepSizes.for_matrix(std.a))
-        ops[f"general-{storage}"] = make_operator(gen, StepSizes.for_matrix(gen.a))
-        ops[f"shifted-{storage}"] = ShiftedOperator(
-            std,
-            StepSizes.for_matrix(std.a),
-            rng.standard_normal(std.n) * (rng.random(std.n) < 0.5),
-            rng.standard_normal(std.m),
-            _split(std.n, rng, "random"),
+        steps = StepSizes.for_matrix(std.a)
+        lowered = make_operator(std, steps)
+        cases[f"standard-{storage}"] = (lowered, None, None, None)
+        cases[f"paper-{storage}"] = (lowered, std, np.zeros(std.n + std.m), None)
+        cases[f"general-{storage}"] = (
+            make_operator(gen, StepSizes.for_matrix(gen.a)), None, None, None
         )
-    return ops
+        v_x = rng.standard_normal(std.n) * (rng.random(std.n) < 0.5)
+        v_y = rng.standard_normal(std.m)
+        partition = _split(std.n, rng, "random")
+        cases[f"shifted-{storage}"] = (
+            ShiftedOperator(std, steps, v_x, v_y, partition),
+            std,
+            np.concatenate([v_x, v_y]),
+            partition,
+        )
+    return cases
 
 
 @pytest.mark.parametrize("name", sorted(_kernel_differential_cases()))
 def test_step_loop_matches_textbook_step(name):
-    op = _kernel_differential_cases()[name]
+    case = _kernel_differential_cases()[name]
+    op = case[0]
     assert isinstance(op.k1, np.ndarray) == name.endswith("dense")
     z0 = np.random.default_rng(len(name)).standard_normal(op.n + op.m)
     got = op.trajectory(z0, 4000)
     want = np.empty_like(got)
     want[0] = z0
     for k in range(1, 4001):
-        x, y = _textbook_step(op, want[k - 1, : op.n], want[k - 1, op.n :])
+        x, y = _textbook_step(case, want[k - 1, : op.n], want[k - 1, op.n :])
         want[k] = np.concatenate([x, y])
     scale = 1.0 + np.max(np.abs(want), axis=1)
     assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= _KERNEL_REL_TOL
@@ -552,15 +562,16 @@ finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
         )
     ),
     st.integers(0, 2**31 - 1),
-    st.sampled_from([1, -1]),
+    st.booleans(),
 )
-def test_mnorm_rows_matches_call(arr, seed, sign):
-    a = SparseMatrix.from_dense(arr)
+def test_mnorm_rows_matches_call(arr, seed, negate):
+    # negate: the norm of a lowering, whose matrix is -A.
+    a = SparseMatrix.from_dense(-arr if negate else arr)
     if opnorm_estimate(a).value == 0.0:
         steps = StepSizes(1.0, 1.0)
     else:
         steps = StepSizes.for_matrix(a, factor=0.9)
-    mn = MNorm(a, steps, coupling_sign=sign)
+    mn = MNorm(a, steps)
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((6, a.n_cols))
     ys = rng.standard_normal((6, a.n_rows))

@@ -20,7 +20,7 @@ from pdhglp.identify import (
 )
 from pdhglp.linalg import SparseMatrix, StepSizes, support_projection
 from pdhglp.model import StandardFormLp, to_standard_form, validate
-from pdhglp.pdhg import StandardFormOperator
+from pdhglp.pdhg import make_operator
 
 # Displacement of the both-infeasible desk instance, frozen from an
 # independent long run of the raw iteration (difference tail at k = 2000).
@@ -29,12 +29,12 @@ V_BOTH = np.array([0.3181981152, 0.3181981152, 0.0, 0.0, 0.6363962304])
 
 def _setup(p):
     steps = StepSizes.for_matrix(p.a)
-    return p, steps, StandardFormOperator(p, steps)
+    return p, steps, make_operator(p, steps)
 
 
 def _trajectory(p, steps, k, z0=None):
     z0 = np.zeros(p.n + p.m) if z0 is None else z0
-    return StandardFormOperator(p, steps).trajectory(z0, k)
+    return make_operator(p, steps).trajectory(z0, k)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,8 @@ class TestAuxiliaryLp:
     def test_general_form_encoding(self, refined_both):
         p, steps, sol = refined_both
         g = build_auxiliary(p, sol.v, steps, sol.partition).as_general_form()
-        assert g.m == 2 * p.m and g.n == p.n
+        assert g.m == p.m and g.n == p.n and g.eq.all()
+        assert g.a is p.general.a
         assert validate(g).ok
         # b variables freed, n2 fixed at zero, n1 left nonnegative
         assert np.all(np.isneginf(g.l[[0, 1]]))
@@ -193,9 +194,9 @@ class TestAuxiliaryLp:
         # With the exactly-representable displacement (the refined one is
         # within 1e-9 of it) the bumps divide out exactly and the exact
         # oracle confirms the auxiliary problem is solvable.  The float-
-        # refined v misses by ~1e-13, which the doubled-row equality
-        # encoding magnifies into exact-arithmetic infeasibility, so the
-        # oracle check only makes sense on the ideal vector.
+        # refined v misses by ~1e-13, which the equality rows turn into
+        # exact-arithmetic infeasibility, so the oracle check only makes
+        # sense on the ideal vector.
         p, steps, sol = refined_both
         s = steps.eta
         v_exact = np.array([s / 2.0, s / 2.0, 0.0, 0.0, s])

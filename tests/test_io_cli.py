@@ -365,6 +365,24 @@ class TestCliSolve:
         code = cli.main(["solve", str(tmp_path / "absent.mps")])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "{dir}"],
+            ["solve", "--demo", "ex1", "--json-out", "{dir}"],
+            ["solve", "--demo", "ex1", "--trace-out", "{dir}"],
+            ["analyze", "--demo", "std-primal-infeasible", "--json-out", "{dir}"],
+        ],
+        ids=["instance", "solve-json-out", "trace-out", "analyze-json-out"],
+    )
+    def test_a_directory_path_is_an_input_error(self, args, tmp_path, capsys):
+        # Opening a directory raises IsADirectoryError, an OSError other
+        # than FileNotFoundError.
+        code = cli.main([a.format(dir=tmp_path) for a in args])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_all_zero_matrix_is_a_solver_error(self, tmp_path, capsys):
         # The file parses and validates; the solver cannot size its steps.
         path = tmp_path / "zero.json"

@@ -114,7 +114,7 @@ class TestOperatorNorm:
         steps = StepSizes.for_matrix(a, 0.9)
         first = a.opnorm()
         MNorm(a, steps)
-        MNorm(a, steps, coupling_sign=-1)
+        MNorm(a, StepSizes(0.1, 0.2))
         assert calls == [(a, ())]
         assert a.opnorm() is first
         assert first == opnorm_estimate(a) == opnorm_estimate(a, 1e-6, 500)
@@ -180,20 +180,14 @@ class TestMNorm:
         for _ in range(20):
             x = rng.standard_normal(2)
             y = rng.standard_normal(2)
-            explicit = (
-                (x @ x) / steps.eta - 2.0 * float(y @ a.matvec(x)) + (y @ y) / steps.tau
+            # z'Mz with M = [[I/eta, A'], [A, I/tau]], the general-form step's.
+            m = np.block(
+                [[np.eye(2) / steps.eta, a.to_dense().T],
+                 [a.to_dense(), np.eye(2) / steps.tau]]
             )
+            z = np.concatenate([x, y])
+            explicit = z @ m @ z
             assert mn.sq(x, y) == pytest.approx(explicit, rel=1e-12, abs=1e-12)
-
-    def test_coupling_sign_flips_cross_term(self):
-        a = SparseMatrix.from_dense([[1.0, -1.0], [0.0, 2.0]])
-        steps = StepSizes.for_matrix(a, factor=0.8)
-        plus = MNorm(a, steps, coupling_sign=1)
-        minus = MNorm(a, steps, coupling_sign=-1)
-        x = np.array([1.0, 2.0])
-        y = np.array([-1.0, 0.5])
-        cross = float(y @ a.matvec(x))
-        assert plus.sq(x, y) - minus.sq(x, y) == pytest.approx(-4.0 * cross, rel=1e-12)
 
     def test_call_is_root_of_sq(self):
         a = SparseMatrix.from_dense([[1.0]])

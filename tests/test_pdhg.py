@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdhglp import demos, linalg, pdhg
-from pdhglp.identify import ShiftedOperator, partition_indices
+from pdhglp.identify import IndexPartition, ShiftedOperator, partition_indices
 from pdhglp.linalg import SparseMatrix, StepSizes
 from pdhglp.model import GeneralFormLp, StandardFormLp
 from pdhglp.pdhg import (
@@ -70,7 +70,7 @@ class TestOperators:
     def test_standard_apply_matches_formula(self, rng):
         p = demos.std_both_infeasible()
         steps = StepSizes.for_matrix(p.a)
-        op = StandardFormOperator(p, steps)
+        op = make_operator(p, steps)
         x = rng.standard_normal(p.n)
         y = rng.standard_normal(p.m)
         x1, y1 = op.apply(x, y)
@@ -103,15 +103,19 @@ class TestOperators:
         np.testing.assert_array_equal(op.apply_z(z), np.concatenate([x1, y1]))
 
     def test_make_operator_iterates_the_general_form(self, rng):
-        # A standard-form problem is iterated as its lowering; the analysis
-        # operator of the paper's form stays StandardFormOperator.
+        # A standard-form problem is iterated as its lowering, by the solver
+        # and the analysis toolkit alike, with no shift.
         p = demos.std_feasible()
-        std = make_operator(p, StepSizes(0.1, 0.1))
-        gen = make_operator(_random_general(rng), StepSizes(0.1, 0.1))
-        assert isinstance(std, GeneralFormOperator) and std.p is p.general
-        assert isinstance(gen, GeneralFormOperator)
-        assert std.coupling_sign == gen.coupling_sign == -1
-        assert StandardFormOperator(p, StepSizes(0.1, 0.1)).coupling_sign == 1
+        steps = StepSizes(0.1, 0.1)
+        std = make_operator(p, steps)
+        gen = make_operator(_random_general(rng), steps)
+        assert type(std) is type(gen) is GeneralFormOperator
+        assert std.p is p.general
+        assert not std.shift.any() and std.shift.shape == (p.n + p.m,)
+        paper = StandardFormOperator(p, steps)
+        assert paper.p is p.general
+        for name in ("k1", "k2"):
+            assert getattr(paper, name).tobytes() == getattr(std, name).tobytes()
 
     def test_matrix_is_the_storage_of_the_products(self):
         small = demos.std_both_infeasible()
@@ -134,7 +138,7 @@ class TestOperators:
         std = StandardFormLp(c=rng.standard_normal(n), a=a, b=np.ones(m))
         steps = StepSizes.for_matrix(a)
         if form == "standard":
-            op = StandardFormOperator(std, steps)
+            op = make_operator(std, steps)
         elif form == "general":
             gen = GeneralFormLp(
                 c=std.c, a=a, b=std.b, l=np.zeros(n), u=np.full(n, np.inf)
@@ -170,7 +174,7 @@ class TestOperators:
     def test_firm_nonexpansiveness_standard(self, seed):
         rng = np.random.default_rng(seed)
         p = demos.std_both_infeasible()
-        op = StandardFormOperator(p, StepSizes.for_matrix(p.a))
+        op = make_operator(p, StepSizes.for_matrix(p.a))
         nrm = op.m_norm()
         z = rng.standard_normal(p.n + p.m) * 3.0
         w = rng.standard_normal(p.n + p.m) * 3.0
@@ -199,10 +203,22 @@ class TestOperators:
     @given(st.integers(0, 2**31 - 1))
     def test_inclusion_residual_vanishes(self, seed):
         rng = np.random.default_rng(seed)
-        for p in (demos.std_both_infeasible(), _random_general(np.random.default_rng(7))):
-            op = make_operator(p, StepSizes.for_matrix(p.a))
-            x = rng.standard_normal(p.n) * 2.0
-            y = rng.standard_normal(p.m) * 2.0
+        std = demos.std_both_infeasible()
+        ops = [
+            make_operator(p, StepSizes.for_matrix(p.a))
+            for p in (std, _random_general(np.random.default_rng(7)))
+        ]
+        # The shifted twin, with one coordinate in each of b, n1 and n2: its
+        # step is the one of its clipped problem, moved by v.
+        v = np.random.default_rng(11).standard_normal(std.n + std.m)
+        part = IndexPartition(b=(0,), n1=(1,), n2=(2,), tol=0.0)
+        twin = ShiftedOperator(
+            std, StepSizes.for_matrix(std.a), v[: std.n], v[std.n :], part
+        )
+        ops.append(twin)
+        for op in ops:
+            x = rng.standard_normal(op.n) * 2.0
+            y = rng.standard_normal(op.m) * 2.0
             assert inclusion_residual(op, x, y) <= 1e-10
 
     def test_step_advances_sums(self, rng):
