@@ -43,6 +43,7 @@ __all__ = [
     "FeasibilityResult",
     "LpClassification",
     "ExactCheck",
+    "ExactOptimum",
     "decide_feasibility",
     "classify_lp",
     "exact_optimum",

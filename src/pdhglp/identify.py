@@ -6,8 +6,8 @@ iteration and its shifted twin, partition coordinates by which part of the
 displacement moves them, build the always-feasible auxiliary problem the
 shifted twin solves, detect when the active pattern freezes, and read the
 affine phase of the post-freeze iteration, whose spectrum predicts the
-linear rate of the difference sequence, off the same support projector
-that pdhg.run polishes with (one eigh of the support's Gram matrix).
+linear rate of the difference sequence, off the same support projector,
+linalg.Support, that pdhg.run polishes with (one eigh of a Gram matrix).
 
 Everything takes a standard-form problem, the paper's setting, and steps
 it as the solver does, with pdhg.GeneralFormOperator on its lowering
@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .fixed_point import RateFit, Trajectory, fit_rate
-from .linalg import MNorm, SparseMatrix, StepSizes
+from .linalg import MNorm, SparseMatrix, StepSizes, Support
 from .model import GeneralFormLp, StandardFormLp
-from .pdhg import GeneralFormOperator, _support_point, make_operator
+from .pdhg import GeneralFormOperator, make_operator
 
 __all__ = [
     "IndexPartition",
@@ -415,7 +415,7 @@ def shift_identity_residual(
 @dataclass(frozen=True)
 class AffinePhase:
     """The iteration after the support S has frozen, read off the support's
-    projector (pdhg._support_point on the lowering p.general, one eigh of
+    projector (linalg.Support on the lowering p.general, one eigh of
     G = (-A_S)(-A_S)' = A_S A_S').
 
     On S the step is affine, and it acts on each singular value sigma of
@@ -438,19 +438,18 @@ class AffinePhase:
 def affine_phase(
     p: StandardFormLp, steps: StepSizes, support: Sequence[int]
 ) -> AffinePhase | None:
-    """The frozen-support affine phase and its spectral data; None, as for
-    _support_point, when the Gram matrix of the support is too large."""
+    """The frozen-support affine phase and its spectral data; None when
+    the support has more rows than linalg.GRAM_MAX_ORDER."""
     n, m = p.n, p.m
     eta, tau = steps.eta, steps.tau
     support = tuple(sorted(int(i) for i in support))
-    # On the lowering (-A, -b, x >= 0) every row is an equality row, coded 0.
-    pattern = np.zeros(n + m, dtype=np.int8)
-    pattern[:n] = 1
-    pattern[list(support)] = 0
-    sup = _support_point(p.general, p.general.a.csr, np.zeros(n), pattern)
+    cols = np.isin(np.arange(n), support)
+    # On the lowering (-A, -b, x >= 0) every row is an equality row.
+    g = p.general
+    sup = Support.within_cap(g.a.csr, g.c, g.b, cols, np.ones(m, bool), np.zeros(n))
     if sup is None:
         return None
-    sigma = np.sqrt(sup.proj.lam[::-1])
+    sigma = np.sqrt(sup.lam[::-1])
     mu = lower_rate = None
     if sigma.size:
         s2 = sigma * sigma

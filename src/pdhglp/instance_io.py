@@ -52,20 +52,36 @@ def _require(doc, keys: Sequence[str], what: str) -> None:
         raise ValueError(f"{what} lacks the key(s) {', '.join(map(repr, missing))}")
 
 
+_NUMBERS = {int, float}
+
+
+def _entries(doc: dict, key: str, kinds: set[type], what: str) -> list:
+    """doc[key] if it is a JSON list of entries of the exact types kinds (a
+    boolean is no integer, 0.5 no index), else ValueError."""
+    v = doc[key]
+    if not isinstance(v, list) or not set(map(type, v)) <= kinds:
+        raise ValueError(f"instance JSON: {key!r} must be a list of {what}")
+    return v
+
+
 def _matrix_from_json(d: dict) -> SparseMatrix:
     _require(d, ("shape", "rows", "cols", "values"), "instance matrix 'a'")
-    m, n = d["shape"]
-    return SparseMatrix.from_triplets(m, n, d["rows"], d["cols"], d["values"])
+    shape, rows, cols = (
+        _entries(d, key, {int}, "integers") for key in ("shape", "rows", "cols")
+    )
+    if len(shape) != 2:
+        raise ValueError(f"instance JSON: 'shape' must hold 2 integers, got {shape}")
+    values = _entries(d, "values", _NUMBERS, "numbers")
+    return SparseMatrix.from_triplets(*shape, rows, cols, values)
 
 
 def _bounds_to_json(v: np.ndarray) -> list:
     return [None if not np.isfinite(x) else float(x) for x in v]
 
 
-def _bounds_from_json(entries: Sequence, sign: float) -> np.ndarray:
-    return np.array(
-        [sign * np.inf if x is None else float(x) for x in entries], dtype=np.float64
-    )
+def _bounds_from_json(doc: dict, key: str, sign: float) -> np.ndarray:
+    entries = _entries(doc, key, _NUMBERS | {type(None)}, "numbers or nulls")
+    return np.array([sign * np.inf if x is None else x for x in entries], float)
 
 
 def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
@@ -87,27 +103,31 @@ def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
 
 def problem_from_json(doc: dict) -> StandardFormLp | GeneralFormLp:
     """The problem an instance document describes; ValueError names a
-    document that is not an object, a bad form or a missing key.  A
-    general-form document's optional eq key marks its equality rows."""
+    document that is not an object, a bad form, a missing key or an entry
+    of the wrong JSON type.  A general-form document's optional eq key, a
+    list of booleans, marks its equality rows."""
     _require(doc, (), "instance JSON")
     form = doc.get("form")
     if form not in ("general", "standard"):
         raise ValueError(f"instance JSON needs form 'general' or 'standard', got {form!r}")
     bounds = ("l", "u") if form == "general" else ()
     _require(doc, ("c", "a", "b", *bounds), "instance JSON")
+    offset = doc.get("objective_offset", 0.0)
+    if isinstance(offset, bool) or not isinstance(offset, (int, float)):
+        raise ValueError("instance JSON: 'objective_offset' must be a number")
     common = dict(
-        c=np.asarray(doc["c"], dtype=np.float64),
+        c=_entries(doc, "c", _NUMBERS, "numbers"),
         a=_matrix_from_json(doc["a"]),
-        b=np.asarray(doc["b"], dtype=np.float64),
+        b=_entries(doc, "b", _NUMBERS, "numbers"),
         name=doc.get("name", ""),
-        objective_offset=float(doc.get("objective_offset", 0.0)),
+        objective_offset=float(offset),
     )
     if form == "standard":
         return StandardFormLp(**common)
     return GeneralFormLp(
-        l=_bounds_from_json(doc["l"], -1.0),
-        u=_bounds_from_json(doc["u"], +1.0),
-        eq=doc.get("eq"),
+        l=_bounds_from_json(doc, "l", -1.0),
+        u=_bounds_from_json(doc, "u", +1.0),
+        eq=None if doc.get("eq") is None else _entries(doc, "eq", {bool}, "booleans"),
         **common,
     )
 

@@ -1,4 +1,5 @@
-"""Sparse matrix kernels, step sizes, and the iteration norm.
+"""Sparse matrix kernels, step sizes, the iteration norm, and the support
+projector.
 
 Everything downstream (the solver, the certificate checks, the operator
 experiments) measures distances in the norm induced by
@@ -10,6 +11,9 @@ where A is the matrix of the general-form problem the PDHG step iterates
 (a standard-form problem's lowering has -A there).  M is positive definite
 exactly when eta * tau * ||A||_2^2 < 1, which is why step sizes and the
 operator norm estimate live here too.
+
+Support is the one place that decomposes a Gram matrix: pdhg.run polishes
+with it, and identify.affine_phase reads the post-freeze spectrum off it.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ __all__ = [
     "OperatorNormEstimate",
     "MNorm",
     "SolverError",
-    "SupportProjection",
+    "GRAM_MAX_ORDER",
+    "Support",
     "max0",
     "opnorm_estimate",
-    "support_projection",
 ]
 
 # Matrices with at most this many entries (m * n) are worked on dense: one
@@ -300,55 +304,61 @@ class MNorm:
         return np.sqrt(np.maximum(q, 0.0))
 
 
-@dataclass(slots=True)
-class SupportProjection:
-    """One Gram decomposition G = K K' = U diag(lam) U' of a support block K,
-    kept on G's numerical range, with the null-space projections of the
-    block's costs c and right-hand side b (see support_projection).
+# Support decomposes a Gram matrix only up to this order (Support.within_cap).
+# On one Xeon core numpy's eigh took 14 ms at order 300, 0.25 s at 1000 and
+# 1.7 s at 2000, and each dense copy of order 1000 holds 8 MB.
+GRAM_MAX_ORDER = 1000
 
-    onto_rows and onto_cols move any given point onto the block's affine
-    sets with products of K, K' and U only.
+
+class Support:
+    """The support of min c'x : A x >= b (= b on equality rows) on the
+    columns cols and rows rows (boolean masks), the other columns held at
+    x (x_fixed).  a, and so the block K = A_RF, is dense or scipy-sparse.
+
+    One eigh of G = K K' = U diag(lam) U', kept on its numerical range
+    (eigenvalues up to lam_max * max(K.shape) * machine epsilon are cut),
+    gives the displacement's direction, 0 off the support: -P_null(K) c_F
+    as d (dual side) and P_null(K') rhs as w (primal), rhs = b_R - A_RB x_B.
     """
 
-    k: object  # the block K, dense or scipy-sparse
-    u: np.ndarray
-    lam: np.ndarray
-    null_c: np.ndarray  # P_null(K) c
-    null_b: np.ndarray  # P_null(K') b
+    def __init__(self, a, c: np.ndarray, b: np.ndarray, cols, rows, x: np.ndarray):
+        a_r = a[rows]
+        self.cols, self.rows = cols, rows
+        self.x_fixed = np.where(cols, 0.0, x)
+        self.rhs = b[rows] - a_r @ self.x_fixed
+        self.k = k = a_r[:, cols]
+        self.c_f = c[cols]
+        g = k @ k.T
+        if sp.issparse(g):
+            g = g.toarray()
+        lam, u = np.linalg.eigh(g)
+        cut = lam[-1] * max(k.shape) * np.finfo(np.float64).eps if lam.size else 0.0
+        keep = lam > cut
+        self.lam, self.u = lam[keep], u[:, keep]
+        self.d = np.zeros(cols.size)
+        self.d[cols] = -(self.c_f - k.T @ self._g_pinv(k @ self.c_f))
+        self.w = np.zeros(rows.size)
+        self.w[rows] = self.rhs - self.u @ (self.u.T @ self.rhs)
+
+    @classmethod
+    def within_cap(cls, a, c, b, cols, rows, x) -> "Support | None":
+        """Support(a, c, b, cols, rows, x), or None, with nothing computed,
+        when the support has more than GRAM_MAX_ORDER rows."""
+        if np.count_nonzero(rows) > GRAM_MAX_ORDER:
+            return None
+        return cls(a, c, b, cols, rows, x)
 
     def _g_pinv(self, v: np.ndarray) -> np.ndarray:
         """G+ v."""
         return self.u @ ((self.u.T @ v) / self.lam)
 
-    def onto_rows(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """x + K'G+ (rhs - K x): the point nearest x with K x = rhs (with
-        K x the projection of rhs onto the range of K when rhs is not in
-        it)."""
-        return x + self.k.T @ self._g_pinv(rhs - self.k @ x)
-
-    def onto_cols(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """y + G+ K (c - K'y): the point nearest y with K'y = c (up to the
-        part of c off the range of K')."""
-        return y + self._g_pinv(self.k @ (c - self.k.T @ y))
-
-
-def support_projection(k, c: np.ndarray, b: np.ndarray) -> SupportProjection:
-    """The projector of a dense or scipy-sparse block K, for the block's
-    costs c and right-hand side b, from one eigendecomposition of G = K K'.
-
-    Eigenvalues up to lambda_max * max(K.shape) * machine epsilon count as
-    zero, so G+ is the pseudo-inverse on the numerical range of K.  Each
-    vector takes at most one product with K or K'; a sparse K stays sparse
-    and only G, of order K.shape[0], is made dense.
-    """
-    g = k @ k.T
-    if sp.issparse(g):
-        g = g.toarray()
-    lam, u = np.linalg.eigh(g)
-    cut = lam[-1] * max(k.shape) * np.finfo(np.float64).eps if lam.size else 0.0
-    keep = lam > cut
-    lam, u = lam[keep], u[:, keep]
-    w = u @ ((u.T @ (k @ c)) / lam)
-    return SupportProjection(
-        k=k, u=u, lam=lam, null_c=c - k.T @ w, null_b=b - u @ (u.T @ b)
-    )
+    def project(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) moved to the nearest point of {K x_F = rhs} and of
+        {K'y_R = c_F}, up to the parts off the ranges, with products of K,
+        K' and U only; off the support x is x_fixed and y is 0."""
+        k, cols, rows = self.k, self.cols, self.rows
+        x_p = self.x_fixed.copy()
+        x_p[cols] = x[cols] + k.T @ self._g_pinv(self.rhs - k @ x[cols])
+        y_p = np.zeros(rows.size)
+        y_p[rows] = y[rows] + self._g_pinv(k @ (self.c_f - k.T @ y[rows]))
+        return x_p, y_p

@@ -35,6 +35,7 @@ __all__ = [
     "ValidationReport",
     "StandardizationMap",
     "general_form",
+    "validate",
     "to_standard_form",
     "standard_to_general",
     "clip_to_dual_signs",
@@ -247,6 +248,8 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
         # PDHG has nothing to iterate on, and the scaling and the step
         # sizes are taken from A's rows.
         report.errors.append("the problem has no constraint rows")
+    if p.n == 0:
+        report.errors.append("the problem has no columns")
     _check_finite(report, "c", p.c)
     _check_finite(report, "b", p.b)
     _, _, vals = p.a.triplets()

@@ -84,12 +84,6 @@ class MpsDocument:
                 return r.name
         raise ValueError("document has no objective (N) row")
 
-    def column_order(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for col, _, _ in self.columns:
-            seen.setdefault(col)
-        return list(seen)
-
     def constraint_rows(self) -> list[MpsRow]:
         """Structural rows: everything except N rows."""
         return [r for r in self.rows if r.kind != "N"]
@@ -389,7 +383,7 @@ def to_general_form(doc: MpsDocument) -> GeneralFormLp:
     """
     obj_row = doc.objective_row
     col_names, row_names, values = list(zip(*doc.columns)) or [(), (), ()]
-    cols = list(dict.fromkeys(col_names))  # the order of doc.column_order()
+    cols = list(dict.fromkeys(col_names))  # in order of first appearance
     col_idx = {cname: i for i, cname in enumerate(cols)}
     n = len(cols)
 

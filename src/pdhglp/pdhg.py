@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from . import certificates as certs
 from . import exact, linalg
-from .linalg import MNorm, StepSizes, max0
+from .linalg import MNorm, StepSizes, Support, max0
 from .model import (
     GeneralFormLp,
     StandardFormLp,
@@ -67,10 +67,6 @@ __all__ = [
 
 # run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
 _DIVERGENCE_LIMIT = 1e50
-# run() projects on a support only when its Gram matrix has at most this
-# order.  On one Xeon core numpy's eigh took 14 ms at order 300, 0.25 s at
-# 1000 and 1.7 s at 2000, and each dense copy of order 1000 holds 8 MB.
-_GRAM_MAX_ORDER = 1000
 # Steps per block of the step loop (GeneralFormOperator._steps), so its buffers
 # never outgrow _BLOCK + 1 rows whatever the step count.  trajectory copies
 # rows out and PdhgState.advance adds them to the sums a block at a time,
@@ -523,75 +519,6 @@ def _witness_problem(p: GeneralFormLp, side: str) -> GeneralFormLp:
     return dataclasses.replace(p, b=np.zeros(p.m), l=l, u=u)
 
 
-class _Support:
-    """The support an active pattern names on the scaled problem ps, with
-    the projector of its block (see _support_point).
-
-    cols and rows are the support's columns and rows, rhs its right-hand
-    side, and x_fixed holds the bounded columns where the pattern puts
-    them.  d and w, the two null-space projections, are the SUPPORT
-    candidate's parts, 0 off the support.
-    """
-
-    def __init__(self, ps, proj, cols, rows, rhs, x_fixed):
-        self.ps, self.proj = ps, proj
-        self.cols, self.rows, self.rhs, self.x_fixed = cols, rows, rhs, x_fixed
-        self.d = np.zeros(ps.n)
-        self.d[cols] = -proj.null_c
-        self.w = np.zeros(ps.m)
-        self.w[rows] = proj.null_b
-
-    def project(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) moved onto the support's affine sets, off the support held
-        at the pattern's values: x_F onto {A_RF x_F = rhs} and y_R onto
-        {A_RF'y_R = c_F}, with y = 0 off R."""
-        ps, proj, cols, rows = self.ps, self.proj, self.cols, self.rows
-        x_p = self.x_fixed.copy()
-        x_p[cols] = proj.onto_rows(x[cols], self.rhs)
-        y_p = np.zeros(ps.m)
-        y_p[rows] = proj.onto_cols(y[rows], ps.c[cols])
-        return x_p, y_p
-
-
-def _moved_iterate(
-    support: _Support,
-    state: PdhgState,
-    scaling: DiagonalScaling,
-    products: certs.StateProducts,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The scaled iterate state moved onto support (_Support.project), as
-    (x, y, A x, A'y) in the original coordinates; products are the
-    original problem's (see DiagonalScaling.unscale_products)."""
-    x, y = support.project(state.x, state.y)
-    x, y = x * scaling.col, y * scaling.row
-    return x, y, products.matvec(x), products.rmatvec(y)
-
-
-def _support_point(
-    ps: GeneralFormLp, a, x: np.ndarray, pattern: np.ndarray
-) -> _Support | None:
-    """The support that pattern, the active pattern of an iterate with
-    primal part x, names on ps, projected once with
-    linalg.support_projection; a is ps's matrix, dense or CSR.  None, with
-    nothing computed, when the support has more than _GRAM_MAX_ORDER rows.
-
-    On the free columns F = {l < x < u} and the rows R (y > 0, and every
-    equality row), K = A_RF and the right-hand side is b_R - A_RB x_B with
-    the bounded columns B held where x has them; d_F = -P_null(K) c_F and
-    w_R = P_null(K') (b_R - A_RB x_B), the displacement's direction on each
-    side, so d is the dual-infeasibility candidate and w the primal one.
-    """
-    cols = pattern[: ps.n] == 0
-    rows = pattern[ps.n :] == 0
-    if np.count_nonzero(rows) > _GRAM_MAX_ORDER:
-        return None
-    a_r = a[rows]
-    x_fixed = np.where(cols, 0.0, x)
-    rhs = ps.b[rows] - a_r @ x_fixed
-    proj = linalg.support_projection(a_r[:, cols], ps.c[cols], rhs)
-    return _Support(ps, proj, cols, rows, rhs, x_fixed)
-
-
 def require_valid(p: StandardFormLp | GeneralFormLp) -> None:
     """Raise ValueError naming every error model.validate finds in p."""
     report = validate(p)
@@ -643,11 +570,12 @@ def run(
 
     A check whose active_pattern equals the previous check's, and which no
     earlier check of the run projected, also projects once on the support
-    that pattern names (see _support_point): one eigendecomposition of the
-    support's Gram matrix gives a fourth candidate, SUPPORT, and a
-    projector that moves the iterate onto the support's affine sets (see
-    _Support.project).  The moved iterate is the polished point.  A support
-    with more than _GRAM_MAX_ORDER rows is not projected.  The candidate is
+    that pattern names (linalg.Support of the entries coded 0): one
+    eigendecomposition of the support's Gram matrix gives a fourth
+    candidate, SUPPORT, and a projector that moves the iterate onto the
+    support's affine sets (Support.project).  The moved iterate is the
+    polished point.  Support.within_cap projects no support with more than
+    linalg.GRAM_MAX_ORDER rows.  The candidate is
     tested like the sequences and gets a trace row of its own; the polished
     point is returned as OPTIMAL (its x, y, r and kkt in the outcome, the
     iterate in outcome.state) only if kkt_residual on p is at most kkt_tol.
@@ -719,7 +647,8 @@ def run(
         if not changed and k > config.check_interval and key not in projected:
             # The pattern held since the last check and is new: project once.
             projected.add(key)
-            support = _support_point(ps, op.matrix, state.x, pattern)
+            cols, rows = pattern[: ps.n] == 0, pattern[ps.n :] == 0
+            support = Support.within_cap(op.matrix, ps.c, ps.b, cols, rows, state.x)
             if support is not None:
                 cands.append(
                     certs.candidate(
@@ -730,7 +659,9 @@ def run(
                         products,
                     )
                 )
-                moved = _moved_iterate(support, state, scaling, products)
+                x_m, y_m = support.project(state.x, state.y)
+                x_m, y_m = x_m * scaling.col, y_m * scaling.row
+                moved = (x_m, y_m, products.matvec(x_m), products.rmatvec(y_m))
 
         for cand in cands:
             prep = certs.check_primal_infeasibility(cand, p, config.eps)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdhglp import demos, pdhg
+from pdhglp import demos, linalg
 from pdhglp.exact import verify_certificate_exact
 from pdhglp.identify import (
     AffinePhase,
@@ -18,7 +18,7 @@ from pdhglp.identify import (
     shift_identity_residual,
     verify_rate_regimes,
 )
-from pdhglp.linalg import SparseMatrix, StepSizes, support_projection
+from pdhglp.linalg import SparseMatrix, StepSizes, Support
 from pdhglp.model import StandardFormLp, to_standard_form, validate
 from pdhglp.pdhg import make_operator
 
@@ -312,11 +312,12 @@ class TestAffinePhase:
         pts = _trajectory(p, steps, 2000)
         support = sorted(set(range(p.n)) - active_set(pts[-1][: p.n]))
         phase = affine_phase(p, steps, support)
-        a_s = p.a.to_dense()[:, support]
-        proj = support_projection(a_s, p.c[support], p.b)
-        v_x = np.zeros(p.n)
-        v_x[support] = -steps.eta * proj.null_c
-        want = np.concatenate([v_x, -steps.tau * proj.null_b])
+        # On the standard form's own A, b (not the lowering's -A, -b) and
+        # dense: w changes sign.
+        cols = np.isin(np.arange(p.n), support)
+        rows = np.ones(p.m, dtype=bool)
+        sup = Support(p.a.to_dense(), p.c, p.b, cols, rows, np.zeros(p.n))
+        want = np.concatenate([steps.eta * sup.d, -steps.tau * sup.w])
         np.testing.assert_allclose(phase.v_pred, want, rtol=0.0, atol=1e-10)
         assert np.any(want != 0.0)
 
@@ -330,8 +331,8 @@ class TestAffinePhase:
 
     def test_size_cap(self):
         # The cap is the support projector's: a Gram matrix of order
-        # pdhg._GRAM_MAX_ORDER + 1 is not decomposed.
-        m = pdhg._GRAM_MAX_ORDER + 1
+        # linalg.GRAM_MAX_ORDER + 1 is not decomposed.
+        m = linalg.GRAM_MAX_ORDER + 1
         p = StandardFormLp(
             c=np.zeros(1),
             a=SparseMatrix.from_triplets(m, 1, [0], [0], [1.0]),

@@ -306,6 +306,28 @@ _MALFORMED = {
 }
 
 
+def _matrix_with(**entries):
+    return dict(_GENERAL_DOC, a=dict(_GENERAL_DOC["a"], **entries))
+
+
+# Instance documents with an entry of the wrong JSON type, and the key the
+# error must name.  The first three solved a wrong problem with exit 0 (row
+# 0.5 read as row 0, "no" and 2 read as equality rows); the others raised a
+# TypeError.
+_MISTYPED = {
+    "row-index-half": (_matrix_with(rows=[0.5, 0]), "'rows'"),
+    "eq-string": (dict(_GENERAL_DOC, eq=["no"]), "'eq'"),
+    "eq-integer": (dict(_GENERAL_DOC, eq=[2]), "'eq'"),
+    "null-index": (_matrix_with(cols=[None, 1]), "'cols'"),
+    "null-offset": (dict(_GENERAL_DOC, objective_offset=None), "'objective_offset'"),
+    "shape-string": (_matrix_with(shape="12"), "'shape'"),
+    "shape-floats": (_matrix_with(shape=[1.0, 2.0]), "'shape'"),
+}
+
+# One G row and an empty COLUMNS section: a problem without columns.
+_NO_COLUMNS_MPS = "NAME T\nROWS\n N C\n G R1\nCOLUMNS\nRHS\n RHS R1 1.0\nENDATA\n"
+
+
 class TestCliSolve:
     def test_optimal_demo(self, capsys):
         code = cli.main(["solve", "--demo", "std-feasible"])
@@ -418,6 +440,36 @@ class TestCliSolve:
         code = cli.main([command, str(path)])
         assert code == cli.EXIT_PARSE
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_MISTYPED))
+    def test_mistyped_instance_json_is_a_parse_error(self, case, tmp_path, capsys):
+        doc, named = _MISTYPED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["solve", str(path)])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out.out == ""
+        assert out.err.startswith("error: ") and named in out.err
+
+    def test_null_eq_means_no_equality_rows(self, tmp_path):
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(dict(_GENERAL_DOC, eq=None)))
+        assert not load_problem(path).eq.any()
+
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_problem_without_columns_is_refused(self, command, tmp_path, capsys):
+        path = tmp_path / "nocols.mps"
+        path.write_text(_NO_COLUMNS_MPS)
+        code = cli.main([command, str(path)])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out.out == ""
+        assert out.err == "error: invalid problem: the problem has no columns\n"
+
+    def test_oracle_classifies_a_problem_without_columns(self, tmp_path, capsys):
+        path = tmp_path / "nocols.mps"
+        path.write_text(_NO_COLUMNS_MPS)
+        assert cli.main(["oracle", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "primal_infeasible\n"
 
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL

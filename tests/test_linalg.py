@@ -10,8 +10,8 @@ from pdhglp.linalg import (
     MNorm,
     SparseMatrix,
     StepSizes,
+    Support,
     opnorm_estimate,
-    support_projection,
 )
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
@@ -197,7 +197,14 @@ class TestMNorm:
         )
 
 
-class TestSupportProjection:
+def _whole_block(k, c, b, sparse):
+    """The Support of every column and row of K, nothing held."""
+    m, n = k.shape
+    a = sp.csr_matrix(k) if sparse else k
+    return Support(a, c, b, np.ones(n, dtype=bool), np.ones(m, dtype=bool), np.zeros(n))
+
+
+class TestSupport:
     @pytest.mark.parametrize("shape,rank", [((4, 7), 4), ((6, 5), 5), ((5, 8), 3)])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
     def test_against_pinv(self, shape, rank, sparse):
@@ -205,14 +212,15 @@ class TestSupportProjection:
         k = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
         c = rng.standard_normal(shape[1])
         b = rng.standard_normal(shape[0])
-        proj = support_projection(sp.csr_matrix(k) if sparse else k, c, b)
+        sup = _whole_block(k, c, b, sparse)
         pinv = np.linalg.pinv(k)
-        np.testing.assert_allclose(proj.null_c, c - pinv @ (k @ c), atol=1e-10)
-        np.testing.assert_allclose(proj.null_b, b - k @ (pinv @ b), atol=1e-10)
-        np.testing.assert_allclose(proj.onto_rows(0.0 * c, b), pinv @ b, atol=1e-10)
-        np.testing.assert_allclose(proj.onto_cols(0.0 * b, c), pinv.T @ c, atol=1e-10)
-        np.testing.assert_allclose(k @ proj.null_c, 0.0, atol=1e-10)
-        np.testing.assert_allclose(k.T @ proj.null_b, 0.0, atol=1e-10)
+        np.testing.assert_allclose(-sup.d, c - pinv @ (k @ c), atol=1e-10)
+        np.testing.assert_allclose(sup.w, b - k @ (pinv @ b), atol=1e-10)
+        x_p, y_p = sup.project(0.0 * c, 0.0 * b)
+        np.testing.assert_allclose(x_p, pinv @ b, atol=1e-10)
+        np.testing.assert_allclose(y_p, pinv.T @ c, atol=1e-10)
+        np.testing.assert_allclose(k @ sup.d, 0.0, atol=1e-10)
+        np.testing.assert_allclose(k.T @ sup.w, 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("shape,rank", [((4, 7), 4), ((5, 8), 3)])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
@@ -224,9 +232,9 @@ class TestSupportProjection:
         rhs = k @ rng.standard_normal(shape[1])
         c = k.T @ rng.standard_normal(shape[0])
         x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
-        proj = support_projection(sp.csr_matrix(k) if sparse else k, c, rhs)
+        sup = _whole_block(k, c, rhs, sparse)
         pinv = np.linalg.pinv(k)
-        x_p, y_p = proj.onto_rows(x, rhs), proj.onto_cols(y, c)
+        x_p, y_p = sup.project(x, y)
         np.testing.assert_allclose(k @ x_p, rhs, atol=1e-10)
         np.testing.assert_allclose(k.T @ y_p, c, atol=1e-10)
         np.testing.assert_allclose(x_p, x + pinv @ (rhs - k @ x), atol=1e-10)
@@ -236,8 +244,33 @@ class TestSupportProjection:
     def test_empty_and_zero_blocks(self, shape):
         k = np.zeros(shape)
         c, b = np.arange(shape[1]) + 1.0, np.arange(shape[0]) + 1.0
-        proj = support_projection(k, c, b)
-        np.testing.assert_array_equal(proj.null_c, c)
-        np.testing.assert_array_equal(proj.null_b, b)
-        np.testing.assert_array_equal(proj.onto_rows(c, b), c)
-        np.testing.assert_array_equal(proj.onto_cols(b, c), b)
+        sup = _whole_block(k, c, b, sparse=False)
+        np.testing.assert_array_equal(sup.d, -c)
+        np.testing.assert_array_equal(sup.w, b)
+        x_p, y_p = sup.project(c, b)
+        np.testing.assert_array_equal(x_p, c)
+        np.testing.assert_array_equal(y_p, b)
+
+    def test_held_columns_and_rows_off_the_support(self):
+        # Off the support x keeps the held values and y and both directions
+        # are 0; the held columns move the right-hand side.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 6))
+        c, b, x = rng.standard_normal(6), rng.standard_normal(4), rng.standard_normal(6)
+        cols = np.array([True, False, True, True, False, True])
+        rows = np.array([True, True, False, True])
+        sup = Support(a, c, b, cols, rows, x)
+        np.testing.assert_array_equal(sup.rhs, b[rows] - a[rows] @ np.where(cols, 0.0, x))
+        x_p, y_p = sup.project(rng.standard_normal(6), rng.standard_normal(4))
+        np.testing.assert_array_equal(x_p[~cols], x[~cols])
+        assert not y_p[~rows].any() and not sup.d[~cols].any() and not sup.w[~rows].any()
+        np.testing.assert_allclose(a[rows][:, cols] @ x_p[cols], sup.rhs, atol=1e-10)
+
+    def test_cap(self, monkeypatch):
+        # Up to the cap the support is built; past it None, with no eigh.
+        monkeypatch.setattr(linalg, "GRAM_MAX_ORDER", 3)
+        args = (np.ones((4, 2)), np.zeros(2), np.zeros(4), np.ones(2, dtype=bool))
+        rows = np.array([True, True, True, False])
+        assert Support.within_cap(*args, rows, np.zeros(2)) is not None
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert Support.within_cap(*args, np.ones(4, dtype=bool), np.zeros(2)) is None

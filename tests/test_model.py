@@ -163,6 +163,16 @@ class TestValidate:
         assert rep.ok
         assert rep.warnings
 
+    @pytest.mark.parametrize("form", ["standard", "general"])
+    def test_no_columns_rejected(self, form):
+        a = SparseMatrix.from_triplets(1, 0, [], [], [])
+        common = dict(c=np.zeros(0), a=a, b=np.ones(1))
+        if form == "standard":
+            p = StandardFormLp(**common)
+        else:
+            p = GeneralFormLp(l=np.zeros(0), u=np.zeros(0), **common)
+        assert validate(p).errors == ["the problem has no columns"]
+
     def test_fixed_variable_ok(self):
         p = general_box_lp()
         p = dataclasses.replace(

@@ -219,7 +219,7 @@ def reference_to_general_form(doc: MpsDocument) -> GeneralFormLp:
     entry of the objective row is the negated objective constant.
     """
     obj_row = doc.objective_row
-    cols = doc.column_order()
+    cols = list(dict.fromkeys(c for c, _, _ in doc.columns))
     col_idx = {cname: i for i, cname in enumerate(cols)}
     n = len(cols)
 
@@ -344,7 +344,7 @@ def texts(draw, doc: MpsDocument) -> str:
 
     spaced = {
         c: c[:1] + " " + c[1:]
-        for c in doc.column_order()
+        for c in dict.fromkeys(name for name, _, _ in doc.columns)
         if len(c) <= 7 and draw(st.integers(0, 3)) == 0
     }
     put(f"NAME {doc.name}")

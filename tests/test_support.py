@@ -107,8 +107,8 @@ def test_failed_polish_is_not_returned(monkeypatch):
         x_p, y_p = project(support, x, y)
         return x_p + 1.0, y_p
 
-    project = pdhg._Support.project
-    monkeypatch.setattr(pdhg._Support, "project", far_off)
+    project = linalg.Support.project
+    monkeypatch.setattr(linalg.Support, "project", far_off)
     out = run(demos.std_feasible(), PdhgConfig(check_interval=20))
     assert out.status is SolveStatus.OPTIMAL and not _polished(out)
     assert out.iterations > 40
@@ -274,14 +274,17 @@ def test_one_eigh_per_projected_pattern(monkeypatch):
 
 
 def test_one_projection_per_settled_pattern(monkeypatch):
+    # A support is its columns, its rows and where the other columns are
+    # held, which tells a column at its lower bound from one at its upper.
     patterns = []
-    support_point = pdhg._support_point
+    within_cap = linalg.Support.within_cap
 
-    def recorded(ps, a, x, pattern):
-        patterns.append(pattern.tobytes())
-        return support_point(ps, a, x, pattern)
+    def recorded(a, c, b, cols, rows, x):
+        held = np.where(cols, 0.0, x)
+        patterns.append((cols.tobytes(), rows.tobytes(), held.tobytes()))
+        return within_cap(a, c, b, cols, rows, x)
 
-    monkeypatch.setattr(pdhg, "_support_point", recorded)
+    monkeypatch.setattr(linalg.Support, "within_cap", recorded)
     cfg = PdhgConfig(max_iters=2000, eps=1e-300, kkt_tol=1e-300, check_interval=20)
     for p in (demos.example1(0.0, 1.0), demos.std_both_infeasible()):
         patterns.clear()
@@ -296,7 +299,7 @@ def test_no_projection_past_the_gram_limit(general):
     # keep the run going past checks whose pattern held, where a smaller
     # support would be projected.
     p = demos.std_both_infeasible()
-    copies = pdhg._GRAM_MAX_ORDER // p.m + 1
+    copies = linalg.GRAM_MAX_ORDER // p.m + 1
     p = demos.block_copies(standard_to_general(p) if general else p, copies)
     out = run(p, PdhgConfig(max_iters=200, eps=1e-300, kkt_tol=1e-300))
     assert any(t.k > 40 and not t.active_changed for t in out.trace)
