@@ -1,13 +1,15 @@
 """Exact rational feasibility oracle for desk-scale LPs.
 
-Everything here runs in Fraction arithmetic: Fourier-Motzkin elimination
-with multiplier tracking decides feasibility of a system a_i'x <= b_i and
-produces either an exact witness or exact Farkas multipliers (lambda >= 0
-with lambda'A = 0 and lambda'b < 0).  On top of that sit a four-cell
-classifier (primal/dual feasibility of an LP), an exact optimal value via
-epigraph projection, exact verification of floating-point certificates,
-and an exact repair that turns an eps-accurate certificate into an integer
-one that passes that verification.
+Every system here is a list of rows a_i'x <= b_i, each stored by its
+nonzero entries as coprime integers and a right-hand side that is a
+Fraction (ExactLp).  Fourier-Motzkin elimination with multiplier tracking
+combines such rows in integer arithmetic and decides feasibility of the
+system, producing either an exact witness or exact Farkas multipliers
+(lambda >= 0 with lambda'A = 0 and lambda'b < 0).  On top of that sit a
+four-cell classifier (primal/dual feasibility of an LP), an exact optimal
+value via epigraph projection, exact verification of floating-point
+certificates, and an exact repair that turns an eps-accurate certificate
+into an integer one that passes that verification.
 
 The certificate conditions are stated once, as the oracle's systems: a
 primal-infeasibility certificate is a ray of the dual feasible set
@@ -17,7 +19,9 @@ that system, its rows with the right-hand side dropped, plus one
 certificate objective, and the repair takes its tight rows from the same
 list, keeping opposite pairs of rows as equalities.
 
-Every entry point takes either LP form and works on model.general_form(p).
+Every entry point takes either LP form and works on model.general_form(p),
+whose systems are built from the CSR rows of A and A'.  Entries of c, b
+and A must be finite and the bounds not NaN (an infinite bound means none).
 
 Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
 MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
@@ -57,34 +61,45 @@ __all__ = [
 MAX_VARIABLES = 12
 MAX_CONSTRAINTS = 60
 _MAX_INTERMEDIATE_ROWS = 50_000
-_ZERO = Fraction(0)
+
+# A row by its nonzero entries, {column: coefficient}.
+_SparseRow = dict[int, int]
 
 
-def _frac(x) -> Fraction:
-    # Fraction(float) is exact for the stored binary value.  Zero floats
-    # share one object and other integral ones go through int, Fraction's
-    # fast path.
-    if isinstance(x, float):
-        if not x:
-            return _ZERO
-        return Fraction(int(x)) if x.is_integer() else Fraction(x)
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _ratio(v) -> tuple[int, int]:
+    """v exactly, as a numerator and a denominator that are Python integers
+    (numpy's integers overflow)."""
+    return (v.item() if isinstance(v, np.generic) else v).as_integer_ratio()
+
+
+def _integer_row(cols: Sequence[int], vals: Sequence) -> tuple[_SparseRow, Fraction]:
+    """The row with the values vals in the columns cols, scaled by a
+    positive rational to coprime integers, and that factor."""
+    nz = [(j, *_ratio(v)) for j, v in zip(cols, vals) if v]
+    den = math.lcm(*(d for _, _, d in nz))
+    ints = {j: num * (den // d) for j, num, d in nz}
+    g = math.gcd(*ints.values()) or 1
+    return {j: c // g for j, c in ints.items()}, Fraction(den, g)
 
 
 @dataclass
 class ExactLp:
-    """Inequality system a_i'x <= b_i over the rationals."""
+    """Inequality system a_i'x <= b_i over the rationals.
+
+    rows[i] holds a_i by its nonzero entries, scaled by a positive rational
+    to coprime integers, and rhs[i] is b_i scaled by the same factor.  The
+    factor depends on a_i alone, so a row and its negation (add_eq, or both
+    bounds of a variable) are stored as exact negatives of each other.
+    """
 
     n: int
-    rows: list[list[Fraction]] = field(default_factory=list)
+    rows: list[_SparseRow] = field(default_factory=list)
     rhs: list[Fraction] = field(default_factory=list)
 
     def add_le(self, coeffs: Sequence, b) -> None:
-        row = [_frac(v) for v in coeffs]
-        if len(row) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(row)}")
-        self.rows.append(row)
-        self.rhs.append(_frac(b))
+        if len(coeffs) != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
+        self._add(_integer_row(range(self.n), coeffs), b)
 
     def add_ge(self, coeffs: Sequence, b) -> None:
         self.add_le([-v for v in coeffs], -b)
@@ -92,6 +107,12 @@ class ExactLp:
     def add_eq(self, coeffs: Sequence, b) -> None:
         self.add_le(coeffs, b)
         self.add_ge(coeffs, b)
+
+    def _add(self, scaled: tuple[_SparseRow, Fraction], b, sign: int = 1) -> None:
+        """Store sign * a'x <= sign * b for a row scaled by _integer_row."""
+        row, factor = scaled
+        self.rows.append(row if sign > 0 else {j: -c for j, c in row.items()})
+        self.rhs.append(sign * factor * Fraction(*_ratio(b)))
 
     @property
     def m(self) -> int:
@@ -102,55 +123,50 @@ class ExactLp:
 class FeasibilityResult:
     feasible: bool
     witness: list[Fraction] | None = None
-    farkas: list[Fraction] | None = None
+    farkas: list[int] | None = None
 
 
 class _Row:
-    __slots__ = ("a", "b", "lam", "anc")
+    __slots__ = ("a", "b", "lam")
 
-    def __init__(
-        self,
-        a: list[Fraction],
-        b: Fraction,
-        lam: list[Fraction],
-        anc: frozenset[int],
-    ):
+    def __init__(self, a: _SparseRow, b: Fraction, lam: _SparseRow):
         self.a = a
         self.b = b
-        self.lam = lam
-        self.anc = anc  # original rows this one combines
+        self.lam = lam  # positive multipliers of the original rows it combines
 
 
-def _canonical_key(a: list[Fraction]) -> tuple | None:
-    """Scale so the first nonzero coefficient is +-1; None for a zero row."""
-    for v in a:
-        if v != 0:
-            s = abs(v)
-            return tuple(x / s for x in a)
-    return None
+def _combine(p: _SparseRow, sp: int, q: _SparseRow, sq: int) -> _SparseRow:
+    """p * sp + q * sq by its nonzero entries."""
+    out = {t: c * sp for t, c in p.items()}
+    for t, c in q.items():
+        out[t] = out.get(t, 0) + c * sq
+    return {t: c for t, c in out.items() if c}
 
 
 def _fm_scan(rs: list[_Row]):
     """Drop tautologies and dominated parallel rows; spot contradictions.
 
-    A parallel row is dropped only when some kept row is at least as tight
-    AND combines a subset of its ancestors.  Tightness alone is not enough:
-    the ancestor-count pruning consults ancestries, and swapping a
+    Parallel rows have the same coefficients once each row is divided by
+    their gcd, and they are compared by their right-hand sides divided by
+    it.  A parallel row is dropped only when some kept row is at least as
+    tight AND combines a subset of its ancestors.  Tightness alone is not
+    enough: the ancestor-count pruning consults ancestries, and swapping a
     narrow-ancestry row for a tighter wide-ancestry one can starve it of
     the combination that exposes a contradiction.
     """
-    groups: dict[tuple, list[tuple[Fraction, _Row]]] = {}
+    groups: dict[frozenset, list[tuple[Fraction, _Row]]] = {}
     for r in rs:
-        key = _canonical_key(r.a)
-        if key is None:
+        if not r.a:
             if r.b < 0:
                 return None, r
             continue
-        rb = r.b / abs(next(v for v in r.a if v != 0))
-        kept = groups.setdefault(key, [])
-        if any(sb <= rb and s.anc <= r.anc for sb, s in kept):
+        g = math.gcd(*r.a.values())
+        rb = r.b / g
+        kept = groups.setdefault(frozenset((t, c // g) for t, c in r.a.items()), [])
+        anc = r.lam.keys()
+        if any(sb <= rb and s.lam.keys() <= anc for sb, s in kept):
             continue
-        kept[:] = [(sb, s) for sb, s in kept if not (rb <= sb and r.anc <= s.anc)]
+        kept[:] = [(sb, s) for sb, s in kept if not (rb <= sb and anc <= s.lam.keys())]
         kept.append((rb, r))
     rows = [s for g in groups.values() for _, s in g]
     return rows, None
@@ -161,16 +177,18 @@ def _fm_eliminate(sys: ExactLp, targets: list[int]):
 
     bad is a contradictory row (0'x <= negative) when one appears, with its
     Farkas multipliers; stages records the pre-elimination rows per variable
-    for witness back-substitution.  Rows combining more original rows than
-    eliminations-plus-one are redundant (Imbert's criterion) and dropped,
-    which keeps the double-exponential growth in check at oracle scale.
+    for witness back-substitution.  Eliminating x_j from rows p (p_j > 0)
+    and q (q_j < 0) gives the integer row p * (-q_j) + q * p_j, multipliers
+    included, divided by the gcd of its coefficients and multipliers.  Rows
+    combining more original rows than eliminations-plus-one are redundant
+    (Imbert's criterion) and dropped, which keeps the double-exponential
+    growth in check at oracle scale.
     """
-    m = sys.m
-    rows: list[_Row] = []
-    for i in range(m):
-        lam = [Fraction(0)] * m
-        lam[i] = Fraction(1)
-        rows.append(_Row(list(sys.rows[i]), sys.rhs[i], lam, frozenset((i,))))
+    if sys.n > MAX_VARIABLES + 1:
+        raise ValueError(f"too many variables for the exact oracle: {sys.n}")
+    if sys.m > 3 * MAX_CONSTRAINTS + 2 * MAX_VARIABLES + 1:
+        raise ValueError(f"too many constraints for the exact oracle: {sys.m}")
+    rows = [_Row(a, b, {i: 1}) for i, (a, b) in enumerate(zip(sys.rows, sys.rhs))]
 
     stages: list[tuple[int, list[_Row]]] = []
     rows, bad = _fm_scan(rows)
@@ -182,8 +200,8 @@ def _fm_eliminate(sys: ExactLp, targets: list[int]):
     while remaining:
         # Cheapest elimination first: fewest pairwise products.
         def cost(j: int) -> tuple[int, int]:
-            p = sum(1 for r in rows if r.a[j] > 0)
-            q = sum(1 for r in rows if r.a[j] < 0)
+            p = sum(1 for r in rows if r.a.get(j, 0) > 0)
+            q = sum(1 for r in rows if r.a.get(j, 0) < 0)
             return (p * q, j)
 
         j = min(remaining, key=cost)
@@ -191,19 +209,20 @@ def _fm_eliminate(sys: ExactLp, targets: list[int]):
         stages.append((j, rows))
         eliminated += 1
 
-        pos = [r for r in rows if r.a[j] > 0]
-        neg = [r for r in rows if r.a[j] < 0]
-        new_rows = [r for r in rows if r.a[j] == 0]
+        pos = [r for r in rows if r.a.get(j, 0) > 0]
+        neg = [r for r in rows if r.a.get(j, 0) < 0]
+        new_rows = [r for r in rows if j not in r.a]
         max_anc = eliminated + 1
         for rp, rn in itertools.product(pos, neg):
-            anc = rp.anc | rn.anc
-            if len(anc) > max_anc:
+            if len(rp.lam.keys() | rn.lam.keys()) > max_anc:
                 continue
             sp, sn = rp.a[j], -rn.a[j]
-            a = [rp.a[t] / sp + rn.a[t] / sn for t in range(sys.n)]
-            b = rp.b / sp + rn.b / sn
-            lam = [rp.lam[t] / sp + rn.lam[t] / sn for t in range(m)]
-            new_rows.append(_Row(a, b, lam, anc))
+            a = _combine(rp.a, sn, rn.a, sp)
+            lam = _combine(rp.lam, sn, rn.lam, sp)
+            g = math.gcd(*a.values(), *lam.values())
+            a = {t: c // g for t, c in a.items()}
+            lam = {i: c // g for i, c in lam.items()}
+            new_rows.append(_Row(a, (rp.b * sn + rn.b * sp) / g, lam))
         if len(new_rows) > _MAX_INTERMEDIATE_ROWS:
             raise RuntimeError("elimination produced too many rows")
         rows, bad = _fm_scan(new_rows)
@@ -215,25 +234,22 @@ def _fm_eliminate(sys: ExactLp, targets: list[int]):
 def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
     """Decide a'x <= b exactly.
 
-    When infeasible, farkas holds multipliers over the stored rows in order
-    (note add_ge/add_eq store negated/<=-split rows, so multipliers refer to
-    those).
+    When infeasible, farkas holds integer multipliers over the rows as
+    stored, in order: scaled to coprime integers, and negated or split by
+    add_ge/add_eq.
     """
-    if sys.n > MAX_VARIABLES + 1:
-        raise ValueError(f"too many variables for the exact oracle: {sys.n}")
-    if sys.m > 3 * MAX_CONSTRAINTS + 2 * MAX_VARIABLES + 1:
-        raise ValueError(f"too many constraints for the exact oracle: {sys.m}")
-
     rows, bad, stages = _fm_eliminate(sys, list(range(sys.n)))
     if bad is not None:
         # Self-check: lam >= 0, lam'A = 0, lam'b < 0 must hold exactly.
-        lam = bad.lam
+        lam = [bad.lam.get(i, 0) for i in range(sys.m)]
         if any(v < 0 for v in lam):
             raise RuntimeError("negative Farkas multiplier")
-        for t in range(sys.n):
-            if sum(lam[i] * sys.rows[i][t] for i in range(sys.m)) != 0:
-                raise RuntimeError("Farkas multipliers do not cancel the rows")
-        if not sum(lam[i] * sys.rhs[i] for i in range(sys.m)) < 0:
+        total: _SparseRow = {}
+        for li, row in zip(lam, sys.rows):
+            total = _combine(total, 1, row, li)
+        if total:
+            raise RuntimeError("Farkas multipliers do not cancel the rows")
+        if not sum(li * b for li, b in zip(lam, sys.rhs)) < 0:
             raise RuntimeError("Farkas multipliers do not certify infeasibility")
         return FeasibilityResult(False, farkas=lam)
 
@@ -243,12 +259,10 @@ def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
         lo: Fraction | None = None
         hi: Fraction | None = None
         for r in stage_rows:
-            if r.a[j] == 0:
+            if j not in r.a:
                 continue
-            rest = r.b - sum(
-                r.a[t] * witness[t] for t in range(sys.n) if t != j and r.a[t] != 0
-            )
-            bound = rest / r.a[j]
+            # witness[j] is still 0, so the dot product leaves it out.
+            bound = (r.b - _dot(r.a, witness)) / r.a[j]
             if r.a[j] > 0:
                 hi = bound if hi is None else min(hi, bound)
             else:
@@ -260,25 +274,43 @@ def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
         elif hi is not None:
             witness[j] = hi
     for row, rhs in zip(sys.rows, sys.rhs):
-        if sum(rv * wv for rv, wv in zip(row, witness) if rv != 0) > rhs:
+        if _dot(row, witness) > rhs:
             raise RuntimeError("back-substituted witness violates the system")
     return FeasibilityResult(True, witness=witness)
 
 
+def _oracle_form(p: StandardFormLp | GeneralFormLp) -> GeneralFormLp:
+    """general_form(p), or ValueError naming a vector with an entry that is
+    no rational: a non-finite entry of c, b or A, or a NaN bound."""
+    p = general_form(p)
+    for name, v in (("c", p.c), ("b", p.b), ("A", p.a.csr.data)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"the exact oracle needs finite entries in {name}")
+    for name, v in (("l", p.l), ("u", p.u)):
+        if np.isnan(v).any():
+            raise ValueError(f"the exact oracle needs bounds {name} without NaN")
+    return p
+
+
+def _csr_rows(mat) -> list[tuple[list[int], list[float]]]:
+    """The rows of a scipy CSR matrix as (columns, values) lists."""
+    ptr, cols, vals = mat.indptr.tolist(), mat.indices.tolist(), mat.data.tolist()
+    return [(cols[s:e], vals[s:e]) for s, e in zip(ptr, ptr[1:])]
+
+
 def _primal_system(p: GeneralFormLp) -> ExactLp:
     """The primal feasible set: A x >= b (and <= b on equality rows), l <= x <= u."""
-    a = p.a.to_dense().tolist()
     sys = ExactLp(p.n)
-    for r in range(p.m):
-        sys.add_ge(a[r], p.b[r])
-        if p.eq[r]:
-            sys.add_le(a[r], p.b[r])
-    for i in range(p.n):
-        e = [float(j == i) for j in range(p.n)]
-        if np.isfinite(p.l[i]):
-            sys.add_ge(e, p.l[i])
-        if np.isfinite(p.u[i]):
-            sys.add_le(e, p.u[i])
+    for (cols, vals), b, eq in zip(_csr_rows(p.a.csr), p.b.tolist(), p.eq.tolist()):
+        row = _integer_row(cols, vals)
+        sys._add(row, b, -1)
+        if eq:
+            sys._add(row, b)
+    for i, (l, u) in enumerate(zip(p.l.tolist(), p.u.tolist())):
+        if math.isfinite(l):
+            sys._add(({i: 1}, 1), l, -1)
+        if math.isfinite(u):
+            sys._add(({i: 1}, 1), u)
     return sys
 
 
@@ -286,19 +318,20 @@ def _dual_system(p: GeneralFormLp) -> ExactLp:
     """The dual feasible set in the iteration's sign convention: y >= 0 on
     the inequality rows, with the sign of r = c - A'y that each bound kind
     allows (A'y + c >= 0 on a standard-form lowering)."""
-    at = p.a.to_dense().T.tolist()
     sys = ExactLp(p.m)
     masks = p.masks
-    for r in np.flatnonzero(~p.eq):
-        sys.add_ge([float(j == r) for j in range(p.m)], 0)
-    for i in range(p.n):
-        if masks.free[i]:
-            sys.add_eq(at[i], p.c[i])
-        elif masks.lower[i]:
-            sys.add_le(at[i], p.c[i])
-        elif masks.upper[i]:
-            sys.add_ge(at[i], p.c[i])
-        # boxed: r_i unrestricted, no constraint
+    for r in np.flatnonzero(~p.eq).tolist():
+        sys._add(({r: 1}, 1), 0, -1)
+    # r_i >= 0 (A'y <= c) on free and lower-bounded columns, r_i <= 0
+    # (A'y >= c) on free and upper-bounded ones; boxed: r_i unrestricted.
+    le = (masks.free | masks.lower).tolist()
+    ge = (masks.free | masks.upper).tolist()
+    for i, (rows, vals) in enumerate(_csr_rows(p.a.transposed_csr())):
+        col = _integer_row(rows, vals)
+        if le[i]:
+            sys._add(col, p.c[i])
+        if ge[i]:
+            sys._add(col, p.c[i], -1)
     return sys
 
 
@@ -320,7 +353,7 @@ class LpClassification:
 
 def classify_lp(p: StandardFormLp | GeneralFormLp) -> LpClassification:
     """Exact feasibility of the problem and its dual; one of four cells."""
-    p = general_form(p)
+    p = _oracle_form(p)
     primal = decide_feasibility(_primal_system(p))
     dual = decide_feasibility(_dual_system(p))
     return LpClassification(primal.feasible, dual.feasible)
@@ -334,39 +367,22 @@ class ExactOptimum:
 
 def exact_optimum(p: StandardFormLp | GeneralFormLp) -> ExactOptimum:
     """Exact optimal value by projecting the epigraph onto the t axis."""
-    p = general_form(p)
+    p = _oracle_form(p)
+    t = p.n
+    sys = ExactLp(t + 1)
+    sys.add_le([*p.c, -1], 0)  # c'x <= t
     base = _primal_system(p)
-    n = p.n
-    sys = ExactLp(n + 1)
-    row = [_frac(v) for v in p.c] + [Fraction(-1)]
-    sys.add_le(row, 0)  # c'x <= t
-    for a, b in zip(base.rows, base.rhs):
-        sys.add_le(list(a) + [Fraction(0)], b)
-    res = decide_feasibility(sys)
-    if not res.feasible:
-        return ExactOptimum("infeasible")
-    # Project out the original variables; what survives bounds t alone, and
-    # the tightest lower bound is the optimal value.
-    rows: list[tuple[Fraction, Fraction]] = _project_last(sys, n)
-    lo: Fraction | None = None
-    for coef, b in rows:
-        if coef < 0:
-            cand = b / coef
-            lo = cand if lo is None else max(lo, cand)
-    if lo is None:
-        return ExactOptimum("unbounded")
-    offset = _frac(p.objective_offset)
-    return ExactOptimum("optimal", lo + offset)
-
-
-def _project_last(sys: ExactLp, n_eliminate: int) -> list[tuple[Fraction, Fraction]]:
-    """Eliminate the first n_eliminate variables, return rows on the last one."""
-    rows, bad, _ = _fm_eliminate(sys, list(range(n_eliminate)))
+    sys.rows += base.rows
+    sys.rhs += base.rhs
+    rows, bad, _ = _fm_eliminate(sys, list(range(t)))
     if bad is not None:
-        # Callers establish feasibility before projecting.
-        raise RuntimeError("projection of an infeasible system")
-    t = sys.n - 1
-    return [(r.a[t], r.b) for r in rows if r.a[t] != 0]
+        return ExactOptimum("infeasible")
+    # What survives bounds t alone.  c'x <= t is the one row in t, so each
+    # such row is a lower bound on t, and the tightest is the optimal value.
+    lows = [r.b / r.a[t] for r in rows if t in r.a]
+    if not lows:
+        return ExactOptimum("unbounded")
+    return ExactOptimum("optimal", max(lows) + Fraction(p.objective_offset))
 
 
 def exactify_vector(
@@ -397,27 +413,17 @@ class ExactCheck:
     reasons: tuple[str, ...] = ()
 
 
-_SparseRow = dict[int, int]
-
-
 def _cone_rows(p: GeneralFormLp, side: str) -> list[_SparseRow]:
     """The rows g with g'v <= 0 on every certificate v of the side.
 
     A "primal" certificate (of primal infeasibility) is a ray y of the dual
     feasible set and a "dual" one a ray d of the primal feasible set, so
     these are the rows of _dual_system or _primal_system with the
-    right-hand side dropped.  Each is scaled to integers by the lcm of its
-    denominators, which keeps every sign, and stored by its nonzero
-    entries.  A row whose negation is also a row makes an equality: A'y = 0
-    on free columns, Ad = 0 on equality rows, d = 0 on boxed variables.
+    right-hand side dropped.  A row whose negation is also a row makes an
+    equality: A'y = 0 on free columns, Ad = 0 on equality rows, d = 0 on
+    boxed variables.
     """
-    sys = _dual_system(p) if side == "primal" else _primal_system(p)
-    rows = []
-    for row in sys.rows:
-        nz = [(j, c.numerator, c.denominator) for j, c in enumerate(row) if c]
-        den = math.lcm(*(d for _, _, d in nz))
-        rows.append({j: num * (den // d) for j, num, d in nz})
-    return rows
+    return (_dual_system(p) if side == "primal" else _primal_system(p)).rows
 
 
 def _check_side(vec: np.ndarray, p: StandardFormLp | GeneralFormLp, side: str) -> None:
@@ -430,7 +436,7 @@ def _check_side(vec: np.ndarray, p: StandardFormLp | GeneralFormLp, side: str) -
         raise ValueError(f"a {side} certificate has length {want}, got {len(vec)}")
 
 
-def _dot(row: _SparseRow, v: Sequence[int]) -> int:
+def _dot(row: _SparseRow, v: Sequence) -> int | Fraction:
     return sum(c * v[j] for j, c in row.items())
 
 
@@ -450,10 +456,11 @@ def _objective(p: GeneralFormLp, side: str, v: list[int]) -> Fraction:
         return -_exact_dot(p.c, v)
     obj = _exact_dot(p.b, v)
     lo, hi = (np.where(np.isfinite(w), w, 0.0) for w in (p.l, p.u))
-    at = p.a.to_dense().T
+    at = _csr_rows(p.a.transposed_csr())
     for i in np.flatnonzero((lo != 0.0) | (hi != 0.0)):
-        r = -_exact_dot(at[i].tolist(), v)
-        obj += _frac(lo[i]) * r if r > 0 else _frac(hi[i]) * r if r < 0 else 0
+        rows, vals = at[i]
+        r = -_exact_dot(vals, [v[j] for j in rows])
+        obj += Fraction(lo[i]) * r if r > 0 else Fraction(hi[i]) * r if r < 0 else 0
     return obj
 
 
@@ -488,7 +495,7 @@ def verify_certificate_exact(
     a vector of another length raises ValueError.
     """
     _check_side(cert, p, kind)
-    p = general_form(p)
+    p = _oracle_form(p)
     return _check(exactify_vector(cert), p, kind, _cone_rows(p, kind))
 
 
@@ -580,10 +587,10 @@ def repair_certificate(
     snap denominator D in turn, so every candidate meets the collected rows
     with equality.  A candidate, scaled to coprime integers, is returned as
     floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
-    verify_certificate_exact.  The elimination runs in Fraction arithmetic,
-    cubic in the number of rows, so a problem that repair_fits refuses
-    raises ValueError, as do an unknown side and a vector of another
-    length.
+    verify_certificate_exact.  The null-space elimination runs in Fraction
+    arithmetic, cubic in the number of rows, so a problem that repair_fits
+    refuses raises ValueError, as do an unknown side and a vector of
+    another length.
     """
     _check_side(vec, p, side)
     if not repair_fits(p):
@@ -591,7 +598,7 @@ def repair_certificate(
     vec = np.asarray(vec, dtype=np.float64)
     if not np.any(vec):
         return None
-    p = general_form(p)
+    p = _oracle_form(p)
     rows = _cone_rows(p, side)
     v = _coprime_integers([Fraction(float(x)) for x in vec])
     vmax = max(map(abs, v))

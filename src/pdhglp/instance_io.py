@@ -55,20 +55,33 @@ def _require(doc, keys: Sequence[str], what: str) -> None:
 _NUMBERS = {int, float}
 
 
-def _entries(doc: dict, key: str, kinds: set[type], what: str) -> list:
-    """doc[key] if it is a JSON list of entries of the exact types kinds (a
-    boolean is no integer, 0.5 no index), else ValueError."""
+def _array(key: str, v, dtype=np.float64) -> np.ndarray:
+    """np.array(v, dtype), or ValueError naming key for an integer too large
+    for dtype."""
+    try:
+        return np.array(v, dtype=dtype)
+    except OverflowError:
+        msg = f"instance JSON: {key!r} holds an integer out of range"
+        raise ValueError(msg) from None
+
+
+def _entries(
+    doc: dict, key: str, kinds: set[type], what: str, dtype=np.float64
+) -> np.ndarray:
+    """doc[key] as an _array of dtype if it is a JSON list of entries of the
+    exact types kinds (a boolean is no integer, 0.5 no index), else
+    ValueError."""
     v = doc[key]
     if not isinstance(v, list) or not set(map(type, v)) <= kinds:
         raise ValueError(f"instance JSON: {key!r} must be a list of {what}")
-    return v
+    return _array(key, v, dtype)
 
 
 def _matrix_from_json(d: dict) -> SparseMatrix:
     _require(d, ("shape", "rows", "cols", "values"), "instance matrix 'a'")
-    shape, rows, cols = (
-        _entries(d, key, {int}, "integers") for key in ("shape", "rows", "cols")
-    )
+    keys = ("shape", "rows", "cols")
+    shape, rows, cols = (_entries(d, key, {int}, "integers", np.int64) for key in keys)
+    shape = shape.tolist()
     if len(shape) != 2:
         raise ValueError(f"instance JSON: 'shape' must hold 2 integers, got {shape}")
     values = _entries(d, "values", _NUMBERS, "numbers")
@@ -80,8 +93,8 @@ def _bounds_to_json(v: np.ndarray) -> list:
 
 
 def _bounds_from_json(doc: dict, key: str, sign: float) -> np.ndarray:
-    entries = _entries(doc, key, _NUMBERS | {type(None)}, "numbers or nulls")
-    return np.array([sign * np.inf if x is None else x for x in entries], float)
+    entries = _entries(doc, key, _NUMBERS | {type(None)}, "numbers or nulls", object)
+    return _array(key, [sign * np.inf if x is None else x for x in entries])
 
 
 def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
@@ -103,9 +116,10 @@ def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
 
 def problem_from_json(doc: dict) -> StandardFormLp | GeneralFormLp:
     """The problem an instance document describes; ValueError names a
-    document that is not an object, a bad form, a missing key or an entry
-    of the wrong JSON type.  A general-form document's optional eq key, a
-    list of booleans, marks its equality rows."""
+    document that is not an object, a bad form, a missing key, an entry of
+    the wrong JSON type, an integer too large for a float or an index, or a
+    name that is not a string.  A general-form document's optional eq key,
+    a list of booleans, marks its equality rows."""
     _require(doc, (), "instance JSON")
     form = doc.get("form")
     if form not in ("general", "standard"):
@@ -115,19 +129,24 @@ def problem_from_json(doc: dict) -> StandardFormLp | GeneralFormLp:
     offset = doc.get("objective_offset", 0.0)
     if isinstance(offset, bool) or not isinstance(offset, (int, float)):
         raise ValueError("instance JSON: 'objective_offset' must be a number")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError("instance JSON: 'name' must be a string")
     common = dict(
         c=_entries(doc, "c", _NUMBERS, "numbers"),
         a=_matrix_from_json(doc["a"]),
         b=_entries(doc, "b", _NUMBERS, "numbers"),
-        name=doc.get("name", ""),
-        objective_offset=float(offset),
+        name=name,
+        objective_offset=float(_array("objective_offset", offset)),
     )
     if form == "standard":
         return StandardFormLp(**common)
     return GeneralFormLp(
         l=_bounds_from_json(doc, "l", -1.0),
         u=_bounds_from_json(doc, "u", +1.0),
-        eq=None if doc.get("eq") is None else _entries(doc, "eq", {bool}, "booleans"),
+        eq=None
+        if doc.get("eq") is None
+        else _entries(doc, "eq", {bool}, "booleans", bool),
         **common,
     )
 

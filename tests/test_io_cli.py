@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -322,6 +323,24 @@ _MISTYPED = {
     "null-offset": (dict(_GENERAL_DOC, objective_offset=None), "'objective_offset'"),
     "shape-string": (_matrix_with(shape="12"), "'shape'"),
     "shape-floats": (_matrix_with(shape=[1.0, 2.0]), "'shape'"),
+    # An integer too large for a float or an index raised OverflowError,
+    # and a list name solved with exit 0.
+    "c-huge": (dict(_GENERAL_DOC, c=[10**400, 1]), "'c'"),
+    "offset-huge": (dict(_GENERAL_DOC, objective_offset=10**400), "'objective_offset'"),
+    "shape-huge": (_matrix_with(shape=[1, 10**20]), "'shape'"),
+    "row-huge": (_matrix_with(rows=[10**20, 0]), "'rows'"),
+    "name-list": (dict(_GENERAL_DOC, name=[1, 2]), "'name'"),
+}
+
+# Instance documents the oracle cannot read as rational data, and the
+# vector its error must name.  An infinite entry raised OverflowError.
+_NON_FINITE = {
+    "c-inf": (dict(_GENERAL_DOC, c=[math.inf, 1.0]), "finite entries in c"),
+    "c-nan": (dict(_GENERAL_DOC, c=[math.nan, 1.0]), "finite entries in c"),
+    "b-inf": (dict(_GENERAL_DOC, b=[-math.inf]), "finite entries in b"),
+    "a-nan": (_matrix_with(values=[1.0, math.nan]), "finite entries in A"),
+    "l-nan": (dict(_GENERAL_DOC, l=[0.0, math.nan]), "bounds l without NaN"),
+    "u-nan": (dict(_GENERAL_DOC, u=[math.nan, None]), "bounds u without NaN"),
 }
 
 # One G row and an empty COLUMNS section: a problem without columns.
@@ -470,6 +489,23 @@ class TestCliSolve:
         path.write_text(_NO_COLUMNS_MPS)
         assert cli.main(["oracle", str(path)]) == cli.EXIT_OK
         assert capsys.readouterr().out == "primal_infeasible\n"
+
+    @pytest.mark.parametrize("name", sorted(_NO_ROWS))
+    def test_oracle_classifies_a_problem_without_rows(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(_NO_ROWS[name])
+        assert cli.main(["oracle", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "both_feasible\n"
+
+    @pytest.mark.parametrize("case", sorted(_NON_FINITE))
+    def test_oracle_refuses_non_finite_data(self, case, tmp_path, capsys):
+        doc, message = _NON_FINITE[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["oracle", str(path)])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out.out == ""
+        assert out.err == f"error: the exact oracle needs {message}\n"
 
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL

@@ -1,4 +1,4 @@
-"""The scripts under scripts/ run end to end on a desk demo and exit 0.
+"""The scripts under scripts/ run end to end on small inputs and exit 0.
 
 They import the package from src/ of this checkout and name its operator
 classes, so a rename there breaks them before any test of the library."""
@@ -13,14 +13,26 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,expected",
     [
-        ["step_probe.py", "--steps", "20", "--repeat", "1"],
-        ["rate_study.py", "--demo", "std-both-infeasible", "--iters", "3000", "--warm", "1000"],
+        (["step_probe.py", "--steps", "20", "--repeat", "1"], ""),
+        (
+            ["rate_study.py", "--demo", "std-both-infeasible", "--iters", "3000", "--warm", "1000"],
+            "",
+        ),
+        # Exits 0 only when the solver's verdict is the oracle's cell on all
+        # 8 desk demos and 8 random cell instances.
+        (["demo_sweep.py", "--per-cell", "2", "--include-desk"], "agreement: 16/16"),
+        # An empty directory: every default instance is listed as missing.
+        (
+            ["netlib_report.py", "--dir", "{tmp_path}"],
+            "missing (skipped): box1, woodinfe, ex72a, ex73a, bgdbg1, chemcom",
+        ),
     ],
-    ids=["step_probe", "rate_study"],
+    ids=["step_probe", "rate_study", "demo_sweep", "netlib_report"],
 )
-def test_script_exits_zero(argv):
+def test_script_exits_zero(argv, expected, tmp_path):
+    argv = [a.format(tmp_path=tmp_path) for a in argv]
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
         capture_output=True,
@@ -29,3 +41,4 @@ def test_script_exits_zero(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    assert expected in done.stdout
