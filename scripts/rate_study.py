@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Trace the three certificate sequences of one instance and fit their decay.
 
-Runs a long trajectory, refines the ray (anchor + displacement), prints the
-Farkas identities of the displacement, the sublinear slopes of the normalized
-sequences, the post-freeze geometric rate of the differences against the
-spectral bracket, and the worst slack of the explicit (2/k) bound.
+Runs a long trajectory, refines the ray (anchor + displacement) from the
+affine phase's predicted displacement at the warm prefix's last support, as
+pdhglp analyze does, prints the Farkas identities of the displacement, the
+sublinear slopes of the normalized sequences, the post-freeze geometric rate
+of the differences against that phase's spectral bracket, and the worst slack
+of the explicit (2/k) bound.
 """
 
 import argparse
@@ -62,7 +64,10 @@ def main() -> int:
 
     start = np.random.default_rng(args.seed).standard_normal(p.n + p.m)
     traj = Trajectory(op.trajectory(start, args.iters))
-    sol = refine_ray(p, steps, traj.points[: args.warm + 1])
+    warm = traj.points[: args.warm + 1]
+    support = sorted(set(range(p.n)) - active_set(warm[-1][: p.n]))
+    phase = affine_phase(p, steps, support)
+    sol = refine_ray(p, steps, warm, None if phase is None else phase.v_pred)
     vx, vy = sol.v[: p.n], sol.v[p.n :]
     print(f"ray refinement: converged={sol.converged} rounds={sol.rounds} "
           f"residual={sol.residual:.3e}")
@@ -96,8 +101,6 @@ def main() -> int:
 
     fr = freeze_detector(active_history(traj.points[: min(big_k, 5000) + 1], p.n))
     print(f"freeze: k={fr.k_freeze} frozen={fr.frozen} changes={fr.changes}")
-    support = sorted(set(range(p.n)) - active_set(traj.points[-1][: p.n]))
-    phase = affine_phase(p, steps, support)
     if phase is None:
         print(f"spectral analysis skipped: {p.m} rows are too many to project")
         return 0

@@ -178,7 +178,11 @@ def _analysis_report(p, args) -> dict:
     n = p_std.n
     points = op.trajectory(np.zeros(n + p_std.m), k_total)
 
-    ray = refine_ray(p_std, steps, points)
+    # The affine phase at the last row's support predicts the displacement,
+    # so refine_ray starts from it and confirms the ray.
+    support = sorted(set(range(n)) - active_set(points[-1][:n]))
+    phase = affine_phase(p_std, steps, support)
+    ray = refine_ray(p_std, steps, points, None if phase is None else phase.v_pred)
     vx, vy = ray.v[:n], ray.v[n:]
     part = ray.partition
     fk1 = abs(float(p_std.c @ vx) + float(vx @ vx) / steps.eta)
@@ -186,8 +190,9 @@ def _analysis_report(p, args) -> dict:
 
     hist = active_history(points, n)
     freeze = freeze_detector(hist)
+    # The twin runs beside the trajectory's last (up to) 1000 steps.
     shift_res = shift_identity_residual(
-        p_std, steps, ray.v, part, points[-1], k_max=min(1000, k_total)
+        p_std, steps, ray.v, part, points[-min(1000, k_total) - 1 :]
     )
 
     report = {
@@ -218,8 +223,6 @@ def _analysis_report(p, args) -> dict:
         "shift_identity_residual": shift_res,
     }
 
-    support = sorted(set(range(n)) - active_set(points[-1][:n]))
-    phase = affine_phase(p_std, steps, support)
     if phase is None:
         report["spectral"] = {
             "skipped": True,

@@ -281,9 +281,13 @@ def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
 
 def _oracle_form(p: StandardFormLp | GeneralFormLp) -> GeneralFormLp:
     """general_form(p), or ValueError naming a vector with an entry that is
-    no rational: a non-finite entry of c, b or A, or a NaN bound."""
+    no rational: a non-finite entry of c, b, A or the objective offset, or
+    a NaN bound."""
     p = general_form(p)
-    for name, v in (("c", p.c), ("b", p.b), ("A", p.a.csr.data)):
+    offset = np.float64(p.objective_offset)
+    for name, v in (
+        ("c", p.c), ("b", p.b), ("A", p.a.csr.data), ("objective_offset", offset)
+    ):
         if not np.isfinite(v).all():
             raise ValueError(f"the exact oracle needs finite entries in {name}")
     for name, v in (("l", p.l), ("u", p.u)):

@@ -1,8 +1,9 @@
 """Ray refinement, index partitioning, and the frozen-support affine phase.
 
 Once the iteration settles onto a ray z_star + k*v, everything here kicks
-in: estimate and refine (z_star, v) by alternating between the original
-iteration and its shifted twin, partition coordinates by which part of the
+in: refine (z_star, v), starting from the affine phase's predicted
+displacement, by alternating between the original iteration and its
+shifted twin, partition coordinates by which part of the
 displacement moves them, build the always-feasible auxiliary problem the
 shifted twin solves, detect when the active pattern freezes, and read the
 affine phase of the post-freeze iteration, whose spectrum predicts the
@@ -200,26 +201,37 @@ def _rederive_v(
     return op.apply_z(z) - z
 
 
-def refine_ray(p: StandardFormLp, steps: StepSizes, warm: np.ndarray) -> RaySolution:
+def refine_ray(
+    p: StandardFormLp,
+    steps: StepSizes,
+    warm: np.ndarray,
+    v: np.ndarray | None = None,
+) -> RaySolution:
     """Alternate displacement estimation and anchored fixed-point solves.
 
-    warm is a trajectory array (rows z^0..z^K of the original iteration,
-    at least ~10^3 rows) or a single warm iterate; the initial displacement
-    guess is the mean difference over the trajectory's last tenth, or zero
-    for a single point.  Each round partitions by the current displacement,
-    drives the shifted twin to its fixed point, re-derives the displacement
-    from one application of the original operator along the ray, and stops
-    when the displacement stops moving (step-size norm <= _REFINE_TARGET),
-    after at most _REFINE_ROUNDS rounds.
+    warm is a trajectory array (rows z^0..z^K of the original iteration) or
+    a single warm iterate, and the anchor starts at its last row.  v is the
+    initial displacement: pass affine_phase's v_pred at warm's last support,
+    so the rounds confirm the ray rather than search for it.  Without v the
+    guess falls back to the mean difference over the trajectory's last
+    tenth (which needs ~10^3 rows to settle), or zero for a single point.
+    Each round partitions by the current displacement, drives the shifted
+    twin to its fixed point, re-derives the displacement from one
+    application of the original operator along the ray, and stops when the
+    displacement stops moving (step-size norm <= _REFINE_TARGET), after at
+    most _REFINE_ROUNDS rounds.
     """
     warm = np.asarray(warm, dtype=np.float64)
-    if warm.ndim == 1:
-        z = warm.copy()
+    if warm.ndim == 2 and warm.shape[0] < 2:
+        raise ValueError("warm trajectory needs at least 2 points")
+    z = (warm if warm.ndim == 1 else warm[-1]).copy()
+    if v is not None:
+        v = np.array(v, dtype=np.float64)
+        if v.shape != z.shape:
+            raise ValueError(f"displacement has shape {v.shape}, the iterate {z.shape}")
+    elif warm.ndim == 1:
         v = np.zeros_like(z)
     else:
-        if warm.shape[0] < 2:
-            raise ValueError("warm trajectory needs at least 2 points")
-        z = warm[-1].copy()
         tail = max(1, (warm.shape[0] - 1) // 10)
         v = np.diff(warm[-(tail + 1) :], axis=0).mean(axis=0)
     op = make_operator(p, steps)
@@ -386,26 +398,29 @@ def shift_identity_residual(
     steps: StepSizes,
     v: np.ndarray,
     partition: IndexPartition,
-    z_from: np.ndarray,
-    k_max: int = 1000,
+    orig: np.ndarray,
 ) -> float:
-    """Iterate the original operator and its shifted twin side by side from
-    the same point and report the worst step-size-norm gap between the
-    twin's iterate and the original's minus k times the displacement.
-    Past the freeze iteration the two agree to roundoff."""
-    op = make_operator(p, steps)
+    """Step the shifted twin from orig[0] next to the recorded rows
+    orig = z^j..z^{j+K} of the original iteration and report the worst
+    step-size-norm gap between the twin's k-th iterate and orig[k] - k v,
+    k = 1..K.  Past the freeze iteration the two agree to roundoff.
+    pdhglp analyze passes the trajectory's last 1000 rows (and the row
+    before them), so the original is never stepped again."""
+    orig = np.asarray(orig, dtype=np.float64)
+    if orig.ndim != 2 or orig.shape[0] < 1:
+        raise ValueError("orig needs the rows z^j..z^{j+K} of a trajectory")
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
-    mn = op.m_norm()
+    mn = shifted.m_norm()
     n = p.n
-    z, zs = z_from, z_from
+    k_max = orig.shape[0] - 1
+    zs = orig[0]
     worst = 0.0
     for start in range(1, k_max + 1, _SHIFT_BLOCK):
         rows = min(_SHIFT_BLOCK, k_max + 1 - start)
-        orig = op.trajectory(z, rows)
         twin = shifted.trajectory(zs, rows)
-        z, zs = orig[-1], twin[-1]
+        zs = twin[-1]
         ks = np.arange(start, start + rows, dtype=np.float64)[:, None]
-        gaps = twin[1:] - (orig[1:] - ks * v)
+        gaps = twin[1:] - (orig[start : start + rows] - ks * v)
         block = mn.rows(gaps[:, :n], gaps[:, n:])
         # fmax skips NaN norms, as the running Python max did.
         worst = max(worst, float(np.fmax.reduce(block)))

@@ -254,6 +254,7 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
     _check_finite(report, "b", p.b)
     _, _, vals = p.a.triplets()
     _check_finite(report, "A", vals)
+    _check_finite(report, "objective_offset", np.float64(p.objective_offset))
 
     dense_row_nnz = np.diff(p.a.csr.indptr)
     col_nnz = np.diff(p.a.transposed_csr().indptr)

@@ -480,12 +480,11 @@ def test_step_loop_matches_textbook_step(name):
 
 @pytest.mark.parametrize("k_max", [0, 1, 7, 200, 437])
 def test_shift_identity_residual_matches_per_k_loop(ray_cases, k_max):
-    for p, steps, _, pts, sol in ray_cases.values():
+    for p, steps, op, pts, sol in ray_cases.values():
         start = np.random.default_rng(k_max).standard_normal(p.n + p.m)
         for z_from in (pts[50], pts[-1], start):
-            got = shift_identity_residual(
-                p, steps, sol.v, sol.partition, z_from, k_max=k_max
-            )
+            orig = op.trajectory(z_from, k_max)
+            got = shift_identity_residual(p, steps, sol.v, sol.partition, orig)
             want = _shift_identity_per_k(
                 p, steps, sol.v, sol.partition, z_from, k_max
             )

@@ -117,6 +117,12 @@ class TestExactOptimum:
     def test_unbounded_detected(self):
         assert exact_optimum(demos.example1(1.0, 1.0)).status == "unbounded"
 
+    def test_non_finite_offset_refused(self):
+        # Fraction(inf) raised OverflowError.
+        p = dataclasses.replace(demos.example1(0.0, 1.0), objective_offset=np.inf)
+        with pytest.raises(ValueError, match="objective_offset"):
+            exact_optimum(p)
+
     def test_infeasible_detected(self):
         assert exact_optimum(demos.example1(0.0, 2.0)).status == "infeasible"
         assert exact_optimum(demos.example1(1.0, 2.0)).status == "infeasible"

@@ -153,6 +153,19 @@ class TestRefineRay:
         with pytest.raises(ValueError):
             refine_ray(p, steps, np.zeros((1, p.n + p.m)))
 
+    def test_seed_on_the_ray_converges_in_one_round(self):
+        p, steps, _ = _setup(demos.std_both_infeasible())
+        pts = _trajectory(p, steps, 50)
+        sol = refine_ray(p, steps, pts, V_BOTH)
+        assert sol.converged and sol.rounds == 1
+        np.testing.assert_allclose(sol.v, V_BOTH, atol=1e-9)
+
+    def test_seed_of_the_wrong_shape_rejected(self):
+        p, steps, _ = _setup(demos.std_both_infeasible())
+        pts = _trajectory(p, steps, 50)
+        with pytest.raises(ValueError):
+            refine_ray(p, steps, pts, V_BOTH[:-1])
+
     def test_feasible_problem_gives_zero_displacement(self):
         p, steps, _ = _setup(demos.std_feasible())
         pts = _trajectory(p, steps, 1500)
@@ -260,20 +273,24 @@ class TestFreeze:
 class TestShiftIdentity:
     def test_matches_along_the_run(self, refined_both):
         p, steps, sol = refined_both
-        pts = _trajectory(p, steps, 10)
-        res = shift_identity_residual(
-            p, steps, sol.v, sol.partition, pts[-1], k_max=1000
-        )
+        pts = _trajectory(p, steps, 1010)
+        res = shift_identity_residual(p, steps, sol.v, sol.partition, pts[10:])
         assert res <= 1e-8
 
     def test_small_from_origin_too(self, refined_both):
         # the partition freezes immediately on this instance, so even the
         # cold start obeys the identity to roundoff
         p, steps, sol = refined_both
-        res = shift_identity_residual(
-            p, steps, sol.v, sol.partition, np.zeros(p.n + p.m), k_max=500
-        )
+        pts = _trajectory(p, steps, 500)
+        res = shift_identity_residual(p, steps, sol.v, sol.partition, pts)
         assert res <= 1e-8
+
+    def test_one_row_has_no_gap_and_no_rows_is_rejected(self, refined_both):
+        p, steps, sol = refined_both
+        pts = _trajectory(p, steps, 3)
+        assert shift_identity_residual(p, steps, sol.v, sol.partition, pts[-1:]) == 0.0
+        with pytest.raises(ValueError):
+            shift_identity_residual(p, steps, sol.v, sol.partition, pts[:0])
 
 
 class TestAffinePhase:

@@ -341,6 +341,14 @@ _NON_FINITE = {
     "a-nan": (_matrix_with(values=[1.0, math.nan]), "finite entries in A"),
     "l-nan": (dict(_GENERAL_DOC, l=[0.0, math.nan]), "bounds l without NaN"),
     "u-nan": (dict(_GENERAL_DOC, u=[math.nan, None]), "bounds u without NaN"),
+    "offset-inf": (
+        dict(_GENERAL_DOC, objective_offset=math.inf),
+        "finite entries in objective_offset",
+    ),
+    "offset-nan": (
+        dict(_STANDARD_DOC, objective_offset=math.nan),
+        "finite entries in objective_offset",
+    ),
 }
 
 # One G row and an empty COLUMNS section: a problem without columns.
@@ -584,6 +592,20 @@ class TestCliAnalyzeOracleDemo:
         assert doc["shift_identity_residual"] < 1e-8
         assert doc["spectral"]["skipped"] is False
         assert doc["rates"]["difference_in_bracket"] is True
+
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_non_finite_objective_offset_refused(
+        self, command, offset, tmp_path, capsys
+    ):
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(dict(_GENERAL_DOC, objective_offset=offset)))
+        code = cli.main([command, str(path)])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert out.out == ""
+        want = "invalid problem: objective_offset contains NaN or infinite entries"
+        assert want in out.err
 
     def test_analyze_refuses_nan_costs(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

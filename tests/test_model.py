@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdhglp import exact
+from pdhglp import demos, exact
 from pdhglp.linalg import SparseMatrix
 from pdhglp.model import (
     GeneralFormLp,
@@ -18,6 +18,7 @@ from pdhglp.model import (
     to_standard_form,
     validate,
 )
+from pdhglp.pdhg import run
 
 
 def general_box_lp():
@@ -136,6 +137,14 @@ class TestValidate:
         p = general_box_lp()
         p = dataclasses.replace(p, c=np.array([np.nan, *p.c[1:]]))
         assert not validate(p).ok
+
+    @pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan])
+    def test_non_finite_objective_offset_rejected(self, offset):
+        p = dataclasses.replace(demos.example1(0, 1), objective_offset=offset)
+        rep = validate(p)
+        assert rep.errors == ["objective_offset contains NaN or infinite entries"]
+        with pytest.raises(ValueError, match="objective_offset"):
+            run(p)
 
     def test_crossed_bounds_rejected(self):
         p = general_box_lp()
