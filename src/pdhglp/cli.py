@@ -169,8 +169,8 @@ def cmd_solve(args) -> int:
 def _analysis_report(p, args) -> dict:
     """Drive the identification pipeline on the standardized instance."""
     p_std = to_standard_form(p)[0] if isinstance(p, GeneralFormLp) else p
-    # The steps come from the lowering's matrix, whose power iteration the
-    # operators' MNorm then shares.
+    # The steps come from the lowering's matrix, whose norm estimate (kept
+    # on the matrix) the operators' MNorm then shares.
     steps = StepSizes.for_matrix(p_std.general.a, args.step_factor)
     op = make_operator(p_std, steps)
     mn = op.m_norm()

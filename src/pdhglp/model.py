@@ -252,8 +252,7 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
         report.errors.append("the problem has no columns")
     _check_finite(report, "c", p.c)
     _check_finite(report, "b", p.b)
-    _, _, vals = p.a.triplets()
-    _check_finite(report, "A", vals)
+    _check_finite(report, "A", p.a.csr.data)
     _check_finite(report, "objective_offset", np.float64(p.objective_offset))
 
     dense_row_nnz = np.diff(p.a.csr.indptr)

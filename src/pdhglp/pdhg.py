@@ -125,13 +125,16 @@ class PdhgState:
         )
 
     def advance(self, op: GeneralFormOperator, count: int) -> None:
-        """Take count steps of op's step loop in place, advancing k and the
-        sums, which add the new rows in step order: count steps here match
-        count single steps to the bit.  x, y, x_prev and y_prev are new."""
+        """Take count steps of op's step loop, advancing k and the sums,
+        which add the new rows in step order: count steps here match count
+        single steps to the bit.  x, y, x_prev, y_prev and the sums are new
+        arrays."""
         for xs, ys, rows in op._steps(self.x, self.y, count):
-            for x, y in zip(xs[1 : rows + 1], ys[1 : rows + 1, :-1]):
-                self.sum_x += x
-                self.sum_y += y
+            # One accumulate per block adds the rows one by one, as += would;
+            # reduce and sum(axis=0) may sum pairwise, a last bit apart.
+            sx = np.add.accumulate(np.vstack((self.sum_x, xs[1 : rows + 1])))
+            sy = np.add.accumulate(np.vstack((self.sum_y, ys[1 : rows + 1, :-1])))
+            self.sum_x, self.sum_y = sx[-1], sy[-1]
         if count:
             self.x_prev, self.x = xs[rows - 1].copy(), xs[rows].copy()
             self.y_prev, self.y = ys[rows - 1, :-1].copy(), ys[rows, :-1].copy()
@@ -470,15 +473,15 @@ def _other_side_feasible(
     rep: certs.CertCheckReport,
     ray_product: np.ndarray,
     point: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    products: certs.StateProducts,
     kkt_tol: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """point, (x, y, A x, A'y) in p's coordinates, moved along the ray of
     rep by _ray_step, as (x, y) if kkt_residual gives the side rep does not
     certify a part of at most kkt_tol, else None.  ray_product (A'w of a
     primal certificate w, A d of a dual one d) sets the move only: the
-    moved point's product is taken with products, since at a large t
-    A'y + t A'w is not A'(y + t w) to kkt_tol.
+    moved point's product is taken on p.a, as the outcome's kkt takes it,
+    since at a large t neither A'y + t A'w nor the scaled path's product is
+    A'(y + t w) on p.a to kkt_tol.
 
     A primal certificate moves y: its sign rows are y >= 0 on the
     inequality rows and the reduced-cost signs of the lower-only and
@@ -494,12 +497,12 @@ def _other_side_feasible(
         g = np.concatenate([y - p.row_floor, s[lo], -s[up]])
         h = np.concatenate([ray, -ray_product[lo], ray_product[up]])
         y = y + _ray_step(g, h) * ray
-        aty = products.rmatvec(y)
+        aty = p.a.rmatvec(y)
     else:
         g = np.concatenate([ax - p.b - p.row_floor, x - p.l, p.u - x])
         h = np.concatenate([ray_product, ray, -ray])
         x = x + _ray_step(g, h) * ray
-        ax = products.matvec(x)
+        ax = p.a.matvec(x)
     kkt = kkt_residual(p, x, y, None, ax, aty)
     feasible = (kkt.dual if rep.side == "primal" else kkt.primal) <= kkt_tol
     return (x, y) if feasible else None
@@ -713,7 +716,7 @@ def run(
         for origin in ((view.x, view.y, products.ax, products.aty), moved):
             if origin is not None and point is None:
                 point = _other_side_feasible(
-                    p, rep, ray_product, origin, products, config.kkt_tol
+                    p, rep, ray_product, origin, config.kkt_tol
                 )
         if point is not None:
             termination = Termination.OTHER_SIDE_FEASIBLE

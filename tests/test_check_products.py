@@ -127,7 +127,7 @@ def test_check_costs_six_products(p, monkeypatch):
 
     def make_counted_operator(p, steps):
         # The operator is the last piece of set-up: products before it are
-        # the step sizes' power iteration, which a solve pays once.
+        # the step sizes' norm estimate, which a solve pays once.
         counts["products"] = 0
         op = make_operator(p, steps)
         op._mat, op._rmat = counted(op._mat), counted(op._rmat)

@@ -167,14 +167,13 @@ class TestEstimateV:
 
     def test_lp_operator_wrap(self):
         p = demos.std_both_infeasible()
-        op = make_operator(p, StepSizes.for_matrix(p.a))
+        steps = StepSizes.for_matrix(p.a)
+        op = make_operator(p, steps)
         est = estimate_v(from_lp_operator(op), np.zeros(p.n + p.m), 2000)
-        # the difference tail settles geometrically on the displacement
-        np.testing.assert_allclose(
-            est.difference_tail,
-            [0.3181981152, 0.3181981152, 0.0, 0.0, 0.6363962304],
-            atol=1e-9,
-        )
+        # the difference tail settles geometrically on the displacement,
+        # eta (1/2, 1/2, 0) on x and tau (0, 1) on y
+        v = [steps.eta / 2, steps.eta / 2, 0.0, 0.0, steps.tau]
+        np.testing.assert_allclose(est.difference_tail, v, atol=1e-9)
         # the normalized iterate still carries its O(1/k) transient, which
         # the disagreement flag reports at this budget
         assert est.disagreement < 1e-3

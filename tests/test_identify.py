@@ -22,9 +22,17 @@ from pdhglp.linalg import SparseMatrix, StepSizes, Support
 from pdhglp.model import StandardFormLp, to_standard_form, validate
 from pdhglp.pdhg import make_operator
 
-# Displacement of the both-infeasible desk instance, frozen from an
-# independent long run of the raw iteration (difference tail at k = 2000).
-V_BOTH = np.array([0.3181981152, 0.3181981152, 0.0, 0.0, 0.6363962304])
+
+def _v_both(steps: StepSizes) -> np.ndarray:
+    """The displacement of the both-infeasible desk instance at steps,
+    (eta d, tau w): d = (1/2, 1/2, 0) is the cost's descent direction
+    -P_null(A) c, and w = (0, 1) the gap of the hopeless row x2 = -1.  An
+    independent long run of the raw iteration agrees (difference tail at
+    k = 2000)."""
+    return np.concatenate([steps.eta * np.array([0.5, 0.5, 0.0]), [0.0, steps.tau]])
+
+
+V_BOTH = _v_both(StepSizes.for_matrix(demos.std_both_infeasible().a))
 
 
 def _setup(p):

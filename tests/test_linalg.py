@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdhglp import linalg
+from pdhglp import demos, linalg
 from pdhglp.linalg import (
     MNorm,
     SparseMatrix,
@@ -75,34 +77,119 @@ class TestSparseMatrix:
         np.testing.assert_array_equal(a.to_dense(), arr)
 
 
+def _svd_norm(a: SparseMatrix) -> float:
+    return float(np.linalg.svd(a.to_dense(), compute_uv=False)[0])
+
+
+def _negated(a: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(-a.csr)
+
+
+def _past_dense_limit(block) -> SparseMatrix:
+    """block repeated down the diagonal until the matrix has more than
+    DENSE_LIMIT entries."""
+    block = sp.csr_matrix(np.asarray(block, dtype=np.float64))
+    m, n = block.shape
+    copies = int(np.sqrt(linalg.DENSE_LIMIT / (m * n))) + 1
+    return SparseMatrix(sp.block_diag([block] * copies, format="csr"))
+
+
+def _golub_kahan_cases() -> dict[str, SparseMatrix]:
+    """CSR matrices past DENSE_LIMIT, where opnorm_estimate runs Golub-Kahan."""
+    rng = np.random.default_rng(7)
+    holes = rng.standard_normal((150, 90)) * (rng.random((150, 90)) < 0.2)
+    holes[::7] = 0.0  # zero rows
+    holes[:, ::5] = 0.0  # zero columns
+    cases = {
+        "block_copies": demos.block_copies(demos.example1(1, 2), 40).a,
+        "block_copies_random": demos.block_copies(
+            demos.random_cell_instance("both_infeasible", np.random.default_rng(3)), 30
+        ).a,
+        # sqrt(3) is the top singular value of every block: a repeated top
+        "repeated_top": _past_dense_limit([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
+        "zero_rows_and_columns": SparseMatrix(sp.csr_matrix(holes)),
+        # the all-ones vector lies in an invariant subspace missing the top
+        "invariant_ones": _past_dense_limit([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "one_row": SparseMatrix(sp.csr_matrix(rng.standard_normal((1, 12000)))),
+    }
+    for a in cases.values():
+        assert a.n_rows * a.n_cols > linalg.DENSE_LIMIT
+    return cases
+
+
+GK_CASES = _golub_kahan_cases()
+
+
 class TestOperatorNorm:
     @given(dense_matrices(6, 6))
     def test_estimate_close_to_svd(self, arr):
-        # Power iteration stops on successive change, so with a small
-        # spectral gap it can sit a little below the true value; it must
-        # never overestimate (beyond roundoff), and the shortfall must stay
-        # far inside the 0.9^2 safety margin the step sizes rely on.
+        # Up to DENSE_LIMIT the Gram eigenvalue is exact to roundoff, and
+        # -A gets the value of A to the bit.
         a = SparseMatrix.from_dense(arr)
-        true = float(np.linalg.svd(arr, compute_uv=False)[0]) if arr.size else 0.0
+        true = float(np.linalg.svd(arr, compute_uv=False)[0])
         est = opnorm_estimate(a)
-        assert est.value <= true * (1.0 + 1e-9) + 1e-12
-        assert est.value == pytest.approx(true, rel=5e-3, abs=1e-9)
+        assert est.value == pytest.approx(true, rel=1e-12, abs=1e-300)
+        assert est.iterations == 0 and est.converged
+        assert opnorm_estimate(_negated(a)) == est
+
+    @pytest.mark.parametrize("name", sorted(GK_CASES))
+    def test_golub_kahan_matches_svd(self, name):
+        # A lower bound within 1e-8 of the SVD norm at the default tol;
+        # -A gets the value of A to the bit.
+        a = GK_CASES[name]
+        true = _svd_norm(a)
+        est = opnorm_estimate(a)
+        assert est.converged and 0 < est.iterations <= linalg._GK_BASIS
+        assert est.value <= true * (1.0 + 1e-12)
+        assert est.value == pytest.approx(true, rel=1e-8)
+        assert opnorm_estimate(_negated(a)) == est
 
     def test_invariant_subspace_start_is_escaped(self):
-        # The all-ones start is a fixed direction of A'A here and
-        # underestimates the norm; the second start must recover sqrt(2).
-        a = SparseMatrix.from_dense([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        est = opnorm_estimate(a)
-        assert est.value == pytest.approx(np.sqrt(2.0), rel=1e-5)
+        # The all-ones vector lies in an invariant subspace of A'A that
+        # misses the top pair: power iteration from it finds 1.  Both paths
+        # find sqrt(2).
+        block = [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+        for a in (SparseMatrix.from_dense(block), GK_CASES["invariant_ones"]):
+            assert opnorm_estimate(a).value == pytest.approx(np.sqrt(2.0), rel=1e-8)
 
-    def test_zero_matrix(self):
-        a = SparseMatrix.from_triplets(2, 2, [], [], [])
-        assert opnorm_estimate(a).value == 0.0
+    @pytest.mark.parametrize("n", [2, 200], ids=["dense", "golub_kahan"])
+    def test_zero_matrix(self, n):
+        # Nothing stored, and only zeros stored (the Frobenius fallback).
+        empty = SparseMatrix.from_triplets(n, n, [], [], [])
+        zeros = SparseMatrix.from_triplets(n, n, [0, 1], [1, 0], [0.0, 0.0])
+        assert zeros.nnz == 2
+        assert opnorm_estimate(empty) == linalg.OperatorNormEstimate(0.0, 0, True)
+        assert opnorm_estimate(zeros) == linalg.OperatorNormEstimate(0.0, 0, False)
+        for a in (empty, zeros):
+            with pytest.raises(linalg.SolverError):
+                StepSizes.for_matrix(a)
+
+    def test_basis_bound_restarts(self, monkeypatch):
+        # With room for 3 vectors a side the run restarts from its top Ritz
+        # vector and still converges.  Its memory is that of the bound: the
+        # vectors of 16 steps would take more, and max_iters vectors could
+        # not be allocated at all.
+        a = GK_CASES["zero_rows_and_columns"]
+        monkeypatch.setattr(linalg, "_GK_BASIS", 3)
+        tracemalloc.start()
+        try:
+            est = opnorm_estimate(a, max_iters=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.converged and est.iterations > 16
+        assert est.value == pytest.approx(_svd_norm(a), rel=1e-8)
+        assert peak < 16 * 8 * (a.n_rows + a.n_cols)
+
+    def test_step_budget(self):
+        a = GK_CASES["zero_rows_and_columns"]
+        est = opnorm_estimate(a, max_iters=2)
+        assert est.iterations == 2 and not est.converged
+        assert 0 < est.value <= _svd_norm(a)
 
     def test_kept_per_matrix(self, monkeypatch):
-        # The step sizes and every MNorm of one matrix share one power
-        # iteration, at opnorm_estimate's default settings; another matrix
-        # gets its own.
+        # The step sizes and every MNorm of one matrix share one estimate,
+        # at opnorm_estimate's default settings; another matrix gets its own.
         calls = []
 
         def counted(a, *args):

@@ -255,16 +255,30 @@ def _same_state(a, b):
     )
 
 
+def _one_by_one(m: int, n: int) -> StandardFormLp:
+    """min x_0 : A x = b, x >= 0 on an m x n all-ones A."""
+    a = SparseMatrix.from_dense(np.ones((m, n)))
+    return StandardFormLp(c=np.eye(n)[0], a=a, b=np.ones(m))
+
+
+# The sums are checked bitwise at m = 1 (std_feasible, std_dual_infeasible,
+# a 1 x 3), at n = 1 (a 2 x 1 and a 1 x 1) and at general shapes.
 _ADVANCE_CASES = (
     demos.std_both_infeasible,
     demos.std_feasible,
+    demos.std_dual_infeasible,
     lambda: demos.example1(1, 2),
     lambda: demos.example1(0, 1),
+    lambda: _one_by_one(1, 1),
+    lambda: _one_by_one(2, 1),
+    lambda: _one_by_one(1, 3),
+    lambda: demos.random_cell_instance("both_feasible", np.random.default_rng(4)),
 )
 
 
 @pytest.mark.parametrize("build", _ADVANCE_CASES)
 def test_advance_matches_single_steps(build, rng):
+    # One block of advance, then three, the middle one full (pdhg._BLOCK).
     p = build()
     op = make_operator(p, StepSizes.for_matrix(p.a))
     x0, y0 = rng.standard_normal(p.n), rng.standard_normal(p.m)
@@ -278,6 +292,10 @@ def test_advance_matches_single_steps(build, rng):
     many.advance(op, 57)
     assert _same_state(many, ref)
     many.advance(op, 0)
+    assert _same_state(many, ref)
+    for _ in range(2 * pdhg._BLOCK + 3):
+        ref = _step(op, ref)
+    many.advance(op, 2 * pdhg._BLOCK + 3)
     assert _same_state(many, ref)
 
 

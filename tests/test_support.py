@@ -48,7 +48,10 @@ def _polished(out) -> bool:
 @pytest.mark.parametrize("cell", demos.CELLS)
 def test_verdicts_and_certificates_over_seeds_and_intervals(cell, general):
     kinds = set()
-    for seed in range(6):
+    # Among these draws are one-sided verdicts whose moved point lies at a
+    # ray step near 1e14, where a product not taken on p misses the
+    # recomputed residual by more than kkt_tol.
+    for seed in range(24):
         p = demos.random_cell_instance(cell, np.random.default_rng([seed, 31]))
         if general:
             p = standard_to_general(p)
@@ -147,7 +150,8 @@ def test_one_sided_verdict_ends_with_a_feasible_point_of_the_other_side(
 def test_moved_point_is_tested_on_its_own_products():
     # At k=40 this draw's y moves along the certificate by t of about 6e14.
     # There A'y + t A'w is not A'(y + t w) to kkt_tol: the moved point must
-    # pass with its own product, and is the point returned.
+    # pass with its own product on p.a, the one its outcome reports, and is
+    # the point returned.
     p = demos.random_cell_instance("primal_infeasible", np.random.default_rng([22, 29]))
     cfg = PdhgConfig(check_interval=20, step_factor=0.5)
     out = run(p, cfg)
