@@ -20,20 +20,19 @@ positive fails with scaled error None, and a candidate passes when its
 scaled error is at most eps.  The tests are positively homogeneous:
 rescaling a candidate leaves its scaled error unchanged.
 
-The tests need A x and A'y of the candidate.  ``extract`` attaches them when
-it is given the state's ``StateProducts``: the normalized iterate reuses
-A x^k and A'y^k, which the solve loop computes anyway for its KKT residual
-(A'y^k also feeds the next step), and the other two kinds take one direct
-product per side, never a difference of cached products, which would cancel
-at large k.  Without them, ``extract`` and the tests take the products from
-the problem's matrix.
+The tests need A x and A'y of the candidate, of the problem's own A.
+``extract`` gives the normalized iterate A x^k / k and A'y^k / k when it
+is given A x^k and A'y^k, which the solve loop computes anyway for its KKT
+residual.  Every other candidate carries no product, and the tests take
+one per side from the problem's matrix, on the candidate vector itself:
+a difference of cached products would cancel at large k.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,9 +52,7 @@ __all__ = [
     "CandidateKind",
     "CertificateCandidate",
     "CertCheckReport",
-    "StateProducts",
     "SEQUENCE_KINDS",
-    "candidate",
     "extract",
     "check_primal_infeasibility",
     "check_dual_infeasibility",
@@ -97,16 +94,6 @@ class CertificateCandidate:
 
 
 @dataclass(slots=True)
-class StateProducts:
-    """A x^k and A'y^k of one state, plus the routines for other products."""
-
-    ax: np.ndarray
-    aty: np.ndarray
-    matvec: Callable[[np.ndarray], np.ndarray]
-    rmatvec: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(slots=True)
 class CertCheckReport:
     """Outcome of one certificate test on one candidate.
 
@@ -135,11 +122,14 @@ class CertCheckReport:
 def extract(
     state: "PdhgState",
     kind: CandidateKind,
-    products: StateProducts | None = None,
+    ax: np.ndarray | None = None,
+    aty: np.ndarray | None = None,
 ) -> CertificateCandidate:
     """Build the candidate of the given kind from the current state.
 
-    With products, the candidate carries its own A x and A'y.
+    ax and aty, given together, are A x^k and A'y^k of the state: the
+    normalized iterate then carries A x^k / k and A'y^k / k.  The other
+    kinds carry no product.
     """
     k = state.k
     if k < 1:
@@ -156,32 +146,9 @@ def extract(
         y = state.sum_y * scale
     else:
         raise ValueError(f"unknown candidate kind {kind!r}")
-    ax = aty = None
-    if products is not None and kind is CandidateKind.NORMALIZED_ITERATE:
-        ax = products.ax / k
-        aty = products.aty / k
-    return candidate(kind, k, x, y, products, ax, aty)
-
-
-def candidate(
-    kind: CandidateKind,
-    k: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    products: StateProducts | None = None,
-    ax: np.ndarray | None = None,
-    aty: np.ndarray | None = None,
-) -> CertificateCandidate:
-    """The candidate with primal part x and dual part y.
-
-    With products, an ax or aty not given is taken with products' routines.
-    """
-    if products is not None:
-        if ax is None:
-            ax = products.matvec(x)
-        if aty is None:
-            aty = products.rmatvec(y)
-    return CertificateCandidate(kind=kind, k=k, x_part=x, y_part=y, ax=ax, aty=aty)
+    if ax is not None and kind is CandidateKind.NORMALIZED_ITERATE:
+        return CertificateCandidate(kind, k, x, y, ax / k, aty / k)
+    return CertificateCandidate(kind, k, x, y)
 
 
 def _zero_report(side: str, cand: CertificateCandidate) -> CertCheckReport:

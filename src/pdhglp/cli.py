@@ -23,7 +23,7 @@ from .identify import (
     shift_identity_residual,
     verify_rate_regimes,
 )
-from .instance_io import load_problem, result_to_json, write_trace_csv
+from .instance_io import json_nulled, load_problem, result_to_json, write_trace_csv
 from .linalg import SolverError, StepSizes
 from .model import GeneralFormLp, to_standard_form
 from .mps import MpsParseError
@@ -258,7 +258,7 @@ def cmd_analyze(args) -> int:
     p = _load_instance(args)
     require_valid(p)
     report = _analysis_report(p, args)
-    text = json.dumps(report, indent=1)
+    text = json.dumps(json_nulled(report), indent=1)
     print(text)
     if args.json_out:
         with open(args.json_out, "w") as fh:

@@ -1,15 +1,16 @@
 """Problem, result, and trace serialization.
 
 Instances travel as JSON mirroring the problem dataclasses (sparse matrix
-as triplets, infinite bounds as null) or as MPS files; results as JSON;
-trace records as CSV with a fixed header.  Loading dispatches on the file
-extension.
+as triplets, infinite bounds as null) or as MPS files; results as JSON,
+with every non-finite number as null (json_nulled); trace records as CSV
+with a fixed header.  Loading dispatches on the file extension.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "save_problem",
     "load_problem",
     "result_to_json",
+    "json_nulled",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -88,8 +90,17 @@ def _matrix_from_json(d: dict) -> SparseMatrix:
     return SparseMatrix.from_triplets(*shape, rows, cols, values)
 
 
-def _bounds_to_json(v: np.ndarray) -> list:
-    return [None if not np.isfinite(x) else float(x) for x in v]
+def json_nulled(doc):
+    """doc, a tree of dicts, lists and scalars, with every non-finite float
+    (infinite or NaN) replaced by None, so json.dumps writes strict JSON,
+    null in its place."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: json_nulled(v) for key, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [json_nulled(v) for v in doc]
+    return doc
 
 
 def _bounds_from_json(doc: dict, key: str, sign: float) -> np.ndarray:
@@ -107,8 +118,8 @@ def problem_to_json(p: StandardFormLp | GeneralFormLp) -> dict:
         "objective_offset": p.objective_offset,
     }
     if isinstance(p, GeneralFormLp):
-        doc["l"] = _bounds_to_json(p.l)
-        doc["u"] = _bounds_to_json(p.u)
+        doc["l"] = json_nulled(p.l.tolist())
+        doc["u"] = json_nulled(p.u.tolist())
         if p.eq.any():
             doc["eq"] = p.eq.tolist()
     return doc
@@ -187,8 +198,10 @@ def _cert_to_json(report) -> dict | None:
 
 
 def result_to_json(outcome: SolveOutcome, p: StandardFormLp | GeneralFormLp) -> dict:
+    """The outcome as a JSON tree; a non-finite number, as a diverged solve
+    gives, is None (json_nulled)."""
     kkt = outcome.kkt
-    return {
+    return json_nulled({
         "instance": p.name,
         "status": outcome.status.value,
         "iterations": outcome.iterations,
@@ -206,7 +219,7 @@ def result_to_json(outcome: SolveOutcome, p: StandardFormLp | GeneralFormLp) -> 
         "r": _vector_or_none(outcome.r),
         "primal_certificate": _cert_to_json(outcome.primal_certificate),
         "dual_certificate": _cert_to_json(outcome.dual_certificate),
-    }
+    })
 
 
 def write_trace_csv(records: Sequence[TraceRecord], path) -> None:

@@ -165,8 +165,7 @@ class GeneralFormOperator:
     in CSR storage (47.5 against 35.6 us per step at 300 x 1200 with 8400
     nnz, one Xeon core).  apply, trajectory, PdhgState.advance and
     identify's fixed-point search all run the loop.  matrix is A in the
-    blocks' storage, and _mat and _rmat are its products, which run's
-    checks use.
+    blocks' storage, which run's support projection slices.
     """
 
     def __init__(
@@ -200,8 +199,6 @@ class GeneralFormOperator:
             for side in clips
         ]
         self.matrix = mat
-        self._mat = lambda v: mat @ v
-        self._rmat = lambda v: mat_t @ v
         self._m_norm: MNorm | None = None
 
     def m_norm(self) -> MNorm:
@@ -480,8 +477,7 @@ def _other_side_feasible(
     certify a part of at most kkt_tol, else None.  ray_product (A'w of a
     primal certificate w, A d of a dual one d) sets the move only: the
     moved point's product is taken on p.a, as the outcome's kkt takes it,
-    since at a large t neither A'y + t A'w nor the scaled path's product is
-    A'(y + t w) on p.a to kkt_tol.
+    since at a large t A'y + t A'w is not A'(y + t w) to kkt_tol.
 
     A primal certificate moves y: its sign rows are y >= 0 on the
     inequality rows and the reduced-cost signs of the lower-only and
@@ -566,10 +562,12 @@ def run(
     BUDGET (or the sub-solve's), and x and y are the last iterate.  The
     trace holds this run's checks only.
 
-    A check makes six products, none shared with the steps (which run on
-    the operator's stacked blocks, see GeneralFormOperator): A x^k and A'y^k
-    serve the KKT residuals, the reduced costs and the normalized iterate,
-    and the difference and the average take one product per side.
+    A check makes six products, all of p's own A (p.a.matvec and
+    p.a.rmatvec on the pulled-back vectors) and none shared with the steps
+    (which run on the operator's stacked blocks, see GeneralFormOperator):
+    A x^k and A'y^k serve the KKT residuals, the reduced costs and the
+    normalized iterate, and the difference and the average take one
+    product per side.
 
     A check whose active_pattern equals the previous check's, and which no
     earlier check of the run projected, also projects once on the support
@@ -588,10 +586,11 @@ def run(
 
     Every problem is iterated on D_r A D_c with Ruiz and Pock-Chambolle
     factors (see scaling), with step sizes from that matrix.  Each check
-    pulls the state and its products back, so the KKT residuals and the
-    certificate tests run on p itself (eps and kkt_tol keep their meaning),
-    and every vector returned is in p's coordinates.  Warm starts x0, y0
-    are given in p's coordinates too, with shapes (n,) and (m,).
+    pulls the state back and takes its products on p.a, so the KKT
+    residuals and the certificate tests run on p itself (eps and kkt_tol
+    keep their meaning), and every vector returned is in p's coordinates.
+    Warm starts x0, y0 are given in p's coordinates too, with shapes (n,)
+    and (m,).
 
     On problems that exact.repair_fits takes (at most 12 rows and 12
     columns) each certificate that passed at eps then goes through
@@ -624,7 +623,6 @@ def run(
     termination: Termination | None = None
     kkt: KktResiduals | None = None
     r: np.ndarray | None = None
-    mat, rmat = op._mat, op._rmat
 
     while state.k < config.max_iters:
         state.advance(op, min(config.check_interval, config.max_iters - state.k))
@@ -636,16 +634,16 @@ def run(
             break
 
         view = scaling.unscale_state(state)
-        products = scaling.unscale_products(mat(state.x), rmat(state.y), mat, rmat)
-        r = recover_r(p, view.y, products.aty)
-        kkt = kkt_residual(p, view.x, view.y, r, products.ax, products.aty)
+        ax, aty = p.a.matvec(view.x), p.a.rmatvec(view.y)
+        r = recover_r(p, view.y, aty)
+        kkt = kkt_residual(p, view.x, view.y, r, ax, aty)
         pattern = active_pattern(ps, state.x, state.y)
         changed = not np.array_equal(pattern, prev_pattern)
         prev_pattern = pattern
         key = pattern.tobytes()
         ms = (time.perf_counter() - t_start) * 1000.0
 
-        cands = [certs.extract(view, kind, products) for kind in certs.SEQUENCE_KINDS]
+        cands = [certs.extract(view, kind, ax, aty) for kind in certs.SEQUENCE_KINDS]
         moved = None  # the iterate moved onto the support this check projected
         if not changed and k > config.check_interval and key not in projected:
             # The pattern held since the last check and is new: project once.
@@ -654,17 +652,16 @@ def run(
             support = Support.within_cap(op.matrix, ps.c, ps.b, cols, rows, state.x)
             if support is not None:
                 cands.append(
-                    certs.candidate(
+                    certs.CertificateCandidate(
                         certs.CandidateKind.SUPPORT,
                         k,
                         support.d * scaling.col,
                         support.w * scaling.row,
-                        products,
                     )
                 )
                 x_m, y_m = support.project(state.x, state.y)
                 x_m, y_m = x_m * scaling.col, y_m * scaling.row
-                moved = (x_m, y_m, products.matvec(x_m), products.rmatvec(y_m))
+                moved = (x_m, y_m, p.a.matvec(x_m), p.a.rmatvec(y_m))
 
         for cand in cands:
             prep = certs.check_primal_infeasibility(cand, p, config.eps)
@@ -712,8 +709,8 @@ def run(
         status = (
             SolveStatus.PRIMAL_INFEASIBLE if primal else SolveStatus.DUAL_INFEASIBLE
         )
-        ray_product = (products.rmatvec if primal else products.matvec)(rep.vector)
-        for origin in ((view.x, view.y, products.ax, products.aty), moved):
+        ray_product = (p.a.rmatvec if primal else p.a.matvec)(rep.vector)
+        for origin in ((view.x, view.y, ax, aty), moved):
             if origin is not None and point is None:
                 point = _other_side_feasible(
                     p, rep, ray_product, origin, config.kkt_tol

@@ -8,23 +8,21 @@ column factors D_c it iterates on
 
 whose points map back as x = D_c x~ and y = D_r y~.  The map keeps every
 sign (the factors are positive), so y >= 0, the box and the objectives
-carry over: b'y = b~'y~ and c'x = c~'x~.  Products pull back elementwise,
-A x = (A~ x~) / D_r and A'y = (A~'y~) / D_c, so tests on the original data
-need no extra matrix product.  The scaled iteration is still averaged in
-its own M-norm, so the displacement results behind the certificates hold
-for it unchanged.
+carry over: b'y = b~'y~ and c'x = c~'x~.  The checks pull only the
+points back; every product they read is of the original A.  The scaled
+iteration is still averaged in its own M-norm, so the displacement results
+behind the certificates hold for it unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from .certificates import StateProducts
 from . import linalg
 from .linalg import SparseMatrix
 from .model import GeneralFormLp
@@ -35,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ruiz_pock_chambolle", "DiagonalScaling"]
 
 RUIZ_PASSES = 10
-
-_Product = Callable[[np.ndarray], np.ndarray]
 
 
 def _scaled_csr(
@@ -164,17 +160,4 @@ class DiagonalScaling:
             y_prev=s.y_prev * row,
             sum_x=s.sum_x * col,
             sum_y=s.sum_y * row,
-        )
-
-    def unscale_products(
-        self, ax: np.ndarray, aty: np.ndarray, matvec: _Product, rmatvec: _Product
-    ) -> StateProducts:
-        """A x and A'y from A~ x~ and A~'y~, and the products of A built on
-        those of A~: A v = (A~ (v / D_c)) / D_r, A'w = (A~'(w / D_r)) / D_c."""
-        col, row = self.col, self.row
-        return StateProducts(
-            ax / row,
-            aty / col,
-            lambda v: matvec(v / col) / row,
-            lambda w: rmatvec(w / row) / col,
         )

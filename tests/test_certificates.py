@@ -9,7 +9,6 @@ from pdhglp import demos
 from pdhglp.certificates import (
     CandidateKind,
     CertificateCandidate,
-    StateProducts,
     check_dual_infeasibility,
     check_primal_infeasibility,
     check_standard_farkas,
@@ -123,8 +122,8 @@ class TestPrimalInfeasibilityCheck:
             sum_y=y.copy(),
         )
         mat, rmat = p.a.matvec, p.a.rmatvec
-        products = StateProducts(mat(state.x), rmat(state.y), mat, rmat)
-        cached = extract(state, CandidateKind.NORMALIZED_ITERATE, products)
+        kind = CandidateKind.NORMALIZED_ITERATE
+        cached = extract(state, kind, mat(state.x), rmat(state.y))
         bare = _cand(cached.y_part, cached.kind, cached.x_part)
         assert not np.array_equal(cached.aty, rmat(np.array([0.0, 1.0, 5.0])))
         got = check_primal_infeasibility(cached, p, 1e-8)

@@ -448,6 +448,34 @@ class TestCliSolve:
         assert code == cli.EXIT_NUMERICAL
         assert "all-zero" in capsys.readouterr().err
 
+    def test_diverged_solve_writes_strict_json(self, tmp_path, capsys):
+        # c_0 = -1e308 drives x to overflow: the run stops with divergence,
+        # its objectives, kkt and some entries of x and y not finite.  Each
+        # is written as null, which a strict parser reads.
+        path, out = tmp_path / "huge.json", tmp_path / "out.json"
+        doc = {
+            "form": "general",
+            "c": [-1e308, 1.0],
+            "a": {"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], "values": [1.0, 1.0]},
+            "b": [1.0],
+            "l": [0, 0],
+            "u": [None, None],
+        }
+        path.write_text(json.dumps(doc))
+        code = cli.main(["solve", str(path), "--json-out", str(out)])
+        capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        result = json.loads(out.read_text(), parse_constant=refuse)
+        assert result["termination"] == "divergence"
+        assert result["primal_objective"] is None
+        assert result["dual_objective"] is None
+        assert set(result["kkt"].values()) == {None}
+        assert None in result["x"] and None in result["y"]
+
     @pytest.mark.parametrize("name", sorted(_NO_ROWS))
     def test_problem_without_rows_is_refused(self, name, tmp_path, capsys):
         path = tmp_path / name

@@ -125,7 +125,6 @@ class TestOperators:
             op = make_operator(p, StepSizes.for_matrix(p.a))
             assert isinstance(op.matrix, np.ndarray) == dense
             x = np.arange(p.n, dtype=np.float64)
-            np.testing.assert_array_equal(op.matrix @ x, op._mat(x))
             np.testing.assert_array_equal(op.matrix @ x, op.p.a.matvec(x))
 
     @pytest.mark.parametrize("form", ["standard", "general", "shifted"])

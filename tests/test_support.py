@@ -258,10 +258,10 @@ def test_witness_sub_solve_finds_the_second_certificate():
         assert exact.verify_certificate_exact(rep.vector, p, rep.side).valid
 
 
-def test_one_eigh_per_projected_pattern(monkeypatch):
-    # ex1(0,2) is primal infeasible.  eps = kkt_tol = 1e-300 keep every
-    # certificate and every optimal point from passing, so the run makes no
-    # sub-solve and projects on each pattern that settles up to its budget.
+def test_one_eigh_per_projected_pattern(monkeypatch, no_verdict):
+    # ex1(0,2) is primal infeasible.  no_verdict keeps every certificate
+    # and every optimal point from passing, so the run makes no sub-solve
+    # and projects on each pattern that settles up to its budget.
     calls = []
     eigh = np.linalg.eigh
 
@@ -270,7 +270,7 @@ def test_one_eigh_per_projected_pattern(monkeypatch):
         return eigh(g)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    cfg = PdhgConfig(max_iters=2000, eps=1e-300, kkt_tol=1e-300, check_interval=20)
+    cfg = PdhgConfig(max_iters=2000, check_interval=20)
     out = run(demos.example1(0.0, 2.0), cfg)
     assert out.termination is Termination.BUDGET and out.iterations == 2000
     projections = sum(t.seq == "support" for t in out.trace)
