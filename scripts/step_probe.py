@@ -6,11 +6,12 @@ standard form of the instance (make_operator: a GeneralFormOperator on its
 lowering), the general form of a general-form instance, and the shifted
 twin of the standard form (displacement taken from the last step of a
 1000-step trajectory, partition from partition_indices).  Each is timed as
-op.trajectory from zero, --steps steps, --repeat times;
-the fastest run is printed per step.  trajectory is the bare step loop
-plus one copy of each row out of the step buffers, so the numbers are the
-"bare operator step" of the analysis and of the solve alike.  For steady
-numbers pin BLAS to one thread:
+op.trajectory from zero, --steps steps, --repeat times; the fastest run
+is printed per step, with the loop body the operator runs
+(GeneralFormOperator.storage: fused, dense or csr).  trajectory is the
+bare step loop plus one copy of each row out of the step buffer, so the
+numbers are the "bare operator step" of the analysis and of the solve
+alike.  For steady numbers pin BLAS to one thread:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/step_probe.py instance.mps
     OPENBLAS_NUM_THREADS=1 python3 scripts/step_probe.py --demo std-both-infeasible
@@ -25,7 +26,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pdhglp import demos, linalg
+from pdhglp import demos
 from pdhglp.identify import ShiftedOperator, partition_indices
 from pdhglp.instance_io import load_problem
 from pdhglp.linalg import StepSizes
@@ -78,7 +79,6 @@ def main() -> int:
     print(f"{'operator':10s} {'storage':7s} {'m':>6s} {'n':>6s} {'nnz':>8s} "
           f"{'us/step':>9s}")
     for name, op, nnz in _operators(p, args.step_factor):
-        storage = "dense" if op.m * op.n <= linalg.DENSE_LIMIT else "csr"
         z0 = np.zeros(op.n + op.m)
         best = np.inf
         with np.errstate(all="ignore"):
@@ -86,7 +86,7 @@ def main() -> int:
                 t0 = time.perf_counter()
                 op.trajectory(z0, args.steps)
                 best = min(best, time.perf_counter() - t0)
-        print(f"{name:10s} {storage:7s} {op.m:6d} {op.n:6d} {nnz:8d} "
+        print(f"{name:10s} {op.storage:7s} {op.m:6d} {op.n:6d} {nnz:8d} "
               f"{best / args.steps * 1e6:9.2f}")
     return 0
 

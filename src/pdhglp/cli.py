@@ -8,6 +8,7 @@ or another solver-side failure, 4 for an iteration-limit stop.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,7 +82,10 @@ def _add_solver_args(sub):
     _add_shared_args(sub)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parse_args keeps no
+    state in it, and each call returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="pdhglp",
         description="First-order LP solver with certificate extraction",

@@ -67,8 +67,8 @@ __all__ = [
 
 # run() stops with NUMERICAL_ERROR once an iterate entry exceeds this.
 _DIVERGENCE_LIMIT = 1e50
-# Steps per block of the step loop (GeneralFormOperator._steps), so its buffers
-# never outgrow _BLOCK + 1 rows whatever the step count.  trajectory copies
+# Steps per block of the step loop (GeneralFormOperator._steps), so its buffer
+# never outgrows _BLOCK + 1 rows whatever the step count.  trajectory copies
 # rows out and PdhgState.advance adds them to the sums a block at a time,
 # and identify's fixed-point search tests its step length after each block.
 _BLOCK = 200
@@ -145,27 +145,41 @@ class GeneralFormOperator:
     """One PDHG step on the general-form problem p as data, and the one loop
     that takes it.
 
-    The step is two stacked blocks and their bounds, built once:
+    The step is two stacked blocks and their bounds, built once.  storage
+    names the blocks and the loop body that reads them:
 
-        x_j = clip(x_{j-1} + K1 [y_{j-1}; 1], p.l, p.u)
-        y_j = max(y_{j-1} + K2 [2 x_j - x_{j-1}; 1], p.row_floor)
+    - "fused", when both blocks fit in linalg.DENSE_LIMIT entries, that is
+      n (n + m + 1) + m (2 n + m + 1) of them.  Dense blocks hold the
+      identity, the offsets and 2 x_j - x_{j-1}:
 
-    with K1 = [eta A' | -eta c - v_x] and K2 = [-tau A | tau b - v_y], where
+          x_j = clip(K1 [x_{j-1}; y_{j-1}; 1], p.l, p.u)
+          y_j = max(K2 [x_{j-1}; y_{j-1}; 1; x_j], p.row_floor)
+
+      with K1 = [I | eta A' | -eta c - v_x] and
+      K2 = [tau A | I | tau b - v_y | -2 tau A].  A step is two matrix
+      products and the clips to the finite bounds: three numpy calls on a
+      lowering.
+    - "dense" (up to linalg.DENSE_LIMIT entries of A) and "csr" (above it)
+      otherwise.  Neither block holds an identity or a zero block:
+
+          x_j = clip(x_{j-1} + K1 [y_{j-1}; 1], p.l, p.u)
+          y_j = max(y_{j-1} + K2 [2 x_j - x_{j-1}; 1], p.row_floor)
+
+      with K1 = [eta A' | -eta c - v_x] and K2 = [-tau A | tau b - v_y],
+      2 m n + n + m entries dense and at most 2 nnz + n + m in CSR.  A step
+      is seven numpy calls on a lowering.  Fused blocks read A twice: in
+      CSR storage they were 5-15% slower per step at 300 x 1200 (about
+      8500 nnz), and at 40 x 120 dense they gained nothing.
+
     shift = (v_x, v_y) is 0 for the solver and the displacement for
     identify's shifted twin.  A bound with no finite entry is not clipped
-    to.  Neither block holds an identity or a zero block, so together they
-    store 2 m n + n + m entries dense (up to linalg.DENSE_LIMIT entries of
-    A) and at most 2 nnz + n + m in CSR.
+    to.
 
-    _steps is the loop.  It writes x rows and (y; 1) rows into two buffers
-    and [2 x_j - x_{j-1}; 1] into a vector of its own, so a step on a
-    lowering is seven numpy calls, with no allocation in dense storage.  A
-    stacked K2 = [tau A | offset | -2 tau A] over [x_{j-1}; 1; x_j] would
-    save two calls, but it reads A twice, which costs more than those calls
-    in CSR storage (47.5 against 35.6 us per step at 300 x 1200 with 8400
-    nnz, one Xeon core).  apply, trajectory, PdhgState.advance and
-    identify's fixed-point search all run the loop.  matrix is A in the
-    blocks' storage, which run's support projection slices.
+    _steps is the loop.  It writes the rows [x_j; y_j; 1] into one buffer,
+    with no allocation in dense storage.  apply, trajectory,
+    PdhgState.advance and identify's fixed-point search all run it.  matrix
+    is A in the blocks' storage (dense for "fused"), which run's support
+    projection slices.
     """
 
     def __init__(
@@ -179,20 +193,24 @@ class GeneralFormOperator:
         self.shift = np.zeros(n + m) if shift is None else np.asarray(shift, float)
         x_offset = -steps.eta * p.c - self.shift[:n]
         y_offset = steps.tau * p.b - self.shift[n:]
-        if m * n <= linalg.DENSE_LIMIT:
+        if n * (n + m + 1) + m * (2 * n + m + 1) <= linalg.DENSE_LIMIT:
+            self.storage = "fused"
+            mat = p.a.to_dense()
+            tau_a = steps.tau * mat
+            self.k1 = np.hstack([np.eye(n), steps.eta * mat.T, x_offset[:, None]])
+            self.k2 = np.hstack([tau_a, np.eye(m), y_offset[:, None], -2.0 * tau_a])
+        elif m * n <= linalg.DENSE_LIMIT:
+            self.storage = "dense"
             mat = p.a.to_dense()
             mat_t = np.ascontiguousarray(mat.T)
             self.k1 = np.hstack([steps.eta * mat_t, x_offset[:, None]])
             self.k2 = np.hstack([-steps.tau * mat, y_offset[:, None]])
-            dot1, dot2, out1, out2 = self.k1.dot, self.k2.dot, np.empty(n), np.empty(m)
-            self._k1_dot = lambda v: dot1(v, out1)
-            self._k2_dot = lambda v: dot2(v, out2)
         else:
+            self.storage = "csr"
             mat, mat_t = p.a.csr, p.a.transposed_csr()
             col1, col2 = (sp.csr_matrix(v[:, None]) for v in (x_offset, y_offset))
             self.k1 = sp.hstack([steps.eta * mat_t, col1], format="csr")
             self.k2 = sp.hstack([-steps.tau * mat, col2], format="csr")
-            self._k1_dot, self._k2_dot = self.k1.__matmul__, self.k2.__matmul__
         clips = ([(np.maximum, p.l), (np.minimum, p.u)], [(np.maximum, p.row_floor)])
         self._clips = [
             [(clip, bound) for clip, bound in side if np.isfinite(bound).any()]
@@ -208,22 +226,68 @@ class GeneralFormOperator:
 
     def _steps(self, x: np.ndarray, y: np.ndarray, count: int):
         """The step loop: count steps from (x, y), _BLOCK at a time.  After
-        each block it yields the buffers, rows x and (y; 1), and the rows r
-        it filled: row 0 is where the block started, rows 1..r its steps,
-        and the next block starts from row r."""
-        xs = np.empty((min(count, _BLOCK) + 1, self.n))
-        ys = np.ones((len(xs), self.m + 1))
-        xs[0], ys[0, :-1] = x, y
-        # Row j of these is x_j, y_j and [y_j; 1].
-        x_rows, y_rows, y_ones = list(xs), list(ys[:, :-1]), list(ys)
-        d = np.ones(self.n + 1)  # [2 x_j - x_{j-1}; 1]
-        d_x = d[:-1]
-        k1_dot, k2_dot = self._k1_dot, self._k2_dot
-        x_clips, y_clips = self._clips
+        each block it yields views of its buffer, rows x and (y; 1), and the
+        rows r it filled: row 0 is where the block started, rows 1..r its
+        steps, and the next block starts from row r.
+
+        A block runs with numpy's overflow and invalid-value warnings off,
+        since run turns a non-finite iterate into a divergence at its next
+        check.  The errstate is a context variable, so it is left before
+        each yield: a caller may drop the loop half way."""
+        n = self.n
+        zs = np.ones((min(count, _BLOCK) + 1, n + self.m + 1))
+        zs[0, :n], zs[0, n:-1] = x, y
+        xs, ys = zs[:, :n], zs[:, n:]
+        fused = self.storage == "fused"
+        fill = self._fused_fill(zs) if fused else self._unfused_fill(zs)
         for done in range(0, count, _BLOCK):
             if done:
-                xs[0], ys[0] = xs[-1], ys[-1]
+                zs[0] = zs[-1]
             rows = min(_BLOCK, count - done)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fill(rows)
+            yield xs, ys, rows
+
+    def _fused_fill(self, zs: np.ndarray):
+        """The fused step on the buffer zs of rows [x_j; y_j; 1], as a
+        function that fills rows 1..r from row 0."""
+        n, w = self.n, zs.shape[1]
+        flat = zs.reshape(-1)
+        # Row j of these is z_j, x_{j+1}, y_{j+1} and z_j followed by x_{j+1},
+        # which are contiguous in the buffer.
+        z_rows, x_rows, y_rows = list(zs[:-1]), list(zs[1:, :n]), list(zs[1:, n:-1])
+        pairs = [flat[j * w : j * w + w + n] for j in range(len(z_rows))]
+        dot1, dot2 = self.k1.dot, self.k2.dot
+        x_clips, y_clips = self._clips
+
+        def fill(rows: int) -> None:
+            for z, pair, x, y in zip(z_rows[:rows], pairs, x_rows, y_rows):
+                dot1(z, x)
+                for clip, bound in x_clips:
+                    clip(x, bound, out=x)
+                dot2(pair, y)
+                for clip, bound in y_clips:
+                    clip(y, bound, out=y)
+
+        return fill
+
+    def _unfused_fill(self, zs: np.ndarray):
+        """The dense or CSR step on the buffer zs of rows [x_j; y_j; 1], as
+        a function that fills rows 1..r from row 0."""
+        n = self.n
+        # Row j of these is x_j, y_j and [y_j; 1].
+        x_rows, y_rows, y_ones = list(zs[:, :n]), list(zs[:, n:-1]), list(zs[:, n:])
+        d = np.ones(n + 1)  # [2 x_j - x_{j-1}; 1]
+        d_x = d[:-1]
+        if self.storage == "dense":
+            dot1, dot2 = self.k1.dot, self.k2.dot
+            out1, out2 = np.empty(n), np.empty(self.m)
+            k1_dot, k2_dot = (lambda v: dot1(v, out1)), (lambda v: dot2(v, out2))
+        else:
+            k1_dot, k2_dot = self.k1.__matmul__, self.k2.__matmul__
+        x_clips, y_clips = self._clips
+
+        def fill(rows: int) -> None:
             for j in range(1, rows + 1):
                 x_prev, x, y = x_rows[j - 1], x_rows[j], y_rows[j]
                 np.add(x_prev, k1_dot(y_ones[j - 1]), out=x)
@@ -234,7 +298,8 @@ class GeneralFormOperator:
                 np.add(y_rows[j - 1], k2_dot(d), out=y)
                 for clip, bound in y_clips:
                     clip(y, bound, out=y)
-            yield xs, ys, rows
+
+        return fill
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step from (x, y): (x1, y1), views of a fresh buffer."""
@@ -248,7 +313,7 @@ class GeneralFormOperator:
 
     def trajectory(self, z0: np.ndarray, k: int) -> np.ndarray:
         """Rows z^0..z^k of the iteration from the stacked z0 = (x^0, y^0),
-        copied out of the step buffers a block at a time."""
+        copied out of the step buffer a block at a time."""
         if k < 0:
             raise ValueError(f"a trajectory needs k >= 0 steps, got {k}")
         n = self.n

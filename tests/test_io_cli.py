@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -451,7 +452,8 @@ class TestCliSolve:
     def test_diverged_solve_writes_strict_json(self, tmp_path, capsys):
         # c_0 = -1e308 drives x to overflow: the run stops with divergence,
         # its objectives, kkt and some entries of x and y not finite.  Each
-        # is written as null, which a strict parser reads.
+        # is written as null, which a strict parser reads.  The step loop
+        # overflows without a numpy warning: the verdict reports it.
         path, out = tmp_path / "huge.json", tmp_path / "out.json"
         doc = {
             "form": "general",
@@ -462,7 +464,9 @@ class TestCliSolve:
             "u": [None, None],
         }
         path.write_text(json.dumps(doc))
-        code = cli.main(["solve", str(path), "--json-out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["solve", str(path), "--json-out", str(out)])
         capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL
 
@@ -605,6 +609,20 @@ class TestCliSolve:
 
 
 class TestCliAnalyzeOracleDemo:
+    def test_parser_built_once_keeps_no_state_between_calls(self, monkeypatch):
+        # main parses with one cached parser: an option given to one call
+        # must not become the next call's default.
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or 0)
+        argv = ["analyze", "--demo", "std-feasible"]
+        assert cli.main([*argv, "--analysis-iters", "50", "--step-factor", "0.5"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--analysis-iters", "0"])
+        assert cli.main(argv) == 0
+        got = [(a.analysis_iters, a.step_factor) for a in seen]
+        assert got == [(50, 0.5), (4000, 0.9)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_analyze_report_keys(self, capsys):
         code = cli.main(
             ["analyze", "--demo", "std-both-infeasible", "--analysis-iters", "1500"]

@@ -61,7 +61,15 @@ class ReferenceStep:
     (b, n1, n2) has x_offset = -eta c - v_x, y_offset = -tau b - v_y,
     lo = -inf on b and -v_x elsewhere, and hi = -v_x on n2 and inf
     elsewhere.  Blocks in A's storage: dense up to linalg.DENSE_LIMIT
-    entries, CSR above it."""
+    entries, CSR above it.
+
+    When n (n + m + 1) + m (2 n + m + 1) entries fit in linalg.DENSE_LIMIT
+    the step is fused, with the identity, the offsets and 2 x+ - x in the
+    dense blocks:
+
+        x+ = clip(K1 [x; y; 1], lo, hi),   K1 = [I | -eta A' | x_offset]
+        y+ = K2 [x; y; 1; x+],             K2 = [-tau A | I | y_offset | 2 tau A]
+    """
 
     def __init__(self, p, steps, v=None, partition=None):
         self.n, self.m = n, m = p.n, p.m
@@ -73,7 +81,13 @@ class ReferenceStep:
             mask_b, _, mask_n2 = partition.masks(n)
             self.lo = np.where(mask_b, -np.inf, -v_x)
             self.hi = np.where(mask_n2, -v_x, np.inf)
-        if m * n <= linalg.DENSE_LIMIT:
+        self.fused = n * (n + m + 1) + m * (2 * n + m + 1) <= linalg.DENSE_LIMIT
+        if self.fused:
+            a = p.a.to_dense()
+            tau_a = steps.tau * a
+            self.k1 = np.hstack([np.eye(n), -steps.eta * a.T, x_offset[:, None]])
+            self.k2 = np.hstack([-tau_a, np.eye(m), y_offset[:, None], 2.0 * tau_a])
+        elif m * n <= linalg.DENSE_LIMIT:
             a = p.a.to_dense()
             a_t = np.ascontiguousarray(a.T)
             self.k1 = np.hstack([-steps.eta * a_t, x_offset[:, None]])
@@ -90,10 +104,17 @@ class ReferenceStep:
         points[0] = z0
         x, y = z0[:n].copy(), z0[n:].copy()
         for j in range(1, k + 1):
-            x1 = np.maximum(x + self.k1.dot(np.append(y, 1.0)), self.lo)
+            if self.fused:
+                x1 = self.k1.dot(np.concatenate([x, y, [1.0]]))
+            else:
+                x1 = x + self.k1.dot(np.append(y, 1.0))
+            x1 = np.maximum(x1, self.lo)
             if self.hi is not None:
                 x1 = np.minimum(x1, self.hi)
-            y = y + self.k2.dot(np.append(2.0 * x1 - x, 1.0))
+            if self.fused:
+                y = self.k2.dot(np.concatenate([x, y, [1.0], x1]))
+            else:
+                y = y + self.k2.dot(np.append(2.0 * x1 - x, 1.0))
             x = x1
             points[j, :n], points[j, n:] = x, y
         return points

@@ -146,8 +146,25 @@ class TestOperators:
         else:
             v_x, v_y = np.zeros(n), np.zeros(m)
             op = ShiftedOperator(std, steps, v_x, v_y, partition_indices(a, v_x, v_y))
+        assert op.storage == "dense"
         assert isinstance(op.k1, np.ndarray) and isinstance(op.k2, np.ndarray)
         assert op.k1.size + op.k2.size == 2 * m * n + n + m
+
+    @pytest.mark.parametrize("n,storage", [(98, "fused"), (99, "dense")])
+    def test_fused_blocks_fit_in_the_dense_limit(self, n, storage, rng):
+        # At m = 1 the fused blocks hold n (n + 2) + (2 n + 2) entries:
+        # 9998 at n = 98, 10199 at n = 99.
+        m = 1
+        a = SparseMatrix.from_dense(rng.standard_normal((m, n)))
+        c = rng.standard_normal(n)
+        p = GeneralFormLp(c=c, a=a, b=np.ones(m), l=np.zeros(n), u=np.full(n, np.inf))
+        op = GeneralFormOperator(p, StepSizes.for_matrix(a))
+        assert op.storage == storage
+        if storage == "fused":
+            assert op.k1.shape == (n, n + m + 1) and op.k2.shape == (m, 2 * n + m + 1)
+            assert op.k1.size + op.k2.size == 9998 <= linalg.DENSE_LIMIT
+        else:
+            assert op.k1.size + op.k2.size == 2 * m * n + n + m
 
     @pytest.mark.parametrize("case", sorted(_NON_FINITE_CASES))
     @settings(max_examples=30, deadline=None)
@@ -504,11 +521,11 @@ class TestRunStatuses:
 
 
 class TestTrace:
-    def test_rows_per_check(self):
-        # The polish of std_feasible's support reaches KKT exactly 0 at
-        # k=40, which any tolerance accepts; ex1(0,1)'s polish does not, so
-        # with tolerances of 1e-300 the run makes all five checks.
-        cfg = PdhgConfig(max_iters=100, eps=1e-300, kkt_tol=1e-300, check_interval=20)
+    def test_rows_per_check(self, no_verdict):
+        # ex1(0,1)'s polish reaches KKT exactly 0 at k=40, which any
+        # tolerance accepts; no_verdict fails every test, so the run makes
+        # all five checks.
+        cfg = PdhgConfig(max_iters=100, check_interval=20)
         out = run(demos.example1(0.0, 1.0), cfg)
         ks = [t.k for t in out.trace]
         assert ks == sorted(ks)

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from pdhglp import demos
+from pdhglp.instance_io import save_problem
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -42,3 +45,22 @@ def test_script_exits_zero(argv, expected, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert expected in done.stdout
+
+
+# std-both-infeasible copied k times lowers to 2k x 3k: fused blocks fit in
+# linalg.DENSE_LIMIT entries at k = 1, dense A at k = 20, and A is CSR at
+# k = 41.
+@pytest.mark.parametrize("copies,storage", [(1, "fused"), (20, "dense"), (41, "csr")])
+def test_step_probe_prints_the_operators_storage(copies, storage, tmp_path):
+    path = tmp_path / "instance.json"
+    save_problem(demos.block_copies(demos.std_both_infeasible(), copies), path)
+    argv = [str(SCRIPTS / "step_probe.py"), str(path), "--steps", "20", "--repeat", "1"]
+    done = subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split()[:2] for line in done.stdout.splitlines()[1:]]
+    assert rows == [["lowered", storage], ["shifted", storage]]
