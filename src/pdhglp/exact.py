@@ -25,7 +25,7 @@ and A must be finite and the bounds not NaN (an infinite bound means none).
 
 Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
 MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
-columns (repair_fits), since Fraction arithmetic grows fast with the size.
+columns (repair_fits), since its elimination is cubic in the size.
 pdhg.run repairs the certificates of problems that fit and leaves the rest
 alone; the oracle serves the tests and `pdhglp oracle`.
 """
@@ -513,46 +513,51 @@ _REPAIR_TIGHT = Fraction(1, 10**7)
 _REPAIR_MAX_ENTRY = 10**9
 # Most rows and most columns of a problem the repair takes on.  A side has
 # at most m + 2n or 2m + n cone rows, so the elimination stays within 36.
-# On one Xeon core, a certificate of a dense 12 x 12 LP with integer data
-# takes about 0.01 s to repair; at 60 x 12 the Fraction arithmetic took
-# 2.5-3.5 s with integer data and 15-18 s without.
+# On a shared 2-core Xeon, a certificate run returns on a dense 12 x 12 LP
+# with free variables takes 1-2 ms to repair, with integer data or not; at
+# 60 x 12 it takes 9-10 ms with integer data and 23-26 ms without.
 REPAIR_MAX_DIM = MAX_VARIABLES
 
 
-def _coprime_integers(v: list[Fraction]) -> list[int]:
-    """v scaled by a positive rational to coprime integers (v nonzero)."""
-    den = math.lcm(*(f.denominator for f in v))
-    ints = [f.numerator * (den // f.denominator) for f in v]
-    g = math.gcd(*ints)
-    return [i // g for i in ints]
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries; a zero v stays zero."""
+    g = math.gcd(*v) or 1
+    return [i // g for i in v]
+
+
+def _coprime_integers(v: Sequence) -> list[int]:
+    """v, floats or Fractions, scaled by a positive rational to coprime integers."""
+    ratios = [_ratio(x) for x in v]
+    den = math.lcm(*(d for _, d in ratios))
+    return _primitive([num * (den // d) for num, d in ratios])
 
 
 def _null_basis(rows: list[_SparseRow], n: int) -> list[list[int]]:
     """Integer vectors spanning {v : row'v = 0 for every row} over the
-    rationals: one per free column of the rows' reduced echelon form, found
-    by exact Gauss-Jordan elimination."""
-    mat = [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]
+    rationals, one per free column of the rows' reduced echelon form, found
+    by Gauss-Jordan elimination that keeps each row primitive in integers."""
+    mat = [[row.get(j, 0) for j in range(n)] for row in rows]
     pivots: list[int] = []
     for col in range(n):
         top = len(pivots)
-        piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[top], mat[piv] = mat[piv], mat[top]
-        inv = 1 / mat[top][col]
-        mat[top] = [v * inv for v in mat[top]]
-        for i in range(len(mat)):
-            f = mat[i][col]
-            if i != top and f != 0:
-                mat[i] = [u - f * w for u, w in zip(mat[i], mat[top])]
+        p = mat[top]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != top and f:
+                mat[i] = _primitive([p[col] * u - f * w for u, w in zip(row, p)])
         pivots.append(col)
+    den = math.lcm(*(mat[i][col] for i, col in enumerate(pivots)))
     basis = []
     for free in sorted(set(range(n)) - set(pivots)):
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
+        v = [0] * n
+        v[free] = den
         for i, col in enumerate(pivots):
-            v[col] = -mat[i][free]
-        basis.append(_coprime_integers(v))
+            v[col] = -mat[i][free] * (den // mat[i][col])
+        basis.append(_primitive(v))
     return basis
 
 
@@ -569,7 +574,7 @@ def integer_data(p: StandardFormLp | GeneralFormLp) -> bool:
     On non-integer float data the cone rows hold entries with denominators
     near 2**52, so the integer vectors the repair builds from them exceed
     _REPAIR_MAX_ENTRY; on dense 6 x 9 and 12 x 12 LPs it repaired none of
-    12 certificates and spent 0.06-0.35 s on each.
+    12 certificates, and each attempt takes 1-2 ms.
     """
     p = general_form(p)
     parts = [p.a.csr.data, p.b, p.c, p.l[np.isfinite(p.l)], p.u[np.isfinite(p.u)]]
@@ -591,10 +596,10 @@ def repair_certificate(
     snap denominator D in turn, so every candidate meets the collected rows
     with equality.  A candidate, scaled to coprime integers, is returned as
     floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
-    verify_certificate_exact.  The null-space elimination runs in Fraction
-    arithmetic, cubic in the number of rows, so a problem that repair_fits
-    refuses raises ValueError, as do an unknown side and a vector of
-    another length.
+    verify_certificate_exact.  The null-space elimination is fraction-free,
+    on the integer rows, and cubic in the number of rows, so a problem that
+    repair_fits refuses raises ValueError, as do an unknown side and a
+    vector of another length.
     """
     _check_side(vec, p, side)
     if not repair_fits(p):
@@ -604,7 +609,7 @@ def repair_certificate(
         return None
     p = _oracle_form(p)
     rows = _cone_rows(p, side)
-    v = _coprime_integers([Fraction(float(x)) for x in vec])
+    v = _coprime_integers(vec)
     vmax = max(map(abs, v))
     keys = {tuple(row.items()) for row in rows}
     # One row per equation: g and -g give the same one.
@@ -622,11 +627,10 @@ def repair_certificate(
         return None
     coords = np.linalg.lstsq(np.array(basis, dtype=np.float64).T, vec, rcond=None)[0]
     for den in _REPAIR_DENOMINATORS:
-        coef = exactify_vector(coords, max_denominator=den)
-        fixed = [sum(c * b[j] for c, b in zip(coef, basis)) for j in range(len(v))]
-        if not any(fixed):
+        coef = _coprime_integers(exactify_vector(coords, max_denominator=den))
+        ints = _primitive([sum(c * x for c, x in zip(coef, b)) for b in zip(*basis)])
+        if not any(ints):
             continue
-        ints = _coprime_integers(fixed)
         if max(abs(i) for i in ints) > _REPAIR_MAX_ENTRY:
             continue
         out = np.array(ints, dtype=np.float64)

@@ -53,8 +53,6 @@ ACTIVE_TOL_REL = 1e-9
 _REFINE_ROUNDS = 5
 _REFINE_TARGET = 1e-10
 _FIXED_POINT_BUDGET = 200_000
-# Rows of twin-gap vectors that shift_identity_residual norms in one batch.
-_SHIFT_BLOCK = 200
 # verify_rate_regimes: slack around the spectral rate bracket, allowed
 # distance of a power slope from -1, and the warm-up k of the power fits.
 _RATE_SLACK = 0.02
@@ -412,18 +410,15 @@ def shift_identity_residual(
     shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
     mn = shifted.m_norm()
     n = p.n
-    k_max = orig.shape[0] - 1
-    zs = orig[0]
-    worst = 0.0
-    for start in range(1, k_max + 1, _SHIFT_BLOCK):
-        rows = min(_SHIFT_BLOCK, k_max + 1 - start)
-        twin = shifted.trajectory(zs, rows)
-        zs = twin[-1]
-        ks = np.arange(start, start + rows, dtype=np.float64)[:, None]
-        gaps = twin[1:] - (orig[start : start + rows] - ks * v)
-        block = mn.rows(gaps[:, :n], gaps[:, n:])
+    worst, done = 0.0, 1
+    for xs, ys, rows in shifted._steps(orig[0, :n], orig[0, n:], orig.shape[0] - 1):
+        ks = np.arange(done, done + rows, dtype=np.float64)[:, None]
+        want = orig[done : done + rows] - ks * v
+        gap_x = xs[1 : rows + 1] - want[:, :n]
+        block = mn.rows(gap_x, ys[1 : rows + 1, :-1] - want[:, n:])
         # fmax skips NaN norms, as the running Python max did.
         worst = max(worst, float(np.fmax.reduce(block)))
+        done += rows
     return worst
 
 

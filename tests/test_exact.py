@@ -276,10 +276,10 @@ class TestRepairCertificate:
         assert np.array_equal(fixed, [89.0, 97.0])
 
     def test_null_basis_spans_the_null_space_exactly(self):
-        rows = [{0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}, {2: Fraction(3)}]
+        rows = [{0: 1, 1: -2, 2: 1}, {2: 3}]
         assert exact._null_basis(rows, 3) == [[2, 1, 0]]
         # Three unknowns, rank 1: two integer vectors that zero the row.
-        row = {0: Fraction(4), 1: Fraction(-16), 2: Fraction(10)}
+        row = {0: 4, 1: -16, 2: 10}
         basis = exact._null_basis([row], 3)
         assert len(basis) == 2
         for b in basis:

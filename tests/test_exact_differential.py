@@ -5,7 +5,9 @@ The copy (reference_verify, reference_repair) is kept here, and only here,
 so that the conditions exact derives from its feasibility systems can be
 compared with the hand-written ones: the same validity on every vector,
 the same repair of the certificates pdhg.run returns, and only repairs that
-pass the exact test.
+pass the exact test.  reference_null_basis, the Gauss-Jordan elimination in
+Fraction arithmetic that the repair ran on before it worked in integers,
+holds exact._null_basis to the same basis vectors.
 
 The oracle reads a standard-form problem through its lowering and an
 equality row as such; both are also held here to the pair embedding
@@ -13,6 +15,7 @@ equality row as such; both are also held here to the pair embedding
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +112,35 @@ def _sign_constraints(p, side):
     return eqs, ineqs
 
 
+def reference_null_basis(rows, n):
+    mat = [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        inv = 1 / mat[top][col]
+        mat[top] = [v * inv for v in mat[top]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != top and f != 0:
+                mat[i] = [u - f * w for u, w in zip(mat[i], mat[top])]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -mat[i][free]
+        den = math.lcm(*(f.denominator for f in v))
+        ints = [f.numerator * (den // f.denominator) for f in v]
+        g = math.gcd(*ints)
+        basis.append([i // g for i in ints])
+    return basis
+
+
 def reference_repair(vec, p, side):
     vec = np.asarray(vec, dtype=np.float64)
     if not np.any(vec):
@@ -123,7 +155,7 @@ def reference_repair(vec, p, side):
     tight = [
         row for row in ineqs if row and abs(dot(row)) <= 1e-7 * max(map(abs, row.values())) * vmax
     ]
-    basis = exact._null_basis(eqs + tight, len(v))
+    basis = reference_null_basis(eqs + tight, len(v))
     if not basis:
         return None
     coords = np.linalg.lstsq(np.array(basis, dtype=np.float64).T, vec, rcond=None)[0]
@@ -202,6 +234,33 @@ def lp_and_vector(draw, general=None):
     if noise:
         v = v * (1.0 + noise * ints(len(v), -1, 1))
     return p, side, v
+
+
+_BIG = 2**52  # the size of the cone-row entries that float data gives
+
+
+@st.composite
+def integer_rows(draw):
+    """Sparse integer rows over n columns: drawn rows, then repeats,
+    negations, sums of two rows (which turn zero mid-elimination) and empty
+    rows, in a drawn order."""
+    n = draw(st.integers(1, 8))
+    big = st.integers(_BIG - 3, _BIG + 3)
+    entry = st.integers(-3, 3) | big | big.map(lambda x: -x)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    extra = st.tuples(st.sampled_from("=-+0"), st.integers(0, 5), st.integers(0, 5))
+    for op, i, j in draw(st.lists(extra, max_size=4)) if rows else []:
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        derived = {"=": a, "-": [-x for x in a], "+": [x + y for x, y in zip(a, b)]}
+        rows.append(derived.get(op, [0] * n))
+    rows = draw(st.permutations(rows))
+    return [{j: c for j, c in enumerate(r) if c} for r in rows], n
+
+
+@given(integer_rows())
+def test_null_basis_matches_the_fraction_reference(case):
+    rows, n = case
+    assert exact._null_basis(rows, n) == reference_null_basis(rows, n)
 
 
 @given(lp_and_vector())
