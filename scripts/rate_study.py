@@ -99,7 +99,8 @@ def main() -> int:
     )
     print(f"  (2/k) bound worst slack: iterate {gap_it:+.3e}  average {gap_avg:+.3e}")
 
-    fr = freeze_detector(active_history(traj.points[: min(big_k, 5000) + 1], p.n))
+    k_end = min(big_k, 5000)
+    fr = freeze_detector(active_history(traj.points[: k_end + 1], p.n), k_end)
     print(f"freeze: k={fr.k_freeze} frozen={fr.frozen} changes={fr.changes}")
     if phase is None:
         print(f"spectral analysis skipped: {p.m} rows are too many to project")

@@ -192,8 +192,7 @@ def _analysis_report(p, args) -> dict:
     fk1 = abs(float(p_std.c @ vx) + float(vx @ vx) / steps.eta)
     fk2 = abs(float(p_std.b @ vy) + float(vy @ vy) / steps.tau)
 
-    hist = active_history(points, n)
-    freeze = freeze_detector(hist)
+    freeze = freeze_detector(active_history(points, n), k_total)
     # The twin runs beside the trajectory's last (up to) 1000 steps.
     shift_res = shift_identity_residual(
         p_std, steps, ray.v, part, points[-min(1000, k_total) - 1 :]

@@ -394,14 +394,16 @@ def exactify_vector(
 ) -> list[Fraction]:
     """Snap a float certificate to rationals.
 
-    Normalizes by the largest magnitude, zeroes entries below round_tol, and
-    limits denominators so that accumulated solver roundoff does not survive
-    into the exact sign checks.
+    A vector whose entries are all integers of magnitude below 2**53 (a
+    repaired certificate) is returned as those exact integers.  Any other
+    vector is normalized by its largest magnitude, entries below round_tol
+    are zeroed, and denominators are limited to max_denominator, so that
+    accumulated solver roundoff does not survive into the exact sign checks.
     """
     arr = np.asarray(v, dtype=np.float64)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if scale == 0.0:
-        return [Fraction(0)] * arr.size
+    if np.all((arr == np.round(arr)) & (np.abs(arr) < 2.0**53)):
+        return [Fraction(int(x)) for x in arr.tolist()]
+    scale = float(np.max(np.abs(arr)))
     out = []
     for x in arr / scale:
         if abs(x) <= round_tol:
@@ -508,9 +510,9 @@ _REPAIR_DENOMINATORS = (10, 10**2, 10**3, 10**4, 10**5, 10**6, 10**9)
 # A cone row is tight for the repair when its exact value is within this
 # multiple of ||row||_inf * ||v||_inf of zero.
 _REPAIR_TIGHT = Fraction(1, 10**7)
-# Largest entry of a repaired certificate: a float holds it exactly, and
-# exactify_vector's snap of it is the identity at desk sizes.
-_REPAIR_MAX_ENTRY = 10**9
+# Largest entry of a repaired certificate: a float holds every integer up to
+# it exactly, and exactify_vector reads such a vector as its exact integers.
+_REPAIR_MAX_ENTRY = 2**53 - 1
 # Most rows and most columns of a problem the repair takes on.  A side has
 # at most m + 2n or 2m + n cone rows, so the elimination stays within 36.
 # On a shared 2-core Xeon, a certificate run returns on a dense 12 x 12 LP
@@ -595,9 +597,11 @@ def repair_certificate(
     basis are snapped with exactify_vector(., max_denominator=D) for each
     snap denominator D in turn, so every candidate meets the collected rows
     with equality.  A candidate, scaled to coprime integers, is returned as
-    floats if its largest entry is at most _REPAIR_MAX_ENTRY and it passes
-    verify_certificate_exact.  The null-space elimination is fraction-free,
-    on the integer rows, and cubic in the number of rows, so a problem that
+    floats if its largest entry is at most _REPAIR_MAX_ENTRY (2**53 - 1, so
+    the floats are those integers, and exactify_vector reads them back
+    unsnapped) and it passes verify_certificate_exact.  The null-space
+    elimination is fraction-free, on the integer rows, and cubic in the
+    number of rows, so a problem that
     repair_fits refuses raises ValueError, as do an unknown side and a
     vector of another length.
     """

@@ -5,7 +5,8 @@ in: refine (z_star, v), starting from the affine phase's predicted
 displacement, by alternating between the original iteration and its
 shifted twin, partition coordinates by which part of the
 displacement moves them, build the always-feasible auxiliary problem the
-shifted twin solves, detect when the active pattern freezes, and read the
+shifted twin solves, detect when the active pattern freezes (from its
+history kept as its changes, so the freeze is the last one), and read the
 affine phase of the post-freeze iteration, whose spectrum predicts the
 linear rate of the difference sequence, off the same support projector,
 linalg.Support, that pdhg.run polishes with (one eigh of a Gram matrix).
@@ -340,22 +341,21 @@ def active_set(x: np.ndarray, tol: float = ACTIVE_TOL_REL) -> frozenset[int]:
 def active_history(
     points: np.ndarray, n: int, tol: float = ACTIVE_TOL_REL
 ) -> list[tuple[int, frozenset[int]]]:
-    """(k, active set of x^k) for every row of a stacked trajectory.
+    """The active sets of a stacked trajectory as their changes: (k, active
+    set of x^k) for row 0 and for each row whose pattern differs from the
+    row before; every other row has its last listed row's set.
 
-    A coordinate is active when it is at most tol * (1 + max |x^k|); a row
-    whose pattern equals the previous row's shares that row's frozenset.
+    A coordinate is active when it is at most tol * (1 + max |x^k|).
     """
     x = np.asarray(points, dtype=np.float64)[:, :n]
     cut = tol * (1.0 + np.max(np.abs(x), axis=1, initial=0.0))
     at_bound = x <= cut[:, None]
     changed = np.ones(x.shape[0], dtype=bool)
     changed[1:] = np.any(at_bound[1:] != at_bound[:-1], axis=1)
-    history = []
-    for k, new in enumerate(changed.tolist()):
-        if new:
-            current = frozenset(np.flatnonzero(at_bound[k]).tolist())
-        history.append((k, current))
-    return history
+    return [
+        (k, frozenset(np.flatnonzero(at_bound[k]).tolist()))
+        for k in np.flatnonzero(changed).tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -371,22 +371,18 @@ class FreezeReport:
     last_k: int
 
 
-def freeze_detector(history: Sequence[tuple[int, frozenset[int]]]) -> FreezeReport:
+def freeze_detector(
+    history: Sequence[tuple[int, frozenset[int]]], last_k: int
+) -> FreezeReport:
+    """The freeze of an active_history window that ends at row last_k: its
+    last change, and the number of changes after its first row."""
     if not history:
         raise ValueError("empty active-set history")
-    k_freeze = history[0][0]
-    changes = 0
-    prev = history[0][1]
-    for k, s in history[1:]:
-        if s != prev:
-            k_freeze = k
-            changes += 1
-            prev = s
-    last_k = history[-1][0]
+    k_freeze = history[-1][0]
     return FreezeReport(
         k_freeze=k_freeze,
         frozen=k_freeze < last_k,
-        changes=changes,
+        changes=len(history) - 1,
         last_k=last_k,
     )
 

@@ -222,7 +222,6 @@ class GeneralFormLp:
 @dataclass
 class ValidationReport:
     errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -255,11 +254,6 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
     _check_finite(report, "A", p.a.csr.data)
     _check_finite(report, "objective_offset", np.float64(p.objective_offset))
 
-    dense_row_nnz = np.diff(p.a.csr.indptr)
-    col_nnz = np.diff(p.a.transposed_csr().indptr)
-    for r in np.flatnonzero(dense_row_nnz == 0):
-        report.warnings.append(f"row {r} of A has no nonzero entries")
-
     if np.any(np.isnan(p.l)) or np.any(np.isnan(p.u)):
         report.errors.append("bounds contain NaN")
         return report
@@ -269,13 +263,6 @@ def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
         report.errors.append("upper bound -inf is not a valid bound")
     for i in np.flatnonzero(p.l > p.u):
         report.errors.append(f"variable {i}: lower bound exceeds upper bound")
-    for i in np.flatnonzero(col_nnz == 0):
-        ci = p.c[i]
-        if (ci < 0 and p.u[i] == np.inf) or (ci > 0 and p.l[i] == -np.inf):
-            report.warnings.append(
-                f"column {i} has no constraint entries and an unbounded "
-                "improving direction"
-            )
     return report
 
 

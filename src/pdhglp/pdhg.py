@@ -607,7 +607,10 @@ def run(
     infeasibility tests, one per side and the same in both forms: a
     candidate passes when its residual divided by its certificate objective
     is at most eps, and fails when that objective is not positive.
-    outcome.termination names the rule that ended the run.
+    outcome.termination names the rule that ended the run.  KKT (and the
+    polished point, below) is tested before the certificates decide, and an
+    OPTIMAL outcome carries no certificate, even one that passed at the
+    check that ended the run.
 
     A check where exactly one side has a passing certificate decides the
     verdict and ends the run.  run first looks for a feasible point of the
@@ -807,6 +810,9 @@ def run(
 
     if termination is None:
         status, termination = SolveStatus.ITERATION_LIMIT, Termination.BUDGET
+    if status is SolveStatus.OPTIMAL:
+        # An optimal verdict carries no proof of infeasibility.
+        best_primal = best_dual = None
 
     if exact.repair_fits(p):
         for rep in (best_primal, best_dual):

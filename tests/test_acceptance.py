@@ -345,7 +345,7 @@ def _regime_checks(label, points, v, ps, steps, k_freeze):
 
 def test_acceptance_6_post_freeze_linear_phase(desk_rays):
     ps, steps, op, traj, sol = desk_rays["std-both-infeasible"]
-    fr = freeze_detector(active_history(traj.points[:3001], ps.n))
+    fr = freeze_detector(active_history(traj.points[:3001], ps.n), 3000)
     assert fr.frozen and fr.k_freeze <= 100
     _regime_checks(
         "both-infeasible", traj.points[:30_001], sol.v, ps, steps, fr.k_freeze
@@ -357,7 +357,7 @@ def test_acceptance_6_post_freeze_linear_phase(desk_rays):
     gpoints = gop.trajectory(z0, 6000)
     # projection-free throughout: the affine phase spans the whole run
     assert gpoints[:, : game.n].min() > 0.0
-    gfr = freeze_detector(active_history(gpoints, game.n))
+    gfr = freeze_detector(active_history(gpoints, game.n), 6000)
     assert gfr.changes == 0
     _regime_checks(
         "bilinear-game", gpoints, np.zeros(game.n + game.m), game, gsteps, 0

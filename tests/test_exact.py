@@ -224,6 +224,11 @@ class TestExactifyVector:
         out = exactify_vector(np.array([2.0, 4.0]))
         assert out[1] / out[0] == Fraction(2)
 
+    def test_integer_vectors_are_read_exactly(self):
+        # Normalized by 2**52 - 1 and snapped at 10**9, the 3 would move.
+        v = np.array([2.0**52 - 1, 3.0, -5.0])
+        assert exactify_vector(v) == [Fraction(2**52 - 1), Fraction(3), Fraction(-5)]
+
 
 def _reports(out):
     return [r for r in (out.primal_certificate, out.dual_certificate) if r]
@@ -258,6 +263,35 @@ class TestRepairCertificate:
                 # The reduced costs belong to the repaired vector.
                 want = clip_to_dual_signs(-p.a.rmatvec(rep.vector), p.masks)
                 assert np.array_equal(rep.r, want)
+
+    @pytest.mark.parametrize("seed", [13, 21, 26, 27, 32])
+    def test_large_null_vectors_are_repaired(self, seed):
+        # Dense 12 x 12 LPs with free variables whose last row is minus a
+        # nonnegative combination of the others: both infeasible, and the
+        # dual SUPPORT certificate's integer repair has entries of 1.2e7 to
+        # 5.8e10, which a float snap at denominator 10**9 moves.
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-3, 4, (12, 12))
+        y = rng.integers(0, 3, 12)
+        y[-1] = 1
+        a[-1] = -(y[:-1] @ a[:-1])
+        b = rng.integers(-3, 4, 12)
+        if b @ y <= 0:
+            b[-1] += 1 - b @ y
+        c = rng.integers(-3, 4, 12)
+        p = GeneralFormLp(
+            c=c.astype(float),
+            a=SparseMatrix.from_dense(a.astype(float)),
+            b=b.astype(float),
+            l=np.full(12, -np.inf),
+            u=np.full(12, np.inf),
+        )
+        out = pdhg.run(p)
+        assert out.status is pdhg.SolveStatus.BOTH_INFEASIBLE
+        for rep in _reports(out):
+            assert rep.exact is True
+            assert verify_certificate_exact(rep.vector, p, rep.side).valid
+            assert np.array_equal(rep.vector, np.round(rep.vector))
 
     def test_sign_violation_of_1e_10_is_repaired(self):
         # A'y >= 0 forces 97 y0 = 89 y1, and b'y = -y0 < 0: the certificates

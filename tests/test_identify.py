@@ -7,6 +7,7 @@ from pdhglp import demos, linalg
 from pdhglp.exact import verify_certificate_exact
 from pdhglp.identify import (
     AffinePhase,
+    FreezeReport,
     ShiftedOperator,
     active_history,
     active_set,
@@ -237,32 +238,33 @@ class TestAuxiliaryLp:
 
 class TestFreeze:
     def test_handcrafted_history(self):
-        hist = [
-            (0, frozenset({0, 1})),
-            (40, frozenset({0})),
-            (80, frozenset({0})),
-            (120, frozenset({0})),
-        ]
-        rep = freeze_detector(hist)
-        assert rep.k_freeze == 40
-        assert rep.frozen
-        assert rep.changes == 1
-        assert rep.last_k == 120
+        hist = [(0, frozenset({0, 1})), (40, frozenset({0}))]
+        rep = freeze_detector(hist, 120)
+        assert rep == FreezeReport(k_freeze=40, frozen=True, changes=1, last_k=120)
 
-    def test_change_at_the_end_means_not_frozen(self):
-        hist = [(0, frozenset()), (40, frozenset()), (80, frozenset({2}))]
-        rep = freeze_detector(hist)
+    def test_change_at_the_last_row_means_not_frozen(self):
+        hist = [(0, frozenset()), (80, frozenset({2}))]
+        rep = freeze_detector(hist, 80)
         assert rep.k_freeze == 80
         assert not rep.frozen
 
     def test_never_changing_history(self):
-        hist = [(k, frozenset({1})) for k in (0, 10, 20)]
-        rep = freeze_detector(hist)
+        rep = freeze_detector([(0, frozenset({1}))], 20)
         assert rep.k_freeze == 0 and rep.frozen and rep.changes == 0
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            freeze_detector([])
+            freeze_detector([], 0)
+
+    def test_history_lists_only_changes(self):
+        x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [1.0, 3.0], [0.0, 3.0]])
+        assert active_history(x, 2) == [
+            (0, frozenset({0})),
+            (2, frozenset()),
+            (4, frozenset({0})),
+        ]
+        rep = freeze_detector(active_history(x, 2), 4)
+        assert rep == FreezeReport(k_freeze=4, frozen=False, changes=2, last_k=4)
 
     def test_active_set_scaled_tolerance(self):
         assert active_set(np.array([1e-12, 0.5])) == frozenset({0})
@@ -273,7 +275,7 @@ class TestFreeze:
     def test_desk_run_freezes_early(self):
         p, steps, _ = _setup(demos.std_both_infeasible())
         pts = _trajectory(p, steps, 400)
-        rep = freeze_detector(active_history(pts, p.n))
+        rep = freeze_detector(active_history(pts, p.n), 400)
         assert rep.frozen
         assert rep.k_freeze <= 10
 
@@ -370,7 +372,7 @@ class TestRateRegimes:
     def test_desk_instance_brackets_and_slopes(self, refined_both):
         p, steps, sol = refined_both
         pts = _trajectory(p, steps, 3000)
-        rep_freeze = freeze_detector(active_history(pts, p.n))
+        rep_freeze = freeze_detector(active_history(pts, p.n), 3000)
         phase = affine_phase(p, steps, sol.partition.b)
         rep = verify_rate_regimes(pts, sol.v, phase, rep_freeze.k_freeze)
         assert rep.diff_fit is not None

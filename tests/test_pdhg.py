@@ -399,6 +399,28 @@ class TestRunStatuses:
         assert out.status is SolveStatus.BOTH_INFEASIBLE
         assert out.primal_certificate.passed and out.dual_certificate.passed
 
+    def test_optimal_outcome_carries_no_certificate(self):
+        # x1 + x2 = 0.3 with x1 fixed at 0.1 and x2 at 0.2: the float images
+        # miss the row by 2**-55, so the check that meets kkt_tol also passes
+        # a primal certificate (y = -2.8e-17).  The OPTIMAL verdict drops it.
+        p = GeneralFormLp(
+            c=np.zeros(2),
+            a=SparseMatrix.from_dense([[1.0, 1.0]]),
+            b=np.array([0.3]),
+            l=np.array([0.1, 0.2]),
+            u=np.array([0.1, 0.2]),
+            eq=np.array([True]),
+        )
+        out = run(p)
+        assert out.status is SolveStatus.OPTIMAL
+        assert out.termination is Termination.KKT and out.iterations == 40
+        assert out.primal_certificate is None and out.dual_certificate is None
+        # The check that ended the run did pass the certificate.
+        assert any(
+            t.k == 40 and t.obj_term > 0 and t.scaled_err <= PdhgConfig().eps
+            for t in out.trace
+        )
+
     @staticmethod
     def _no_feasible_point(monkeypatch):
         """Switch the feasible-point test off, so that a one-sided check goes
