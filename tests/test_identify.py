@@ -242,7 +242,7 @@ class TestFreeze:
         rep = freeze_detector(hist, 120)
         assert rep == FreezeReport(k_freeze=40, frozen=True, changes=1, last_k=120)
 
-    def test_change_at_the_last_row_means_not_frozen(self):
+    def test_change_at_the_end_means_not_frozen(self):
         hist = [(0, frozenset()), (80, frozenset({2}))]
         rep = freeze_detector(hist, 80)
         assert rep.k_freeze == 80
