@@ -20,8 +20,12 @@ certificate objective, and the repair takes its tight rows from the same
 list, keeping opposite pairs of rows as equalities.
 
 Every entry point takes either LP form and works on model.general_form(p),
-whose systems are built from the CSR rows of A and A'.  Entries of c, b
-and A must be finite and the bounds not NaN (an infinite bound means none).
+whose systems are built from the CSR rows of A and A'.  It refuses, with
+ValueError, the numbers the solver refuses (model.number_errors): entries
+of c, b, A and the offset must be finite, the bounds not NaN, no lower
+bound +inf and no upper bound -inf; any other infinite bound means none.
+An elimination that outgrows _MAX_INTERMEDIATE_ROWS raises
+linalg.SolverError.
 
 Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
 MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
@@ -40,7 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import GeneralFormLp, StandardFormLp, general_form
+from .linalg import SolverError
+from .model import GeneralFormLp, StandardFormLp, general_form, number_errors
 
 __all__ = [
     "ExactLp",
@@ -224,7 +229,7 @@ def _fm_eliminate(sys: ExactLp, targets: list[int]):
             lam = {i: c // g for i, c in lam.items()}
             new_rows.append(_Row(a, (rp.b * sn + rn.b * sp) / g, lam))
         if len(new_rows) > _MAX_INTERMEDIATE_ROWS:
-            raise RuntimeError("elimination produced too many rows")
+            raise SolverError("elimination produced too many rows")
         rows, bad = _fm_scan(new_rows)
         if bad is not None:
             return rows, bad, stages
@@ -280,19 +285,13 @@ def decide_feasibility(sys: ExactLp) -> FeasibilityResult:
 
 
 def _oracle_form(p: StandardFormLp | GeneralFormLp) -> GeneralFormLp:
-    """general_form(p), or ValueError naming a vector with an entry that is
-    no rational: a non-finite entry of c, b, A or the objective offset, or
-    a NaN bound."""
+    """general_form(p), or ValueError("invalid problem: ...") naming what
+    model.number_errors finds in it, the numbers the solver refuses too.
+    A problem without rows or with crossed bounds is classified."""
     p = general_form(p)
-    offset = np.float64(p.objective_offset)
-    for name, v in (
-        ("c", p.c), ("b", p.b), ("A", p.a.csr.data), ("objective_offset", offset)
-    ):
-        if not np.isfinite(v).all():
-            raise ValueError(f"the exact oracle needs finite entries in {name}")
-    for name, v in (("l", p.l), ("u", p.u)):
-        if np.isnan(v).any():
-            raise ValueError(f"the exact oracle needs bounds {name} without NaN")
+    errors = number_errors(p)
+    if errors:
+        raise ValueError("invalid problem: " + "; ".join(errors))
     return p
 
 

@@ -146,15 +146,13 @@ class RaySolution:
     residual is the consistency gap of the final refinement round: the
     step-size norm of the change in the re-derived displacement, which
     equals how far z_star was from a true fixed point of the shifted twin
-    built with the previous displacement.  fixed_point_residual is the raw
-    final step length of the inner fixed-point loop, and steps counts the
-    shifted-twin steps of all rounds.
+    built with the previous displacement.  steps counts the shifted-twin
+    steps of all rounds.
     """
 
     z_star: np.ndarray
     v: np.ndarray
     residual: float
-    fixed_point_residual: float
     rounds: int
     converged: bool
     partition: IndexPartition
@@ -166,19 +164,19 @@ class RaySolution:
 
 def _fixed_point(
     op: ShiftedOperator, z0: np.ndarray, mn: MNorm, budget: int
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, int]:
     """Step op from z0 until its last step is at most 1e-13 (1 + |z|) in mn,
     testing after each block of the step loop, or until budget steps.
-    Returns the last point, that step's length and the steps taken."""
+    Returns the last point and the steps taken."""
     n = op.n
-    res, steps = np.inf, 0
+    steps = 0
     for xs, ys, rows in op._steps(z0[:n], z0[n:], budget):
         steps += rows
         x, y = xs[rows], ys[rows, :-1]
         res = mn(x - xs[rows - 1], y - ys[rows - 1, :-1])
         if res <= 1e-13 * (1.0 + mn(x, y)):
             break
-    return np.concatenate([x, y]), res, steps
+    return np.concatenate([x, y]), steps
 
 
 def _rederive_v(
@@ -193,8 +191,7 @@ def _rederive_v(
         xb = z_star[:n][mask_b]
         vb = v[:n][mask_b]
         margin = 1e-2 * (1.0 + float(np.max(np.abs(z_star[:n]))))
-        with np.errstate(divide="ignore"):
-            need = (margin - xb) / vb
+        need = (margin - xb) / vb
         lam = max(0.0, float(np.max(need, initial=0.0)))
     z = z_star + lam * v
     return op.apply_z(z) - z
@@ -237,29 +234,28 @@ def refine_ray(
     mn = op.m_norm()
     n = p.n
 
-    best: tuple[float, np.ndarray, np.ndarray, float, IndexPartition] | None = None
+    best: tuple[float, np.ndarray, np.ndarray, IndexPartition] | None = None
     used = 0
     taken = 0
     for rnd in range(_REFINE_ROUNDS):
         used = rnd + 1
         part = partition_indices(p.a, v[:n], v[n:])
         shifted = ShiftedOperator(p, steps, v[:n], v[n:], part)
-        z_star, fp_res, steps_used = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
+        z_star, steps_used = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
         taken += steps_used
         v_new = _rederive_v(op, z_star, v, part.masks(n)[0])
         residual = mn(v_new[:n] - v[:n], v_new[n:] - v[n:])
         if best is None or residual < best[0]:
-            best = (residual, z_star, v_new, fp_res, part)
+            best = (residual, z_star, v_new, part)
         z, v = z_star, v_new
         if residual <= _REFINE_TARGET:
             break
 
-    residual, z_star, v, fp_res, part = best
+    residual, z_star, v, part = best
     return RaySolution(
         z_star=z_star,
         v=v,
         residual=residual,
-        fixed_point_residual=fp_res,
         rounds=used,
         converged=residual <= _REFINE_TARGET,
         partition=part,

@@ -171,8 +171,9 @@ def max0(v: np.ndarray) -> float:
 
 
 class SolverError(ValueError):
-    """The solver cannot proceed on input that passed validation, such as
-    an all-zero matrix that admits no step sizes."""
+    """The solver or the exact oracle cannot proceed on input that passed
+    validation, such as an all-zero matrix that admits no step sizes or an
+    elimination that outgrows the oracle's cap on rows."""
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ original variables.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +32,9 @@ __all__ = [
     "KindMasks",
     "StandardFormLp",
     "GeneralFormLp",
-    "ValidationReport",
     "StandardizationMap",
     "general_form",
+    "number_errors",
     "validate",
     "to_standard_form",
     "standard_to_general",
@@ -219,51 +219,54 @@ class GeneralFormLp:
         return val
 
 
-@dataclass
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def _check_finite(report: ValidationReport, name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        report.errors.append(f"{name} contains NaN or infinite entries")
-
-
 def general_form(p: StandardFormLp | GeneralFormLp) -> GeneralFormLp:
     """p itself, or a standard-form p's lowering (StandardFormLp.general)."""
     return p.general if isinstance(p, StandardFormLp) else p
 
 
-def validate(p: StandardFormLp | GeneralFormLp) -> ValidationReport:
-    """Semantic checks beyond shape consistency, on general_form(p); never
-    raises."""
+def number_errors(p: GeneralFormLp) -> list[str]:
+    """The entries of p that no LP reads as data: a non-finite entry of c,
+    b, A or the objective offset, a NaN bound, a lower bound of +inf or an
+    upper bound of -inf (any other infinite bound means none).  The solver
+    and the exact oracle both refuse a problem this lists anything for."""
+    errors = [
+        f"{name} contains NaN or infinite entries"
+        for name, v in (
+            ("c", p.c),
+            ("b", p.b),
+            ("A", p.a.csr.data),
+            ("objective_offset", np.float64(p.objective_offset)),
+        )
+        if not np.isfinite(v).all()
+    ]
+    if np.isnan(p.l).any() or np.isnan(p.u).any():
+        errors.append("bounds contain NaN")
+    else:
+        if (p.l == np.inf).any():
+            errors.append("lower bound +inf is not a valid bound")
+        if (p.u == -np.inf).any():
+            errors.append("upper bound -inf is not a valid bound")
+    return errors
+
+
+def validate(p: StandardFormLp | GeneralFormLp) -> list[str]:
+    """The errors that keep the solver off general_form(p), empty when it
+    can run: no constraint rows, no columns, number_errors, and a lower
+    bound above its upper bound.  Never raises."""
     p = general_form(p)
-    report = ValidationReport()
+    errors = []
     if p.m == 0:
         # PDHG has nothing to iterate on, and the scaling and the step
         # sizes are taken from A's rows.
-        report.errors.append("the problem has no constraint rows")
+        errors.append("the problem has no constraint rows")
     if p.n == 0:
-        report.errors.append("the problem has no columns")
-    _check_finite(report, "c", p.c)
-    _check_finite(report, "b", p.b)
-    _check_finite(report, "A", p.a.csr.data)
-    _check_finite(report, "objective_offset", np.float64(p.objective_offset))
-
-    if np.any(np.isnan(p.l)) or np.any(np.isnan(p.u)):
-        report.errors.append("bounds contain NaN")
-        return report
-    if np.any(p.l == np.inf):
-        report.errors.append("lower bound +inf is not a valid bound")
-    if np.any(p.u == -np.inf):
-        report.errors.append("upper bound -inf is not a valid bound")
-    for i in np.flatnonzero(p.l > p.u):
-        report.errors.append(f"variable {i}: lower bound exceeds upper bound")
-    return report
+        errors.append("the problem has no columns")
+    errors += number_errors(p)
+    errors += [
+        f"variable {i}: lower bound exceeds upper bound"
+        for i in np.flatnonzero(p.l > p.u)
+    ]
+    return errors
 
 
 def clip_to_dual_signs(w: np.ndarray, masks: KindMasks) -> np.ndarray:

@@ -54,7 +54,6 @@ __all__ = [
     "recover_r",
     "KktResiduals",
     "kkt_residual",
-    "dual_objective",
     "active_pattern",
     "inclusion_residual",
     "TraceRecord",
@@ -132,8 +131,10 @@ class PdhgState:
         for xs, ys, rows in op._steps(self.x, self.y, count):
             # One accumulate per block adds the rows one by one, as += would;
             # reduce and sum(axis=0) may sum pairwise, a last bit apart.
-            sx = np.add.accumulate(np.vstack((self.sum_x, xs[1 : rows + 1])))
-            sy = np.add.accumulate(np.vstack((self.sum_y, ys[1 : rows + 1, :-1])))
+            # They overflow as the block's steps may, and as quietly.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sx = np.add.accumulate(np.vstack((self.sum_x, xs[1 : rows + 1])))
+                sy = np.add.accumulate(np.vstack((self.sum_y, ys[1 : rows + 1, :-1])))
             self.sum_x, self.sum_y = sx[-1], sy[-1]
         if count:
             self.x_prev, self.x = xs[rows - 1].copy(), xs[rows].copy()
@@ -369,11 +370,6 @@ class KktResiduals:
         return max(self.primal, self.dual, self.gap)
 
 
-def dual_objective(p: GeneralFormLp, y: np.ndarray, r: np.ndarray) -> float:
-    """b'y + l'r_+ - u'r_- over the finite-bound terms, plus the offset."""
-    return p.dual_value(y, r) + p.objective_offset
-
-
 def kkt_residual(
     p: StandardFormLp | GeneralFormLp,
     x: np.ndarray,
@@ -585,9 +581,9 @@ def _witness_problem(p: GeneralFormLp, side: str) -> GeneralFormLp:
 
 def require_valid(p: StandardFormLp | GeneralFormLp) -> None:
     """Raise ValueError naming every error model.validate finds in p."""
-    report = validate(p)
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.errors))
+    errors = validate(p)
+    if errors:
+        raise ValueError("invalid problem: " + "; ".join(errors))
 
 
 def run(
@@ -835,7 +831,7 @@ def run(
         iterations=state.k + (sub.iterations if sub is not None else 0),
         kkt=kkt,
         primal_objective=p.objective(x),
-        dual_objective=dual_objective(p, y, r),
+        dual_objective=p.dual_value(y, r) + p.objective_offset,
         primal_certificate=best_primal,
         dual_certificate=best_dual,
         trace=trace,

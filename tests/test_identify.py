@@ -207,7 +207,7 @@ class TestAuxiliaryLp:
         g = build_auxiliary(p, sol.v, steps, sol.partition).as_general_form()
         assert g.m == p.m and g.n == p.n and g.eq.all()
         assert g.a is p.general.a
-        assert validate(g).ok
+        assert validate(g) == []
         # b variables freed, n2 fixed at zero, n1 left nonnegative
         assert np.all(np.isneginf(g.l[[0, 1]]))
         assert g.l[2] == 0.0 and g.u[2] == 0.0

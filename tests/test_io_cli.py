@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdhglp import cli, demos
+from pdhglp import cli, demos, exact
 from pdhglp.instance_io import (
     TRACE_HEADER,
     load_problem,
@@ -334,22 +334,58 @@ _MISTYPED = {
 }
 
 # Instance documents the oracle cannot read as rational data, and the
-# vector its error must name.  An infinite entry raised OverflowError.
+# error validate gives for them.  An infinite entry raised OverflowError.
 _NON_FINITE = {
-    "c-inf": (dict(_GENERAL_DOC, c=[math.inf, 1.0]), "finite entries in c"),
-    "c-nan": (dict(_GENERAL_DOC, c=[math.nan, 1.0]), "finite entries in c"),
-    "b-inf": (dict(_GENERAL_DOC, b=[-math.inf]), "finite entries in b"),
-    "a-nan": (_matrix_with(values=[1.0, math.nan]), "finite entries in A"),
-    "l-nan": (dict(_GENERAL_DOC, l=[0.0, math.nan]), "bounds l without NaN"),
-    "u-nan": (dict(_GENERAL_DOC, u=[math.nan, None]), "bounds u without NaN"),
+    "c-inf": (dict(_GENERAL_DOC, c=[math.inf, 1.0]), "c contains NaN or infinite entries"),
+    "c-nan": (dict(_GENERAL_DOC, c=[math.nan, 1.0]), "c contains NaN or infinite entries"),
+    "b-inf": (dict(_GENERAL_DOC, b=[-math.inf]), "b contains NaN or infinite entries"),
+    "a-nan": (_matrix_with(values=[1.0, math.nan]), "A contains NaN or infinite entries"),
+    "l-nan": (dict(_GENERAL_DOC, l=[0.0, math.nan]), "bounds contain NaN"),
+    "u-nan": (dict(_GENERAL_DOC, u=[math.nan, None]), "bounds contain NaN"),
     "offset-inf": (
         dict(_GENERAL_DOC, objective_offset=math.inf),
-        "finite entries in objective_offset",
+        "objective_offset contains NaN or infinite entries",
     ),
     "offset-nan": (
         dict(_STANDARD_DOC, objective_offset=math.nan),
-        "finite entries in objective_offset",
+        "objective_offset contains NaN or infinite entries",
     ),
+}
+
+# Files whose bounds a float reads as x_0 >= +inf or x_0 <= -inf, which
+# solve and the oracle both refuse, and the error validate gives first.
+_INFINITE_BOUNDS = {
+    "lower.json": (
+        json.dumps(_GENERAL_DOC).replace('"l": [0.0, 0.0]', '"l": [1e999, 0.0]'),
+        "lower bound +inf is not a valid bound",
+    ),
+    "upper.json": (
+        json.dumps(_GENERAL_DOC).replace('"u": [null, null]', '"u": [-1e999, null]'),
+        "upper bound -inf is not a valid bound",
+    ),
+    "lower.mps": (
+        MPS_TEXT.replace("ENDATA", "BOUNDS\n    LO        BND       X1        1e400\nENDATA"),
+        "lower bound +inf is not a valid bound",
+    ),
+}
+
+# Documents whose solve diverges.  Only the standard-form one overflows the
+# iterate sums as well as the steps.
+_DIVERGING = {
+    "general": {
+        "form": "general",
+        "c": [-1e308, 1.0],
+        "a": {"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], "values": [1.0, 1.0]},
+        "b": [1.0],
+        "l": [0, 0],
+        "u": [None, None],
+    },
+    "standard": {
+        "form": "standard",
+        "c": [-1e308, 1.0],
+        "a": {"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], "values": [1.0, -1.0]},
+        "b": [0.0],
+    },
 }
 
 # One G row and an empty COLUMNS section: a problem without columns.
@@ -449,20 +485,14 @@ class TestCliSolve:
         assert code == cli.EXIT_NUMERICAL
         assert "all-zero" in capsys.readouterr().err
 
-    def test_diverged_solve_writes_strict_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", _DIVERGING.values(), ids=list(_DIVERGING))
+    def test_diverged_solve_writes_strict_json(self, doc, tmp_path, capsys):
         # c_0 = -1e308 drives x to overflow: the run stops with divergence,
         # its objectives, kkt and some entries of x and y not finite.  Each
         # is written as null, which a strict parser reads.  The step loop
-        # overflows without a numpy warning: the verdict reports it.
+        # and the iterate sums overflow without a numpy warning: the verdict
+        # reports it.
         path, out = tmp_path / "huge.json", tmp_path / "out.json"
-        doc = {
-            "form": "general",
-            "c": [-1e308, 1.0],
-            "a": {"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], "values": [1.0, 1.0]},
-            "b": [1.0],
-            "l": [0, 0],
-            "u": [None, None],
-        }
         path.write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -545,7 +575,39 @@ class TestCliSolve:
         code = cli.main(["oracle", str(path)])
         out = capsys.readouterr()
         assert code == cli.EXIT_PARSE and out.out == ""
-        assert out.err == f"error: the exact oracle needs {message}\n"
+        assert out.err == f"error: invalid problem: {message}\n"
+
+    @pytest.mark.parametrize("name", sorted(_INFINITE_BOUNDS))
+    def test_oracle_refuses_the_bounds_solve_refuses(self, name, tmp_path, capsys):
+        text, message = _INFINITE_BOUNDS[name]
+        path = tmp_path / name
+        path.write_text(text)
+        errors = {}
+        for command in ("solve", "oracle"):
+            assert cli.main([command, str(path)]) == cli.EXIT_PARSE
+            out = capsys.readouterr()
+            assert out.out == ""
+            errors[command] = out.err
+        # solve also names the crossed bounds, which the oracle classifies.
+        assert errors["oracle"] == f"error: invalid problem: {message}\n"
+        assert errors["solve"].startswith(errors["oracle"].rstrip("\n"))
+
+    def test_oracle_elimination_cap_exits_3(self, monkeypatch, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        p = GeneralFormLp(
+            c=np.ones(4),
+            a=SparseMatrix.from_dense(rng.integers(-3, 4, (12, 4)).astype(float)),
+            b=-np.ones(12),
+            l=np.full(4, -np.inf),
+            u=np.full(4, np.inf),
+        )
+        path = tmp_path / "free.json"
+        save_problem(p, path)
+        monkeypatch.setattr(exact, "_MAX_INTERMEDIATE_ROWS", 50)
+        assert cli.main(["oracle", str(path)]) == cli.EXIT_NUMERICAL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "solver error: elimination produced too many rows\n"
 
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL
