@@ -140,8 +140,9 @@ def _config(args) -> PdhgConfig:
 
 
 def cmd_solve(args) -> int:
+    config = _config(args)
     p = _load_instance(args)
-    outcome = run(p, _config(args))
+    outcome = run(p, config)
     print(outcome.status.value)
     line = f"iterations: {outcome.iterations}"
     if outcome.kkt is not None:

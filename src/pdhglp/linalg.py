@@ -14,6 +14,10 @@ operator norm estimate live here too.
 
 Support is the one place that decomposes a Gram matrix: pdhg.run polishes
 with it, and identify.affine_phase reads the post-freeze spectrum off it.
+The Gram matrix of a support is block-diagonal up to a permutation, so
+Support finds the connected components of its nonzero pattern
+(_components, with numpy alone) and decomposes it one component at a time,
+with one batched eigh per component size.
 """
 
 from __future__ import annotations
@@ -370,9 +374,43 @@ class MNorm:
 
 
 # Support decomposes a Gram matrix only up to this order (Support.within_cap).
-# On one Xeon core numpy's eigh took 14 ms at order 300, 0.25 s at 1000 and
-# 1.7 s at 2000, and each dense copy of order 1000 holds 8 MB.
+# The cap bounds the dense G and U it holds, 8 MB each at order 1000, and
+# the eigh of a G that is one component: on one Xeon core numpy's eigh took
+# 5-9 ms at order 300, 0.25 s at 1000 and 1.7 s at 2000.
 GRAM_MAX_ORDER = 1000
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _components(i: np.ndarray, j: np.ndarray, n: int) -> list[np.ndarray]:
+    """The connected components of the undirected graph on n nodes with the
+    edges (i, j), one (count, size) array of node indices per component
+    size, ascending: each row is one component in ascending order, and
+    components of one size come in the order of their least index.  One
+    component gives [arange(n)[None]].
+    """
+    labels = np.arange(n)
+    while True:
+        # Both ends of each edge take the lesser label, then every node its
+        # label's label; a label never leaves its component and only
+        # decreases, so once every edge joins equal labels each component is
+        # labelled by its least index.
+        np.minimum.at(labels, i, labels[j])
+        np.minimum.at(labels, j, labels[i])
+        labels = labels[labels]
+        if not labels.any():  # one component, or none
+            return [np.arange(n)[None]] if n else []
+        if not np.count_nonzero(labels[i] != labels[j]):
+            break
+    size = np.bincount(labels, minlength=n)  # at each component's least index
+    order = np.lexsort((labels, size[labels]))
+    per_size = np.bincount(size)
+    groups, start = [], 0
+    for s in (per_size[1:].nonzero()[0] + 1).tolist():
+        stop = start + s * int(per_size[s])
+        groups.append(order[start:stop].reshape(-1, s))
+        start = stop
+    return groups
 
 
 class Support:
@@ -380,10 +418,16 @@ class Support:
     columns cols and rows rows (boolean masks), the other columns held at
     x (x_fixed).  a, and so the block K = A_RF, is dense or scipy-sparse.
 
-    One eigh of G = K K' = U diag(lam) U', kept on its numerical range
-    (eigenvalues up to lam_max * max(K.shape) * machine epsilon are cut),
-    gives the displacement's direction, 0 off the support: -P_null(K) c_F
-    as d (dual side) and P_null(K') rhs as w (primal), rhs = b_R - A_RB x_B.
+    G = K K' = U diag(lam) U', with lam ascending, kept on its numerical
+    range (eigenvalues up to lam_max * max(K.shape) * machine epsilon are
+    cut), gives the displacement's direction, 0 off the support: -P_null(K)
+    c_F as d (dual side) and P_null(K') rhs as w (primal), rhs = b_R - A_RB
+    x_B.  G is block-diagonal up to a permutation, one block per connected
+    component of its nonzero pattern (a planted 300-row support has 75
+    blocks of 4), so it is decomposed one component at a time, with one
+    batched eigh per component size, and each block's eigenvectors fill
+    their rows of U.  A G that is one component gets the bits of one eigh
+    of the whole.
     """
 
     def __init__(self, a, c: np.ndarray, b: np.ndarray, cols, rows, x: np.ndarray):
@@ -394,11 +438,26 @@ class Support:
         self.k = k = a_r[:, cols]
         self.c_f = c[cols]
         g = k @ k.T
+        n = g.shape[0]
         if sp.issparse(g):
+            g = g.tocsr()
+            i, j = np.repeat(np.arange(n), g.indptr[1:] - g.indptr[:-1]), g.indices
             g = g.toarray()
-        lam, u = np.linalg.eigh(g)
-        cut = lam[-1] * max(k.shape) * np.finfo(np.float64).eps if lam.size else 0.0
-        keep = lam > cut
+        else:
+            i, j = g.nonzero()
+        groups = _components(i, j, n)
+        lam, u, slots = np.empty(n), np.zeros((n, n)), np.arange(n)
+        start = 0
+        for blocks in groups:
+            # Block t of size s puts its eigenpairs in slots start + t*s, ...
+            stop = start + blocks.size
+            lam_b, u_b = np.linalg.eigh(g[blocks[:, :, None], blocks[:, None, :]])
+            lam[start:stop] = lam_b.reshape(-1)
+            u[blocks[:, :, None], slots[start:stop].reshape(len(blocks), 1, -1)] = u_b
+            start = stop
+        order = np.argsort(lam, kind="stable")
+        cut = lam[order[-1]] * max(k.shape) * _EPS if n else 0.0
+        keep = order[lam[order] > cut]
         self.lam, self.u = lam[keep], u[:, keep]
         self.d = np.zeros(cols.size)
         self.d[cols] = -(self.c_f - k.T @ self._g_pinv(k @ self.c_f))

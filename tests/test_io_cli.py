@@ -427,6 +427,28 @@ class TestCliSolve:
         assert code == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == "both_infeasible"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--kkt-tol", "inf", "kkt_tol must be positive and finite, got inf"),
+            ("--eps", "inf", "eps must be positive and finite, got inf"),
+            ("--eps", "nan", "eps must be positive and finite, got nan"),
+            ("--kkt-tol", "0", "kkt_tol must be positive and finite, got 0.0"),
+            ("--step-factor", "1", "step factor must be in (0, 1), got 1.0"),
+            ("--step-factor", "0", "step factor must be in (0, 1), got 0.0"),
+            ("--step-factor", "nan", "step factor must be in (0, 1), got nan"),
+        ],
+    )
+    def test_bad_settings_are_input_errors(self, flag, value, message, capsys):
+        # An infinite kkt_tol once made any iterate "optimal" (ex1(1, 2) is
+        # both infeasible); the settings are checked before the instance
+        # is loaded.
+        code = cli.main(["solve", "--demo", "ex1", "--alpha", "1", "--beta", "2", flag, value])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert out.out == ""
+        assert f"error: {message}" in out.err
+
     def test_iteration_limit_exit_code(self, capsys):
         code = cli.main(["solve", "--demo", "std-feasible", "--max-iters", "10"])
         assert code == cli.EXIT_ITER_LIMIT

@@ -316,6 +316,21 @@ def test_advance_matches_single_steps(build, rng):
 
 
 @pytest.mark.parametrize(
+    "setting,match",
+    [
+        ({"eps": np.inf}, "eps must be positive and finite"),
+        ({"kkt_tol": np.inf}, "kkt_tol must be positive and finite"),
+        ({"kkt_tol": -1e-8}, "kkt_tol must be positive and finite"),
+        ({"step_factor": 1.0}, r"step factor must be in \(0, 1\)"),
+        ({"step_factor": -0.5}, r"step factor must be in \(0, 1\)"),
+    ],
+)
+def test_config_refuses_bad_settings_at_construction(setting, match):
+    with pytest.raises(ValueError, match=match):
+        PdhgConfig(**setting)
+
+
+@pytest.mark.parametrize(
     "x0,y0,name",
     [
         (np.zeros(1), None, "x0"),
