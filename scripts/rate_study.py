@@ -66,8 +66,8 @@ def main() -> int:
     traj = Trajectory(op.trajectory(start, args.iters))
     warm = traj.points[: args.warm + 1]
     support = sorted(set(range(p.n)) - active_set(warm[-1][: p.n]))
-    phase = affine_phase(p, steps, support)
-    sol = refine_ray(p, steps, warm, None if phase is None else phase.v_pred)
+    phase = affine_phase(op, support)
+    sol = refine_ray(op, warm, None if phase is None else phase.v_pred)
     vx, vy = sol.v[: p.n], sol.v[p.n :]
     print(f"ray refinement: converged={sol.converged} rounds={sol.rounds} "
           f"residual={sol.residual:.3e}")

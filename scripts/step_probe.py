@@ -2,10 +2,10 @@
 """Time the PDHG step loop on one instance, in us per step, with nnz.
 
 The operators timed are the one run and the analysis toolkit build for the
-standard form of the instance (make_operator: a GeneralFormOperator on its
-lowering), the general form of a general-form instance, and the shifted
-twin of the standard form (displacement taken from the last step of a
-1000-step trajectory, partition from partition_indices).  Each is timed as
+standard form of the instance (make_operator: a StandardFormOperator, the
+step on its lowering), the general form of a general-form instance, and
+the shifted twin of the standard form (displacement taken from the last
+step of a 1000-step trajectory, partition from partition_indices).  Each is timed as
 op.trajectory from zero, --steps steps, --repeat times; the fastest run
 is printed per step, with the loop body the operator runs
 (GeneralFormOperator.storage: fused, dense or csr).  trajectory is the
@@ -51,9 +51,7 @@ def _operators(p, step_factor: float):
     tail = op.trajectory(np.zeros(op.n + op.m), 1000)[-2:]
     v = tail[1] - tail[0]
     v_x, v_y = v[: std.n], v[std.n :]
-    shifted = ShiftedOperator(
-        std, std_steps, v_x, v_y, partition_indices(std.a, v_x, v_y)
-    )
+    shifted = ShiftedOperator(op, v, partition_indices(op.standard.a, v_x, v_y))
     ops = [("lowered", op, std.a.nnz)]
     if isinstance(p, GeneralFormLp):
         gen_op = GeneralFormOperator(p, StepSizes.for_matrix(p.a, step_factor))

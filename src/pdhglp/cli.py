@@ -175,7 +175,7 @@ def _analysis_report(p, args) -> dict:
     """Drive the identification pipeline on the standardized instance."""
     p_std = to_standard_form(p)[0] if isinstance(p, GeneralFormLp) else p
     # The steps come from the lowering's matrix, whose norm estimate (kept
-    # on the matrix) the operators' MNorm then shares.
+    # on the matrix) op.m_norm() then shares.  Every identify call takes op.
     steps = StepSizes.for_matrix(p_std.general.a, args.step_factor)
     op = make_operator(p_std, steps)
     mn = op.m_norm()
@@ -186,8 +186,8 @@ def _analysis_report(p, args) -> dict:
     # The affine phase at the last row's support predicts the displacement,
     # so refine_ray starts from it and confirms the ray.
     support = sorted(set(range(n)) - active_set(points[-1][:n]))
-    phase = affine_phase(p_std, steps, support)
-    ray = refine_ray(p_std, steps, points, None if phase is None else phase.v_pred)
+    phase = affine_phase(op, support)
+    ray = refine_ray(op, points, None if phase is None else phase.v_pred)
     vx, vy = ray.v[:n], ray.v[n:]
     part = ray.partition
     fk1 = abs(float(p_std.c @ vx) + float(vx @ vx) / steps.eta)
@@ -196,7 +196,7 @@ def _analysis_report(p, args) -> dict:
     freeze = freeze_detector(active_history(points, n), k_total)
     # The twin runs beside the trajectory's last (up to) 1000 steps.
     shift_res = shift_identity_residual(
-        p_std, steps, ray.v, part, points[-min(1000, k_total) - 1 :]
+        op, ray.v, part, points[-min(1000, k_total) - 1 :]
     )
 
     report = {

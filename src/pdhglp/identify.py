@@ -12,10 +12,13 @@ linear rate of the difference sequence, off the same support projector,
 linalg.Support, that pdhg.run polishes with (the eigendecomposition of a
 Gram matrix, one connected component of its nonzero pattern at a time).
 
-Everything takes a standard-form problem, the paper's setting, and steps
-it as the solver does, with pdhg.GeneralFormOperator on its lowering
-(p.general); the shifted twin is that operator with a shift and the twin's
-bounds.  General-form problems go through their standardization first.
+Everything takes the operator it analyses, pdhg.make_operator of a
+standard-form problem (the paper's setting): a StandardFormOperator, which
+steps the lowering op.p as the solver does and keeps the problem as
+op.standard.  Any other operator is a TypeError.  The shifted twin is that
+operator with a shift and the twin's bounds, and the auxiliary problem is
+op.p with c, b bumped and the partition as bounds.  General-form problems
+are standardized first.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from .fixed_point import RateFit, Trajectory, fit_rate
-from .linalg import MNorm, SparseMatrix, StepSizes, Support
+from .linalg import MNorm, SparseMatrix, Support
 from .model import GeneralFormLp, StandardFormLp
-from .pdhg import GeneralFormOperator, make_operator
+from .pdhg import GeneralFormOperator, StandardFormOperator
 
 __all__ = [
     "IndexPartition",
     "RaySolution",
-    "AuxiliaryLp",
     "AffinePhase",
     "FreezeReport",
     "RateRegimeReport",
@@ -86,6 +88,14 @@ class IndexPartition:
         return mb, m1, m2
 
 
+def _standard(op: StandardFormOperator) -> StandardFormLp:
+    """op's standard-form problem; any other operator is a TypeError."""
+    if not isinstance(op, StandardFormOperator):
+        name = type(op).__name__
+        raise TypeError(f"needs make_operator of a standard-form problem, not a {name}")
+    return op.standard
+
+
 def partition_indices(
     a: SparseMatrix, v_x: np.ndarray, v_y: np.ndarray, tol: float | None = None
 ) -> IndexPartition:
@@ -108,7 +118,7 @@ def partition_indices(
 
 
 class ShiftedOperator(GeneralFormOperator):
-    """The displacement-compensated twin of the iteration on p's lowering.
+    """The displacement-compensated twin of op's iteration.
 
     Coordinates in b skip the projection (their auxiliary variable is
     free), n2 coordinates are pinned to zero, and every update is shifted
@@ -118,24 +128,20 @@ class ShiftedOperator(GeneralFormOperator):
     the same step-size-induced norm.
 
     The shift and the pin are data: this is the general-form step with
-    shift v on the lowering with x clipped to [-inf, inf] on b,
+    shift v = (v_x, v_y) on op.p with x clipped to [-inf, inf] on b,
     [-v_x, inf] on n1 and [-v_x, -v_x] on n2, which is the standard step's
     projection followed by x - v_x.
     """
 
     def __init__(
-        self,
-        p: StandardFormLp,
-        steps: StepSizes,
-        v_x: np.ndarray,
-        v_y: np.ndarray,
-        partition: IndexPartition,
+        self, op: StandardFormOperator, v: np.ndarray, partition: IndexPartition
     ):
-        mask_b, _, mask_n2 = partition.masks(p.n)
-        v = np.concatenate([v_x, v_y]).astype(np.float64)
-        lo = np.where(mask_b, -np.inf, -v[: p.n])
-        hi = np.where(mask_n2, -v[: p.n], np.inf)
-        super().__init__(dataclasses.replace(p.general, l=lo, u=hi), steps, v)
+        n = _standard(op).n
+        mask_b, _, mask_n2 = partition.masks(n)
+        v = np.array(v, dtype=np.float64)
+        lo = np.where(mask_b, -np.inf, -v[:n])
+        hi = np.where(mask_n2, -v[:n], np.inf)
+        super().__init__(dataclasses.replace(op.p, l=lo, u=hi), op.steps, v)
 
     apply = GeneralFormOperator.apply
 
@@ -159,9 +165,6 @@ class RaySolution:
     partition: IndexPartition
     steps: int
 
-    def split(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.z_star[:n], self.z_star[n:], self.v[:n], self.v[n:]
-
 
 def _fixed_point(
     op: ShiftedOperator, z0: np.ndarray, mn: MNorm, budget: int
@@ -181,7 +184,7 @@ def _fixed_point(
 
 
 def _rederive_v(
-    op: GeneralFormOperator, z_star: np.ndarray, v: np.ndarray, mask_b: np.ndarray
+    op: StandardFormOperator, z_star: np.ndarray, v: np.ndarray, mask_b: np.ndarray
 ) -> np.ndarray:
     """Apply the original iteration far enough along the ray that the b
     coordinates are strictly positive, where T - I returns the displacement
@@ -199,12 +202,10 @@ def _rederive_v(
 
 
 def refine_ray(
-    p: StandardFormLp,
-    steps: StepSizes,
-    warm: np.ndarray,
-    v: np.ndarray | None = None,
+    op: StandardFormOperator, warm: np.ndarray, v: np.ndarray | None = None
 ) -> RaySolution:
-    """Alternate displacement estimation and anchored fixed-point solves.
+    """Alternate displacement estimation and anchored fixed-point solves on
+    op's iteration.
 
     warm is a trajectory array (rows z^0..z^K of the original iteration) or
     a single warm iterate, and the anchor starts at its last row.  v is the
@@ -218,6 +219,7 @@ def refine_ray(
     displacement stops moving (step-size norm <= _REFINE_TARGET), after at
     most _REFINE_ROUNDS rounds.
     """
+    p = _standard(op)
     warm = np.asarray(warm, dtype=np.float64)
     if warm.ndim == 2 and warm.shape[0] < 2:
         raise ValueError("warm trajectory needs at least 2 points")
@@ -231,7 +233,6 @@ def refine_ray(
     else:
         tail = max(1, (warm.shape[0] - 1) // 10)
         v = np.diff(warm[-(tail + 1) :], axis=0).mean(axis=0)
-    op = make_operator(p, steps)
     mn = op.m_norm()
     n = p.n
 
@@ -241,7 +242,7 @@ def refine_ray(
     for rnd in range(_REFINE_ROUNDS):
         used = rnd + 1
         part = partition_indices(p.a, v[:n], v[n:])
-        shifted = ShiftedOperator(p, steps, v[:n], v[n:], part)
+        shifted = ShiftedOperator(op, v, part)
         z_star, steps_used = _fixed_point(shifted, z, mn, _FIXED_POINT_BUDGET)
         taken += steps_used
         v_new = _rederive_v(op, z_star, v, part.masks(n)[0])
@@ -264,68 +265,34 @@ def refine_ray(
     )
 
 
-@dataclass(frozen=True)
-class AuxiliaryLp:
-    """The always-feasible problem the shifted twin iterates on.
+def build_auxiliary(
+    op: StandardFormOperator, v: np.ndarray, partition: IndexPartition | None = None
+) -> GeneralFormLp:
+    """The always-feasible problem of a displacement vector, on op's lowering.
 
     Same matrix as the original, objective bumped by v_x/eta on the b
-    block, right-hand side bumped by v_y/tau; b variables are free, n1
-    stay nonnegative, n2 are fixed at zero.
-    """
-
-    base: StandardFormLp
-    c_aux: np.ndarray
-    b_aux: np.ndarray
-    partition: IndexPartition
-
-    def as_general_form(self) -> GeneralFormLp:
-        """The lowering of the base problem with c_aux, b_aux and the
-        variable roles as bounds, solvable by the general-form iteration."""
-        mb, _, m2 = self.partition.masks(self.base.n)
-        return dataclasses.replace(
-            self.base.general,
-            c=self.c_aux,
-            b=-self.b_aux,
-            l=np.where(mb, -np.inf, 0.0),
-            u=np.where(m2, 0.0, np.inf),
-            name=f"aux({self.base.name})",
-            objective_offset=0.0,
-        )
-
-    def constraint_residual(self, x: np.ndarray) -> float:
-        return float(
-            np.max(np.abs(self.base.a.matvec(x) - self.b_aux), initial=0.0)
-        )
-
-    def bound_violation(self, x: np.ndarray) -> float:
-        """Worst sign violation on n1 and magnitude on n2; NaN is skipped."""
-        x = np.asarray(x, dtype=np.float64)
-        _, m1, m2 = self.partition.masks(self.base.n)
-        # 0.0 - x rather than -x: a zero entry must not yield -0.0.
-        viol = np.concatenate([0.0 - x[m1], np.abs(x[m2])])
-        return float(np.fmax.reduce(viol, initial=0.0))
-
-
-def build_auxiliary(
-    p: StandardFormLp,
-    v: np.ndarray,
-    steps: StepSizes,
-    partition: IndexPartition | None = None,
-) -> AuxiliaryLp:
-    """Assemble the auxiliary problem for a displacement vector.
-
-    Zero displacement reproduces the original problem: the objective and
+    block, right-hand side bumped by v_y/tau; the bounds are the partition:
+    b variables are free, n1 stay nonnegative, n2 are fixed at zero.  Zero
+    displacement reproduces the original problem: the objective and
     right-hand side are untouched and every variable lands in n1.
     """
+    p = _standard(op)
     v = np.asarray(v, dtype=np.float64)
     n = p.n
     if partition is None:
         partition = partition_indices(p.a, v[:n], v[n:])
+    mb, _, m2 = partition.masks(n)
     c_aux = p.c.copy()
-    mb, _, _ = partition.masks(n)
-    c_aux[mb] += v[:n][mb] / steps.eta
-    b_aux = p.b + v[n:] / steps.tau
-    return AuxiliaryLp(base=p, c_aux=c_aux, b_aux=b_aux, partition=partition)
+    c_aux[mb] += v[:n][mb] / op.steps.eta
+    return dataclasses.replace(
+        op.p,
+        c=c_aux,
+        b=-(p.b + v[n:] / op.steps.tau),
+        l=np.where(mb, -np.inf, 0.0),
+        u=np.where(m2, 0.0, np.inf),
+        name=f"aux({p.name})",
+        objective_offset=0.0,
+    )
 
 
 def active_set(x: np.ndarray, tol: float = ACTIVE_TOL_REL) -> frozenset[int]:
@@ -385,24 +352,20 @@ def freeze_detector(
 
 
 def shift_identity_residual(
-    p: StandardFormLp,
-    steps: StepSizes,
-    v: np.ndarray,
-    partition: IndexPartition,
-    orig: np.ndarray,
+    op: StandardFormOperator, v: np.ndarray, partition: IndexPartition, orig: np.ndarray
 ) -> float:
-    """Step the shifted twin from orig[0] next to the recorded rows
-    orig = z^j..z^{j+K} of the original iteration and report the worst
+    """Step the shifted twin of op from orig[0] next to the recorded rows
+    orig = z^j..z^{j+K} of op's iteration and report the worst
     step-size-norm gap between the twin's k-th iterate and orig[k] - k v,
     k = 1..K.  Past the freeze iteration the two agree to roundoff.
     pdhglp analyze passes the trajectory's last 1000 rows (and the row
     before them), so the original is never stepped again."""
+    shifted = ShiftedOperator(op, v, partition)
     orig = np.asarray(orig, dtype=np.float64)
     if orig.ndim != 2 or orig.shape[0] < 1:
         raise ValueError("orig needs the rows z^j..z^{j+K} of a trajectory")
-    shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
-    mn = shifted.m_norm()
-    n = p.n
+    mn = op.m_norm()
+    n = op.n
     worst, done = 0.0, 1
     for xs, ys, rows in shifted._steps(orig[0, :n], orig[0, n:], orig.shape[0] - 1):
         ks = np.arange(done, done + rows, dtype=np.float64)[:, None]
@@ -441,16 +404,17 @@ class AffinePhase:
 
 
 def affine_phase(
-    p: StandardFormLp, steps: StepSizes, support: Sequence[int]
+    op: StandardFormOperator, support: Sequence[int]
 ) -> AffinePhase | None:
-    """The frozen-support affine phase and its spectral data; None when
-    the support has more rows than linalg.GRAM_MAX_ORDER."""
-    n, m = p.n, p.m
-    eta, tau = steps.eta, steps.tau
+    """The frozen-support affine phase of op and its spectral data; None
+    when the support has more rows than linalg.GRAM_MAX_ORDER."""
+    _standard(op)
+    n, m = op.n, op.m
+    eta, tau = op.steps.eta, op.steps.tau
     support = tuple(sorted(int(i) for i in support))
     cols = np.isin(np.arange(n), support)
     # On the lowering (-A, -b, x >= 0) every row is an equality row.
-    g = p.general
+    g = op.p
     sup = Support.within_cap(g.a.csr, g.c, g.b, cols, np.ones(m, bool), np.zeros(n))
     if sup is None:
         return None

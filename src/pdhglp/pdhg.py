@@ -332,11 +332,14 @@ class GeneralFormOperator:
 
 
 class StandardFormOperator(GeneralFormOperator):
-    """make_operator(p, steps) of a standard-form p.  Nothing in the package
-    builds it: it stays because perfbench's tracer names its apply."""
+    """The step of a standard-form problem: GeneralFormOperator on its
+    lowering (p = standard.general, so x >= 0 and every row an equality
+    row, with no shift), keeping the problem itself as standard.  It is the
+    operator identify analyses."""
 
-    def __init__(self, p: StandardFormLp, steps: StepSizes):
-        super().__init__(p.general, steps)
+    def __init__(self, standard: StandardFormLp, steps: StepSizes):
+        super().__init__(standard.general, steps)
+        self.standard = standard
 
     # Each operator class names apply itself: perfbench's tracer wraps it
     # per class.
@@ -346,8 +349,11 @@ class StandardFormOperator(GeneralFormOperator):
 def make_operator(
     p: StandardFormLp | GeneralFormLp, steps: StepSizes
 ) -> GeneralFormOperator:
-    """The operator run iterates: the general-form step on general_form(p)."""
-    return GeneralFormOperator(general_form(p), steps)
+    """The step on general_form(p): a StandardFormOperator for a
+    standard-form p, else a GeneralFormOperator."""
+    if isinstance(p, StandardFormLp):
+        return StandardFormOperator(p, steps)
+    return GeneralFormOperator(p, steps)
 
 
 def recover_r(

@@ -86,7 +86,7 @@ def desk_rays():
         op = make_operator(ps, steps)
         start = np.random.default_rng(7).standard_normal(ps.n + ps.m)
         traj = Trajectory(op.trajectory(start, 100_000))
-        sol = refine_ray(ps, steps, traj.points[: 20_001])
+        sol = refine_ray(op, traj.points[: 20_001])
         assert sol.converged, f"{name}: ray refinement did not converge"
         out[name] = (ps, steps, op, traj, sol)
     return out
@@ -288,9 +288,9 @@ def test_acceptance_4_sublinear_rate_and_bound(desk_rays):
 
 def test_acceptance_5_shifted_twin_identity(desk_rays):
     for name in ("std-both-infeasible", "std-primal-infeasible"):
-        ps, steps, op, traj, sol = desk_rays[name]
+        _, _, op, traj, sol = desk_rays[name]
         worst = shift_identity_residual(
-            ps, steps, sol.v, sol.partition, traj.points[20_000:21_001]
+            op, sol.v, sol.partition, traj.points[20_000:21_001]
         )
         assert worst <= 1e-8, f"{name}: twin deviates by {worst:.3e}"
     _stamp(5, "shifted-twin identity")
@@ -324,9 +324,9 @@ def _bilinear_game():
     return p, z0
 
 
-def _regime_checks(label, points, v, ps, steps, k_freeze):
-    support = sorted(set(range(ps.n)) - active_set(points[-1][: ps.n]))
-    phase = affine_phase(ps, steps, support)
+def _regime_checks(label, points, v, op, k_freeze):
+    support = sorted(set(range(op.n)) - active_set(points[-1][: op.n]))
+    phase = affine_phase(op, support)
     report = verify_rate_regimes(points, v, phase, k_freeze)
     assert report.diff_rate_in_bracket is True, (
         f"{label}: rate {report.diff_fit and report.diff_fit.rate} "
@@ -344,24 +344,19 @@ def _regime_checks(label, points, v, ps, steps, k_freeze):
 
 
 def test_acceptance_6_post_freeze_linear_phase(desk_rays):
-    ps, steps, op, traj, sol = desk_rays["std-both-infeasible"]
+    ps, _, op, traj, sol = desk_rays["std-both-infeasible"]
     fr = freeze_detector(active_history(traj.points[:3001], ps.n), 3000)
     assert fr.frozen and fr.k_freeze <= 100
-    _regime_checks(
-        "both-infeasible", traj.points[:30_001], sol.v, ps, steps, fr.k_freeze
-    )
+    _regime_checks("both-infeasible", traj.points[:30_001], sol.v, op, fr.k_freeze)
 
     game, z0 = _bilinear_game()
-    gsteps = StepSizes.for_matrix(game.a)
-    gop = make_operator(game, gsteps)
+    gop = make_operator(game, StepSizes.for_matrix(game.a))
     gpoints = gop.trajectory(z0, 6000)
     # projection-free throughout: the affine phase spans the whole run
     assert gpoints[:, : game.n].min() > 0.0
     gfr = freeze_detector(active_history(gpoints, game.n), 6000)
     assert gfr.changes == 0
-    _regime_checks(
-        "bilinear-game", gpoints, np.zeros(game.n + game.m), game, gsteps, 0
-    )
+    _regime_checks("bilinear-game", gpoints, np.zeros(game.n + game.m), gop, 0)
     _stamp(6, "post-freeze linear phase")
 
 

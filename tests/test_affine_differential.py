@@ -87,9 +87,9 @@ def reference_affine_phase(p, steps, support):
 # ---------------------------------------------------------------------------
 
 
-def _assert_matches_reference(p, steps, support, label):
-    phase = affine_phase(p, steps, support)
-    ref = reference_affine_phase(p, steps, support)
+def _assert_matches_reference(op, support, label):
+    phase = affine_phase(op, support)
+    ref = reference_affine_phase(op.standard, op.steps, support)
     assert phase.support == ref.support, label
     assert phase.sigma.size == ref.sigma.size, label
     np.testing.assert_allclose(
@@ -127,21 +127,21 @@ def _analyze_items(perfbench, tmp_path, monkeypatch):
 def test_analyze_corpus_matches_the_dense_model(
     tmp_path, monkeypatch, perfbench, capsys
 ):
-    # Record every (problem, steps, support) pdhglp analyze hands the phase.
+    # Record every (operator, support) pdhglp analyze hands the phase.
     items = _analyze_items(perfbench, tmp_path, monkeypatch)
     calls = []
 
-    def recorded(p, steps, support):
-        calls.append((p, steps, support))
-        return affine_phase(p, steps, support)
+    def recorded(op, support):
+        calls.append((op, support))
+        return affine_phase(op, support)
 
     monkeypatch.setattr(cli, "affine_phase", recorded)
     for item in items:
         assert cli.main(["analyze", item.path]) == cli.EXIT_OK, item.name
     capsys.readouterr()
     assert len(calls) == len(items)
-    for item, (p, steps, support) in zip(items, calls):
-        _assert_matches_reference(p, steps, support, item.name)
+    for item, (op, support) in zip(items, calls):
+        _assert_matches_reference(op, support, item.name)
 
 
 def test_random_supports_of_planted_items(tmp_path, monkeypatch, perfbench):
@@ -154,32 +154,33 @@ def test_random_supports_of_planted_items(tmp_path, monkeypatch, perfbench):
         base = StepSizes.for_matrix(p.a)
         # Unequal steps with the same product tell eta from tau.
         lopsided = StepSizes(eta=2.0 * base.eta, tau=0.5 * base.tau)
+        ops = [make_operator(p, steps) for steps in (base, lopsided)]
         # Sizes below m = 40 give a singular Gram matrix.
         for size in (0, 1, 7, 39, 40, 41, 75, p.n):
             support = rng.choice(p.n, size=size, replace=False)
-            for steps in (base, lopsided):
-                label = f"{item.name} |S|={size} eta={steps.eta:.3g}"
-                _assert_matches_reference(p, steps, support, label)
+            for op in ops:
+                label = f"{item.name} |S|={size} eta={op.steps.eta:.3g}"
+                _assert_matches_reference(op, support, label)
 
 
 @pytest.fixture(scope="module")
 def refined_both():
     p = demos.std_both_infeasible()
-    steps = StepSizes.for_matrix(p.a)
-    pts = make_operator(p, steps).trajectory(np.zeros(p.n + p.m), 2000)
-    return p, steps, refine_ray(p, steps, pts)
+    op = make_operator(p, StepSizes.for_matrix(p.a))
+    pts = op.trajectory(np.zeros(p.n + p.m), 2000)
+    return op, refine_ray(op, pts)
 
 
 def test_assembly_invariants(refined_both):
-    p, steps, sol = refined_both
-    _assert_matches_reference(p, steps, sol.partition.b, "std-both")
+    op, sol = refined_both
+    _assert_matches_reference(op, sol.partition.b, "std-both")
 
 
 def test_predicted_anchor_rides_the_ray(refined_both):
     # One step of the dense model from the predicted anchor moves it by the
     # predicted displacement.
-    p, steps, sol = refined_both
-    phase = affine_phase(p, steps, sol.partition.b)
-    ref = reference_affine_phase(p, steps, sol.partition.b)
+    op, sol = refined_both
+    phase = affine_phase(op, sol.partition.b)
+    ref = reference_affine_phase(op.standard, op.steps, sol.partition.b)
     step_out = ref.q @ phase.z_star_pred - ref.p_vec
     np.testing.assert_allclose(step_out, phase.z_star_pred + phase.v_pred, atol=1e-9)

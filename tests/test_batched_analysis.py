@@ -28,11 +28,11 @@ from pdhglp.fixed_point import (
 from pdhglp.identify import (
     ACTIVE_TOL_REL,
     PARTITION_TOL_REL,
-    AuxiliaryLp,
     IndexPartition,
     ShiftedOperator,
     active_history,
     active_set,
+    build_auxiliary,
     freeze_detector,
     partition_indices,
     refine_ray,
@@ -93,42 +93,33 @@ def _partition_loop(a, v_x, v_y, tol=None):
     return IndexPartition(tuple(b), tuple(n1), tuple(n2), tol)
 
 
-def _bound_violation_loop(aux, x):
-    viol = 0.0
-    for i in aux.partition.n1:
-        viol = max(viol, -float(x[i]))
-    for i in aux.partition.n2:
-        viol = max(viol, abs(float(x[i])))
-    return viol
-
-
-def _as_general_form_triplets(aux):
-    """-A x = -b_aux on m equality rows, the base problem's lowering."""
-    a = aux.base.a
-    rows_i, cols_j, vals = a.triplets()
-    m, n = a.shape
+def _auxiliary_triplets(p, steps, v, partition):
+    """-A x = -b_aux on m equality rows, the lowering of p, with c_aux = c +
+    v_x/eta on b and b_aux = b + v_y/tau, built entry by entry."""
+    rows_i, cols_j, vals = p.a.triplets()
+    m, n = p.a.shape
     negated = SparseMatrix.from_triplets(m, n, rows_i, cols_j, -vals)
-    l = np.zeros(n)
-    u = np.full(n, np.inf)
-    mb, _, m2 = aux.partition.masks(n)
-    l[mb] = -np.inf
-    u[m2] = 0.0
+    c_aux, l, u = p.c.copy(), np.zeros(n), np.full(n, np.inf)
+    for j in partition.b:
+        c_aux[j] += v[j] / steps.eta
+        l[j] = -np.inf
+    for j in partition.n2:
+        u[j] = 0.0
     return GeneralFormLp(
-        c=aux.c_aux.copy(),
+        c=c_aux,
         a=negated,
-        b=-aux.b_aux,
+        b=-(p.b + v[n:] / steps.tau),
         l=l,
         u=u,
-        name=f"aux({aux.base.name})",
+        name=f"aux({p.name})",
         eq=np.ones(m, dtype=bool),
     )
 
 
-def _shift_identity_per_k(p, steps, v, partition, z_from, k_max):
-    op = make_operator(p, steps)
-    shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
+def _shift_identity_per_k(op, v, partition, z_from, k_max):
+    shifted = ShiftedOperator(op, v, partition)
     mn = op.m_norm()
-    n = p.n
+    n = op.n
     x, y = z_from[:n].copy(), z_from[n:].copy()
     xs, ys = x.copy(), y.copy()
     worst = 0.0
@@ -234,7 +225,7 @@ def ray_cases():
         steps = StepSizes.for_matrix(p.a)
         op = make_operator(p, steps)
         pts = op.trajectory(np.zeros(p.n + p.m), 2000)
-        out[name] = (p, steps, op, pts, refine_ray(p, steps, pts))
+        out[name] = (p, op, pts, refine_ray(op, pts))
     return out
 
 
@@ -270,7 +261,7 @@ def test_active_history_matches_row_loop(seed):
 
 
 def test_active_history_matches_row_loop_on_trajectories(ray_cases):
-    for p, _, _, pts, _ in ray_cases.values():
+    for p, _, pts, _ in ray_cases.values():
         for tol in (ACTIVE_TOL_REL, 1e-4):
             got = active_history(pts, p.n, tol)
             want = _active_history_rows(pts, p.n, tol)
@@ -295,7 +286,7 @@ def test_active_history_edge_shapes():
 
 
 # ---------------------------------------------------------------------------
-# partition_indices and AuxiliaryLp
+# partition_indices and build_auxiliary
 
 
 def _same_float(u, w):
@@ -332,42 +323,22 @@ def test_partition_indices_matches_loop(seed):
 
 
 @pytest.mark.parametrize("how", ["random", "no_b_no_n2", "all_b", "all_n2"])
-@pytest.mark.parametrize("seed", range(4))
-def test_bound_violation_matches_loop(how, seed):
-    rng = np.random.default_rng([seed, len(how), 1])
-    m, n = 3, 10
-    p = _random_standard_lp(rng, m, n)
-    aux = AuxiliaryLp(p, p.c.copy(), p.b.copy(), _split(n, rng, how))
-    for trial in range(30):
-        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
-        x[rng.random(n) < 0.3] = 0.0
-        x[rng.random(n) < 0.2] = -0.0
-        if trial % 5 == 0:
-            x[rng.random(n) < 0.2] = np.nan
-        if trial % 7 == 0:
-            x[rng.integers(0, n)] = -np.inf
-        if trial == 29:
-            x[:] = np.nan
-        assert _same_float(aux.bound_violation(x), _bound_violation_loop(aux, x))
-
-
-@pytest.mark.parametrize("how", ["random", "no_b_no_n2", "all_b", "all_n2"])
-def test_as_general_form_matches_triplet_build(how):
+def test_build_auxiliary_matches_triplet_build(how):
     rng = np.random.default_rng(len(how))
     m, n = 4, 9
     p = dataclasses.replace(_random_standard_lp(rng, m, n), objective_offset=1.5)
-    aux = AuxiliaryLp(
-        p, rng.standard_normal(n), rng.standard_normal(m), _split(n, rng, how)
-    )
-    got = aux.as_general_form()
-    want = _as_general_form_triplets(aux)
+    op = make_operator(p, StepSizes.for_matrix(p.a))
+    v = rng.standard_normal(n + m)
+    partition = _split(n, rng, how)
+    got = build_auxiliary(op, v, partition)
+    want = _auxiliary_triplets(p, op.steps, v, partition)
     assert got.a.same_entries(want.a)
     for name in ("c", "b", "l", "u", "eq"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.name == want.name
     assert got.objective_offset == want.objective_offset == 0.0
     # The problem owns a read-only copy of its costs.
-    assert not np.shares_memory(got.c, aux.c_aux)
+    assert not np.shares_memory(got.c, p.c)
     assert not got.c.flags.writeable
 
 
@@ -388,10 +359,8 @@ def _trajectory_cases():
     for how in ("random", "all_b", "all_n2"):
         p = _random_standard_lp(rng, 4, 9)
         ops[f"shifted-{how}"] = ShiftedOperator(
-            p,
-            StepSizes.for_matrix(p.a),
-            rng.standard_normal(9),
-            rng.standard_normal(4),
+            make_operator(p, StepSizes.for_matrix(p.a)),
+            np.concatenate([rng.standard_normal(9), rng.standard_normal(4)]),
             _split(9, rng, how),
         )
     return ops
@@ -465,12 +434,8 @@ def _kernel_differential_cases():
         v_x = rng.standard_normal(std.n) * (rng.random(std.n) < 0.5)
         v_y = rng.standard_normal(std.m)
         partition = _split(std.n, rng, "random")
-        cases[f"shifted-{storage}"] = (
-            ShiftedOperator(std, steps, v_x, v_y, partition),
-            std,
-            np.concatenate([v_x, v_y]),
-            partition,
-        )
+        v = np.concatenate([v_x, v_y])
+        cases[f"shifted-{storage}"] = (ShiftedOperator(lowered, v, partition), std, v, partition)
     return cases
 
 
@@ -496,14 +461,12 @@ def test_step_loop_matches_textbook_step(name):
 
 @pytest.mark.parametrize("k_max", [0, 1, 7, 200, 437])
 def test_shift_identity_residual_matches_per_k_loop(ray_cases, k_max):
-    for p, steps, op, pts, sol in ray_cases.values():
+    for p, op, pts, sol in ray_cases.values():
         start = np.random.default_rng(k_max).standard_normal(p.n + p.m)
         for z_from in (pts[50], pts[-1], start):
             orig = op.trajectory(z_from, k_max)
-            got = shift_identity_residual(p, steps, sol.v, sol.partition, orig)
-            want = _shift_identity_per_k(
-                p, steps, sol.v, sol.partition, z_from, k_max
-            )
+            got = shift_identity_residual(op, sol.v, sol.partition, orig)
+            want = _shift_identity_per_k(op, sol.v, sol.partition, z_from, k_max)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -605,7 +568,7 @@ def test_bound_gap_matches_per_k_loop(ray_cases):
         t, np.array([1.0, -2.0]), t.points[0], lambda z: float(np.linalg.norm(z))
     )
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-    for p, _, op, _, sol in ray_cases.values():
+    for p, op, _, sol in ray_cases.values():
         start = np.random.default_rng(7).standard_normal(p.n + p.m)
         traj = Trajectory(op.trajectory(start, 3000))
         mn = op.m_norm()

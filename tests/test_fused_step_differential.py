@@ -86,8 +86,8 @@ def test_fused_trajectory_is_the_unfused_one(name):
 def test_fused_shifted_twin_is_the_unfused_one():
     p = demos.std_both_infeasible()
     steps = StepSizes.for_matrix(p.general.a)
-    tail = make_operator(p, steps).trajectory(np.zeros(p.n + p.m), 1000)[-2:]
+    op = make_operator(p, steps)
+    tail = op.trajectory(np.zeros(p.n + p.m), 1000)[-2:]
     v = tail[1] - tail[0]
-    v_x, v_y = v[: p.n], v[p.n :]
     assert np.abs(v).max() > 0.0  # the twin is shifted
-    _assert_close(ShiftedOperator(p, steps, v_x, v_y, partition_indices(p.a, v_x, v_y)))
+    _assert_close(ShiftedOperator(op, v, partition_indices(p.a, v[: p.n], v[p.n :])))

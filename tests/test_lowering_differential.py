@@ -187,7 +187,7 @@ def test_shifted_twin_is_the_standard_twin_to_the_bit(storage, how):
     part = IndexPartition(*(tuple(idx[roles == r].tolist()) for r in range(3)), tol=0.0)
     v = rng.standard_normal(n + p.m) * (rng.random(n + p.m) < 0.7)
     steps = StepSizes.for_matrix(p.general.a)
-    twin = ShiftedOperator(p, steps, v[:n], v[n:], part)
+    twin = ShiftedOperator(make_operator(p, steps), v, part)
     assert isinstance(twin.k1, np.ndarray) == (storage != "csr")
     z0 = np.random.default_rng(p.m).standard_normal(n + p.m)
     got = twin.trajectory(z0, 1000)

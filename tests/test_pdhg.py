@@ -54,9 +54,10 @@ def _non_finite_cases():
         free, l=np.full(free.n, -np.inf), u=np.full(free.n, np.inf)
     )
     v = rng.standard_normal(std.n + std.m)
-    v_x, v_y = v[: std.n], v[std.n :]
     shifted = ShiftedOperator(
-        std, StepSizes.for_matrix(std.a), v_x, v_y, partition_indices(std.a, v_x, v_y)
+        make_operator(std, StepSizes.for_matrix(std.a)),
+        v,
+        partition_indices(std.a, v[: std.n], v[std.n :]),
     )
     ops = [make_operator(q, StepSizes.for_matrix(q.a)) for q in (std, big, free)]
     names = ["standard-dense", "standard-csr", "general-free"]
@@ -104,18 +105,20 @@ class TestOperators:
 
     def test_make_operator_iterates_the_general_form(self, rng):
         # A standard-form problem is iterated as its lowering, by the solver
-        # and the analysis toolkit alike, with no shift.
+        # and the analysis toolkit alike, with no shift: make_operator
+        # returns a StandardFormOperator exactly for a standard-form
+        # problem, with the blocks of the plain operator on the lowering.
         p = demos.std_feasible()
         steps = StepSizes(0.1, 0.1)
         std = make_operator(p, steps)
-        gen = make_operator(_random_general(rng), steps)
-        assert type(std) is type(gen) is GeneralFormOperator
-        assert std.p is p.general
+        assert type(std) is StandardFormOperator
+        assert std.p is p.general and std.standard is p
         assert not std.shift.any() and std.shift.shape == (p.n + p.m,)
-        paper = StandardFormOperator(p, steps)
-        assert paper.p is p.general
+        plain = GeneralFormOperator(p.general, steps)
         for name in ("k1", "k2"):
-            assert getattr(paper, name).tobytes() == getattr(std, name).tobytes()
+            assert getattr(std, name).tobytes() == getattr(plain, name).tobytes()
+        for q in (_random_general(rng), p.general):
+            assert type(make_operator(q, steps)) is GeneralFormOperator
 
     def test_matrix_is_the_storage_of_the_products(self):
         small = demos.std_both_infeasible()
@@ -144,8 +147,10 @@ class TestOperators:
             )
             op = GeneralFormOperator(gen, steps)
         else:
-            v_x, v_y = np.zeros(n), np.zeros(m)
-            op = ShiftedOperator(std, steps, v_x, v_y, partition_indices(a, v_x, v_y))
+            v = np.zeros(n + m)
+            op = ShiftedOperator(
+                make_operator(std, steps), v, partition_indices(a, v[:n], v[n:])
+            )
         assert op.storage == "dense"
         assert isinstance(op.k1, np.ndarray) and isinstance(op.k2, np.ndarray)
         assert op.k1.size + op.k2.size == 2 * m * n + n + m
@@ -228,9 +233,7 @@ class TestOperators:
         # step is the one of its clipped problem, moved by v.
         v = np.random.default_rng(11).standard_normal(std.n + std.m)
         part = IndexPartition(b=(0,), n1=(1,), n2=(2,), tol=0.0)
-        twin = ShiftedOperator(
-            std, StepSizes.for_matrix(std.a), v[: std.n], v[std.n :], part
-        )
+        twin = ShiftedOperator(ops[0], v, part)
         ops.append(twin)
         for op in ops:
             x = rng.standard_normal(op.n) * 2.0

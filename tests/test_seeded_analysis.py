@@ -34,13 +34,12 @@ from pdhglp.pdhg import make_operator
 _SHIFT_BLOCK = 200
 
 
-def reference_shift_identity_residual(p, steps, v, partition, z_from, k_max=1000):
+def reference_shift_identity_residual(op, v, partition, z_from, k_max=1000):
     """The earlier shift_identity_residual: both the original and the twin
     are stepped from z_from, k_max steps in blocks."""
-    op = make_operator(p, steps)
-    shifted = ShiftedOperator(p, steps, v[: p.n], v[p.n :], partition)
+    shifted = ShiftedOperator(op, v, partition)
     mn = op.m_norm()
-    n = p.n
+    n = op.n
     z, zs = z_from, z_from
     worst = 0.0
     for start in range(1, k_max + 1, _SHIFT_BLOCK):
@@ -65,15 +64,15 @@ def analyze_items(perfbench, tmp_path, monkeypatch):
 
 
 def _as_analyzed(path):
-    """The problem and step sizes pdhglp analyze works with."""
+    """The operator pdhglp analyze works with."""
     p = load_problem(path)
     if isinstance(p, GeneralFormLp):
         p = to_standard_form(p)[0]
-    return p, StepSizes.for_matrix(p.general.a)
+    return make_operator(p, StepSizes.for_matrix(p.general.a))
 
 
-def _rounds(p, steps, points, v=None):
-    sol = refine_ray(p, steps, points, v)
+def _rounds(op, points, v=None):
+    sol = refine_ray(op, points, v)
     return sol.converged, sol.rounds
 
 
@@ -96,12 +95,12 @@ def test_seeded_ex1_1_1_converges(analyze_items, name):
     # ex1(1, 1) as a standard-form file, and as a general-form file that
     # analyze lowers to the standard form; unseeded, neither converged.
     (item,) = [it for it in analyze_items if it.name == name]
-    p, steps = _as_analyzed(item.path)
-    points = make_operator(p, steps).trajectory(np.zeros(p.n + p.m), 4000)
-    support = sorted(set(range(p.n)) - active_set(points[-1][: p.n]))
-    phase = affine_phase(p, steps, support)
-    seeded = _rounds(p, steps, points, phase.v_pred)
-    unseeded = _rounds(p, steps, points)
+    op = _as_analyzed(item.path)
+    points = op.trajectory(np.zeros(op.n + op.m), 4000)
+    support = sorted(set(range(op.n)) - active_set(points[-1][: op.n]))
+    phase = affine_phase(op, support)
+    seeded = _rounds(op, points, phase.v_pred)
+    unseeded = _rounds(op, points)
     assert seeded[0] is True
     assert seeded[1] <= unseeded[1]
 
@@ -115,9 +114,9 @@ def test_analyze_window_matches_restepping(analyze_items, monkeypatch, capsys):
     # re-stepping the original from the window's first row gave.
     calls = []
 
-    def recorded(p, steps, v, partition, orig):
-        got = shift_identity_residual(p, steps, v, partition, orig)
-        calls.append((p, steps, v, partition, orig, got))
+    def recorded(op, v, partition, orig):
+        got = shift_identity_residual(op, v, partition, orig)
+        calls.append((op, v, partition, orig, got))
         return got
 
     monkeypatch.setattr(cli, "shift_identity_residual", recorded)
@@ -125,11 +124,9 @@ def test_analyze_window_matches_restepping(analyze_items, monkeypatch, capsys):
         assert cli.main(["analyze", item.path]) == cli.EXIT_OK, item.name
     capsys.readouterr()
     assert len(calls) == len(analyze_items)
-    for p, steps, v, partition, orig, got in calls:
+    for op, v, partition, orig, got in calls:
         assert orig.shape[0] == 1001
-        want = reference_shift_identity_residual(
-            p, steps, v, partition, orig[0], k_max=1000
-        )
+        want = reference_shift_identity_residual(op, v, partition, orig[0], k_max=1000)
         assert got == want
 
 
@@ -139,24 +136,22 @@ def demo_rays():
     with their rays refined unseeded and seeded."""
     out = []
     for p in (demos.std_both_infeasible(), to_standard_form(demos.example1(1, 2))[0]):
-        steps = StepSizes.for_matrix(p.general.a)
-        points = make_operator(p, steps).trajectory(np.zeros(p.n + p.m), 1500)
+        op = make_operator(p, StepSizes.for_matrix(p.general.a))
+        points = op.trajectory(np.zeros(p.n + p.m), 1500)
         support = sorted(set(range(p.n)) - active_set(points[-1][: p.n]))
-        v_pred = affine_phase(p, steps, support).v_pred
+        v_pred = affine_phase(op, support).v_pred
         for v in (None, v_pred):
-            out.append((p, steps, points, refine_ray(p, steps, points, v)))
+            out.append((op, points, refine_ray(op, points, v)))
     return out
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 200, 437, 1000])
 def test_recorded_rows_match_restepping(demo_rays, k):
     # points[K-k:] against the reference from points[K-k].
-    for p, steps, points, sol in demo_rays:
+    for op, points, sol in demo_rays:
         big_k = points.shape[0] - 1
-        got = shift_identity_residual(
-            p, steps, sol.v, sol.partition, points[big_k - k :]
-        )
+        got = shift_identity_residual(op, sol.v, sol.partition, points[big_k - k :])
         want = reference_shift_identity_residual(
-            p, steps, sol.v, sol.partition, points[big_k - k], k_max=k
+            op, sol.v, sol.partition, points[big_k - k], k_max=k
         )
         assert got == want
