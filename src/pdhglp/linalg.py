@@ -413,6 +413,16 @@ def _components(i: np.ndarray, j: np.ndarray, n: int) -> list[np.ndarray]:
     return groups
 
 
+def _dense_components(g: np.ndarray) -> list[np.ndarray]:
+    """_components of the nonzero pattern of the dense square matrix g.  A
+    row 0 with no zero joins node 0 to every node, so that one component is
+    taken without building the edge list."""
+    n = g.shape[0]
+    if n and g[0].all():
+        return [np.arange(n)[None]]
+    return _components(*g.nonzero(), n)
+
+
 class Support:
     """The support of min c'x : A x >= b (= b on equality rows) on the
     columns cols and rows rows (boolean masks), the other columns held at
@@ -442,10 +452,10 @@ class Support:
         if sp.issparse(g):
             g = g.tocsr()
             i, j = np.repeat(np.arange(n), g.indptr[1:] - g.indptr[:-1]), g.indices
+            groups = _components(i, j, n)
             g = g.toarray()
         else:
-            i, j = g.nonzero()
-        groups = _components(i, j, n)
+            groups = _dense_components(g)
         lam, u, slots = np.empty(n), np.zeros((n, n)), np.arange(n)
         start = 0
         for blocks in groups:

@@ -16,7 +16,7 @@ markers) is rejected with a clear error rather than misread as continuous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,6 +43,9 @@ _FIXED_WINDOWS = ((2, 3), (5, 12), (15, 22), (25, 36), (40, 47), (50, 61))
 _MARKER_ERROR = "integer markers are not supported (continuous problems only)"
 _COLUMNS_SHAPE_ERROR = "COLUMNS entry needs a column, then 1 or 2 (row, value) pairs"
 _COLUMNS_BLOCK = 1024
+# The longest line _bulk_read takes: a block's two name arrays hold
+# 8 * _COLUMNS_BLOCK bytes per character of its longest line.
+_BULK_WIDTH = 256
 
 
 class MpsParseError(ValueError):
@@ -113,7 +116,7 @@ def _parse_value(tok: str, line_no: int, what: str) -> float:
         v = float(tok.translate(_FORTRAN_EXPONENT))
     except ValueError:
         raise MpsParseError(f"{what} {tok!r} is not a number", line_no) from None
-    if np.isnan(v):
+    if v != v:
         raise MpsParseError(f"{what} is NaN", line_no)
     return v
 
@@ -154,15 +157,28 @@ def parse_mps(text: str | bytes) -> MpsDocument:
     """Parse MPS text into a document, validating references as they appear.
 
     The text is split into sections once; COLUMNS, which holds the matrix,
-    is read in blocks of lines, each block in one pass.  An error names the
-    first bad line of the file.
+    RHS and RANGES are read in blocks of lines, each in one np.loadtxt call
+    where that reads it as the line reader would (_bulk_read).  An error
+    names the first bad line of the file.
     """
+    doc, blocks = _parse(text)
+    for heads, runs, rows, values in blocks:
+        cols = chain.from_iterable(map(repeat, heads, runs.tolist()))
+        doc.columns.extend(zip(cols, rows, values.tolist()))
+    return doc
+
+
+def _parse(text: str | bytes) -> tuple[MpsDocument, list]:
+    """parse_mps's reading with the COLUMNS entries kept out of the
+    document: they come back in file order as one (heads, runs, rows,
+    values) per block of lines (see _read_columns)."""
     if isinstance(text, bytes):
         text = text.decode("latin-1")
     lines = text.splitlines()
     doc = MpsDocument()
     row_names: set[str] = set()
     col_names: set[str] = set()
+    blocks = []
 
     for keyword, head, start, stop in _sections(lines):
         if keyword == "NAME":
@@ -170,21 +186,30 @@ def parse_mps(text: str | bytes) -> MpsDocument:
         elif keyword == "ROWS":
             _parse_rows(doc, lines, start, stop, row_names)
         elif keyword == "COLUMNS":
-            # Read in blocks of lines, so the token lists alive at once stay
+            # Read in blocks of lines, so the arrays alive at once stay
             # small; a block is read only after the ones before it passed.
             for lo in range(start, stop, _COLUMNS_BLOCK):
                 hi = min(lo + _COLUMNS_BLOCK, stop)
-                _parse_columns(doc, lines, lo, hi, row_names, col_names)
+                blocks.append(_read_columns(lines, lo, hi, row_names, col_names))
         elif keyword in ("RHS", "RANGES"):
-            for line_no, raw, toks in _data_lines(lines, start, stop):
-                _parse_pairs_line(doc, keyword, raw, toks, line_no, row_names)
+            # In blocks of lines as COLUMNS, each read in bulk if it can be.
+            target = doc.rhs if keyword == "RHS" else doc.ranges
+            for lo in range(start, stop, _COLUMNS_BLOCK):
+                hi = min(lo + _COLUMNS_BLOCK, stop)
+                read = _bulk_read(lines[lo:hi], row_names)
+                if read is not None:
+                    # The set names are dropped, as _parse_pairs_line does.
+                    target.update(zip(read[1], read[2].tolist()))
+                    continue
+                for line_no, raw, toks in _data_lines(lines, lo, hi):
+                    _parse_pairs_line(doc, keyword, raw, toks, line_no, row_names)
         elif keyword == "BOUNDS":
             for line_no, raw, toks in _data_lines(lines, start, stop):
                 _parse_bounds_line(doc, raw, toks, line_no, col_names)
 
     if not any(r.kind == "N" for r in doc.rows):
         raise MpsParseError("no objective (N) row declared")
-    return doc
+    return doc, blocks
 
 
 def _parse_rows(doc, lines, start, stop, row_names):
@@ -206,9 +231,66 @@ def _is_marker(toks: list[str]) -> bool:
     return len(toks) >= 2 and toks[1].strip("'\"").upper() == "MARKER"
 
 
-def _parse_columns(doc, lines, start, stop, row_names, col_names):
-    """Append the (column, row, value) entries of lines[start:stop], a
-    block of a COLUMNS section.
+def _bulk_read(block: list[str], row_names) -> tuple | None:
+    """The (names, rows, values) of block, lines of plain (name, row, value)
+    entries, read by one np.loadtxt call: the first fields as an array, the
+    rows as a list and the values as an array.  None if any line is not
+    such an entry, so that the caller reads the block line by line.
+
+    loadtxt splits on the whitespace str.split splits on and reads every
+    number it accepts to the bit as float() does.  Its fields are as wide
+    as the block's longest line, so no name is cut.  It is not tried on a
+    block with a comment, a marker, a NUL (which a numpy string drops at
+    the end of a name) or a line too long for arrays of its width, and its
+    reading is refused when a line is not 3 tokens, a value is one loadtxt
+    does not accept (a Fortran D exponent, 1_0), a row is undeclared or a
+    value is NaN.
+    """
+    joined = "".join(block)
+    width = max(map(len, block), default=0)
+    if (
+        width > _BULK_WIDTH
+        or not joined.strip()
+        or "*" in joined
+        or "\0" in joined
+        or "MARKER" in joined.upper()
+    ):
+        return None
+    fields = [("name", f"U{width}"), ("row", f"U{width}"), ("value", "f8")]
+    try:
+        read = np.loadtxt(block, dtype=fields, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    rows = read["row"].tolist()
+    values = read["value"].copy()
+    if not row_names.issuperset(rows) or np.isnan(values).any():
+        return None
+    return read["name"], rows, values
+
+
+def _read_columns(lines, start, stop, row_names, col_names):
+    """The (heads, runs, rows, values) of lines[start:stop], a block of a
+    COLUMNS section: the column of each run of entries of one column and
+    the run's length, then the row and the value of each entry.  The block
+    is read by _bulk_read if it can be, else by _parse_columns, which also
+    raises the error of a bad block."""
+    read = _bulk_read(lines[start:stop], row_names)
+    if read is None:
+        cols, rows, values = _parse_columns(lines, start, stop, row_names, col_names)
+        return cols, np.ones(len(cols), np.intp), rows, values
+    cols, rows, values = read
+    new_run = np.empty(cols.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=new_run[1:])
+    first = np.flatnonzero(new_run)
+    heads = cols[first].tolist()
+    col_names.update(heads)
+    return heads, np.diff(first, append=cols.size), rows, values
+
+
+def _parse_columns(lines, start, stop, row_names, col_names):
+    """The (columns, rows, values) of lines[start:stop], a block of a
+    COLUMNS section, read line by line.
 
     Every line is split once and the tokens of the whole block are read
     together: one triple per (row, value) pair, one float conversion of all
@@ -272,7 +354,7 @@ def _parse_columns(doc, lines, start, stop, row_names, col_names):
         raise MpsParseError(stopped, start + 1 + int(at[used]))
 
     col_names.update(cols)
-    doc.columns.extend(zip(cols, rows, values.tolist()))
+    return cols, rows, values
 
 
 def _coefficients(texts: list[str]) -> tuple[np.ndarray, int | None, str]:
@@ -381,9 +463,18 @@ def to_general_form(doc: MpsDocument) -> GeneralFormLp:
     entry of the objective row is the negated objective constant.
     Duplicate (column, row) entries are summed in file order.
     """
+    size = len(doc.columns)
+    cols, rows, values = list(zip(*doc.columns)) or [(), (), ()]
+    values = np.fromiter(values, np.float64, size)
+    return _lower(doc, cols, np.ones(size, np.intp), rows, values)
+
+
+def _lower(doc: MpsDocument, heads, runs, row_names, values) -> GeneralFormLp:
+    """to_general_form of doc with the COLUMNS entries given apart: the
+    column of each run of entries of one column and the run's length, then
+    the row name of each entry (read once) and an array of their values."""
     obj_row = doc.objective_row
-    col_names, row_names, values = list(zip(*doc.columns)) or [(), (), ()]
-    cols = list(dict.fromkeys(col_names))  # in order of first appearance
+    cols = list(dict.fromkeys(heads))  # in order of first appearance
     col_idx = {cname: i for i, cname in enumerate(cols)}
     n = len(cols)
 
@@ -399,10 +490,10 @@ def to_general_form(doc: MpsDocument) -> GeneralFormLp:
     row_idx[obj_row] = -1
     row_idx.update((r.name, i) for i, r in enumerate(con_rows))
 
-    size = len(values)
-    ent_col = np.fromiter(map(col_idx.__getitem__, col_names), np.int64, size)
-    ent_row = np.fromiter(map(row_idx.__getitem__, row_names), np.int64, size)
-    values = np.fromiter(values, np.float64, size)
+    ent_col = np.repeat(
+        np.fromiter(map(col_idx.__getitem__, heads), np.int64, len(heads)), runs
+    )
+    ent_row = np.fromiter(map(row_idx.__getitem__, row_names), np.int64, len(values))
 
     c = np.zeros(n)
     in_obj = ent_row == -1
@@ -489,8 +580,18 @@ def to_general_form(doc: MpsDocument) -> GeneralFormLp:
 
 
 def load_mps(path) -> GeneralFormLp:
+    """to_general_form(parse_mps(text)) of the file, lowered from the
+    COLUMNS arrays without building the document's list of entries."""
     with open(path, "rb") as fh:
-        return to_general_form(parse_mps(fh.read()))
+        doc, blocks = _parse(fh.read())
+    heads, runs, rows, values = list(zip(*blocks)) or [()] * 4
+    return _lower(
+        doc,
+        list(chain.from_iterable(heads)),
+        np.concatenate([np.zeros(0, np.intp), *runs]),
+        chain.from_iterable(rows),
+        np.concatenate([np.zeros(0), *values]),
+    )
 
 
 def _fmt(v: float) -> str:

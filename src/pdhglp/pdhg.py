@@ -131,14 +131,19 @@ class PdhgState:
         which add the new rows in step order: count steps here match count
         single steps to the bit.  x, y, x_prev, y_prev and the sums are new
         arrays."""
+        n = self.x.size
         for xs, ys, rows in op._steps(self.x, self.y, count):
-            # One accumulate per block adds the rows one by one, as += would;
-            # reduce and sum(axis=0) may sum pairwise, a last bit apart.
-            # They overflow as the block's steps may, and as quietly.
+            # One reduce over the rows [sums; [x_j; y_j] for each step] adds
+            # them one by one, as += would: numpy reduces axis 0 of a C-order
+            # array row by row when it has two columns or more, as it does
+            # here (n, m >= 1), and pairwise, a last bit apart, over one
+            # column.  It overflows as the block's steps may, and as quietly.
+            block = np.empty((rows + 1, n + self.y.size))
+            block[0, :n], block[0, n:] = self.sum_x, self.sum_y
+            block[1:, :n], block[1:, n:] = xs[1 : rows + 1], ys[1 : rows + 1, :-1]
             with np.errstate(over="ignore", invalid="ignore"):
-                sx = np.add.accumulate(np.vstack((self.sum_x, xs[1 : rows + 1])))
-                sy = np.add.accumulate(np.vstack((self.sum_y, ys[1 : rows + 1, :-1])))
-            self.sum_x, self.sum_y = sx[-1], sy[-1]
+                sums = np.add.reduce(block, axis=0)
+            self.sum_x, self.sum_y = sums[:n], sums[n:]
         if count:
             self.x_prev, self.x = xs[rows - 1].copy(), xs[rows].copy()
             self.y_prev, self.y = ys[rows - 1, :-1].copy(), ys[rows, :-1].copy()

@@ -3,6 +3,7 @@
 They import the package from src/ of this checkout and name its operator
 classes, so a rename there breaks them before any test of the library."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,5 +63,8 @@ def test_step_probe_prints_the_operators_storage(copies, storage, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    rows = [line.split()[:2] for line in done.stdout.splitlines()[1:]]
+    load, _, *table = done.stdout.splitlines()
+    ms, size = re.fullmatch(r"load (\d+\.\d{3}) ms \(best of 1\), (\d+) bytes", load).groups()
+    assert float(ms) > 0 and int(size) == path.stat().st_size
+    rows = [line.split()[:2] for line in table]
     assert rows == [["lowered", storage], ["shifted", storage]]

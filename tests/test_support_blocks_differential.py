@@ -162,6 +162,23 @@ def test_components_match_scipy(seed):
     assert len(set(zip(labels.tolist(), want.tolist()))) == count
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_dense_shortcut_gives_the_groups_of_components(seed):
+    # Symmetric patterns of any density; at odd seeds row 0 has no zero,
+    # which the shortcut reads as one component without the edge list.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    g = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.random())
+    g = g + g.T
+    if seed % 2:
+        g[0, :] = g[:, 0] = rng.uniform(1.0, 2.0, n)
+    want = linalg._components(*g.nonzero(), n)
+    got = linalg._dense_components(g)
+    assert len(got) == len(want)
+    for rows, want_rows in zip(got, want):
+        np.testing.assert_array_equal(rows, want_rows)
+
+
 def test_components_of_one_and_of_none():
     i, j = np.nonzero(np.ones((4, 4)))
     (rows,) = linalg._components(i, j, 4)
