@@ -10,19 +10,22 @@ of the explicit (2/k) bound.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pdhglp import demos
-from pdhglp.fixed_point import Trajectory, displacement_bound_gap, fit_rate
 from pdhglp.identify import (
+    Trajectory,
     active_history,
     active_set,
     affine_phase,
+    fit_rate,
     freeze_detector,
     refine_ray,
     verify_rate_regimes,
@@ -31,6 +34,41 @@ from pdhglp.instance_io import load_problem
 from pdhglp.linalg import StepSizes
 from pdhglp.model import GeneralFormLp, to_standard_form
 from pdhglp.pdhg import make_operator
+
+
+def _euclidean_rows(z: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(z, axis=1)
+
+
+def displacement_bound_gap(
+    traj: Trajectory,
+    v: np.ndarray,
+    z_star: np.ndarray,
+    norm: Callable[[np.ndarray], np.ndarray] = _euclidean_rows,
+    k_min: int = 1,
+) -> tuple[float, float]:
+    """Worst slack of the closed-range sublinear bounds along a trajectory.
+
+    Returns (iterate_gap, average_gap): the largest amount by which
+    ||v - (z^k - z^0)/k|| exceeds (2/k)||z^0 - z_star|| and by which
+    ||v - 2(zbar^k - z^0)/(k+1)|| exceeds (4/(k+1))||z^0 - z_star||, both
+    in the supplied norm, over k = k_min..traj.k.  norm maps a (rows, dim)
+    block to the norm of each row.  Nonpositive gaps mean the bounds hold;
+    NaN gaps are skipped.  A k_min outside 1..traj.k is a ValueError: k = 0
+    has no bound, and an empty window would report bounds that hold.
+    """
+    if not 1 <= k_min <= traj.k:
+        raise ValueError(f"k_min must lie in 1..{traj.k}, got {k_min}")
+    z0 = traj.points[0]
+    anchor = float(norm((z0 - z_star)[None, :])[0])
+    ks = np.arange(k_min, traj.k + 1, dtype=np.float64)
+    col = ks[:, None]
+    lhs_it = norm(v - (traj.points[k_min:] - z0) / col)
+    zbar = np.cumsum(traj.points[1:], axis=0)[k_min - 1 :] / col
+    lhs_avg = norm(v - 2.0 * (zbar - z0) / (col + 1.0))
+    gap_it = np.fmax.reduce(lhs_it - 2.0 * anchor / ks, initial=-math.inf)
+    gap_avg = np.fmax.reduce(lhs_avg - 4.0 * anchor / (ks + 1.0), initial=-math.inf)
+    return float(gap_it), float(gap_avg)
 
 
 def _load(args):

@@ -1,7 +1,8 @@
 """Built-in desk instances.
 
-A small corpus used by the tests, the acceptance suite, and the CLI demo
-subcommand: a three-variable inequality family whose (alpha, beta) knobs
+A small corpus used by the CLI demo subcommand, the tests and the
+acceptance suite (which also stack scaled copies of these into larger
+instances): a three-variable inequality family whose (alpha, beta) knobs
 move it through all four feasibility cells, a few handcrafted standard-form
 instances with known certificates, and a randomized generator that
 manufactures tiny standard-form instances in a requested cell by exact
@@ -21,7 +22,6 @@ __all__ = [
     "std_primal_infeasible",
     "std_dual_infeasible",
     "std_both_infeasible",
-    "block_copies",
     "random_cell_instance",
     "DEMO_BUILDERS",
     "CELLS",
@@ -100,42 +100,6 @@ def std_both_infeasible() -> StandardFormLp:
         b=np.array([0.0, -1.0]),
         name="std_both_infeasible",
     )
-
-
-def block_copies(
-    p: StandardFormLp | GeneralFormLp, copies: int, seed: int = 0
-) -> StandardFormLp | GeneralFormLp:
-    """p repeated block-diagonally, each copy with its own rows and columns
-    multiplied by integers from 1 to 9.
-
-    Copy i has matrix diag(r_i) A diag(s_i), costs s_i c, right-hand side
-    r_i b and bounds l / s_i, u / s_i: it is p with x = s_i x', so every
-    copy, and the whole problem, lies in p's feasibility cell.  The
-    multipliers give copies of one small instance unequal rows and columns,
-    which is what a diagonal scaling has to undo.
-    """
-    rng = np.random.default_rng(seed)
-    m, n = p.m, p.n
-    r = rng.integers(1, 10, size=(copies, m)).astype(np.float64)
-    s = rng.integers(1, 10, size=(copies, n)).astype(np.float64)
-    rows, cols, vals = p.a.triplets()
-    block = np.arange(copies)[:, None]
-    a = SparseMatrix.from_triplets(
-        copies * m,
-        copies * n,
-        (block * m + rows).ravel(),
-        (block * n + cols).ravel(),
-        (r[:, rows] * vals * s[:, cols]).ravel(),
-    )
-    c = (s * p.c).ravel()
-    b = (r * p.b).ravel()
-    name = f"{p.name}*{copies}"
-    offset = copies * p.objective_offset
-    if isinstance(p, StandardFormLp):
-        return StandardFormLp(c, a, b, name, offset)
-    l = (p.l / s).ravel()
-    u = (p.u / s).ravel()
-    return GeneralFormLp(c, a, b, l, u, name, offset, np.tile(p.eq, copies))
 
 
 DEMO_BUILDERS = {

@@ -11,8 +11,12 @@ affine phase of the post-freeze iteration, whose spectrum predicts the
 linear rate of the difference sequence, off the same support projector,
 linalg.Support, that pdhg.run polishes with (the eigendecomposition of a
 Gram matrix, one connected component of its nonzero pattern at a time).
+A Trajectory holds a run's points with the three derived sequences the
+certificates come from (differences, normalized iterates, normalized
+averages), and fit_rate fits their decay against a power or geometric
+model.
 
-Everything takes the operator it analyses, pdhg.make_operator of a
+Everything else takes the operator it analyses, pdhg.make_operator of a
 standard-form problem (the paper's setting): a StandardFormOperator, which
 steps the lowering op.p as the solver does and keeps the problem as
 op.standard.  Any other operator is a TypeError.  The shifted twin is that
@@ -29,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .fixed_point import RateFit, Trajectory, fit_rate
 from .linalg import MNorm, SparseMatrix, Support
 from .model import GeneralFormLp, StandardFormLp
 from .pdhg import GeneralFormOperator, StandardFormOperator
@@ -50,6 +53,9 @@ __all__ = [
     "shift_identity_residual",
     "affine_phase",
     "verify_rate_regimes",
+    "Trajectory",
+    "RateFit",
+    "fit_rate",
 ]
 
 PARTITION_TOL_REL = 1e-7
@@ -62,6 +68,102 @@ _FIXED_POINT_BUDGET = 200_000
 _RATE_SLACK = 0.02
 _SLOPE_SLACK = 0.15
 _FIT_K_MIN = 100
+_WARMUP_DEFAULT = 100
+
+
+@dataclass
+class Trajectory:
+    """z^0..z^k stacked row-wise, with the derived sequences on demand."""
+
+    points: np.ndarray  # shape (k+1, dim)
+
+    @property
+    def k(self) -> int:
+        return self.points.shape[0] - 1
+
+    def differences(self) -> np.ndarray:
+        """Rows j = 0..k-1 hold z^{j+1} - z^j."""
+        return np.diff(self.points, axis=0)
+
+    def normalized_iterates(self) -> np.ndarray:
+        """Rows j = 1..k hold z^j / j."""
+        ks = np.arange(1, self.points.shape[0], dtype=np.float64)
+        return self.points[1:] / ks[:, None]
+
+    def normalized_averages(self) -> np.ndarray:
+        """Rows j = 1..k hold 2/(j(j+1)) * sum_{i<=j} z^i."""
+        sums = np.cumsum(self.points[1:], axis=0)
+        ks = np.arange(1, self.points.shape[0], dtype=np.float64)
+        return sums * (2.0 / (ks * (ks + 1.0)))[:, None]
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Least-squares fit of an error sequence against a decay model.
+
+    power:      e_k ~ C * k^slope        (log e vs log k)
+    geometric:  e_k ~ C * rate^k         (log e vs k)
+
+    slope is the fitted exponent for the power model and log(rate) for the
+    geometric one; rate is exp(slope) only in the geometric case.
+    """
+
+    model: str
+    slope: float
+    rate: float | None
+    intercept: float
+    r_squared: float
+    n_used: int
+    n_dropped: int
+    k_min: int
+
+
+def fit_rate(
+    samples: Sequence[tuple[float, float]] | np.ndarray,
+    model: str = "power",
+    k_min: int = _WARMUP_DEFAULT,
+) -> RateFit:
+    """Fit errors vs iteration on transformed coordinates.
+
+    samples is a sequence of (k, e) pairs or an (N, 2) array of them.
+    Samples with k < k_min are warm-up and excluded; nonpositive errors
+    cannot enter a log fit and are dropped with a count.  A NaN k or e
+    fails both comparisons, so its sample is kept: a kept NaN k raises
+    ValueError, a NaN e makes the fit NaN.  Requires at least 20 usable
+    samples.
+    """
+    if model not in ("power", "geometric"):
+        raise ValueError(f"unknown model {model!r}")
+    pairs = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+    ks, es = pairs[:, 0], pairs[:, 1]
+    post = ~(ks < k_min)
+    nonpos = es <= 0.0
+    dropped = int(np.count_nonzero(post & nonpos))
+    use = post & ~nonpos
+    nan_k = np.flatnonzero(use & np.isnan(ks))
+    if nan_k.size:
+        i = int(nan_k[0])
+        raise ValueError(f"sample {i} ({ks[i]}, {es[i]}) has a NaN k")
+    ks, es = ks[use], es[use]
+    if ks.size < 20:
+        raise ValueError(f"need at least 20 post-warm-up samples, have {ks.size}")
+    xs = np.log(ks) if model == "power" else ks
+    ys = np.log(es)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return RateFit(
+        model=model,
+        slope=float(slope),
+        rate=float(np.exp(slope)) if model == "geometric" else None,
+        intercept=float(intercept),
+        r_squared=r2,
+        n_used=int(ks.size),
+        n_dropped=dropped,
+        k_min=k_min,
+    )
 
 
 @dataclass(frozen=True)
@@ -469,7 +571,7 @@ def verify_rate_regimes(
     """Fit the three sequences of a trajectory restarted at the freeze point.
 
     points are rows z^0..z^N of the original iteration; the sequences are
-    those of the fixed_point.Trajectory that starts at z^{k_freeze}, per
+    those of the Trajectory that starts at z^{k_freeze}, per
     the post-identification statements.  Difference errors below the float
     noise floor are excluded from the geometric fit.
     """

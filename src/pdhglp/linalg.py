@@ -149,17 +149,6 @@ class SparseMatrix:
         coo = self.csr.tocoo()
         return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
-    def same_entries(self, other: "SparseMatrix") -> bool:
-        """Exact structural and numerical equality of stored entries."""
-        if self.shape != other.shape:
-            return False
-        a, b = self.csr, other.csr
-        return (
-            np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-        )
-
     def __repr__(self) -> str:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 

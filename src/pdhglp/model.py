@@ -13,9 +13,9 @@ as its lowering, general_form(p) (see pdhg).  The analysis toolkit takes
 its problems in the standard form, the paper's setting.
 
 ``to_standard_form`` rewrites a general-form problem as a standard-form one
-(shifts, sign flips, free-variable splits, slacks, box rows) and returns a
-map that can pull solutions and infeasibility certificates back to the
-original variables.
+(shifts, sign flips, free-variable splits, slacks, box rows) and returns
+its bookkeeping: which standard-form columns stand for each original
+variable and row.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def clip_to_ray_signs(d: np.ndarray, masks: KindMasks) -> np.ndarray:
 
 @dataclass
 class StandardizationMap:
-    """Index bookkeeping from to_standard_form, with pull-back maps.
+    """Index bookkeeping from to_standard_form.
 
     Column conventions in the standard-form problem, in order:
       * one column per lower-bounded or boxed variable (x = l + t),
@@ -317,29 +317,6 @@ class StandardizationMap:
     row_slack_col: np.ndarray
     box_rows: list[tuple[int, int, int]]
     objective_offset: float
-
-    def pull_back_primal(self, x_std: np.ndarray) -> np.ndarray:
-        """Map a standard-form point to general-form variables."""
-        x = self.shift + self.sign * x_std[self.main_col]
-        free = self.neg_col >= 0
-        x[free] = x_std[self.main_col[free]] - x_std[self.neg_col[free]]
-        return x
-
-    def pull_back_primal_ray(self, d_std: np.ndarray) -> np.ndarray:
-        """Map an unboundedness ray (homogeneous, no shift) back."""
-        d = self.sign * d_std[self.main_col]
-        free = self.neg_col >= 0
-        d[free] = d_std[self.main_col[free]] - d_std[self.neg_col[free]]
-        return d
-
-    def pull_back_dual_solution(self, y_std: np.ndarray) -> np.ndarray:
-        """Row duals of the general-form constraints at a dual solution.
-
-        Takes y in the iteration convention (multiplier of Ax - b in the
-        ascent form, dual objective -b'y); the general-form row dual is its
-        negation restricted to the original rows.
-        """
-        return -y_std[: self.m_gen]
 
 
 def to_standard_form(p: GeneralFormLp) -> tuple[StandardFormLp, StandardizationMap]:

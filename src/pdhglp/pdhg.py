@@ -55,7 +55,6 @@ __all__ = [
     "KktResiduals",
     "kkt_residual",
     "active_pattern",
-    "inclusion_residual",
     "TraceRecord",
     "SolveStatus",
     "Termination",
@@ -427,26 +426,6 @@ def active_pattern(p: GeneralFormLp, x: np.ndarray, y: np.ndarray) -> np.ndarray
     """
     code = (x == p.l).astype(np.int8) + 2 * (x == p.u).astype(np.int8)
     return np.concatenate([code, (y == p.row_floor).astype(np.int8)])
-
-
-def inclusion_residual(op: GeneralFormOperator, x: np.ndarray, y: np.ndarray) -> float:
-    """Take one step from (x, y) and measure how far the step conditions are
-    from the required normal-cone memberships; exact steps give ~0.
-
-    Each side's residual must vanish off its bounds and, at a bound, have
-    the sign of that bound's normal cone.  The step's shift v enters as
-    -v_x / eta and -v_y / tau."""
-    eta, tau = op.steps.eta, op.steps.tau
-    x1, y1 = op.apply(x, y)
-    p, n = op.p, op.n
-    s = (x - x1 - op.shift[:n]) / eta + p.a.rmatvec(y) - p.c
-    t = (y - y1 - op.shift[n:]) / tau + p.b - p.a.matvec(2.0 * x1 - x)
-    return max(
-        max0(np.where(x1 == p.u, 0.0, s)),
-        max0(np.where(x1 == p.l, 0.0, -s)),
-        max0(t),
-        max0(np.where(y1 == p.row_floor, 0.0, -t)),
-    )
 
 
 @dataclass(slots=True)

@@ -18,6 +18,7 @@ settings.register_profile(
 settings.load_profile("default")
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
@@ -36,6 +37,23 @@ def perfbench(monkeypatch):
         spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
+
+
+@pytest.fixture
+def scripts(monkeypatch):
+    """Load a module of scripts/ by name, read-only, for this test only.
+
+    A script puts src/ on sys.path when imported; sys.path is restored when
+    the test ends, and the module is never registered in sys.modules."""
+
+    def load(name):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
 

@@ -15,18 +15,12 @@ import pytest
 from scipy.optimize import brentq
 
 from pdhglp import demos, exact
-from pdhglp.fixed_point import (
-    Trajectory,
-    creeper_operator,
-    displacement_bound_gap,
-    fit_rate,
-    iterate,
-    rotation_operator,
-)
 from pdhglp.identify import (
+    Trajectory,
     active_history,
     active_set,
     affine_phase,
+    fit_rate,
     freeze_detector,
     refine_ray,
     shift_identity_residual,
@@ -35,13 +29,9 @@ from pdhglp.identify import (
 from pdhglp.instance_io import load_problem
 from pdhglp.linalg import SparseMatrix, StepSizes
 from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
-from pdhglp.pdhg import (
-    PdhgConfig,
-    SolveStatus,
-    inclusion_residual,
-    make_operator,
-    run,
-)
+from pdhglp.pdhg import PdhgConfig, SolveStatus, make_operator, run
+
+from helpers import creeper_operator, inclusion_residual, iterate, rotation_operator
 
 
 def _stamp(n: int, label: str) -> None:
@@ -257,7 +247,8 @@ def test_acceptance_3_ray_farkas_identities(desk_rays):
 # 4. sublinear rate of the normalized sequences
 
 
-def test_acceptance_4_sublinear_rate_and_bound(desk_rays):
+def test_acceptance_4_sublinear_rate_and_bound(desk_rays, scripts):
+    displacement_bound_gap = scripts("rate_study").displacement_bound_gap
     for name, (ps, steps, op, traj, sol) in desk_rays.items():
         big_k = traj.k
         ks = np.arange(1, big_k + 1, dtype=np.float64)

@@ -15,24 +15,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdhglp import demos, linalg
-from pdhglp.fixed_point import (
-    FixedPointOperator,
-    RateFit,
-    Trajectory,
-    displacement_bound_gap,
-    fit_rate,
-    from_lp_operator,
-    iterate,
-    translation_operator,
-)
 from pdhglp.identify import (
     ACTIVE_TOL_REL,
     PARTITION_TOL_REL,
     IndexPartition,
+    RateFit,
     ShiftedOperator,
+    Trajectory,
     active_history,
     active_set,
     build_auxiliary,
+    fit_rate,
     freeze_detector,
     partition_indices,
     refine_ray,
@@ -41,6 +34,15 @@ from pdhglp.identify import (
 from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
 from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
 from pdhglp.pdhg import make_operator
+
+from helpers import (
+    block_copies,
+    FixedPointOperator,
+    from_lp_operator,
+    iterate,
+    same_entries,
+    translation_operator,
+)
 
 # ---------------------------------------------------------------------------
 # Reference copies of the per-row code
@@ -332,7 +334,7 @@ def test_build_auxiliary_matches_triplet_build(how):
     partition = _split(n, rng, how)
     got = build_auxiliary(op, v, partition)
     want = _auxiliary_triplets(p, op.steps, v, partition)
-    assert got.a.same_entries(want.a)
+    assert same_entries(got.a, want.a)
     for name in ("c", "b", "l", "u", "eq"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.name == want.name
@@ -350,7 +352,7 @@ def _trajectory_cases():
     rng = np.random.default_rng(11)
     std = demos.std_both_infeasible()
     gen = demos.example1(1, 2)
-    sparse = demos.block_copies(demos.std_both_infeasible(), 45, seed=2)
+    sparse = block_copies(demos.std_both_infeasible(), 45, seed=2)
     ops = {
         "standard": make_operator(std, StepSizes.for_matrix(std.a)),
         "general": make_operator(gen, StepSizes.for_matrix(gen.a)),
@@ -420,8 +422,8 @@ def _kernel_differential_cases():
     rng = np.random.default_rng(5)
     cases = {}
     for storage, copies in (("dense", 1), ("csr", 41)):
-        std = demos.block_copies(demos.std_both_infeasible(), copies, seed=3)
-        gen = demos.block_copies(demos.example1(1, 2), copies, seed=3)
+        std = block_copies(demos.std_both_infeasible(), copies, seed=3)
+        gen = block_copies(demos.example1(1, 2), copies, seed=3)
         assert (std.m * std.n <= linalg.DENSE_LIMIT) == (storage == "dense")
         assert (gen.m * gen.n <= linalg.DENSE_LIMIT) == (storage == "dense")
         steps = StepSizes.for_matrix(std.a)
@@ -561,7 +563,8 @@ def test_mnorm_rows_matches_call(arr, seed, negate):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_bound_gap_matches_per_k_loop(ray_cases):
+def test_bound_gap_matches_per_k_loop(ray_cases, scripts):
+    displacement_bound_gap = scripts("rate_study").displacement_bound_gap
     t = iterate(translation_operator([1.0, -2.0]), [5.0, 5.0], 300)
     got = displacement_bound_gap(t, np.array([1.0, -2.0]), t.points[0])
     want = _bound_gap_per_k(
@@ -587,12 +590,26 @@ def test_bound_gap_matches_per_k_loop(ray_cases):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-def test_bound_gap_empty_window():
+def test_bound_gap_empty_window(scripts):
+    # A window past the trajectory's end used to report (-inf, -inf), bounds
+    # that hold over no k at all.
+    displacement_bound_gap = scripts("rate_study").displacement_bound_gap
     t = iterate(translation_operator([1.0]), [0.0], 5)
-    assert displacement_bound_gap(t, np.ones(1), t.points[0], k_min=6) == (
-        -math.inf,
-        -math.inf,
-    )
+    with pytest.raises(ValueError, match="k_min"):
+        displacement_bound_gap(t, np.ones(1), t.points[0], k_min=6)
+
+
+@pytest.mark.parametrize("k_min", [-1, 0, 11, 12])
+def test_bound_gap_refuses_a_k_min_outside_the_trajectory(scripts, k_min):
+    # k_min = 0 divides by k = 0; k_min > 10 leaves no k of 10 steps.  A
+    # translation anchored at its start meets both bounds exactly.
+    displacement_bound_gap = scripts("rate_study").displacement_bound_gap
+    t = iterate(translation_operator([1.0, 1.0]), [0.0, 0.0], 10)
+    v = np.ones(2)
+    assert displacement_bound_gap(t, v, t.points[0], k_min=1) == (0.0, 0.0)
+    assert displacement_bound_gap(t, v, t.points[0], k_min=10) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="k_min"):
+        displacement_bound_gap(t, v, t.points[0], k_min=k_min)
 
 
 # ---------------------------------------------------------------------------

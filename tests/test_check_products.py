@@ -17,6 +17,8 @@ from pdhglp.model import (
 )
 from pdhglp.pdhg import PdhgConfig, run
 
+from helpers import block_copies
+
 
 def _desk_demos():
     """ex1 in its four cells and the std-* demos, each in both forms."""
@@ -36,7 +38,7 @@ DESK = _desk_demos()
 # The general-form desk demos copied past linalg.DENSE_LIMIT, where A is stored
 # in CSR.
 BLOCKS = [
-    (f"{name}*{copies}", demos.block_copies(p, copies))
+    (f"{name}*{copies}", block_copies(p, copies))
     for name, p in DESK
     if isinstance(p, GeneralFormLp)
     for copies in [int(np.sqrt(linalg.DENSE_LIMIT / (p.m * p.n))) + 1]
@@ -117,7 +119,7 @@ def test_cached_check_matches_fresh_check(name, p, monkeypatch):
         demos.example1(0.0, 1.0),
         demos.std_both_infeasible(),
         # 102 x 102, past linalg.DENSE_LIMIT: A is stored in CSR.
-        demos.block_copies(demos.example1(1.0, 2.0), 34),
+        block_copies(demos.example1(1.0, 2.0), 34),
     ],
     ids=["ex1(1,2)", "ex1(0,1)", "std-both-infeasible", "ex1(1,2)*34"],
 )
@@ -185,8 +187,8 @@ def test_check_costs_six_products(p, monkeypatch, no_verdict):
     [
         demos.example1(1.0, 2.0),
         demos.std_primal_infeasible(),
-        demos.block_copies(demos.example1(1.0, 2.0), 34),
-        demos.block_copies(demos.std_primal_infeasible(), 41),
+        block_copies(demos.example1(1.0, 2.0), 34),
+        block_copies(demos.std_primal_infeasible(), 41),
     ],
     ids=["ex1(1,2)", "std-primal-infeasible", "ex1(1,2)*34", "std-primal-infeasible*41"],
 )

@@ -25,6 +25,8 @@ from pdhglp.model import (
     to_standard_form,
 )
 
+from helpers import block_copies
+
 
 class TestDecideFeasibility:
     def test_interval_feasible_with_witness(self):
@@ -433,7 +435,7 @@ class TestRepairCertificate:
 
     def test_dense_path_past_the_repair_size_is_not_repaired(self):
         # 10 x 15: stored dense, but more columns than the repair takes.
-        p = demos.block_copies(demos.std_both_infeasible(), 5)
+        p = block_copies(demos.std_both_infeasible(), 5)
         assert p.m * p.n <= linalg.DENSE_LIMIT
         assert not exact.repair_fits(p)
         out = pdhg.run(p)
@@ -441,7 +443,7 @@ class TestRepairCertificate:
         assert all(rep.exact is None for rep in _reports(out))
 
     def test_sparse_path_is_not_repaired(self):
-        p = demos.block_copies(demos.std_both_infeasible(), 41)
+        p = block_copies(demos.std_both_infeasible(), 41)
         assert p.m * p.n > linalg.DENSE_LIMIT
         out = pdhg.run(p)
         assert len(_reports(out)) == 2

@@ -6,21 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdhglp import demos
-from pdhglp.fixed_point import (
-    Trajectory,
+from pdhglp.identify import Trajectory, fit_rate
+from pdhglp.linalg import StepSizes
+from pdhglp.pdhg import make_operator
+
+from helpers import (
+    FixedPointOperator,
     creeper_epsilon_point,
     creeper_operator,
-    displacement_bound_gap,
     estimate_v,
-    fit_rate,
     from_lp_operator,
     identity_operator,
     iterate,
     rotation_operator,
     translation_operator,
 )
-from pdhglp.linalg import StepSizes
-from pdhglp.pdhg import make_operator
 
 
 class TestTrajectory:
@@ -47,8 +47,6 @@ class TestTrajectory:
             iterate(identity_operator(2), [1.0, 2.0], 0)
 
     def test_iterate_overflow_guard(self):
-        from pdhglp.fixed_point import FixedPointOperator
-
         doubler = FixedPointOperator(dim=1, apply=lambda z: 2.0 * z)
         with pytest.raises(OverflowError):
             iterate(doubler, [1.0], 2000)
@@ -216,7 +214,8 @@ class TestFitRate:
 
 
 class TestDisplacementBounds:
-    def test_translation_bounds_hold(self):
+    def test_translation_bounds_hold(self, scripts):
+        displacement_bound_gap = scripts("rate_study").displacement_bound_gap
         v = np.array([1.0, -2.0])
         t = iterate(translation_operator(v), [5.0, 5.0], 300)
         # any point is a "fixed point" of the shifted map; the natural
@@ -225,7 +224,8 @@ class TestDisplacementBounds:
         assert gap_it <= 1e-12
         assert gap_avg <= 1e-12
 
-    def test_rotation_bounds_hold_with_origin_anchor(self):
+    def test_rotation_bounds_hold_with_origin_anchor(self, scripts):
+        displacement_bound_gap = scripts("rate_study").displacement_bound_gap
         t = iterate(rotation_operator(), [1.0, 0.0], 500)
         gap_it, gap_avg = displacement_bound_gap(
             t, np.zeros(2), np.zeros(2)

@@ -24,6 +24,8 @@ from pdhglp.model import GeneralFormLp, StandardFormLp
 from pdhglp.mps import MpsParseError
 from pdhglp.pdhg import PdhgConfig, SolveStatus, TraceRecord, run
 
+from helpers import block_copies, same_entries
+
 MPS_TEXT = """\
 NAME          TESTPROB
 ROWS
@@ -55,7 +57,7 @@ class TestProblemJson:
         np.testing.assert_array_equal(q.b, p.b)
         np.testing.assert_array_equal(q.l, p.l)
         np.testing.assert_array_equal(q.u, p.u)
-        assert q.a.same_entries(p.a)
+        assert same_entries(q.a, p.a)
 
     def test_equality_rows_round_trip(self):
         p = GeneralFormLp(
@@ -81,7 +83,7 @@ class TestProblemJson:
         q = problem_from_json(problem_to_json(p))
         assert isinstance(q, StandardFormLp)
         np.testing.assert_array_equal(q.c, p.c)
-        assert q.a.same_entries(p.a)
+        assert same_entries(q.a, p.a)
 
     @given(st.data())
     @settings(max_examples=30)
@@ -103,7 +105,7 @@ class TestProblemJson:
         q = problem_from_json(json.loads(json.dumps(problem_to_json(p))))
         np.testing.assert_array_equal(q.c, p.c)
         np.testing.assert_array_equal(q.b, p.b)
-        assert q.a.same_entries(p.a)
+        assert same_entries(q.a, p.a)
         assert q.name == p.name
 
     def test_save_load_json(self, tmp_path):
@@ -212,7 +214,7 @@ class TestResultJson:
         assert len(doc["x"]) == p.n and len(doc["y"]) == p.m
 
     def test_sparse_path_result_fields(self):
-        p = demos.block_copies(demos.std_feasible(), 71)
+        p = block_copies(demos.std_feasible(), 71)
         out = run(p, PdhgConfig(max_iters=100_000))
         doc = result_to_json(out, p)
         assert len(doc["x"]) == p.n and len(doc["y"]) == p.m
@@ -239,7 +241,7 @@ class TestResultJson:
         # exactly; larger ones are not, and say so with null.
         for p, want in (
             (demos.std_primal_infeasible(), True),
-            (demos.block_copies(demos.std_primal_infeasible(), 13), None),
+            (block_copies(demos.std_primal_infeasible(), 13), None),
         ):
             doc = result_to_json(run(p, PdhgConfig(max_iters=100_000)), p)
             assert doc["primal_certificate"]["exact"] is want

@@ -16,6 +16,8 @@ from pdhglp.linalg import (
     opnorm_estimate,
 )
 
+from helpers import block_copies
+
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
 
 
@@ -101,8 +103,8 @@ def _golub_kahan_cases() -> dict[str, SparseMatrix]:
     holes[::7] = 0.0  # zero rows
     holes[:, ::5] = 0.0  # zero columns
     cases = {
-        "block_copies": demos.block_copies(demos.example1(1, 2), 40).a,
-        "block_copies_random": demos.block_copies(
+        "block_copies": block_copies(demos.example1(1, 2), 40).a,
+        "block_copies_random": block_copies(
             demos.random_cell_instance("both_infeasible", np.random.default_rng(3)), 30
         ).a,
         # sqrt(3) is the top singular value of every block: a repeated top

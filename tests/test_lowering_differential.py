@@ -22,6 +22,8 @@ from pdhglp.linalg import StepSizes, max0
 from pdhglp.pdhg import PdhgConfig, kkt_residual, make_operator, run
 from pdhglp.scaling import ruiz_pock_chambolle
 
+from helpers import block_copies
+
 # ---------------------------------------------------------------------------
 # The reference: the standard-form branches of kkt_residual and of the two
 # certificate tests.
@@ -147,7 +149,7 @@ def _problems():
     probs = [demos.DEMO_BUILDERS[name]() for name in sorted(demos.DEMO_BUILDERS) if name != "ex1"]
     for cell in demos.CELLS:
         probs += [demos.random_cell_instance(cell, np.random.default_rng([s, 29])) for s in range(3)]
-    big = demos.block_copies(demos.std_both_infeasible(), 41, seed=3)
+    big = block_copies(demos.std_both_infeasible(), 41, seed=3)
     assert big.m * big.n > linalg.DENSE_LIMIT  # the operator's blocks are CSR
     return probs + [big]
 

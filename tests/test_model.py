@@ -21,6 +21,8 @@ from pdhglp.model import (
 )
 from pdhglp.pdhg import run
 
+from helpers import pull_back_dual_solution, pull_back_primal, pull_back_primal_ray
+
 
 def general_box_lp():
     """Mixed bound kinds: boxed, lower, upper, free."""
@@ -285,7 +287,7 @@ class TestStandardization:
             if np.max(np.abs(q.a.matvec(x_std) - q.b)) > 1e-9:
                 continue
             found += 1
-            x = smap.pull_back_primal(x_std)
+            x = pull_back_primal(smap, x_std)
             assert np.all(x >= p.l - 1e-9) and np.all(x <= p.u + 1e-9)
             assert np.all(p.a.matvec(x) >= p.b - 1e-9)
             # objective agrees through the offset
@@ -333,8 +335,8 @@ class TestStandardization:
         q, smap = to_standard_form(p)
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(q.n)
-        one = smap.pull_back_primal_ray(d)
-        two = smap.pull_back_primal_ray(2.0 * d)
+        one = pull_back_primal_ray(smap, d)
+        two = pull_back_primal_ray(smap, 2.0 * d)
         np.testing.assert_allclose(two, 2.0 * one, atol=1e-12)
 
     def test_dual_pull_back_negates(self):
@@ -342,5 +344,5 @@ class TestStandardization:
         q, smap = to_standard_form(p)
         y_std = np.arange(1.0, q.m + 1)
         np.testing.assert_array_equal(
-            smap.pull_back_dual_solution(y_std), -y_std[: p.m]
+            pull_back_dual_solution(smap, y_std), -y_std[: p.m]
         )

@@ -30,6 +30,8 @@ from pdhglp.mps import (
     parse_mps,
     to_general_form,
 )
+
+from helpers import same_entries
 from test_mps import ERROR_CASES, FIXTURE, documents
 
 # ---------------------------------------------------------------------------
@@ -479,7 +481,7 @@ def _assert_same_reading_once(text: str):
     assert int(lp.eq.sum()) == _point_rows(doc)
     assert not want.eq.any()
     lp = _pair_expanded(lp)
-    assert lp.a.same_entries(want.a)
+    assert same_entries(lp.a, want.a)
     for field in ("c", "b", "l", "u"):
         got_v, want_v = getattr(lp, field), getattr(want, field)
         assert got_v.dtype == want_v.dtype == np.float64
@@ -525,8 +527,8 @@ def test_rendered_documents_with_free_lines_read_back_as_written():
     assert _assert_same_reading(text) is None
     lp = to_general_form(doc)
     # R1 = 2x + 0.25x in [0.5, 1]; R2 = -3e-5 y <= 2e10.
-    assert lp.a.same_entries(
-        SparseMatrix.from_dense([[2.25, 0.0], [-2.25, 0.0], [0.0, 3e-5]])
+    assert same_entries(
+        lp.a, SparseMatrix.from_dense([[2.25, 0.0], [-2.25, 0.0], [0.0, 3e-5]])
     )
     assert lp.b.tolist() == [0.5, -1.0, -2e10]
 

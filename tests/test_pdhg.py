@@ -16,11 +16,12 @@ from pdhglp.pdhg import (
     SolveStatus,
     StandardFormOperator,
     Termination,
-    inclusion_residual,
     kkt_residual,
     make_operator,
     run,
 )
+
+from helpers import block_copies, inclusion_residual
 
 FAST = PdhgConfig(max_iters=200_000, eps=1e-8, kkt_tol=1e-8)
 
@@ -48,7 +49,7 @@ def _non_finite_cases():
     whose columns are all free.  NaN survives every clip."""
     rng = np.random.default_rng(3)
     std = demos.std_both_infeasible()
-    big = demos.block_copies(std, 41)
+    big = block_copies(std, 41)
     free = _random_general(rng)
     free = dataclasses.replace(
         free, l=np.full(free.n, -np.inf), u=np.full(free.n, np.inf)
@@ -122,7 +123,7 @@ class TestOperators:
 
     def test_matrix_is_the_storage_of_the_products(self):
         small = demos.std_both_infeasible()
-        big = demos.block_copies(small, 41)
+        big = block_copies(small, 41)
         assert small.m * small.n <= linalg.DENSE_LIMIT < big.m * big.n
         for p, dense in ((small, True), (big, False)):
             op = make_operator(p, StepSizes.for_matrix(p.a))

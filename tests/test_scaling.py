@@ -30,6 +30,8 @@ from pdhglp.scaling import (
     ruiz_pock_chambolle,
 )
 
+from helpers import block_copies
+
 FAST = PdhgConfig(max_iters=200_000, eps=1e-8, kkt_tol=1e-8)
 
 CELL_OF = {
@@ -79,7 +81,7 @@ def _fresh_check(p, rep, eps):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name,p", SMALL, ids=[n for n, _ in SMALL])
 def test_block_copies_keep_the_cell_and_certificates_hold(name, p, seed):
-    big = demos.block_copies(p, _copies(p), seed=seed)
+    big = block_copies(p, _copies(p), seed=seed)
     if isinstance(p, GeneralFormLp):
         assert np.array_equal(big.eq, np.tile(p.eq, _copies(p)))
     out = run(big, FAST)
@@ -108,7 +110,7 @@ def test_block_copies_keep_the_cell_and_certificates_hold(name, p, seed):
     "p", [demos.std_feasible(), demos.example1(0.0, 1.0)], ids=["std", "ex1"]
 )
 def test_warm_start_accepted_on_the_scaled_path(p):
-    big = demos.block_copies(p, _copies(p))
+    big = block_copies(p, _copies(p))
     ref = run(big, FAST)
     assert ref.status is SolveStatus.OPTIMAL
     out = run(big, FAST, x0=ref.x, y0=ref.y)

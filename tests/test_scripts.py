@@ -13,6 +13,8 @@ import pytest
 from pdhglp import demos
 from pdhglp.instance_io import save_problem
 
+from helpers import block_copies
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -22,7 +24,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         (["step_probe.py", "--steps", "20", "--repeat", "1"], ""),
         (
             ["rate_study.py", "--demo", "std-both-infeasible", "--iters", "3000", "--warm", "1000"],
-            "",
+            "(2/k) bound worst slack",
         ),
         # Exits 0 only when the solver's verdict is the oracle's cell on all
         # 8 desk demos and 8 random cell instances.
@@ -54,7 +56,7 @@ def test_script_exits_zero(argv, expected, tmp_path):
 @pytest.mark.parametrize("copies,storage", [(1, "fused"), (20, "dense"), (41, "csr")])
 def test_step_probe_prints_the_operators_storage(copies, storage, tmp_path):
     path = tmp_path / "instance.json"
-    save_problem(demos.block_copies(demos.std_both_infeasible(), copies), path)
+    save_problem(block_copies(demos.std_both_infeasible(), copies), path)
     argv = [str(SCRIPTS / "step_probe.py"), str(path), "--steps", "20", "--repeat", "1"]
     done = subprocess.run(
         [sys.executable, *argv],

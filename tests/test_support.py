@@ -15,6 +15,8 @@ from pdhglp.linalg import SparseMatrix
 from pdhglp.model import GeneralFormLp, StandardFormLp, general_form, standard_to_general
 from pdhglp.pdhg import PdhgConfig, SolveStatus, Termination, kkt_residual, run
 
+from helpers import block_copies
+
 PLANTED = Path(__file__).resolve().parents[1] / "perfbench" / "planted.py"
 
 VERDICT_CELL = {
@@ -304,7 +306,7 @@ def test_no_projection_past_the_gram_limit(general):
     # support would be projected.
     p = demos.std_both_infeasible()
     copies = linalg.GRAM_MAX_ORDER // p.m + 1
-    p = demos.block_copies(standard_to_general(p) if general else p, copies)
+    p = block_copies(standard_to_general(p) if general else p, copies)
     out = run(p, PdhgConfig(max_iters=200, eps=1e-300, kkt_tol=1e-300))
     assert any(t.k > 40 and not t.active_changed for t in out.trace)
     assert not any(t.seq == "support" for t in out.trace)
