@@ -388,16 +388,19 @@ def exact_optimum(p: StandardFormLp | GeneralFormLp) -> ExactOptimum:
     return ExactOptimum("optimal", max(lows) + Fraction(p.objective_offset))
 
 
-def exactify_vector(
-    v: np.ndarray, round_tol: float = 1e-12, max_denominator: int = 10**9
-) -> list[Fraction]:
+# Entries of a normalized float certificate at most this large snap to zero.
+_ROUND_TOL = 1e-12
+
+
+def exactify_vector(v: np.ndarray, max_denominator: int = 10**9) -> list[Fraction]:
     """Snap a float certificate to rationals.
 
     A vector whose entries are all integers of magnitude below 2**53 (a
     repaired certificate) is returned as those exact integers.  Any other
-    vector is normalized by its largest magnitude, entries below round_tol
-    are zeroed, and denominators are limited to max_denominator, so that
-    accumulated solver roundoff does not survive into the exact sign checks.
+    vector is normalized by its largest magnitude, entries of magnitude at
+    most _ROUND_TOL are zeroed, and denominators are limited to
+    max_denominator, so that accumulated solver roundoff does not survive
+    into the exact sign checks.
     """
     arr = np.asarray(v, dtype=np.float64)
     if np.all((arr == np.round(arr)) & (np.abs(arr) < 2.0**53)):
@@ -405,7 +408,7 @@ def exactify_vector(
     scale = float(np.max(np.abs(arr)))
     out = []
     for x in arr / scale:
-        if abs(x) <= round_tol:
+        if abs(x) <= _ROUND_TOL:
             out.append(Fraction(0))
         else:
             out.append(Fraction(x).limit_denominator(max_denominator))

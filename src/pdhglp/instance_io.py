@@ -243,13 +243,20 @@ def write_trace_csv(records: Sequence[TraceRecord], path) -> None:
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
+    """The records of a file write_trace_csv wrote; ValueError, naming the
+    1-based line, for an empty file, another header or a row whose field
+    count is not the header's."""
     out = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = tuple(next(rd))
+        header = tuple(next(rd, ()))
         if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header}")
+            raise ValueError(f"line 1: unexpected trace header {header}")
         for row in rd:
+            if len(row) != len(TRACE_HEADER):
+                raise ValueError(
+                    f"line {rd.line_num}: {len(row)} fields, not {len(TRACE_HEADER)}"
+                )
             out.append(
                 TraceRecord(
                     k=int(row[0]),

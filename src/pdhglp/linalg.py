@@ -1,8 +1,8 @@
 """Sparse matrix kernels, step sizes, the iteration norm, and the support
 projector.
 
-Everything downstream (the solver, the certificate checks, the operator
-experiments) measures distances in the norm induced by
+Everything downstream (the solver, the certificate checks, the analysis)
+measures distances in the norm induced by
 
     M = [[ (1/eta) I,  A^T ],
          [ A,          (1/tau) I ]]

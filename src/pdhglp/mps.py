@@ -1,7 +1,9 @@
 """MPS reader and writer targeting the general problem form.
 
 Reads both whitespace-delimited and fixed-column MPS variants into an
-intermediate document, converts the document to a general-form problem in
+intermediate document, COLUMNS, RHS and RANGES a block of lines at a time:
+a block of plain entries in one np.loadtxt call, any other block in a plain
+loop over its lines.  Converts the document to a general-form problem in
 which every constraint is a >= row or an equality row (L rows negated, an
 E row, or a row whose RANGES interval is one point, kept as one equality
 row, any other RANGES interval expanded into an opposing pair), and writes
@@ -158,8 +160,8 @@ def parse_mps(text: str | bytes) -> MpsDocument:
 
     The text is split into sections once; COLUMNS, which holds the matrix,
     RHS and RANGES are read in blocks of lines, each in one np.loadtxt call
-    where that reads it as the line reader would (_bulk_read).  An error
-    names the first bad line of the file.
+    where that reads it as the line reader would (_bulk_read), else line by
+    line.  An error names the first bad line of the file.
     """
     doc, blocks = _parse(text)
     for heads, runs, rows, values in blocks:
@@ -171,7 +173,13 @@ def parse_mps(text: str | bytes) -> MpsDocument:
 def _parse(text: str | bytes) -> tuple[MpsDocument, list]:
     """parse_mps's reading with the COLUMNS entries kept out of the
     document: they come back in file order as one (heads, runs, rows,
-    values) per block of lines (see _read_columns)."""
+    values) per block of lines (the heads and runs of _runs).
+
+    COLUMNS, RHS and RANGES are read in blocks of lines, so the arrays
+    alive at once stay small; a block is read only after the ones before
+    it passed, by _bulk_read if it can be, else by its section's line
+    reader, which also raises the error of a bad block.
+    """
     if isinstance(text, bytes):
         text = text.decode("latin-1")
     lines = text.splitlines()
@@ -185,24 +193,23 @@ def _parse(text: str | bytes) -> tuple[MpsDocument, list]:
             doc.name = head[1] if len(head) > 1 else ""
         elif keyword == "ROWS":
             _parse_rows(doc, lines, start, stop, row_names)
-        elif keyword == "COLUMNS":
-            # Read in blocks of lines, so the arrays alive at once stay
-            # small; a block is read only after the ones before it passed.
-            for lo in range(start, stop, _COLUMNS_BLOCK):
-                hi = min(lo + _COLUMNS_BLOCK, stop)
-                blocks.append(_read_columns(lines, lo, hi, row_names, col_names))
-        elif keyword in ("RHS", "RANGES"):
-            # In blocks of lines as COLUMNS, each read in bulk if it can be.
-            target = doc.rhs if keyword == "RHS" else doc.ranges
+        elif keyword in ("COLUMNS", "RHS", "RANGES"):
             for lo in range(start, stop, _COLUMNS_BLOCK):
                 hi = min(lo + _COLUMNS_BLOCK, stop)
                 read = _bulk_read(lines[lo:hi], row_names)
-                if read is not None:
-                    # The set names are dropped, as _parse_pairs_line does.
-                    target.update(zip(read[1], read[2].tolist()))
-                    continue
-                for line_no, raw, toks in _data_lines(lines, lo, hi):
-                    _parse_pairs_line(doc, keyword, raw, toks, line_no, row_names)
+                if read is None and keyword == "COLUMNS":
+                    read = _parse_columns(lines, lo, hi, row_names)
+                elif read is None:
+                    read = _parse_pairs(keyword, lines, lo, hi, row_names)
+                names, rows, values = read
+                if keyword == "COLUMNS":
+                    heads, runs = _runs(names)
+                    col_names.update(heads)
+                    blocks.append((heads, runs, rows, values))
+                else:
+                    # The set names are dropped: a row's last entry holds.
+                    target = doc.rhs if keyword == "RHS" else doc.ranges
+                    target.update(zip(rows, values.tolist()))
         elif keyword == "BOUNDS":
             for line_no, raw, toks in _data_lines(lines, start, stop):
                 _parse_bounds_line(doc, raw, toks, line_no, col_names)
@@ -225,10 +232,6 @@ def _parse_rows(doc, lines, start, stop, row_names):
             raise MpsParseError(f"duplicate row name {toks[1]!r}", line_no)
         row_names.add(toks[1])
         doc.rows.append(MpsRow(kind, toks[1]))
-
-
-def _is_marker(toks: list[str]) -> bool:
-    return len(toks) >= 2 and toks[1].strip("'\"").upper() == "MARKER"
 
 
 def _bulk_read(block: list[str], row_names) -> tuple | None:
@@ -268,141 +271,63 @@ def _bulk_read(block: list[str], row_names) -> tuple | None:
     return read["name"], rows, values
 
 
-def _read_columns(lines, start, stop, row_names, col_names):
-    """The (heads, runs, rows, values) of lines[start:stop], a block of a
-    COLUMNS section: the column of each run of entries of one column and
-    the run's length, then the row and the value of each entry.  The block
-    is read by _bulk_read if it can be, else by _parse_columns, which also
-    raises the error of a bad block."""
-    read = _bulk_read(lines[start:stop], row_names)
-    if read is None:
-        cols, rows, values = _parse_columns(lines, start, stop, row_names, col_names)
-        return cols, np.ones(len(cols), np.intp), rows, values
-    cols, rows, values = read
-    new_run = np.empty(cols.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(cols[1:], cols[:-1], out=new_run[1:])
+def _runs(names: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The name heading each run of equal entries of names, and the run's
+    length."""
+    new_run = np.empty(len(names), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(names[1:], names[:-1], out=new_run[1:])
     first = np.flatnonzero(new_run)
-    heads = cols[first].tolist()
-    col_names.update(heads)
-    return heads, np.diff(first, append=cols.size), rows, values
+    return names[first].tolist(), np.diff(first, append=len(names))
 
 
-def _parse_columns(lines, start, stop, row_names, col_names):
-    """The (columns, rows, values) of lines[start:stop], a block of a
-    COLUMNS section, read line by line.
-
-    Every line is split once and the tokens of the whole block are read
-    together: one triple per (row, value) pair, one float conversion of all
-    value tokens, one NaN test and one set difference against the declared
-    rows.  A line of another token count than 3 or 5 is read through the
-    fixed windows.  Errors are raised for the earliest bad line, and within
-    a line in the order marker, token count, then each pair's row before
-    its value.
+def _parse_columns(lines, start, stop, row_names):
+    """The (names, rows, values) of lines[start:stop], a block of a COLUMNS
+    section, read line by line: one entry per (row, value) pair.  The names
+    are an object array, since a numpy string drops a name's trailing NUL.
     """
-    block = lines[start:stop]
-    joined = "".join(block)
-    split = list(map(str.split, block))
-    counts = np.fromiter(map(len, split), np.intp, len(split))
-    # Blank lines have no tokens; a comment's first token starts with "*".
-    keep = counts > 0
-    if "*" in joined:
-        keep &= [not toks or toks[0][0] != "*" for toks in split]
-    at = np.flatnonzero(keep)
-    if at.size < len(split):
-        split = [split[k] for k in at]
-        counts = counts[at]
-
-    # Lines are read up to the first integer marker (seen in the free
-    # reading) or the first line with neither 3 nor 5 fields in either
-    # reading, whichever comes first.
-    used, stopped = len(split), None
-    if "MARKER" in joined.upper():
-        marker = next((k for k, toks in enumerate(split) if _is_marker(toks)), None)
-        if marker is not None:
-            used, stopped = marker, _MARKER_ERROR
-    for k in np.flatnonzero((counts[:used] != 3) & (counts[:used] != 5)):
-        split[k] = _fixed_fields(block[at[k]])
-        counts[k] = len(split[k])
-        if counts[k] not in (3, 5):
-            used, stopped = k, _COLUMNS_SHAPE_ERROR
-            break
-    # A 5-token line holds two (row, value) pairs of one column; read it as
-    # two 3-token lines, so the tokens run in (column, row, value) triples.
-    counts = counts[:used]
-    for k in np.flatnonzero(counts == 5):
-        toks = split[k]
-        split[k] = toks[:3] + toks[:1] + toks[3:]
-    line_of = np.repeat(np.arange(used), (counts - 1) // 2)
-    flat = list(chain.from_iterable(split[:used]))
-    cols, rows, texts = flat[0::3], flat[1::3], flat[2::3]
-
-    # The first bad triple: an undeclared row, else a bad value; a row is
-    # checked before the value of its own pair.
-    bad = []
-    unknown = set(rows).difference(row_names)
-    if unknown:
-        t = next(t for t, r in enumerate(rows) if r in unknown)
-        bad.append((t, 0, f"COLUMNS references undeclared row {rows[t]!r}"))
-    values, t, message = _coefficients(texts)
-    if t is not None:
-        bad.append((t, 1, message))
-    if bad:
-        t, _, message = min(bad)
-        raise MpsParseError(message, start + 1 + int(at[line_of[t]]))
-    if stopped is not None:
-        raise MpsParseError(stopped, start + 1 + int(at[used]))
-
-    col_names.update(cols)
-    return cols, rows, values
+    names, rows, values = [], [], []
+    for line_no, raw, toks in _data_lines(lines, start, stop):
+        if len(toks) >= 2 and toks[1].strip("'\"").upper() == "MARKER":
+            raise MpsParseError(_MARKER_ERROR, line_no)
+        if len(toks) not in (3, 5):
+            toks = _fixed_fields(raw)
+        if len(toks) not in (3, 5):
+            raise MpsParseError(_COLUMNS_SHAPE_ERROR, line_no)
+        for i in range(1, len(toks), 2):
+            if toks[i] not in row_names:
+                raise MpsParseError(
+                    f"COLUMNS references undeclared row {toks[i]!r}", line_no
+                )
+            names.append(toks[0])
+            rows.append(toks[i])
+            values.append(_parse_value(toks[i + 1], line_no, "coefficient"))
+    return np.array(names, dtype=object), rows, np.array(values)
 
 
-def _coefficients(texts: list[str]) -> tuple[np.ndarray, int | None, str]:
-    """The COLUMNS value tokens as floats, Fortran D exponents read as E,
-    with the index and message of the first token that is not a number or
-    is NaN (index None when every token is good)."""
-    if not texts:
-        return np.zeros(0), None, ""
-    # Tokens hold no newline, so one translate covers every token.
-    read = "\n".join(texts).translate(_FORTRAN_EXPONENT).split("\n")
-    try:
-        values = np.fromiter(map(float, read), np.float64, len(read))
-        stop, message = None, ""
-    except ValueError:
-        stop = next(t for t, tok in enumerate(read) if not _is_number(tok))
-        values = np.fromiter(map(float, read[:stop]), np.float64, stop)
-        message = f"coefficient {texts[stop]!r} is not a number"
-    nan = np.flatnonzero(np.isnan(values))
-    if nan.size:
-        return values, int(nan[0]), "coefficient is NaN"
-    return values, stop, message
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
-
-
-def _parse_pairs_line(doc, section, raw, toks, line_no, row_names):
-    # The leading set name is optional; an even token count means it was
-    # omitted and every token belongs to a (row, value) pair.
-    if len(toks) not in (2, 3, 4, 5):
-        toks = _fixed_fields(raw)
-    if len(toks) in (3, 5):
-        toks = toks[1:]
-    if len(toks) not in (2, 4):
-        raise MpsParseError(f"{section} entry needs (row, value) pairs", line_no)
-    target = doc.rhs if section == "RHS" else doc.ranges
-    for i in range(0, len(toks), 2):
-        row = toks[i]
-        if row not in row_names:
-            raise MpsParseError(
-                f"{section} references undeclared row {row!r}", line_no
-            )
-        target[row] = _parse_value(toks[i + 1], line_no, f"{section} value")
+def _parse_pairs(section, lines, start, stop, row_names):
+    """The (names, rows, values) of lines[start:stop], a block of an RHS or
+    RANGES section, read line by line: one entry per (row, value) pair,
+    named by its line's set name ("" where the line omits it)."""
+    names, rows, values = [], [], []
+    for line_no, raw, toks in _data_lines(lines, start, stop):
+        if len(toks) not in (2, 3, 4, 5):
+            toks = _fixed_fields(raw)
+        # The leading set name is optional; an even token count means it
+        # was omitted and every token belongs to a (row, value) pair.
+        if len(toks) in (2, 4):
+            toks = [""] + toks
+        if len(toks) not in (3, 5):
+            raise MpsParseError(f"{section} entry needs (row, value) pairs", line_no)
+        for i in range(1, len(toks), 2):
+            if toks[i] not in row_names:
+                raise MpsParseError(
+                    f"{section} references undeclared row {toks[i]!r}", line_no
+                )
+            names.append(toks[0])
+            rows.append(toks[i])
+            values.append(_parse_value(toks[i + 1], line_no, f"{section} value"))
+    return names, rows, np.array(values)
 
 
 def _parse_bounds_line(doc, raw, toks, line_no, col_names):

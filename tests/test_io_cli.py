@@ -199,6 +199,21 @@ class TestTraceCsv:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [([], 1), (["40,difference,,0.25,0.01,0"], 3), (["40,support,,1,1,0,1,9"], 3)],
+        ids=["empty", "short row", "long row"],
+    )
+    def test_malformed_file_names_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "trace.csv"
+        if rows:
+            write_trace_csv(self.RECORDS[:1], path)
+            path.write_text(path.read_text() + "\n".join(rows) + "\n")
+        else:
+            path.write_text("")
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            read_trace_csv(path)
+
 
 class TestResultJson:
     def test_optimal_outcome_fields(self):

@@ -239,6 +239,59 @@ def test_sparse_corpus_files_load_as_their_parse_lowers(tmp_path, monkeypatch, p
             _assert_same_problem(got, load_mps(item.path))
 
 
+def _sparse_mps_paths(perfbench) -> list[Path]:
+    """The general-form (MPS) files of the sparse corpus, written to the
+    working directory."""
+    perfbench("planted")
+    items = perfbench("corpus").setup_sparse(3)
+    paths = [Path(it.path) for it in items if it.form == "general"]
+    assert len(paths) == 4
+    return paths
+
+
+def _two_pairs_per_line(text: str) -> str:
+    """text with each two consecutive COLUMNS lines of one column written
+    as one line of two (row, value) pairs."""
+    lines = text.splitlines()
+    start = lines.index("COLUMNS") + 1
+    stop = next(i for i in range(start, len(lines)) if not lines[i][0].isspace())
+    out = []
+    for line in lines[start:stop]:
+        toks, last = line.split(), out[-1].split() if out else []
+        if len(last) == 3 and last[0] == toks[0]:
+            out[-1] += f"  {toks[1]}  {toks[2]}"
+        else:
+            out.append(line)
+    return "\n".join(lines[:start] + out + lines[stop:]) + "\n"
+
+
+def test_sparse_corpus_files_with_two_pairs_per_line_load_the_same(
+    tmp_path, monkeypatch, perfbench
+):
+    monkeypatch.chdir(tmp_path)
+    for path in _sparse_mps_paths(perfbench):
+        text = _two_pairs_per_line(path.read_text())
+        assert sum(len(line.split()) == 5 for line in text.splitlines()) > 1000
+        five = path.with_suffix(".five.mps")
+        five.write_text(text)
+        _assert_same_problem(load_mps(five), load_mps(path))
+
+
+def _refuse(*args):
+    raise AssertionError("a line reader read a block of a plain file")
+
+
+def test_plain_corpus_files_never_reach_the_line_readers(
+    tmp_path, monkeypatch, perfbench
+):
+    monkeypatch.chdir(tmp_path)
+    paths = _sparse_mps_paths(perfbench)
+    monkeypatch.setattr(mps, "_parse_columns", _refuse)
+    monkeypatch.setattr(mps, "_parse_pairs", _refuse)
+    for path in paths:
+        assert load_mps(path).a.nnz > 0
+
+
 def test_a_declared_row_named_marker_is_still_a_marker():
     line = "    X  MARKER  1.0"
     assert mps._bulk_read([line], {"C", "MARKER"}) is None
