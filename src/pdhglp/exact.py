@@ -24,12 +24,11 @@ whose systems are built from the CSR rows of A and A'.  It refuses, with
 ValueError, the numbers the solver refuses (model.number_errors): entries
 of c, b, A and the offset must be finite, the bounds not NaN, no lower
 bound +inf and no upper bound -inf; any other infinite bound means none.
-An elimination that outgrows _MAX_INTERMEDIATE_ROWS raises
-linalg.SolverError.
-
-Sizes are guarded: the oracle takes at most MAX_VARIABLES variables and
-MAX_CONSTRAINTS constraints, and the repair at most REPAIR_MAX_DIM rows and
-columns (repair_fits), since its elimination is cubic in the size.
+Sizes are guarded: the oracle takes at most MAX_VARIABLES variables,
+MAX_CONSTRAINTS constraints and _MAX_INTERMEDIATE_ROWS rows in an
+elimination, and raises linalg.SolverError on a valid problem past any of
+them; the repair takes at most REPAIR_MAX_DIM rows and columns
+(repair_fits), since its elimination is cubic in the size.
 pdhg.run repairs the certificates of problems that fit and leaves the rest
 alone; the oracle serves the tests and `pdhglp oracle`.
 """
@@ -190,9 +189,9 @@ def _fm_eliminate(sys: ExactLp, targets: list[int]):
     growth in check at oracle scale.
     """
     if sys.n > MAX_VARIABLES + 1:
-        raise ValueError(f"too many variables for the exact oracle: {sys.n}")
+        raise SolverError(f"too many variables for the exact oracle: {sys.n}")
     if sys.m > 3 * MAX_CONSTRAINTS + 2 * MAX_VARIABLES + 1:
-        raise ValueError(f"too many constraints for the exact oracle: {sys.m}")
+        raise SolverError(f"too many constraints for the exact oracle: {sys.m}")
     rows = [_Row(a, b, {i: 1}) for i, (a, b) in enumerate(zip(sys.rows, sys.rhs))]
 
     stages: list[tuple[int, list[_Row]]] = []

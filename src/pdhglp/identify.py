@@ -8,9 +8,9 @@ displacement moves them, build the always-feasible auxiliary problem the
 shifted twin solves, detect when the active pattern freezes (from its
 history kept as its changes, so the freeze is the last one), and read the
 affine phase of the post-freeze iteration, whose spectrum predicts the
-linear rate of the difference sequence, off the same support projector,
-linalg.Support, that pdhg.run polishes with (the eigendecomposition of a
-Gram matrix, one connected component of its nonzero pattern at a time).
+linear rate of the difference sequence, off the projector pdhg.run
+polishes with, linalg.Support on the same block op.matrix (the
+eigendecomposition of a Gram matrix, one component at a time).
 A Trajectory holds a run's points with the three derived sequences the
 certificates come from (differences, normalized iterates, normalized
 averages), and fit_rate fits their decay against a power or geometric
@@ -508,8 +508,9 @@ class AffinePhase:
 def affine_phase(
     op: StandardFormOperator, support: Sequence[int]
 ) -> AffinePhase | None:
-    """The frozen-support affine phase of op and its spectral data; None
-    when the support has more rows than linalg.GRAM_MAX_ORDER."""
+    """The frozen-support affine phase of op and its spectral data, read
+    off linalg.Support on op.matrix, the block pdhg.run's polish slices
+    too; None when the support has more rows than linalg.GRAM_MAX_ORDER."""
     _standard(op)
     n, m = op.n, op.m
     eta, tau = op.steps.eta, op.steps.tau
@@ -517,7 +518,7 @@ def affine_phase(
     cols = np.isin(np.arange(n), support)
     # On the lowering (-A, -b, x >= 0) every row is an equality row.
     g = op.p
-    sup = Support.within_cap(g.a.csr, g.c, g.b, cols, np.ones(m, bool), np.zeros(n))
+    sup = Support.within_cap(op.matrix, g.c, g.b, cols, np.ones(m, bool), np.zeros(n))
     if sup is None:
         return None
     sigma = np.sqrt(sup.lam[::-1])

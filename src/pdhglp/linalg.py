@@ -52,11 +52,11 @@ class SparseMatrix:
     Duplicate (row, col) pairs in the input are summed during construction;
     afterwards the stored layout is unique and sorted, so repeated products
     accumulate in a fixed order and runs are reproducible.  The stored
-    entries are treated as immutable: the transpose and the operator norm
-    estimate are built once, on first use, and kept.
+    entries are treated as immutable: A', dense A and the norm estimate are
+    built once, on first use, and kept.
     """
 
-    __slots__ = ("csr", "_csr_t", "_opnorm")
+    __slots__ = ("csr", "_csr_t", "_dense", "_opnorm")
 
     def __init__(self, csr: sp.csr_matrix):
         if not sp.isspmatrix_csr(csr):
@@ -66,6 +66,7 @@ class SparseMatrix:
         csr.sort_indices()
         self.csr = csr
         self._csr_t: sp.csr_matrix | None = None
+        self._dense: np.ndarray | None = None
         self._opnorm: OperatorNormEstimate | None = None
 
     @classmethod
@@ -142,8 +143,13 @@ class SparseMatrix:
             self._opnorm = opnorm_estimate(self)
         return self._opnorm
 
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+    @property
+    def dense(self) -> np.ndarray | None:
+        """A as a read-only array, built on first use; None past DENSE_LIMIT."""
+        if self._dense is None and self.n_rows * self.n_cols <= DENSE_LIMIT:
+            self._dense = self.csr.toarray()
+            self._dense.flags.writeable = False
+        return self._dense
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         coo = self.csr.tocoo()
@@ -193,19 +199,19 @@ _GK_BASIS = 48
 def opnorm_estimate(
     a: SparseMatrix, tol: float = 1e-9, max_iters: int = 500
 ) -> OperatorNormEstimate:
-    """||A||_2, two ways split at DENSE_LIMIT like the operator's storage.
+    """||A||_2, two ways split like every layer's storage (SparseMatrix.dense).
 
-    Up to the limit: the square root of the largest eigenvalue (eigvalsh)
-    of the smaller Gram matrix of the dense A, A A' or A'A, exact to
-    roundoff.  Not np.linalg.norm(A, 2): the SVD of A and of -A can differ
-    in the last bit, and a standard-form problem's lowering iterates -A
-    with the step sizes of A.  The Gram matrix of -A is that of A to the
-    bit.  tol and max_iters are not read.
+    Dense: the square root of the largest eigenvalue (eigvalsh) of the
+    smaller Gram matrix of A.dense, A A' or A'A, exact to roundoff.  Not
+    np.linalg.norm(A, 2): the SVD of A and of -A can differ in the last
+    bit, and a standard-form problem's lowering iterates -A with the step
+    sizes of A.  The Gram matrix of -A is that of A to the bit.  tol and
+    max_iters are not read.
 
-    Past the limit: Golub-Kahan bidiagonalization (_golub_kahan) from a
-    fixed seeded start, at most max_iters steps, stopping when the top
-    singular value of the bidiagonal, a lower bound of ||A||_2, moves by at
-    most tol relative.  A step can move less than the distance left, so
+    CSR, past DENSE_LIMIT: Golub-Kahan bidiagonalization (_golub_kahan)
+    from a fixed seeded start, at most max_iters steps, stopping when the
+    top singular value of the bidiagonal, a lower bound of ||A||_2, moves by
+    at most tol relative.  A step can move less than the distance left, so
     the value can sit below ||A||_2 by a little more than tol: tol = 1e-8
     left one of the 24 scaled sparse benchmark matrices 1.1e-8 below, and
     1e-9 left all of them within 8.1e-10 for 2 more steps each.  Negating A
@@ -219,8 +225,8 @@ def opnorm_estimate(
     m, n = a.shape
     if m == 0 or n == 0 or a.nnz == 0:
         return OperatorNormEstimate(0.0, 0, True)
-    if m * n <= DENSE_LIMIT:
-        d = a.to_dense()
+    d = a.dense
+    if d is not None:
         gram = d @ d.T if m <= n else d.T @ d
         lam = float(np.linalg.eigvalsh(gram)[-1])
         est = OperatorNormEstimate(float(np.sqrt(max(lam, 0.0))), 0, True)

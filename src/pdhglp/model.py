@@ -50,27 +50,13 @@ class KindMasks:
     floor (0 on lower-only variables, -inf elsewhere) and ceil (0 on
     upper-only variables, +inf elsewhere) are built on first use and kept,
     so the sign clips below take two dense ufuncs and one masked store
-    instead of masked gathers.  So are the index gathers of the finite
-    bounds, finite_l and finite_u, which need the bounds l and u that
-    GeneralFormLp.masks records; one whose bounds are all 0 is left empty.
+    instead of masked gathers.
     """
 
     boxed: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     free: np.ndarray
-    l: np.ndarray | None = None
-    u: np.ndarray | None = None
-
-    @cached_property
-    def finite_l(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices with a finite lower bound, l at them), in index order."""
-        return _gather(self.boxed | self.lower, self.l)
-
-    @cached_property
-    def finite_u(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices with a finite upper bound, u at them), in index order."""
-        return _gather(self.boxed | self.upper, self.u)
 
     @cached_property
     def floor(self) -> np.ndarray:
@@ -188,9 +174,19 @@ class GeneralFormLp:
             lower=fin_l & ~fin_u,
             upper=~fin_l & fin_u,
             free=~fin_l & ~fin_u,
-            l=self.l,
-            u=self.u,
         )
+
+    @cached_property
+    def finite_l(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices with a finite lower bound, l at them), in index order,
+        built on first use and kept; both empty when those bounds are all 0."""
+        return _gather(self.masks.boxed | self.masks.lower, self.l)
+
+    @cached_property
+    def finite_u(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices with a finite upper bound, u at them), in index order,
+        built on first use and kept; both empty when those bounds are all 0."""
+        return _gather(self.masks.boxed | self.masks.upper, self.u)
 
     @cached_property
     def row_floor(self) -> np.ndarray:
@@ -209,8 +205,8 @@ class GeneralFormLp:
         """b'y + l'r_+ - u'r_- over the finite bounds: the dual objective of
         (y, r) without the objective offset, and the certificate objective
         of a Farkas vector y with reduced costs r."""
-        l_idx, l_fin = self.masks.finite_l
-        u_idx, u_fin = self.masks.finite_u
+        l_idx, l_fin = self.finite_l
+        u_idx, u_fin = self.finite_u
         val = float(self.b @ y)
         if l_idx.size:
             val += float(l_fin @ np.maximum(r[l_idx], 0.0))

@@ -529,7 +529,16 @@ def write_mps(doc: MpsDocument) -> str:
 
     parse_mps(write_mps(doc)) reproduces doc exactly: names are emitted
     verbatim, values in round-trip decimal, sections in canonical order.
+    A name that would not read back raises ValueError: an empty row or
+    column name, or a row, column or document name holding whitespace.
     """
+    if doc.name.split() not in ([], [doc.name]):
+        raise ValueError(f"document name {doc.name!r} holds whitespace")
+    for kind, name in chain(
+        (("row", r.name) for r in doc.rows), (("column", c) for c, _, _ in doc.columns)
+    ):
+        if name.split() != [name]:
+            raise ValueError(f"{kind} name {name!r} is empty or holds whitespace")
     out = [f"NAME {doc.name}".rstrip()]
     out.append("ROWS")
     for r in doc.rows:

@@ -167,8 +167,8 @@ class GeneralFormOperator:
       K2 = [tau A | I | tau b - v_y | -2 tau A].  A step is two matrix
       products and the clips to the finite bounds: three numpy calls on a
       lowering.
-    - "dense" (up to linalg.DENSE_LIMIT entries of A) and "csr" (above it)
-      otherwise.  Neither block holds an identity or a zero block:
+    - "dense" (p.a.dense, up to linalg.DENSE_LIMIT entries of A) and "csr"
+      (above it) otherwise.  Neither block holds an identity or a zero block:
 
           x_j = clip(x_{j-1} + K1 [y_{j-1}; 1], p.l, p.u)
           y_j = max(y_{j-1} + K2 [2 x_j - x_{j-1}; 1], p.row_floor)
@@ -186,8 +186,9 @@ class GeneralFormOperator:
     _steps is the loop.  It writes the rows [x_j; y_j; 1] into one buffer,
     with no allocation in dense storage.  apply, trajectory,
     PdhgState.advance and identify's fixed-point search all run it.  matrix
-    is A in the blocks' storage (dense for "fused"), which run's support
-    projection slices.
+    is A in the blocks' storage, p.a.dense or past the limit p.a.csr: the
+    block both support projections (run's and identify.affine_phase's)
+    slice.
     """
 
     def __init__(
@@ -201,15 +202,14 @@ class GeneralFormOperator:
         self.shift = np.zeros(n + m) if shift is None else np.asarray(shift, float)
         x_offset = -steps.eta * p.c - self.shift[:n]
         y_offset = steps.tau * p.b - self.shift[n:]
+        mat = p.a.dense
         if n * (n + m + 1) + m * (2 * n + m + 1) <= linalg.DENSE_LIMIT:
             self.storage = "fused"
-            mat = p.a.to_dense()
             tau_a = steps.tau * mat
             self.k1 = np.hstack([np.eye(n), steps.eta * mat.T, x_offset[:, None]])
             self.k2 = np.hstack([tau_a, np.eye(m), y_offset[:, None], -2.0 * tau_a])
-        elif m * n <= linalg.DENSE_LIMIT:
+        elif mat is not None:
             self.storage = "dense"
-            mat = p.a.to_dense()
             mat_t = np.ascontiguousarray(mat.T)
             self.k1 = np.hstack([steps.eta * mat_t, x_offset[:, None]])
             self.k2 = np.hstack([-steps.tau * mat, y_offset[:, None]])

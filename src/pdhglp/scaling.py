@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
 from .linalg import SparseMatrix
 from .model import GeneralFormLp
 
@@ -64,7 +63,7 @@ def _factors(shape, norms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_factors(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    mag = np.abs(a.to_dense())
+    mag = np.abs(a.dense)
 
     def norms(row, col, ufunc):
         cur = mag * row[:, None] * col
@@ -115,11 +114,11 @@ def ruiz_pock_chambolle(a: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     the current A~ by the square root of its inf-norm; one Pock-Chambolle
     pass (alpha = 1) then divides by the square root of the 1-norms.  Each
     pass measures rows and columns on the matrix before it.  The factors
-    are exact, not rounded to powers of two.  Matrices within DENSE_LIMIT
-    entries are measured dense, the rest in CSR; every scaled entry is the
+    are exact, not rounded to powers of two.  A is measured on a.dense when
+    it has one (SparseMatrix.dense), else in CSR; every scaled entry is the
     same product either way, and only the 1-norm sums may round apart.
     """
-    if a.n_rows * a.n_cols <= linalg.DENSE_LIMIT:
+    if a.dense is not None:
         return _dense_factors(a)
     return _sparse_factors(a)
 

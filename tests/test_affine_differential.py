@@ -29,7 +29,7 @@ def reference_affine_phase(p, steps, support):
     n, m = p.n, p.m
     eta, tau = steps.eta, steps.tau
     support = tuple(sorted(int(i) for i in support))
-    ad = p.a.to_dense()
+    ad = p.a.csr.toarray()
     mask = np.zeros(n, dtype=bool)
     mask[list(support)] = True
     ad[:, ~mask] = 0.0

@@ -405,10 +405,10 @@ def _textbook_step(case, x, y):
     op, std, v, partition = case
     eta, tau = op.steps.eta, op.steps.tau
     if std is None:
-        a, p = op.p.a.to_dense(), op.p
+        a, p = op.p.a.csr.toarray(), op.p
         x1 = np.clip(x - eta * (p.c - a.T @ y), p.l, p.u)
         return x1, np.maximum(y + tau * (p.b - a @ (2.0 * x1 - x)), p.row_floor)
-    a, n = std.a.to_dense(), std.n
+    a, n = std.a.csr.toarray(), std.n
     w = x - eta * (a.T @ y) - eta * std.c
     x1 = np.maximum(w, 0.0)
     if partition is not None:

@@ -93,9 +93,21 @@ class TestClassifyLp:
         assert classify_lp(demos.std_dual_infeasible()).cell == "dual_infeasible"
         assert classify_lp(demos.std_both_infeasible()).cell == "both_infeasible"
 
+    @pytest.mark.parametrize(
+        "shape,message",
+        [((4, 15), "too many variables"), ((210, 2), "too many constraints")],
+    )
+    def test_size_caps_are_solver_errors(self, shape, message):
+        # Valid problems the oracle cannot take: a SolverError, which is
+        # still a ValueError to library callers.
+        a = np.ones(shape) + np.eye(*shape)
+        p = StandardFormLp(np.ones(shape[1]), SparseMatrix.from_dense(a), a.sum(1))
+        with pytest.raises(linalg.SolverError, match=message):
+            classify_lp(p)
+
     def test_row_scaling_does_not_change_cell(self):
         p = demos.std_both_infeasible()
-        dense = p.a.to_dense()
+        dense = p.a.csr.toarray()
         scale = np.array([[4.0], [0.25]])
         q = StandardFormLp(
             c=p.c.copy(),

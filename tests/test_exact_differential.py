@@ -40,7 +40,7 @@ def _frac(x):
 
 def reference_verify(cert, p, kind) -> bool:
     vec = exactify_vector(cert)
-    a = p.a.to_dense()
+    a = p.a.csr.toarray()
     if all(v == 0 for v in vec):
         return False
     ok = True
@@ -87,7 +87,7 @@ def reference_verify(cert, p, kind) -> bool:
 
 
 def _sign_constraints(p, side):
-    a = p.a.to_dense()
+    a = p.a.csr.toarray()
 
     def line(values):
         return {j: Fraction(float(v)) for j, v in enumerate(values) if v != 0.0}

@@ -163,7 +163,7 @@ def reference_decide(sys):
 
 
 def reference_primal_system(p):
-    a = p.a.to_dense().tolist()
+    a = p.a.csr.toarray().tolist()
     sys = RefLp(p.n)
     for r in range(p.m):
         sys.add_ge(a[r], p.b[r])
@@ -179,7 +179,7 @@ def reference_primal_system(p):
 
 
 def reference_dual_system(p):
-    at = p.a.to_dense().T.tolist()
+    at = p.a.csr.toarray().T.tolist()
     sys = RefLp(p.m)
     masks = p.masks
     for r in np.flatnonzero(~p.eq):

@@ -30,7 +30,7 @@ class UnfusedStep:
 
     def __init__(self, op):
         p, steps, n = op.p, op.steps, op.n
-        a = p.a.to_dense()
+        a = p.a.csr.toarray()
         self.n, self.p = n, p
         x_offset = -steps.eta * p.c - op.shift[:n]
         y_offset = steps.tau * p.b - op.shift[n:]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from pdhglp.identify import (
 from pdhglp.linalg import SparseMatrix, StepSizes, Support
 from pdhglp.model import StandardFormLp, to_standard_form
 from pdhglp.pdhg import make_operator
+
+from helpers import block_copies
 
 
 def _v_both(steps: StepSizes) -> np.ndarray:
@@ -318,10 +321,34 @@ class TestAffinePhase:
         # dense: w changes sign.
         cols = np.isin(np.arange(p.n), support)
         rows = np.ones(p.m, dtype=bool)
-        sup = Support(p.a.to_dense(), p.c, p.b, cols, rows, np.zeros(p.n))
+        sup = Support(p.a.csr.toarray(), p.c, p.b, cols, rows, np.zeros(p.n))
         want = np.concatenate([op.steps.eta * sup.d, -op.steps.tau * sup.w])
         np.testing.assert_allclose(phase.v_pred, want, rtol=0.0, atol=1e-10)
         assert np.any(want != 0.0)
+
+    @pytest.mark.parametrize(
+        "p,storage",
+        [
+            (demos.std_both_infeasible(), np.ndarray),
+            (block_copies(demos.std_both_infeasible(), 60), sp.csr_matrix),
+        ],
+        ids=["desk", "past-dense-limit"],
+    )
+    def test_projects_on_the_operator_block(self, p, storage, monkeypatch):
+        # The block run's polish slices: A.dense up to linalg.DENSE_LIMIT,
+        # else the CSR.
+        p, op = _setup(p)
+        seen = []
+        within_cap = Support.within_cap.__func__
+
+        def spy(cls, a, *args):
+            seen.append(a)
+            return within_cap(cls, a, *args)
+
+        monkeypatch.setattr(Support, "within_cap", classmethod(spy))
+        assert affine_phase(op, range(p.n)) is not None
+        assert len(seen) == 1 and seen[0] is op.matrix
+        assert isinstance(seen[0], storage)
 
     def test_empty_support(self):
         p, op = _setup(demos.std_both_infeasible())

@@ -648,6 +648,20 @@ class TestCliSolve:
         assert out.out == ""
         assert out.err == "solver error: elimination produced too many rows\n"
 
+    def test_oracle_size_cap_exits_3(self, tmp_path, capsys):
+        # A valid LP over the oracle's cap on variables: solve takes it, and
+        # the oracle refuses it as a solver error, not as invalid input.
+        a = np.ones((4, 15)) + np.eye(4, 15)
+        p = StandardFormLp(c=np.ones(15), a=SparseMatrix.from_dense(a), b=a.sum(1))
+        path = tmp_path / "wide.json"
+        save_problem(p, path)
+        assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["oracle", str(path)]) == cli.EXIT_NUMERICAL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "solver error: too many variables for the exact oracle: 15\n"
+
     def test_numerical_status_maps_to_exit_3(self):
         assert cli._STATUS_EXIT[SolveStatus.NUMERICAL_ERROR] == cli.EXIT_NUMERICAL
 

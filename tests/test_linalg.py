@@ -32,7 +32,7 @@ def dense_matrices(max_m=5, max_n=5):
 class TestSparseMatrix:
     def test_triplet_duplicates_sum(self):
         a = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
-        assert a.to_dense().tolist() == [[0.0, 5.0], [1.0, 0.0]]
+        assert a.csr.toarray().tolist() == [[0.0, 5.0], [1.0, 0.0]]
         assert a.nnz == 2
 
     def test_index_bounds_checked(self):
@@ -60,7 +60,20 @@ class TestSparseMatrix:
         a = SparseMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
         t = a.transposed_csr()
         assert a.transposed_csr() is t
-        np.testing.assert_array_equal(t.toarray(), a.to_dense().T)
+        np.testing.assert_array_equal(t.toarray(), a.csr.toarray().T)
+
+    def test_dense_built_once_and_read_only(self, rng):
+        csr = sp.random(100, 100, density=0.1, format="csr", random_state=rng)
+        a = SparseMatrix(csr)
+        d = a.dense
+        assert a.dense is d
+        np.testing.assert_array_equal(d, a.csr.toarray())
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
+
+    def test_dense_only_within_dense_limit(self):
+        assert SparseMatrix.from_triplets(100, 100, [0], [0], [1.0]).dense is not None
+        assert SparseMatrix.from_triplets(100, 101, [0], [0], [1.0]).dense is None
 
     @given(dense_matrices())
     def test_adjoint_identity(self, arr):
@@ -76,11 +89,11 @@ class TestSparseMatrix:
     @given(dense_matrices())
     def test_dense_round_trip(self, arr):
         a = SparseMatrix.from_dense(arr)
-        np.testing.assert_array_equal(a.to_dense(), arr)
+        np.testing.assert_array_equal(a.csr.toarray(), arr)
 
 
 def _svd_norm(a: SparseMatrix) -> float:
-    return float(np.linalg.svd(a.to_dense(), compute_uv=False)[0])
+    return float(np.linalg.svd(a.csr.toarray(), compute_uv=False)[0])
 
 
 def _negated(a: SparseMatrix) -> SparseMatrix:
@@ -271,8 +284,8 @@ class TestMNorm:
             y = rng.standard_normal(2)
             # z'Mz with M = [[I/eta, A'], [A, I/tau]], the general-form step's.
             m = np.block(
-                [[np.eye(2) / steps.eta, a.to_dense().T],
-                 [a.to_dense(), np.eye(2) / steps.tau]]
+                [[np.eye(2) / steps.eta, a.csr.toarray().T],
+                 [a.csr.toarray(), np.eye(2) / steps.tau]]
             )
             z = np.concatenate([x, y])
             explicit = z @ m @ z

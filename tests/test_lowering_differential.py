@@ -85,12 +85,12 @@ class ReferenceStep:
             self.hi = np.where(mask_n2, -v_x, np.inf)
         self.fused = n * (n + m + 1) + m * (2 * n + m + 1) <= linalg.DENSE_LIMIT
         if self.fused:
-            a = p.a.to_dense()
+            a = p.a.csr.toarray()
             tau_a = steps.tau * a
             self.k1 = np.hstack([np.eye(n), -steps.eta * a.T, x_offset[:, None]])
             self.k2 = np.hstack([-tau_a, np.eye(m), y_offset[:, None], 2.0 * tau_a])
         elif m * n <= linalg.DENSE_LIMIT:
-            a = p.a.to_dense()
+            a = p.a.csr.toarray()
             a_t = np.ascontiguousarray(a.T)
             self.k1 = np.hstack([-steps.eta * a_t, x_offset[:, None]])
             self.k2 = np.hstack([steps.tau * a, y_offset[:, None]])

@@ -80,7 +80,7 @@ class TestContainers:
         )
         g = q.general
         assert g is q.general  # built once
-        np.testing.assert_array_equal(g.a.to_dense(), [[-1.0, 3.0]])
+        np.testing.assert_array_equal(g.a.csr.toarray(), [[-1.0, 3.0]])
         np.testing.assert_array_equal(g.b, [-2.0])
         assert g.eq.all() and np.all(g.l == 0.0) and np.all(np.isinf(g.u))
         np.testing.assert_array_equal(g.row_floor, [-np.inf])
@@ -126,7 +126,7 @@ class TestContainers:
         assert q.masks.free.tolist() == [True, False, False, True]
         assert q.masks.lower.tolist() == [False, True, True, False]
         assert not q.masks.boxed.any() and not q.masks.upper.any()
-        assert q.masks.finite_l[1].tolist() == [0.0, 1.0]
+        assert q.finite_l[1].tolist() == [0.0, 1.0]
         # p keeps its own masks.
         assert p.masks is old and old.boxed.tolist() == [True, False, False, False]
 
@@ -280,7 +280,7 @@ class TestStandardization:
             x_std = rng.uniform(0.0, 2.0, q.n)
             res = q.a.matvec(x_std) - q.b
             # Newton-style correction using pseudo-inverse to land on Ax = b
-            x_std = x_std - np.linalg.pinv(q.a.to_dense()) @ res
+            x_std = x_std - np.linalg.pinv(q.a.csr.toarray()) @ res
             if np.any(x_std < -1e-12):
                 continue
             x_std = np.maximum(x_std, 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,7 +201,7 @@ class TestGeneralFormConversion:
         assert np.allclose(lp.c, [1.0, 2.0, -1.0])
         # the objective RHS entry becomes a negated constant term
         assert lp.objective_offset == 3.5
-        a = lp.a.to_dense()
+        a = lp.a.csr.toarray()
         got = {tuple([*a[i], lp.b[i], lp.eq[i]]) for i in range(lp.m)}
         assert got == {
             (-1.0, -1.0, 0.0, -4.0, False),  # LIM1: x1 + x2 <= 4, negated
@@ -233,7 +235,7 @@ class TestGeneralFormConversion:
         )
         lp = to_general_form(parse_mps(text))
         lo, hi = interval
-        rows = {(float(lp.a.to_dense()[i][0]), float(lp.b[i])) for i in range(lp.m)}
+        rows = {(float(lp.a.csr.toarray()[i][0]), float(lp.b[i])) for i in range(lp.m)}
         assert rows == {(1.0, lo), (-1.0, -hi)}
 
     def test_negative_up_releases_default_lower(self):
@@ -320,3 +322,21 @@ class TestWriteRoundTrip:
     @settings(max_examples=40)
     def test_random_documents_round_trip(self, doc):
         assert parse_mps(write_mps(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"columns": [("", "COST", 1.0)]}, "column name '' is empty"),
+            ({"columns": [("X\t1", "COST", 1.0)]}, "column name 'X"),
+            ({"rows": [MpsRow("N", "COST"), MpsRow("G", "")]}, "row name ''"),
+            ({"rows": [MpsRow("N", "CO ST")]}, "row name 'CO ST'"),
+            ({"name": "my lp"}, "document name 'my lp' holds whitespace"),
+        ],
+    )
+    def test_names_that_do_not_read_back_are_refused(self, change, message):
+        doc = MpsDocument(
+            name="T", rows=[MpsRow("N", "COST")], columns=[("X1", "COST", 1.0)]
+        )
+        assert parse_mps(write_mps(doc)) == doc
+        with pytest.raises(ValueError, match=message):
+            write_mps(dataclasses.replace(doc, **change))

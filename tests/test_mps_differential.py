@@ -544,7 +544,7 @@ def test_duplicates_are_summed_in_file_order():
     assert _assert_same_reading(text) is None
     lp = to_general_form(parse_mps(text))
     assert lp.c.tolist() == [1.0]
-    assert lp.a.to_dense().tolist() == [[1.0]]
+    assert lp.a.csr.toarray().tolist() == [[1.0]]
 
 
 # Errors beyond those of test_mps: several bad lines, where the first bad

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,7 @@ class TestOperators:
         x = rng.standard_normal(p.n)
         y = rng.standard_normal(p.m)
         x1, y1 = op.apply(x, y)
-        a = p.a.to_dense()
+        a = p.a.csr.toarray()
         x1_ref = np.maximum(x - steps.eta * (a.T @ y) - steps.eta * p.c, 0.0)
         y1_ref = y + steps.tau * (a @ (2.0 * x1_ref - x)) - steps.tau * p.b
         np.testing.assert_allclose(x1, x1_ref, atol=1e-14)
@@ -89,7 +90,7 @@ class TestOperators:
         x = rng.standard_normal(p.n)
         y = rng.standard_normal(p.m)
         x1, y1 = op.apply(x, y)
-        a = p.a.to_dense()
+        a = p.a.csr.toarray()
         x1_ref = np.clip(x + steps.eta * (a.T @ y) - steps.eta * p.c, p.l, p.u)
         y1_ref = np.maximum(
             y - steps.tau * (a @ (2.0 * x1_ref - x)) + steps.tau * p.b, 0.0
@@ -128,8 +129,27 @@ class TestOperators:
         for p, dense in ((small, True), (big, False)):
             op = make_operator(p, StepSizes.for_matrix(p.a))
             assert isinstance(op.matrix, np.ndarray) == dense
+            assert op.matrix is (op.p.a.dense if dense else op.p.a.csr)
             x = np.arange(p.n, dtype=np.float64)
             np.testing.assert_array_equal(op.matrix @ x, op.p.a.matvec(x))
+
+    @pytest.mark.parametrize(
+        "name,params", [("example1", (0, 1)), ("std_feasible", ()), ("example1", (1, 2))]
+    )
+    def test_small_solve_makes_two_dense_copies(self, name, params, monkeypatch):
+        # The problem's A for the scaling, and the scaled A, which the norm
+        # estimate and the step blocks both read as SparseMatrix.dense.
+        shapes = []
+        toarray = sp.csr_matrix.toarray
+
+        def counted(self, *args, **kwargs):
+            shapes.append(self.shape)
+            return toarray(self, *args, **kwargs)
+
+        p = getattr(demos, name)(*params)
+        monkeypatch.setattr(sp.csr_matrix, "toarray", counted)
+        run(p, PdhgConfig())
+        assert shapes == [p.a.shape] * 2
 
     @pytest.mark.parametrize("form", ["standard", "general", "shifted"])
     def test_step_blocks_hold_no_square_block(self, form, rng):

@@ -191,7 +191,7 @@ def reference_sparse_factors(a):
 
 def reference_dense_factors(a):
     return _reference_factors(
-        np.abs(a.to_dense()), lambda mag, row, col: mag * row[:, None] * col
+        np.abs(a.csr.toarray()), lambda mag, row, col: mag * row[:, None] * col
     )
 
 
@@ -269,7 +269,7 @@ def test_ruiz_equilibrates_the_inf_norms():
     ps = DiagonalScaling(*ruiz_pock_chambolle(a)).problem(
         general_form(StandardFormLp(np.zeros(20), a, np.zeros(12)))
     )
-    scaled = np.abs(ps.a.to_dense())
+    scaled = np.abs(ps.a.csr.toarray())
     # Row and column inf-norms start spread over about ten decades.
     for norms in (scaled.max(axis=1), scaled.max(axis=0)):
         assert norms.max() / norms.min() < 10.0
