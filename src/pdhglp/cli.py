@@ -19,6 +19,7 @@ from .identify import (
     active_history,
     affine_phase,
     active_set,
+    first_nonfinite_row,
     freeze_detector,
     refine_ray,
     shift_identity_residual,
@@ -182,6 +183,11 @@ def _analysis_report(p, args) -> dict:
     k_total = args.analysis_iters
     n = p_std.n
     points = op.trajectory(np.zeros(n + p_std.m), k_total)
+    # A diverged trajectory has no ray to refine: the run would spend the
+    # refinement's whole budget on it and report a meaningless residual.
+    bad = first_nonfinite_row(points)
+    if bad is not None:
+        raise FloatingPointError(f"the trajectory diverged: z^{bad} is not finite")
 
     # The affine phase at the last row's support predicts the displacement,
     # so refine_ray starts from it and confirms the ray.

@@ -14,7 +14,11 @@ eigendecomposition of a Gram matrix, one component at a time).
 A Trajectory holds a run's points with the three derived sequences the
 certificates come from (differences, normalized iterates, normalized
 averages), and fit_rate fits their decay against a power or geometric
-model.
+model.  The analysis of a recorded trajectory (first_nonfinite_row,
+active_history, verify_rate_regimes) reads it in row blocks of about
+_SWEEP_ENTRIES entries, so beside the trajectory it holds O(block) scratch
+and a few arrays of one float per row, with the figures Trajectory's full
+arrays give, bit for bit.
 
 Everything else takes the operator it analyses, pdhg.make_operator of a
 standard-form problem (the paper's setting): a StandardFormOperator, which
@@ -28,6 +32,7 @@ are standardized first.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +55,7 @@ __all__ = [
     "active_set",
     "active_history",
     "freeze_detector",
+    "first_nonfinite_row",
     "shift_identity_residual",
     "affine_phase",
     "verify_rate_regimes",
@@ -69,6 +75,15 @@ _RATE_SLACK = 0.02
 _SLOPE_SLACK = 0.15
 _FIT_K_MIN = 100
 _WARMUP_DEFAULT = 100
+# active_history, first_nonfinite_row and verify_rate_regimes read a
+# trajectory in row blocks of about this many entries, so their scratch
+# stays cache-sized whatever the trajectory's length.
+_SWEEP_ENTRIES = 1 << 15
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a sweep block over rows of the given width."""
+    return max(1, _SWEEP_ENTRIES // max(width, 1))
 
 
 @dataclass
@@ -272,15 +287,17 @@ def _fixed_point(
     op: ShiftedOperator, z0: np.ndarray, mn: MNorm, budget: int
 ) -> tuple[np.ndarray, int]:
     """Step op from z0 until its last step is at most 1e-13 (1 + |z|) in mn,
-    testing after each block of the step loop, or until budget steps.
-    Returns the last point and the steps taken."""
+    testing after each block of the step loop, or until budget steps, or
+    until a block's last step has no finite length.  Returns the last point
+    and the steps taken."""
     n = op.n
     steps = 0
     for xs, ys, rows in op._steps(z0[:n], z0[n:], budget):
         steps += rows
         x, y = xs[rows], ys[rows, :-1]
         res = mn(x - xs[rows - 1], y - ys[rows - 1, :-1])
-        if res <= 1e-13 * (1.0 + mn(x, y)):
+        # A step of no finite length never leads to a fixed point.
+        if res <= 1e-13 * (1.0 + mn(x, y)) or not math.isfinite(res):
             break
     return np.concatenate([x, y]), steps
 
@@ -411,17 +428,48 @@ def active_history(
     set of x^k) for row 0 and for each row whose pattern differs from the
     row before; every other row has its last listed row's set.
 
-    A coordinate is active when it is at most tol * (1 + max |x^k|).
+    A coordinate is active when it is at most tol * (1 + max |x^k|).  The
+    rows are read in blocks of about _SWEEP_ENTRIES entries: |x| goes into
+    one scratch block and the masks into another, and a block's first mask
+    is compared with the last one of the block before, so the sweep holds
+    O(block) beside the trajectory.
     """
     x = np.asarray(points, dtype=np.float64)[:, :n]
-    cut = tol * (1.0 + np.max(np.abs(x), axis=1, initial=0.0))
-    at_bound = x <= cut[:, None]
-    changed = np.ones(x.shape[0], dtype=bool)
-    changed[1:] = np.any(at_bound[1:] != at_bound[:-1], axis=1)
-    return [
-        (k, frozenset(np.flatnonzero(at_bound[k]).tolist()))
-        for k in np.flatnonzero(changed).tolist()
-    ]
+    rows = x.shape[0]
+    step = _block_rows(n)
+    mags = np.empty((min(step, rows), n))
+    masks = np.empty((min(step, rows), n), dtype=bool)
+    prev = None  # the last mask of the block before
+    history = []
+    for lo in range(0, rows, step):
+        block = x[lo : lo + step]
+        r = block.shape[0]
+        mag, at_bound = mags[:r], masks[:r]
+        np.abs(block, out=mag)
+        cut = tol * (1.0 + np.max(mag, axis=1, initial=0.0))
+        np.less_equal(block, cut[:, None], out=at_bound)
+        changed = np.empty(r, dtype=bool)
+        changed[0] = prev is None or not np.array_equal(at_bound[0], prev)
+        changed[1:] = np.any(at_bound[1:] != at_bound[:-1], axis=1)
+        history += [
+            (lo + i, frozenset(np.flatnonzero(at_bound[i]).tolist()))
+            for i in np.flatnonzero(changed).tolist()
+        ]
+        prev = at_bound[-1].copy()
+    return history
+
+
+def first_nonfinite_row(points: np.ndarray) -> int | None:
+    """The first row of points holding a NaN or an infinity, or None, read
+    in row blocks of about _SWEEP_ENTRIES entries."""
+    points = np.asarray(points, dtype=np.float64)
+    rows, width = points.shape
+    step = _block_rows(width)
+    for lo in range(0, rows, step):
+        bad = np.flatnonzero(~np.isfinite(points[lo : lo + step]).all(axis=1))
+        if bad.size:
+            return lo + int(bad[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -459,9 +507,10 @@ def shift_identity_residual(
     """Step the shifted twin of op from orig[0] next to the recorded rows
     orig = z^j..z^{j+K} of op's iteration and report the worst
     step-size-norm gap between the twin's k-th iterate and orig[k] - k v,
-    k = 1..K.  Past the freeze iteration the two agree to roundoff.
-    pdhglp analyze passes the trajectory's last 1000 rows (and the row
-    before them), so the original is never stepped again."""
+    k = 1..K.  Past the freeze iteration the two agree to roundoff.  A NaN
+    gap (a NaN row or displacement) makes the residual NaN: the two cannot
+    be compared.  pdhglp analyze passes the trajectory's last 1000 rows
+    (and the row before them), so the original is never stepped again."""
     shifted = ShiftedOperator(op, v, partition)
     orig = np.asarray(orig, dtype=np.float64)
     if orig.ndim != 2 or orig.shape[0] < 1:
@@ -473,9 +522,10 @@ def shift_identity_residual(
         ks = np.arange(done, done + rows, dtype=np.float64)[:, None]
         want = orig[done : done + rows] - ks * v
         gap_x = xs[1 : rows + 1] - want[:, :n]
-        block = mn.rows(gap_x, ys[1 : rows + 1, :-1] - want[:, n:])
-        # fmax skips NaN norms, as the running Python max did.
-        worst = max(worst, float(np.fmax.reduce(block)))
+        top = float(np.max(mn.rows(gap_x, ys[1 : rows + 1, :-1] - want[:, n:])))
+        if math.isnan(top):
+            return math.nan
+        worst = max(worst, top)
         done += rows
     return worst
 
@@ -563,6 +613,61 @@ class RateRegimeReport:
     notes: tuple[str, ...] = ()
 
 
+def _row_norms(rows: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """out = np.linalg.norm(rows, axis=1) of real rows, bit for bit: the
+    squares into scratch (which may be rows), summed along each row."""
+    np.multiply(rows, rows, out=scratch)
+    np.add.reduce(scratch, axis=1, out=out)
+    np.sqrt(out, out=out)
+
+
+def _sequence_errors(
+    points: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One sweep over points = z^0..z^K in row blocks of about
+    _SWEEP_ENTRIES entries: the row norms ||z^j||, j = 0..K, and the norms
+    of Trajectory(points)'s differences, normalized iterates and normalized
+    averages less v, K each, bit for bit as np.linalg.norm(axis=1) of the
+    full arrays.  One scratch block takes the row work; the other holds the
+    running sum, its first row carrying the sum of the rows before the
+    block into np.add.accumulate, which then adds as cumsum does."""
+    rows, dim = points.shape
+    k = rows - 1
+    step = _block_rows(dim)
+    mags, diffs, iters, avgs = np.empty(rows), np.empty(k), np.empty(k), np.empty(k)
+    work = np.empty((min(step, rows), dim))
+    sums = np.empty((min(step, rows) + 1, dim))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        block = points[lo:hi]
+        _row_norms(block, work[: hi - lo], mags[lo:hi])
+        # Differences z^{j+1} - z^j for j = lo..hi-1 (the last needs z^K).
+        top = min(hi, k)
+        w = work[: top - lo]
+        np.subtract(points[lo + 1 : top + 1], points[lo:top], out=w)
+        np.subtract(w, v, out=w)
+        _row_norms(w, w, diffs[lo:top])
+        # Rows j = first..hi-1 of the normalized sequences, j >= 1.
+        first = max(lo, 1)
+        if first == hi:
+            continue
+        ks = np.arange(first, hi, dtype=np.float64)[:, None]
+        w = work[: hi - first]
+        np.divide(points[first:hi], ks, out=w)
+        np.subtract(w, v, out=w)
+        _row_norms(w, w, iters[first - 1 : hi - 1])
+        acc = sums[: hi - first + 1]
+        acc[1:] = points[first:hi]
+        # The block holding z^1 has no carry row: the sums start there.
+        run = acc[1:] if first == 1 else acc
+        np.add.accumulate(run, axis=0, out=run)
+        np.multiply(acc[1:], 2.0 / (ks * (ks + 1.0)), out=w)
+        np.subtract(w, v, out=w)
+        _row_norms(w, w, avgs[first - 1 : hi - 1])
+        sums[0] = acc[-1]
+    return mags, diffs, iters, avgs
+
+
 def verify_rate_regimes(
     points: np.ndarray,
     v: np.ndarray,
@@ -574,7 +679,9 @@ def verify_rate_regimes(
     points are rows z^0..z^N of the original iteration; the sequences are
     those of the Trajectory that starts at z^{k_freeze}, per
     the post-identification statements.  Difference errors below the float
-    noise floor are excluded from the geometric fit.
+    noise floor are excluded from the geometric fit.  The errors come from
+    one blocked sweep over the rows (_sequence_errors), so beside the
+    trajectory the fits hold O(block) scratch and a few arrays of N floats.
     """
     notes: list[str] = []
     if k_freeze >= points.shape[0] - 1:
@@ -589,12 +696,13 @@ def verify_rate_regimes(
             average_slope_ok=None,
             notes=("no post-freeze window observed",),
         )
-    traj = Trajectory(points[k_freeze:])
-    errs = np.linalg.norm(traj.differences() - v, axis=1)
+    v = np.asarray(v, dtype=np.float64)
+    post = np.asarray(points[k_freeze:], dtype=np.float64)
+    mags, errs, it_err, avg_err = _sequence_errors(post, v)
+    k = errs.size
     # Subtracting consecutive iterates of size ||z|| leaves roundoff of that
     # scale, so the usable window ends where the error meets a magnitude-
     # scaled floor, not an absolute one.
-    mags = np.linalg.norm(traj.points, axis=1)
     floors = 1e-13 * (1.0 + np.maximum(mags[:-1], mags[1:]))
     above = errs > floors
     clean = np.column_stack([np.flatnonzero(above), errs[above]])
@@ -621,10 +729,8 @@ def verify_rate_regimes(
     # the 1/k signal is gone and a power fit would only see roundoff (e.g. a
     # trajectory that starts exactly on the ray).
     pw_floor = 1e-12 * (1.0 + float(np.linalg.norm(v)))
-    if traj.k >= _FIT_K_MIN + 20:
-        ks = np.arange(1, traj.k + 1, dtype=np.float64)
-        it_err = np.linalg.norm(traj.normalized_iterates() - v, axis=1)
-        avg_err = np.linalg.norm(traj.normalized_averages() - v, axis=1)
+    if k >= _FIT_K_MIN + 20:
+        ks = np.arange(1, k + 1, dtype=np.float64)
         it_keep = it_err > pw_floor
         avg_keep = avg_err > pw_floor
         it_samples = np.column_stack([ks[it_keep], it_err[it_keep]])

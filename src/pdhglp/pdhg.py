@@ -814,8 +814,11 @@ def run(
     # The outcome's x and y are copies, so no array of its state is one of them.
     x, y = (state.x.copy(), state.y.copy()) if point is None else point
     if point is not None or kkt is None:
-        r = recover_r(p, y)
-        kkt = kkt_residual(p, x, y, r)
+        # A diverged iterate is not finite.  Its residuals are taken without
+        # numpy's warnings, as its steps were: the verdict reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = recover_r(p, y)
+            kkt = kkt_residual(p, x, y, r)
 
     return SolveOutcome(
         status=status,

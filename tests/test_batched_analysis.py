@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pdhglp import demos, linalg
+from pdhglp import demos, identify, linalg
 from pdhglp.identify import (
     ACTIVE_TOL_REL,
     PARTITION_TOL_REL,
@@ -26,10 +26,12 @@ from pdhglp.identify import (
     active_set,
     build_auxiliary,
     fit_rate,
+    first_nonfinite_row,
     freeze_detector,
     partition_indices,
     refine_ray,
     shift_identity_residual,
+    verify_rate_regimes,
 )
 from pdhglp.linalg import MNorm, SparseMatrix, StepSizes, opnorm_estimate
 from pdhglp.model import GeneralFormLp, StandardFormLp, to_standard_form
@@ -285,6 +287,123 @@ def test_active_history_edge_shapes():
     assert active_history(np.empty((0, 4)), 3) == []
     pts = np.zeros((3, 2))
     assert active_history(pts, 0) == _change_rows(_active_history_rows(pts, 0))
+
+
+@pytest.mark.parametrize("entries", [1, 14, 64, None])
+def test_active_history_across_blocks(entries, monkeypatch):
+    # Blocks of 1, 2, 9 and (by default) 4681 rows of width 7: a block's
+    # first mask is compared with the block before's last, and the default
+    # sweep is cut at one row either side of a block edge.
+    if entries is not None:
+        monkeypatch.setattr(identify, "_SWEEP_ENTRIES", entries)
+    block = identify._block_rows(7)
+    edges = (block - 1, block, block + 1) if entries is None else (3 * block + 2,)
+    for seed, rows in enumerate((1, 2, 40) + edges):
+        pts, n = _trajectory_at_cut(seed, rows=rows)
+        assert active_history(pts, n) == _change_rows(_active_history_rows(pts, n))
+
+
+# ---------------------------------------------------------------------------
+# verify_rate_regimes' sweep and first_nonfinite_row
+
+
+def _sequence_norms(points, v):
+    """The reference: np.linalg.norm(axis=1) of the rows and of
+    Trajectory's full differences, normalized iterates and averages less v."""
+    t = Trajectory(points)
+    return (
+        np.linalg.norm(points, axis=1),
+        np.linalg.norm(t.differences() - v, axis=1),
+        np.linalg.norm(t.normalized_iterates() - v, axis=1),
+        np.linalg.norm(t.normalized_averages() - v, axis=1),
+    )
+
+
+def _assert_sweep_matches(points, v):
+    got, want = identify._sequence_errors(points, v), _sequence_norms(points, v)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _walk(rng, rows, width):
+    """A random walk whose entries span six decades."""
+    scale = 10.0 ** rng.integers(-3, 4, (rows, width))
+    return np.cumsum(rng.standard_normal((rows, width)) * scale, axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(demos.DEMO_BUILDERS))
+def test_sequence_errors_match_trajectory_on_desk_demos(name):
+    p = demos.DEMO_BUILDERS[name]()
+    if isinstance(p, GeneralFormLp):
+        p = to_standard_form(p)[0]
+    op = make_operator(p, StepSizes.for_matrix(p.a))
+    pts = op.trajectory(np.zeros(p.n + p.m), 600)
+    for v in (np.diff(pts[-60:], axis=0).mean(axis=0), np.zeros(pts.shape[1])):
+        for start in (0, 1, 17):
+            _assert_sweep_matches(pts[start:], v)
+
+
+def test_sequence_errors_match_trajectory_on_a_planted_item(perfbench):
+    # A 40 x 120 planted standard-form item, as in the analyze workload:
+    # 4001 rows of 160 entries, 20 blocks.
+    planted = perfbench("planted")
+    lp = perfbench("corpus").planted_to_lp(
+        planted.planted_instance(
+            "primal_infeasible", "standard", 40, 120, 3, np.random.default_rng(3)
+        )
+    )
+    op = make_operator(lp, StepSizes.for_matrix(lp.a))
+    pts = op.trajectory(np.zeros(lp.n + lp.m), 4000)
+    v = op.apply_z(pts[-1]) - pts[-1]
+    assert pts.shape[0] > 4 * identify._block_rows(pts.shape[1])
+    for start in (0, 121):
+        _assert_sweep_matches(pts[start:], v)
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_sequence_errors_at_block_edges(width):
+    rng = np.random.default_rng(width)
+    block = identify._block_rows(width)
+    v = rng.standard_normal(width)
+    for rows in (1, 2, block - 1, block, block + 1):
+        _assert_sweep_matches(_walk(rng, rows, width), v)
+
+
+@pytest.mark.parametrize("entries", [1, 5, 64])
+def test_sequence_errors_in_small_blocks(entries, monkeypatch):
+    # Blocks of one row (no row of a block before the one holding z^1 is a
+    # sum) up to a few rows, so every carry and block edge is crossed.
+    monkeypatch.setattr(identify, "_SWEEP_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    for width in (1, 3, 16):
+        for rows in (1, 2, 3, 50):
+            _assert_sweep_matches(_walk(rng, rows, width), rng.standard_normal(width))
+
+
+def test_rate_report_does_not_depend_on_the_block(ray_cases, monkeypatch):
+    # 2001 rows: one block by default, hundreds of blocks of 3 or 8 rows.
+    args = [
+        (pts, sol.v, identify.affine_phase(op, sol.partition.b), 3)
+        for _, op, pts, sol in ray_cases.values()
+    ]
+    want = [verify_rate_regimes(*a) for a in args]
+    monkeypatch.setattr(identify, "_SWEEP_ENTRIES", 40)
+    assert [verify_rate_regimes(*a) for a in args] == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_first_nonfinite_row(bad, monkeypatch):
+    monkeypatch.setattr(identify, "_SWEEP_ENTRIES", 12)  # blocks of 4 rows
+    pts = np.ones((10, 3))
+    assert first_nonfinite_row(pts) is None
+    assert first_nonfinite_row(np.empty((0, 3))) is None
+    for row in (0, 3, 4, 9):
+        for col in (0, 2):
+            hit = pts.copy()
+            hit[row, col] = bad
+            hit[-1, 1] = bad
+            assert first_nonfinite_row(hit) == row
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdhglp import demos, linalg
+from pdhglp import demos, identify, linalg
 from pdhglp.exact import verify_certificate_exact
 from pdhglp.identify import (
     AffinePhase,
@@ -207,6 +210,15 @@ class TestRefineRay:
         with pytest.raises(ValueError):
             refine_ray(op, pts, V_BOTH[:-1])
 
+    def test_nan_displacement_stops_at_the_first_block(self):
+        # A NaN seed makes every twin step NaN: each round's fixed-point solve
+        # ends after its first block of 200 steps, not its 200k budget.
+        p, op = _setup(demos.std_primal_infeasible())
+        z = _trajectory(op, 50)[-1]
+        sol = refine_ray(op, z, np.full(p.n + p.m, np.nan))
+        assert sol.steps <= 5 * 200
+        assert not sol.converged
+
     def test_feasible_problem_gives_zero_displacement(self):
         p, op = _setup(demos.std_feasible())
         pts = _trajectory(op, 1500)
@@ -279,6 +291,20 @@ class TestShiftIdentity:
         assert shift_identity_residual(op, sol.v, sol.partition, pts[-1:]) == 0.0
         with pytest.raises(ValueError):
             shift_identity_residual(op, sol.v, sol.partition, pts[:0])
+
+    @pytest.mark.parametrize("where", ["rows", "displacement"])
+    def test_nan_gap_is_nan(self, where):
+        # NaN rows from row 5 on, or a NaN displacement: no gap can be
+        # measured, and the residual says so rather than reading 0.
+        p, op = _setup(demos.std_primal_infeasible())
+        pts = _trajectory(op, 400)
+        sol = refine_ray(op, pts)
+        orig, v = pts[-50:].copy(), sol.v
+        if where == "rows":
+            orig[5:] = np.nan
+        else:
+            v = np.full_like(v, np.nan)
+        assert math.isnan(shift_identity_residual(op, v, sol.partition, orig))
 
 
 class TestAffinePhase:
@@ -407,3 +433,29 @@ class TestRateRegimes:
         phase = affine_phase(op, sol.partition.b)
         rep = verify_rate_regimes(pts, sol.v, phase, k_freeze=2)
         assert any("too short" in s for s in rep.notes)
+
+    def test_sweeps_hold_a_few_blocks(self):
+        # A 4001 x 160 trajectory (the planted analyze items' shape) is
+        # 5.1 MB; the history and the rate sweeps hold a few blocks of
+        # scratch and O(K) floats beside it, where full-size temporaries of
+        # the sequences took twice the trajectory.  Its rows are
+        # z* + j v + 0.9^j e with a third of x held at 0, so the set freezes
+        # early, the differences contract and every fit runs.
+        rng = np.random.default_rng(5)
+        n, m, k = 120, 40, 4000
+        v = np.where(np.arange(n + m) % 3 == 0, 0.0, 1e-3)
+        js = np.arange(k + 1, dtype=np.float64)[:, None]
+        e = rng.standard_normal(n + m) * (v != 0.0)
+        pts = 1.0 + js * v + 0.9**js * e
+        pts[:, :n][:, v[:n] == 0.0] = 0.0
+        phase = AffinePhase((), np.empty(0), 0.95, 0.85, v, v)
+        tracemalloc.start()
+        try:
+            freeze = freeze_detector(active_history(pts, n), k)
+            rep = verify_rate_regimes(pts, v, phase, freeze.k_freeze)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert freeze.frozen
+        assert rep.diff_rate_in_bracket and rep.iterate_fit and rep.average_fit
+        assert peak < 4 * 8 * identify._SWEEP_ENTRIES + 16 * 8 * (k + 1)

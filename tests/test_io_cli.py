@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -548,6 +549,41 @@ class TestCliSolve:
         assert result["dual_objective"] is None
         assert set(result["kkt"].values()) == {None}
         assert None in result["x"] and None in result["y"]
+
+    @pytest.mark.parametrize("doc", _DIVERGING.values(), ids=list(_DIVERGING))
+    def test_diverged_analyze_exits_3(self, doc, tmp_path, capsys):
+        # The trajectory overflows within a few steps: analyze stops before
+        # the ray refinement, which would run its whole budget on it.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["analyze", str(path)])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        assert "trajectory diverged: z^" in captured.err
+
+    def test_diverged_solve_of_huge_data_warns_nothing(self, tmp_path, capsys):
+        # c and b of 1e307 scale overflow at the first check (k = 40); the
+        # closing residuals of the non-finite iterate raise no warning.
+        p = demos.std_primal_infeasible()
+        path, out = tmp_path / "huge.json", tmp_path / "out.json"
+        save_problem(dataclasses.replace(p, c=p.c * 1e307, b=p.b * 1e307), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["solve", str(path), "--json-out", str(out)])
+        capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        result = json.loads(out.read_text(), parse_constant=refuse)
+        assert result["termination"] == "divergence"
+        assert result["iterations"] == 40
 
     @pytest.mark.parametrize("name", sorted(_NO_ROWS))
     def test_problem_without_rows_is_refused(self, name, tmp_path, capsys):
